@@ -2,13 +2,15 @@
 //! flagship instance (100 VMs on 50 servers, all catalogs), plus a
 //! production-scale MIEC point (2000 VMs on 500 servers) that records
 //! the optimised-vs-reference speedup in `BENCH_miec.json` at the repo
-//! root.
+//! root, and the candidate-index-vs-full-scan scale points.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use esvm_bench::{assert_no_regression, committed_bench_field, time_best, time_pair_best};
+use esvm_bench::{
+    assert_no_regression, committed_bench_field, miec_scale_point, time_best, time_pair_best,
+    ScalePoint,
+};
 use esvm_core::{Allocator, AllocatorKind, Miec};
 use esvm_obs::{DiscardSink, MetricsRegistry};
-use esvm_par::Parallelism;
 use esvm_workload::WorkloadConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -91,77 +93,36 @@ fn certify_first_divergence_is_fp_tie(
     }
 }
 
-/// Measures one sharded scale point: generates the seed-1 instance,
-/// certifies the sharded parallel placement and cost are bit-identical
-/// to the sequential oracle (panicking otherwise, so a recorded timing
-/// can never come from a divergent run), then returns the
-/// lower-envelope `(sequential, parallel)` seconds over `runs` rounds.
-fn measure_scale_point(
-    prefix: &str,
-    vms: usize,
-    servers: usize,
-    runs: usize,
-    par: Parallelism,
-) -> (f64, f64) {
-    let problem = WorkloadConfig::new(vms, servers)
-        .mean_interarrival(4.0)
-        .generate(1)
-        .expect("instance");
-    let sequential = Miec::new();
-    let parallel = Miec::new().with_parallelism(par);
-    let mut rng = StdRng::seed_from_u64(7);
-    let seq = sequential.allocate(&problem, &mut rng).unwrap();
-    let shard = parallel.allocate(&problem, &mut rng).unwrap();
-    assert_eq!(
-        seq.placement(),
-        shard.placement(),
-        "sharded MIEC diverged from the sequential oracle at {vms} VMs / {servers} servers"
-    );
-    assert_eq!(
-        seq.total_cost().to_bits(),
-        shard.total_cost().to_bits(),
-        "sharded MIEC cost diverged at {vms} VMs / {servers} servers"
-    );
-    drop((seq, shard));
-    let seq_s = time_best(runs, || {
-        let mut rng = StdRng::seed_from_u64(7);
-        sequential.allocate(&problem, &mut rng).unwrap().total_cost()
-    });
-    let par_s = time_best(runs, || {
-        let mut rng = StdRng::seed_from_u64(7);
-        parallel.allocate(&problem, &mut rng).unwrap().total_cost()
-    });
-    println!(
-        "{prefix}: {vms} VMs / {servers} servers, sequential {seq_s:.3} s, \
-         sharded parallel {par_s:.3} s ({:.2}x), placement exact",
-        seq_s / par_s
-    );
-    (seq_s, par_s)
-}
-
 /// Formats one scale point's `BENCH_miec.json` fields. `None` (a large
 /// point that was skipped this run and has no committed baseline yet)
 /// records `null` timings so the flat-scan reader treats them as
-/// missing.
-fn scale_fields(prefix: &str, vms: usize, servers: usize, measured: Option<(f64, f64)>) -> String {
-    let (seq, par, speedup, exact) = match measured {
-        Some((s, p)) => (
-            format!("{s:.6}"),
-            format!("{p:.6}"),
-            format!("{:.2}", s / p),
-            "true",
-        ),
-        None => ("null".into(), "null".into(), "null".into(), "null"),
+/// missing; so does a point whose full-scan oracle did not run. A point
+/// read back from the committed record is marked `carried_forward`.
+fn scale_fields(
+    prefix: &str,
+    vms: usize,
+    servers: usize,
+    point: Option<ScalePoint>,
+    carried_forward: bool,
+) -> String {
+    let (indexed, full_scan) = point.map_or((None, None), |p| (Some(p.indexed_s), p.full_scan_s));
+    let seconds = |s: Option<f64>| s.map_or("null".into(), |s| format!("{s:.6}"));
+    let (speedup, exact) = match indexed.zip(full_scan) {
+        Some((i, f)) => (format!("{:.2}", f / i), "true"),
+        None => ("null".into(), "null"),
     };
     format!(
         ",\n  \"{prefix}_vms\": {vms},\n  \"{prefix}_servers\": {servers},\n  \
-         \"{prefix}_sequential_seconds\": {seq},\n  \"{prefix}_parallel_seconds\": {par},\n  \
-         \"{prefix}_parallel_speedup\": {speedup},\n  \"{prefix}_parallel_placement_exact\": {exact}"
+         \"{prefix}_indexed_seconds\": {},\n  \"{prefix}_full_scan_seconds\": {},\n  \
+         \"{prefix}_index_speedup\": {speedup},\n  \"{prefix}_placement_exact\": {exact},\n  \
+         \"{prefix}_carried_forward\": {carried_forward}",
+        seconds(indexed),
+        seconds(full_scan),
     )
 }
 
 /// Production-scale point: 2000 VMs on 500 servers. Times the optimised
-/// MIEC (delta scoring + spec-class pruning) against the reference
+/// MIEC (delta scoring + candidate index) against the reference
 /// implementation (full scan, clone-and-rescan scoring), checks
 /// placement equivalence, and writes the measurements to
 /// `BENCH_miec.json` at the repository root.
@@ -169,9 +130,9 @@ fn scale_fields(prefix: &str, vms: usize, servers: usize, measured: Option<(f64,
 /// Equivalence is asserted in two layers, because they have different
 /// strength guarantees:
 ///
-/// * pruning is *exactly* placement-preserving (asleep servers of one
-///   spec class score bit-identically), so pruned vs unpruned must match
-///   byte for byte;
+/// * the candidate index is *exactly* placement-preserving (standby
+///   servers of one spec class score bit-identically), so indexed vs
+///   unpruned must match byte for byte;
 /// * delta scoring vs the clone-and-rescan reference agree except where
 ///   two servers offer the *same* marginal cost: the delta path computes
 ///   the tie exactly and takes the lowest id, while the reference's
@@ -224,38 +185,12 @@ fn bench_miec_at_scale(c: &mut Criterion) {
     assert_eq!(
         fast.placement(),
         unpruned.placement(),
-        "spec-class pruning changed placements at scale"
-    );
-    // Parallel scoring must be a pure execution detail: bit-identical
-    // placements and cost at scale, with and without pruning. Batch is
-    // pinned at 256: the shard-major batched scan keeps each shard's
-    // ledger state cache-resident across the window, which is where the
-    // sharded engine's win comes from at the large scale points (4.0x
-    // at 1M VMs / 100k servers even on a single core).
-    let par = Parallelism::new(4).with_batch(256);
-    let par_fast = Miec::new()
-        .with_parallelism(par)
-        .allocate(&problem, &mut rng)
-        .unwrap();
-    assert_eq!(
-        fast.placement(),
-        par_fast.placement(),
-        "parallel MIEC diverged from the sequential oracle at scale"
+        "the candidate index changed placements at scale"
     );
     assert_eq!(
         fast.total_cost().to_bits(),
-        par_fast.total_cost().to_bits(),
-        "parallel MIEC cost diverged at scale"
-    );
-    let par_unpruned = Miec::new()
-        .without_pruning()
-        .with_parallelism(par)
-        .allocate(&problem, &mut rng)
-        .unwrap();
-    assert_eq!(
-        unpruned.placement(),
-        par_unpruned.placement(),
-        "parallel unpruned MIEC diverged at scale"
+        unpruned.total_cost().to_bits(),
+        "the candidate index changed the total cost at scale"
     );
     let slow = Miec::reference().allocate(&problem, &mut rng).unwrap();
     let placements_identical = fast.placement() == slow.placement();
@@ -391,25 +326,14 @@ fn bench_miec_at_scale(c: &mut Criterion) {
             trace_overhead * 100.0
         );
     }
-    // Parallel timings: the 4-thread sharded engine (persistent shard
-    // ownership, batched arrivals — see DESIGN §8), pruned and
-    // unpruned. The pre-PR replicate-and-replay timings previously
-    // recorded under `parallel_*` are dropped with that design; these
-    // fields now measure the shipping sharded path. Timings are
-    // recorded honestly along with the host's core count — on a
-    // single-core host a speedup is physically impossible, so the ≥2x
-    // expectation is only asserted when ESVM_REQUIRE_PARALLEL_SPEEDUP=1
-    // (set it on multi-core CI runners), and there at the 20k-VM medium
-    // scale point below, where per-VM scan work dominates dispatch.
+    // The full scan at the same point, and the index's scale points.
+    // The 20k point is cheap enough to measure on every bench run; the
+    // 100k and 1M points are opt-in via ESVM_SCALE_BENCH=1. At 1M the
+    // full-scan oracle would score 10^11 server-VM pairs (hours), so
+    // that point times the index alone. Skipped points carry their
+    // committed measurements forward, marked so, so a filtered bench
+    // run never erases them.
     let host_parallelism = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let parallel_s = time_best(7, || {
-        let mut rng = StdRng::seed_from_u64(7);
-        Miec::new()
-            .with_parallelism(par)
-            .allocate(&problem, &mut rng)
-            .unwrap()
-            .total_cost()
-    });
     let unpruned_s = time_best(3, || {
         let mut rng = StdRng::seed_from_u64(7);
         Miec::new()
@@ -418,66 +342,34 @@ fn bench_miec_at_scale(c: &mut Criterion) {
             .unwrap()
             .total_cost()
     });
-    let unpruned_parallel_s = time_best(3, || {
-        let mut rng = StdRng::seed_from_u64(7);
-        Miec::new()
-            .without_pruning()
-            .with_parallelism(par)
-            .allocate(&problem, &mut rng)
-            .unwrap()
-            .total_cost()
-    });
-    let parallel_speedup = optimised_s / parallel_s;
-    let unpruned_parallel_speedup = unpruned_s / unpruned_parallel_s;
-    println!(
-        "miec parallel (4 threads, {host_parallelism} host cores): pruned {parallel_s:.3} s \
-         ({parallel_speedup:.2}x), unpruned {unpruned_s:.3} s -> {unpruned_parallel_s:.3} s \
-         ({unpruned_parallel_speedup:.2}x)"
-    );
-
-    // --- Sharded scale points (ISSUE: 20k CI point + 100k / 1M) ---
-    //
-    // The medium point is cheap enough to measure on every bench run
-    // and is where ESVM_REQUIRE_PARALLEL_SPEEDUP=1 asserts the ≥2x
-    // sharded win (multi-core CI only — see above). The two large
-    // points take minutes and are opt-in via ESVM_SCALE_BENCH=1; when
-    // skipped, their committed measurements are carried forward so a
-    // filtered tier-1 bench run never erases them from the record.
-    let require_speedup = std::env::var("ESVM_REQUIRE_PARALLEL_SPEEDUP").as_deref() == Ok("1");
     let scale_bench = std::env::var("ESVM_SCALE_BENCH").as_deref() == Ok("1");
-    let medium = measure_scale_point("scale_20k", 20_000, 2_000, 3, par);
-    if require_speedup {
-        let speedup = medium.0 / medium.1;
-        assert!(
-            speedup >= 2.0,
-            "expected >=2x sharded speedup at 20k VMs / 2k servers with 4 \
-             threads on a {host_parallelism}-core host, got {speedup:.2}x"
-        );
-    }
-    let mut large = Vec::new();
-    for (prefix, vms, servers, runs) in
-        [("scale_100k", 100_000, 10_000, 2), ("scale_1m", 1_000_000, 100_000, 1)]
-    {
-        let measured = if scale_bench {
-            let m = measure_scale_point(prefix, vms, servers, runs, par);
-            if require_speedup {
-                let speedup = m.0 / m.1;
-                assert!(
-                    speedup >= 2.0,
-                    "expected >=2x sharded speedup at {vms} VMs / {servers} \
-                     servers on a {host_parallelism}-core host, got {speedup:.2}x"
-                );
+    let mut scale_json = String::new();
+    for (prefix, vms, servers, runs, always, full_scan) in [
+        ("scale_20k", 20_000, 2_000, 3, true, true),
+        ("scale_100k", 100_000, 10_000, 2, false, true),
+        ("scale_1m", 1_000_000, 100_000, 1, false, false),
+    ] {
+        let (point, carried_forward) = if always || scale_bench {
+            let p = miec_scale_point(vms, servers, 1, runs, full_scan);
+            match p.full_scan_s {
+                Some(f) => println!(
+                    "{prefix}: {vms} VMs / {servers} servers, indexed {:.3} s, full scan \
+                     {f:.3} s ({:.2}x), placement exact",
+                    p.indexed_s,
+                    f / p.indexed_s
+                ),
+                None => println!("{prefix}: {vms} VMs / {servers} servers, indexed {:.3} s", p.indexed_s),
             }
-            Some(m)
+            (Some(p), false)
         } else {
-            committed_bench_field(path, &format!("{prefix}_sequential_seconds"))
-                .zip(committed_bench_field(path, &format!("{prefix}_parallel_seconds")))
+            let committed = committed_bench_field(path, &format!("{prefix}_indexed_seconds"))
+                .map(|indexed_s| ScalePoint {
+                    indexed_s,
+                    full_scan_s: committed_bench_field(path, &format!("{prefix}_full_scan_seconds")),
+                });
+            (committed, true)
         };
-        large.push((prefix, vms, servers, measured));
-    }
-    let mut scale_json = scale_fields("scale_20k", 20_000, 2_000, Some(medium));
-    for (prefix, vms, servers, measured) in large {
-        scale_json.push_str(&scale_fields(prefix, vms, servers, measured));
+        scale_json.push_str(&scale_fields(prefix, vms, servers, point, carried_forward));
     }
 
     let speedup = reference_s / optimised_s;
@@ -503,9 +395,8 @@ fn bench_miec_at_scale(c: &mut Criterion) {
     );
 
     let json = format!(
-        "{{\n  \"benchmark\": \"miec_allocation\",\n  \"vms\": {VMS},\n  \"servers\": {SERVERS},\n  \"workload_seed\": 1,\n  \"mean_interarrival\": 4.0,\n  \"optimised_seconds\": {optimised_s:.6},\n  \"instrumented_seconds\": {instrumented_s:.6},\n  \"instrumentation_overhead\": {instrumentation_overhead:.4},\n  \"trace_noop_seconds\": {trace_noop_s:.6},\n  \"trace_noop_overhead\": {trace_noop_overhead:.4},\n  \"trace_seconds\": {trace_enabled_s:.6},\n  \"trace_overhead\": {trace_overhead:.4},\n  \"reference_seconds\": {reference_s:.6},\n  \"speedup\": {speedup:.2},\n  \"host_parallelism\": {host_parallelism},\n  \"parallel_engine\": \"sharded\",\n  \"parallel_threads\": 4,\n  \"parallel_shards\": {shards},\n  \"parallel_batch\": {batch},\n  \"parallel_seconds\": {parallel_s:.6},\n  \"parallel_speedup\": {parallel_speedup:.2},\n  \"unpruned_seconds\": {unpruned_s:.6},\n  \"unpruned_parallel_seconds\": {unpruned_parallel_s:.6},\n  \"unpruned_parallel_speedup\": {unpruned_parallel_speedup:.2},\n  \"parallel_placement_exact\": true,\n  \"candidates_considered\": {candidates_considered},\n  \"spec_class_pruned\": {spec_class_pruned},\n  \"fp_ties\": {fp_ties},\n  \"pruning_placement_exact\": true,\n  \"placements_identical\": {placements_identical},\n  \"divergences_certified_fp_ties\": true{scale_json}\n}}\n",
-        shards = par.shards_override(),
-        batch = par.batch(),
+        "{{\n  \"benchmark\": \"miec_allocation\",\n  \"vms\": {VMS},\n  \"servers\": {SERVERS},\n  \"workload_seed\": 1,\n  \"mean_interarrival\": 4.0,\n  \"optimised_seconds\": {optimised_s:.6},\n  \"instrumented_seconds\": {instrumented_s:.6},\n  \"instrumentation_overhead\": {instrumentation_overhead:.4},\n  \"trace_noop_seconds\": {trace_noop_s:.6},\n  \"trace_noop_overhead\": {trace_noop_overhead:.4},\n  \"trace_seconds\": {trace_enabled_s:.6},\n  \"trace_overhead\": {trace_overhead:.4},\n  \"reference_seconds\": {reference_s:.6},\n  \"speedup\": {speedup:.2},\n  \"host_parallelism\": {host_parallelism},\n  \"unpruned_seconds\": {unpruned_s:.6},\n  \"index_speedup\": {index_speedup:.2},\n  \"candidates_considered\": {candidates_considered},\n  \"spec_class_pruned\": {spec_class_pruned},\n  \"fp_ties\": {fp_ties},\n  \"index_placement_exact\": true,\n  \"placements_identical\": {placements_identical},\n  \"divergences_certified_fp_ties\": true{scale_json}\n}}\n",
+        index_speedup = unpruned_s / optimised_s,
     );
     if let Err(e) = std::fs::write(path, json) {
         eprintln!("could not write {path}: {e}");

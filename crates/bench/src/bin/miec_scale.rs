@@ -1,5 +1,5 @@
-//! Standalone MIEC scale driver: sequential vs sharded-parallel
-//! allocation at arbitrary instance sizes.
+//! Standalone MIEC scale driver: the candidate-index scan against the
+//! full-scan oracle at arbitrary instance sizes.
 //!
 //! The criterion benches pin their scale points so `BENCH_miec.json`
 //! stays comparable across runs; this binary is the free-form
@@ -8,39 +8,27 @@
 //!
 //! ```text
 //! cargo run --release -p esvm-bench --bin miec_scale -- \
-//!     --vms 100000 --servers 10000 --threads 4 [--shards K] \
-//!     [--batch B] [--seed S] [--runs R]
+//!     --vms 100000 --servers 10000 [--seed S] [--runs R]
 //! ```
 //!
-//! Every run verifies the parallel placement and total cost are
-//! bit-identical to the sequential oracle before reporting the
-//! speedup, so a timing can never silently come from a divergent
-//! allocation.
+//! Every run verifies the indexed placement and total cost are
+//! bit-identical to [`Miec::without_pruning`](esvm_core::Miec) before
+//! reporting the speedup, so a timing can never silently come from a
+//! divergent allocation.
 
-use esvm_core::{Allocator, Miec};
-use esvm_par::Parallelism;
-use esvm_workload::WorkloadConfig;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use esvm_bench::miec_scale_point;
 
 struct Args {
     vms: usize,
     servers: usize,
-    threads: usize,
-    shards: usize,
-    batch: usize,
     seed: u64,
     runs: usize,
 }
 
 fn parse_args() -> Result<Args, String> {
-    let env_par = Parallelism::from_env();
     let mut args = Args {
         vms: 20_000,
         servers: 2_000,
-        threads: env_par.threads(),
-        shards: env_par.shards_override(),
-        batch: env_par.batch(),
         seed: 1,
         runs: 3,
     };
@@ -55,16 +43,10 @@ fn parse_args() -> Result<Args, String> {
         match flag.as_str() {
             "--vms" => args.vms = value("--vms")?,
             "--servers" => args.servers = value("--servers")?,
-            "--threads" => args.threads = value("--threads")?,
-            "--shards" => args.shards = value("--shards")?,
-            "--batch" => args.batch = value("--batch")?,
             "--seed" => args.seed = value("--seed")? as u64,
             "--runs" => args.runs = value("--runs")?.max(1),
             "--help" | "-h" => {
-                println!(
-                    "usage: miec_scale [--vms N] [--servers N] [--threads N] \
-                     [--shards K] [--batch B] [--seed S] [--runs R]"
-                );
+                println!("usage: miec_scale [--vms N] [--servers N] [--seed S] [--runs R]");
                 std::process::exit(0);
             }
             other => return Err(format!("unknown flag {other}")),
@@ -81,54 +63,15 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let par = Parallelism::new(args.threads)
-        .with_shards(args.shards)
-        .with_batch(args.batch);
     println!(
-        "miec_scale: {} VMs / {} servers, seed {}, {} threads, shards {}, batch {}",
-        args.vms,
-        args.servers,
-        args.seed,
-        par.threads(),
-        par.shards_override(),
-        par.batch()
+        "miec_scale: {} VMs / {} servers, seed {}, best of {} runs",
+        args.vms, args.servers, args.seed, args.runs
     );
-
-    let start = std::time::Instant::now();
-    let problem = WorkloadConfig::new(args.vms, args.servers)
-        .mean_interarrival(4.0)
-        .generate(args.seed)
-        .expect("workload generation");
-    println!("generated in {:.3} s", start.elapsed().as_secs_f64());
-
-    let sequential = Miec::new();
-    let parallel = Miec::new().with_parallelism(par);
-    let mut rng = StdRng::seed_from_u64(7);
-    let seq = sequential.allocate(&problem, &mut rng).unwrap();
-    let par_run = parallel.allocate(&problem, &mut rng).unwrap();
-    assert_eq!(
-        seq.placement(),
-        par_run.placement(),
-        "parallel MIEC diverged from the sequential oracle"
-    );
-    assert_eq!(
-        seq.total_cost().to_bits(),
-        par_run.total_cost().to_bits(),
-        "parallel MIEC cost diverged"
-    );
-    drop((seq, par_run));
-
-    let seq_s = esvm_bench::time_best(args.runs, || {
-        let mut rng = StdRng::seed_from_u64(7);
-        sequential.allocate(&problem, &mut rng).unwrap().total_cost()
-    });
-    let par_s = esvm_bench::time_best(args.runs, || {
-        let mut rng = StdRng::seed_from_u64(7);
-        parallel.allocate(&problem, &mut rng).unwrap().total_cost()
-    });
+    let point = miec_scale_point(args.vms, args.servers, args.seed, args.runs, true);
+    let full_scan_s = point.full_scan_s.expect("the oracle ran");
     println!(
-        "sequential {seq_s:.3} s, parallel {par_s:.3} s, speedup {:.2}x, \
-         placement exact",
-        seq_s / par_s
+        "indexed {:.3} s, full scan {full_scan_s:.3} s, speedup {:.2}x, placement exact",
+        point.indexed_s,
+        full_scan_s / point.indexed_s
     );
 }

@@ -12,10 +12,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use esvm_core::AllocatorKind;
+use esvm_core::{Allocator, AllocatorKind, Miec};
 use esvm_exper::runner::RunError;
 use esvm_exper::{ExpOptions, Figure, MonteCarlo};
 use esvm_workload::WorkloadConfig;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// Options used for the printed quick-mode regeneration.
 pub fn regen_options() -> ExpOptions {
@@ -66,6 +68,71 @@ pub fn time_best<F: FnMut() -> f64>(runs: usize, mut f: F) -> f64 {
             start.elapsed().as_secs_f64()
         })
         .fold(f64::INFINITY, f64::min)
+}
+
+/// One MIEC scale point: the candidate-index scan against the
+/// full-scan oracle on the same instance.
+#[derive(Debug, Clone, Copy)]
+pub struct ScalePoint {
+    /// Lower-envelope seconds of [`Miec::new`] (the candidate index).
+    pub indexed_s: f64,
+    /// Lower-envelope seconds of [`Miec::without_pruning`] (every
+    /// server visited per VM), when the oracle ran.
+    pub full_scan_s: Option<f64>,
+}
+
+/// Measures one [`ScalePoint`] on the `seed` instance of `vms` VMs over
+/// `servers` servers (mean interarrival 4). With `full_scan`, the first
+/// round of each engine is also the equivalence check: placements and
+/// total cost must be bit-identical, or this panics — a recorded timing
+/// can never come from a divergent run. Further rounds (up to `runs`)
+/// only tighten the lower envelopes. Without it only the index runs
+/// (the oracle scores `vms × servers` pairs: hours at 1M × 100k).
+pub fn miec_scale_point(
+    vms: usize,
+    servers: usize,
+    seed: u64,
+    runs: usize,
+    full_scan: bool,
+) -> ScalePoint {
+    let problem = WorkloadConfig::new(vms, servers)
+        .mean_interarrival(4.0)
+        .generate(seed)
+        .expect("instance");
+    let run = |miec: &Miec| {
+        let mut rng = StdRng::seed_from_u64(7);
+        miec.allocate(&problem, &mut rng).expect("allocation")
+    };
+    let (indexed, oracle) = (Miec::new(), Miec::new().without_pruning());
+    let start = std::time::Instant::now();
+    let a = run(&indexed);
+    let mut indexed_s = start.elapsed().as_secs_f64();
+    let mut full_scan_s = full_scan.then(|| {
+        let start = std::time::Instant::now();
+        let b = run(&oracle);
+        let seconds = start.elapsed().as_secs_f64();
+        assert_eq!(
+            a.placement(),
+            b.placement(),
+            "indexed MIEC diverged from the full scan at {vms} VMs / {servers} servers"
+        );
+        assert_eq!(
+            a.total_cost().to_bits(),
+            b.total_cost().to_bits(),
+            "indexed MIEC cost diverged at {vms} VMs / {servers} servers"
+        );
+        seconds
+    });
+    drop(a);
+    if runs > 1 {
+        indexed_s = indexed_s.min(time_best(runs - 1, || run(&indexed).total_cost()));
+        full_scan_s = full_scan_s
+            .map(|s| s.min(time_best(runs - 1, || run(&oracle).total_cost())));
+    }
+    ScalePoint {
+        indexed_s,
+        full_scan_s,
+    }
 }
 
 /// Result of [`time_pair_best`]: lower envelopes of two interleaved

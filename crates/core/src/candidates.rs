@@ -1,0 +1,584 @@
+//! The candidate index behind every Eq. 7 argmin.
+//!
+//! MIEC and the online engine place each VM on the feasible server with
+//! the least incremental Eq. 17 cost, scanning servers in ascending id
+//! order with a strict `<` (lowest id wins exact ties). Most of a large
+//! fleet cannot win that scan on its own merits: a server that prices
+//! every arrival exactly like a *pristine* (never used) server of its
+//! spec class only matters through the lowest id of such twins, which is
+//! the one the strict `<` would keep anyway. [`CandidateIndex`] keeps
+//! the fleet split three ways:
+//!
+//! * **active** — servers that may price differently from a pristine
+//!   twin (they host pieces a new arrival can interact with);
+//! * **standby**, per spec class — pristine servers, or servers whose
+//!   history no longer affects any later price; the lowest id of each
+//!   class stands in for the whole class;
+//! * **down** — servers out of the fleet until they come back up.
+//!
+//! A decision visits `active ∪ {lowest standby id per class}` in
+//! ascending id order through [`argmin`], the one Eq. 7 argmin kernel.
+//! Because the visit order is the full scan's order restricted to the
+//! visited set, the winner and the `candidates`/`unfit`/`fp_ties`
+//! tallies are those of the full left-to-right scan restricted to that
+//! set, and the skipped twins are counted as `pruned` — so
+//! `candidates + pruned + unfit` is the number of up servers, as it is
+//! for the unpruned scan.
+//!
+//! ## The cold rule
+//!
+//! The online engine moves a server to standby when its last hosted
+//! piece leaves ([`ServerLedger::unhost`] reverses `host` exactly).
+//! Offline MIEC never unhosts, but it sees arrivals in `(start, id)`
+//! order, so the clock `t` never decreases. Let `e` be the last busy
+//! end of a used server. When `t − e − 1 ≥ g*`, where `g*` is the
+//! smallest gap with `P_idle · g* ≥ α` (the break-even time `α/P_idle`
+//! of Albers & Quedenfeld), the interior gap a new arrival opens costs
+//! `min(P_idle · g, α) = α`, so the server's
+//! [`incremental_cost`](ServerLedger::incremental_cost) is
+//! `run + idle + α + 0.0` against its pristine twin's
+//! `run + idle + 0.0 + α` — bit-identical — and `fits` agrees because no
+//! hosted piece reaches `t`. Such a server is *cold*: [`ColdRule`]
+//! demotes it to standby before the decision and it stays
+//! interchangeable with its twins until it hosts again. (The strict
+//! `<` of [`ServerSpec::switches_off_for_gap`] would miss the exact
+//! break-even gap, so `g*` is found with `>=` by binary search.)
+//!
+//! [`ServerLedger::unhost`]: esvm_simcore::ServerLedger::unhost
+//! [`ServerSpec::switches_off_for_gap`]: esvm_simcore::ServerSpec::switches_off_for_gap
+
+use std::cmp::Reverse;
+use std::collections::{btree_set, BTreeSet, BinaryHeap};
+
+use esvm_simcore::{ServerId, ServerLedger, ServerSpec};
+
+/// Where one server sits in a [`CandidateIndex`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Slot {
+    Active,
+    Standby,
+    Down,
+}
+
+/// The active / per-class standby / down partition of a fleet that
+/// every Eq. 7 argmin scans. See the [module docs](self).
+#[derive(Debug, Clone)]
+pub struct CandidateIndex {
+    /// Spec class of each server (see [`crate::classes`]).
+    class_of: Vec<usize>,
+    slot: Vec<Slot>,
+    /// Servers that may price differently from a pristine twin,
+    /// ascending id.
+    active: BTreeSet<u32>,
+    /// Standby servers per spec class, ascending id.
+    standby: Vec<BTreeSet<u32>>,
+    /// The lowest standby id of every class with a standby member, in
+    /// one ascending list so a decision merges two ascending sequences.
+    /// At most one entry per class, so a sorted `Vec` beats a tree.
+    reps: Vec<u32>,
+    /// `Σ_c (|standby_c| − 1)` over classes with a standby member: the
+    /// twins the class representatives stand in for.
+    pruned: u64,
+}
+
+impl CandidateIndex {
+    /// A fleet with every server up and on standby (pristine).
+    /// Bulk-loaded from the ascending per-class id lists.
+    pub fn new(servers: &[ServerSpec]) -> Self {
+        let classes = crate::classes::spec_classes(servers);
+        let mut members: Vec<Vec<u32>> = vec![Vec::new(); classes.count];
+        for (i, &class) in classes.class_of.iter().enumerate() {
+            members[class].push(i as u32);
+        }
+        let mut reps: Vec<u32> = members
+            .iter()
+            .filter_map(|ids| ids.first().copied())
+            .collect();
+        reps.sort_unstable();
+        Self {
+            class_of: classes.class_of,
+            slot: vec![Slot::Standby; servers.len()],
+            active: BTreeSet::new(),
+            standby: members.into_iter().map(BTreeSet::from_iter).collect(),
+            reps,
+            pruned: (servers.len() - classes.count) as u64,
+        }
+    }
+
+    /// Number of servers in the fleet.
+    pub fn len(&self) -> usize {
+        self.slot.len()
+    }
+
+    /// Whether the fleet is empty.
+    pub fn is_empty(&self) -> bool {
+        self.slot.is_empty()
+    }
+
+    /// Number of spec classes.
+    pub fn class_count(&self) -> usize {
+        self.standby.len()
+    }
+
+    /// The spec class of `server`.
+    ///
+    /// # Panics
+    ///
+    /// If `server` is outside the fleet.
+    pub fn class_of(&self, server: ServerId) -> usize {
+        self.class_of[server.index()]
+    }
+
+    /// Active servers, ascending id.
+    pub fn active(&self) -> impl Iterator<Item = ServerId> + '_ {
+        self.active.iter().map(|&i| ServerId(i))
+    }
+
+    /// Standby servers of `class`, ascending id; the first one is the
+    /// class representative.
+    pub fn standby(&self, class: usize) -> impl Iterator<Item = ServerId> + '_ {
+        self.standby[class].iter().map(|&i| ServerId(i))
+    }
+
+    /// Whether `server` is active. `false` outside the fleet.
+    pub fn is_active(&self, server: ServerId) -> bool {
+        self.slot.get(server.index()) == Some(&Slot::Active)
+    }
+
+    /// Whether `server` is on standby. `false` outside the fleet.
+    pub fn is_standby(&self, server: ServerId) -> bool {
+        self.slot.get(server.index()) == Some(&Slot::Standby)
+    }
+
+    /// Whether `server` is down. `false` outside the fleet.
+    pub fn is_down(&self, server: ServerId) -> bool {
+        self.slot.get(server.index()) == Some(&Slot::Down)
+    }
+
+    /// The standby twins a decision skips because a lower-id class
+    /// representative stands in for them.
+    pub fn pruned(&self) -> u64 {
+        self.pruned
+    }
+
+    /// The servers a decision visits — active servers and the class
+    /// representatives — in ascending id order. Allocation-free.
+    pub(crate) fn candidates(&self) -> Candidates<'_> {
+        let (mut active, mut reps) = (self.active.iter(), self.reps.iter());
+        Candidates {
+            next_active: head(&mut active),
+            next_rep: head(&mut reps),
+            active,
+            reps,
+        }
+    }
+
+    /// Moves an up server to the active set (no-op when already active).
+    pub(crate) fn activate(&mut self, i: u32) {
+        if self.slot[i as usize] == Slot::Standby {
+            self.remove_standby(i);
+            self.active.insert(i);
+            self.slot[i as usize] = Slot::Active;
+        }
+    }
+
+    /// Moves an active server to its class's standby set (no-op
+    /// otherwise).
+    pub(crate) fn deactivate(&mut self, i: u32) {
+        if self.slot[i as usize] == Slot::Active {
+            self.active.remove(&i);
+            self.insert_standby(i);
+        }
+    }
+
+    /// Takes a server out of every scan until [`CandidateIndex::set_up`].
+    pub(crate) fn set_down(&mut self, i: u32) {
+        match self.slot[i as usize] {
+            Slot::Active => {
+                self.active.remove(&i);
+            }
+            Slot::Standby => self.remove_standby(i),
+            Slot::Down => return,
+        }
+        self.slot[i as usize] = Slot::Down;
+    }
+
+    /// Returns a down server to the scans: active when it still hosts
+    /// pieces, standby otherwise. No-op for an up server.
+    pub(crate) fn set_up(&mut self, i: u32, hosting: bool) {
+        if self.slot[i as usize] != Slot::Down {
+            return;
+        }
+        if hosting {
+            self.active.insert(i);
+            self.slot[i as usize] = Slot::Active;
+        } else {
+            self.insert_standby(i);
+        }
+    }
+
+    fn insert_standby(&mut self, i: u32) {
+        let class = &mut self.standby[self.class_of[i as usize]];
+        match class.first().copied() {
+            None => insert_sorted(&mut self.reps, i),
+            Some(rep) => {
+                self.pruned += 1;
+                if i < rep {
+                    remove_sorted(&mut self.reps, rep);
+                    insert_sorted(&mut self.reps, i);
+                }
+            }
+        }
+        class.insert(i);
+        self.slot[i as usize] = Slot::Standby;
+    }
+
+    fn remove_standby(&mut self, i: u32) {
+        let class = &mut self.standby[self.class_of[i as usize]];
+        class.remove(&i);
+        match class.first().copied() {
+            None => remove_sorted(&mut self.reps, i),
+            Some(next) => {
+                self.pruned -= 1;
+                if i < next {
+                    remove_sorted(&mut self.reps, i);
+                    insert_sorted(&mut self.reps, next);
+                }
+            }
+        }
+    }
+}
+
+fn insert_sorted(ids: &mut Vec<u32>, i: u32) {
+    let at = ids.partition_point(|&x| x < i);
+    ids.insert(at, i);
+}
+
+fn remove_sorted(ids: &mut Vec<u32>, i: u32) {
+    let at = ids.partition_point(|&x| x < i);
+    ids.remove(at);
+}
+
+/// Ascending merge of the active set and the class representatives
+/// (disjoint, since active and standby are). The next id of each side
+/// is cached, widened so that `u64::MAX` marks an exhausted side; a
+/// step is then one comparison.
+pub(crate) struct Candidates<'a> {
+    active: btree_set::Iter<'a, u32>,
+    reps: std::slice::Iter<'a, u32>,
+    next_active: u64,
+    next_rep: u64,
+}
+
+/// The next id of `ids`, or `u64::MAX` once it is exhausted.
+#[inline]
+fn head<'a>(mut ids: impl Iterator<Item = &'a u32>) -> u64 {
+    ids.next().map_or(u64::MAX, |&i| u64::from(i))
+}
+
+impl Iterator for Candidates<'_> {
+    type Item = u32;
+
+    #[inline]
+    fn next(&mut self) -> Option<u32> {
+        if self.next_rep < self.next_active {
+            let rep = self.next_rep as u32;
+            self.next_rep = head(&mut self.reps);
+            Some(rep)
+        } else if self.next_active < u64::MAX {
+            let id = self.next_active as u32;
+            self.next_active = head(&mut self.active);
+            Some(id)
+        } else {
+            None
+        }
+    }
+}
+
+/// Outcome of one [`argmin`] pass.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Argmin {
+    /// The strict-`<` minimum `(delta, server id)`, if any server fits.
+    pub best: Option<(f64, u32)>,
+    /// Servers scored (they fit).
+    pub candidates: u64,
+    /// Servers visited that do not fit.
+    pub unfit: u64,
+    /// Scored servers whose delta exactly tied the running best.
+    pub fp_ties: u64,
+}
+
+/// The Eq. 7 argmin kernel: visits `ids` (ascending), scores each with
+/// `score` (`None` = does not fit), and keeps the strict-`<` minimum,
+/// so the lowest id wins exact ties. The tallies are kept only when
+/// `counting` (a compile-time constant at every call site).
+#[inline]
+pub(crate) fn argmin(
+    ids: impl Iterator<Item = u32>,
+    counting: bool,
+    mut score: impl FnMut(u32) -> Option<f64>,
+) -> Argmin {
+    let mut out = Argmin::default();
+    for i in ids {
+        let Some(delta) = score(i) else {
+            if counting {
+                out.unfit += 1;
+            }
+            continue;
+        };
+        if counting {
+            out.candidates += 1;
+            if out.best.is_some_and(|(cost, _)| delta == cost) {
+                out.fp_ties += 1;
+            }
+        }
+        if out.best.is_none_or(|(cost, _)| delta < cost) {
+            out.best = Some((delta, i));
+        }
+    }
+    out
+}
+
+/// The smallest gap `g ≥ 1` with `spec.idle_cost(g) >= α`: from that
+/// gap on, idling through costs at least a switch-off/on, so a new
+/// interior gap is priced `α` exactly. `None` when even `u32::MAX`
+/// falls short (for example `P_idle = 0` with `α > 0`) — no reachable
+/// gap is that long. Binary search over the monotone predicate; no
+/// float division.
+pub(crate) fn break_even_gap(spec: &ServerSpec) -> Option<u32> {
+    let cold = |g: u32| spec.idle_cost(u64::from(g)) >= spec.transition_cost();
+    if !cold(u32::MAX) {
+        return None;
+    }
+    let (mut lo, mut hi) = (1u32, u32::MAX);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if cold(mid) {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    Some(lo)
+}
+
+/// MIEC's cold rule (see the [module docs](self)): a min-heap of the
+/// times at which used servers turn cold.
+#[derive(Debug)]
+pub(crate) struct ColdRule {
+    /// `g*` per spec class of the *scoring* specs.
+    break_even: Vec<Option<u32>>,
+    /// The time `e + 1 + g*` each server turns cold at; `u64::MAX` when
+    /// it has no pending demotion.
+    due: Vec<u64>,
+    /// `(due, server)`; entries whose due time moved on are stale.
+    heap: BinaryHeap<Reverse<(u64, u32)>>,
+}
+
+impl ColdRule {
+    /// Break-even gaps from `scoring`, the specs the decisions price
+    /// with (the α = 0 shadow specs for the ablation variant), grouped
+    /// by the index's spec classes.
+    pub(crate) fn new(index: &CandidateIndex, scoring: impl Iterator<Item = ServerSpec>) -> Self {
+        let mut break_even = vec![None; index.class_count()];
+        let mut seen = vec![false; index.class_count()];
+        let mut unseen = index.class_count();
+        for (i, spec) in scoring.enumerate() {
+            if unseen == 0 {
+                break;
+            }
+            let class = index.class_of[i];
+            if !std::mem::replace(&mut seen[class], true) {
+                break_even[class] = break_even_gap(&spec);
+                unseen -= 1;
+            }
+        }
+        Self {
+            break_even,
+            due: vec![u64::MAX; index.len()],
+            heap: BinaryHeap::new(),
+        }
+    }
+
+    /// Schedules the demotion of `server` after it hosted a piece on
+    /// `ledger`: it turns cold at `e + 1 + g*`, `e` being its last busy
+    /// end.
+    pub(crate) fn hosted(&mut self, index: &CandidateIndex, server: u32, ledger: &ServerLedger) {
+        let (Some(gap), Some(span)) = (
+            self.break_even[index.class_of[server as usize]],
+            ledger.segments().span(),
+        ) else {
+            return;
+        };
+        let due = u64::from(span.end()) + 1 + u64::from(gap);
+        if due != self.due[server as usize] {
+            self.due[server as usize] = due;
+            self.heap.push(Reverse((due, server)));
+        }
+    }
+
+    /// Demotes every server that is cold at clock `t` to standby.
+    pub(crate) fn demote_until(&mut self, t: u32, index: &mut CandidateIndex) {
+        while let Some(&Reverse((due, server))) = self.heap.peek() {
+            if due > u64::from(t) {
+                break;
+            }
+            self.heap.pop();
+            if self.due[server as usize] == due {
+                self.due[server as usize] = u64::MAX;
+                index.deactivate(server);
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use esvm_simcore::{Interval, PowerModel, Resources, Vm};
+
+    fn spec(id: u32, p_idle: f64, alpha: f64) -> ServerSpec {
+        ServerSpec::new(
+            id,
+            Resources::new(8.0, 16.0),
+            PowerModel::new(p_idle, p_idle.max(1.0) * 2.0),
+            alpha,
+        )
+    }
+
+    /// Checks the partition and the running `pruned` count against a
+    /// recount.
+    fn check(index: &CandidateIndex) {
+        let mut standby = 0;
+        let mut pruned = 0;
+        for class in 0..index.class_count() {
+            let n = index.standby(class).count();
+            standby += n;
+            pruned += n.saturating_sub(1) as u64;
+            assert!(index.standby(class).all(|s| index.is_standby(s)));
+        }
+        let down = (0..index.len() as u32)
+            .filter(|&i| index.is_down(ServerId(i)))
+            .count();
+        assert_eq!(index.active().count() + standby + down, index.len());
+        assert!(index.active().all(|s| index.is_active(s)));
+        assert_eq!(index.pruned(), pruned);
+        let visited: Vec<u32> = index.candidates().collect();
+        assert!(visited.windows(2).all(|w| w[0] < w[1]), "{visited:?}");
+        assert_eq!(
+            visited.len(),
+            index.active().count()
+                + (0..index.class_count())
+                    .filter(|&c| index.standby(c).next().is_some())
+                    .count()
+        );
+    }
+
+    #[test]
+    fn index_keeps_the_partition_and_the_lowest_representative() {
+        // Two classes interleaved by id.
+        let fleet: Vec<ServerSpec> = (0..8)
+            .map(|i| spec(i, if i % 2 == 0 { 100.0 } else { 50.0 }, 10.0))
+            .collect();
+        let mut index = CandidateIndex::new(&fleet);
+        check(&index);
+        assert_eq!(index.candidates().collect::<Vec<_>>(), vec![0, 1]);
+        assert_eq!(index.pruned(), 6);
+        index.activate(0);
+        check(&index);
+        assert_eq!(index.candidates().collect::<Vec<_>>(), vec![0, 1, 2]);
+        index.set_down(2);
+        index.set_down(1);
+        check(&index);
+        assert_eq!(index.candidates().collect::<Vec<_>>(), vec![0, 3, 4]);
+        index.deactivate(0);
+        check(&index);
+        assert_eq!(index.candidates().collect::<Vec<_>>(), vec![0, 3]);
+        index.set_up(2, false);
+        index.set_up(1, true);
+        check(&index);
+        assert_eq!(index.candidates().collect::<Vec<_>>(), vec![0, 1, 3]);
+        // Redundant transitions are no-ops.
+        index.set_up(1, false);
+        index.deactivate(3);
+        index.activate(1);
+        check(&index);
+    }
+
+    #[test]
+    fn argmin_keeps_the_lowest_id_on_ties_and_counts_the_visit() {
+        let scores = [Some(3.0), None, Some(2.0), Some(2.0), None, Some(5.0)];
+        let out = argmin(0..6, true, |i| scores[i as usize]);
+        assert_eq!(out.best, Some((2.0, 2)));
+        assert_eq!((out.candidates, out.unfit, out.fp_ties), (4, 2, 1));
+        let quiet = argmin(0..6, false, |i| scores[i as usize]);
+        assert_eq!(quiet.best, out.best);
+        assert_eq!((quiet.candidates, quiet.unfit), (0, 0));
+        assert!(argmin(0..2, true, |_| None).best.is_none());
+    }
+
+    #[test]
+    fn break_even_gap_is_the_first_gap_idling_costs_alpha() {
+        // α/P_idle = 2.5: idling 3 units (30) beats α = 25 no longer.
+        assert_eq!(break_even_gap(&spec(0, 10.0, 25.0)), Some(3));
+        // An exact ratio: g* = α/P_idle itself (the strict `<` of
+        // `switches_off_for_gap` would say 5).
+        assert_eq!(break_even_gap(&spec(0, 10.0, 40.0)), Some(4));
+        assert!(!spec(0, 10.0, 40.0).switches_off_for_gap(4));
+        // α = 0: every gap is already break-even.
+        assert_eq!(break_even_gap(&spec(0, 10.0, 0.0)), Some(1));
+        assert_eq!(break_even_gap(&spec(0, 0.0, 0.0)), Some(1));
+        // P_idle = 0 with α > 0 never breaks even.
+        assert_eq!(break_even_gap(&spec(0, 0.0, 5.0)), None);
+        // A ratio beyond u32 never breaks even (and terminates).
+        assert_eq!(break_even_gap(&spec(0, 1e-9, 1e3)), None);
+        // The largest reachable gap.
+        let edge = spec(0, 1.0, f64::from(u32::MAX));
+        assert_eq!(break_even_gap(&edge), Some(u32::MAX));
+    }
+
+    #[test]
+    fn a_gap_of_exactly_break_even_demotes_and_one_less_does_not() {
+        let fleet = vec![spec(0, 10.0, 40.0), spec(1, 10.0, 40.0)];
+        let gap = break_even_gap(&fleet[0]).unwrap();
+        let mut index = CandidateIndex::new(&fleet);
+        let mut cold = ColdRule::new(&index, fleet.iter().copied());
+        let mut ledger = ServerLedger::new(fleet[0]);
+        let vm = Vm::new(0, Resources::new(1.0, 1.0), Interval::new(1, 10));
+        ledger.host(&vm);
+        index.activate(0);
+        cold.hosted(&index, 0, &ledger);
+        // Gap t − e − 1 = g* − 1: still active.
+        cold.demote_until(10 + gap, &mut index);
+        assert!(index.is_active(ServerId(0)));
+        // Gap = g*: cold, and then priced like the pristine twin.
+        let t = 11 + gap;
+        cold.demote_until(t, &mut index);
+        assert!(index.is_standby(ServerId(0)));
+        let next = Vm::new(1, Resources::new(1.0, 1.0), Interval::new(t, t + 4));
+        let twin = ServerLedger::new(fleet[1]);
+        assert_eq!(
+            ledger.incremental_cost(&next).to_bits(),
+            twin.incremental_cost(&next).to_bits()
+        );
+        // One unit earlier the gap is still cheaper to idle through.
+        let early = Vm::new(1, Resources::new(1.0, 1.0), Interval::new(t - 1, t + 4));
+        assert!(ledger.incremental_cost(&early) < twin.incremental_cost(&early));
+        check(&index);
+    }
+
+    #[test]
+    fn servers_that_never_break_even_are_never_demoted() {
+        let fleet = vec![spec(0, 0.0, 5.0), spec(1, 1e-9, 1e3)];
+        let mut index = CandidateIndex::new(&fleet);
+        let mut cold = ColdRule::new(&index, fleet.iter().copied());
+        for i in 0..2u32 {
+            let mut ledger = ServerLedger::new(fleet[i as usize]);
+            ledger.host(&Vm::new(i, Resources::new(1.0, 1.0), Interval::new(1, 2)));
+            index.activate(i);
+            cold.hosted(&index, i, &ledger);
+        }
+        cold.demote_until(u32::MAX, &mut index);
+        assert!(index.is_active(ServerId(0)) && index.is_active(ServerId(1)));
+    }
+}

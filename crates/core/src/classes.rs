@@ -1,12 +1,16 @@
 //! Spec-class grouping shared by the pruned candidate scans.
 //!
 //! Servers with identical capacity, power model and transition cost are
-//! interchangeable while *asleep*: they give the same `fits` verdict and
-//! bit-identical marginal scores for any VM. A candidate scan that walks
-//! servers in id order therefore only needs to score the first asleep
-//! member of each class — the strict `<` tie-break would pick exactly
-//! that member anyway — so the pruning is placement-preserving. MIEC's
-//! online scan and the local-search relocate pass both use this.
+//! interchangeable while they price every arrival like a never-used
+//! server: they give the same `fits` verdict and bit-identical marginal
+//! scores for any VM. A candidate scan that walks servers in id order
+//! therefore only needs to score the first such member of each class —
+//! the strict `<` tie-break would pick exactly that member anyway — so
+//! the pruning is placement-preserving. The
+//! [`CandidateIndex`](crate::CandidateIndex) behind MIEC and the online
+//! engine keeps those members (pristine, drained or cold) on per-class
+//! standby sets; the local-search relocate pass prunes asleep targets
+//! with the same classes.
 
 use esvm_simcore::ServerSpec;
 

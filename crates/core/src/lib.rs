@@ -48,6 +48,7 @@
 
 mod allocator;
 mod baselines;
+mod candidates;
 mod classes;
 mod error;
 mod ffps;
@@ -59,6 +60,7 @@ mod registry;
 
 pub use allocator::Allocator;
 pub use baselines::{BestFit, FirstFit, LowestIdlePower, Random, RoundRobin};
+pub use candidates::CandidateIndex;
 pub use error::{AllocError, AllocResult};
 pub use ffps::Ffps;
 pub use miec::Miec;

@@ -39,7 +39,7 @@
 //! [`Assignment::from_placement`]: esvm_simcore::Assignment::from_placement
 
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap, HashMap, HashSet};
+use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::fmt;
 
 use esvm_obs::{DecisionKind, ExplainRecord, MetricsRegistry, NoopTracer, Tracer};
@@ -49,6 +49,7 @@ use esvm_simcore::{
 };
 use rand::RngCore;
 
+use crate::candidates::{argmin, Argmin, CandidateIndex};
 use crate::{AllocError, AllocResult, Allocator};
 
 /// Typed rejection reasons of the online event loop. Every variant is a
@@ -161,18 +162,12 @@ pub enum RepairOutcome {
 #[derive(Debug, Clone)]
 pub struct OnlineEngine {
     ledgers: Vec<ServerLedger>,
-    /// Spec classes for asleep-candidate pruning (see [`crate::classes`]).
-    class_of: Vec<usize>,
-    /// Up servers with outstanding hosted pieces, ascending id. These
-    /// are the only servers whose incremental cost can differ from
-    /// their class twins, so each scan scores exactly `awake` plus one
-    /// pristine representative per class — the decision stays O(live)
-    /// no matter how large the fleet is.
-    awake: BTreeSet<u32>,
-    /// Up, pristine (nothing hosted) servers per spec class, ascending
-    /// id. All members of a set are interchangeable; only the lowest
-    /// id is ever scored, which is also MIEC's tie-break winner.
-    pristine: Vec<BTreeSet<u32>>,
+    /// Up servers with outstanding hosted pieces are active; up,
+    /// drained (or never used) servers wait on standby per spec class,
+    /// where only the lowest id is ever scored — MIEC's tie-break
+    /// winner. Each decision stays O(live) no matter how large the
+    /// fleet is.
+    index: CandidateIndex,
     /// Live placements: id → (vm, server).
     live: HashMap<VmId, (Vm, ServerId)>,
     /// Every id ever accepted — placed, rejected or departed.
@@ -181,7 +176,6 @@ pub struct OnlineEngine {
     placements: Vec<(VmId, ServerId)>,
     /// Scheduled departures as (free time, id); min-heap.
     pending: BinaryHeap<Reverse<(TimeUnit, VmId)>>,
-    down: Vec<bool>,
     clock: TimeUnit,
     retired_cost: f64,
     stats: OnlineStats,
@@ -190,21 +184,13 @@ pub struct OnlineEngine {
 impl OnlineEngine {
     /// A fresh session over the given fleet, clock at 0, all servers up.
     pub fn new(servers: &[ServerSpec]) -> Self {
-        let classes = crate::classes::spec_classes(servers);
-        let mut pristine = vec![BTreeSet::new(); classes.count];
-        for (i, &class) in classes.class_of.iter().enumerate() {
-            pristine[class].insert(i as u32);
-        }
         Self {
             ledgers: servers.iter().map(|s| ServerLedger::new(*s)).collect(),
-            class_of: classes.class_of,
-            awake: BTreeSet::new(),
-            pristine,
+            index: CandidateIndex::new(servers),
             live: HashMap::new(),
             seen: HashSet::new(),
             placements: Vec::new(),
             pending: BinaryHeap::new(),
-            down: vec![false; servers.len()],
             clock: 0,
             retired_cost: 0.0,
             stats: OnlineStats::default(),
@@ -246,7 +232,12 @@ impl OnlineEngine {
 
     /// Whether `server` is currently marked down.
     pub fn is_down(&self, server: ServerId) -> bool {
-        self.down.get(server.index()).copied().unwrap_or(false)
+        self.index.is_down(server)
+    }
+
+    /// The candidate index the arrival and repair scans visit.
+    pub fn candidate_index(&self) -> &CandidateIndex {
+        &self.index
     }
 
     /// The decision history as a placement vector over `n_vms` dense id
@@ -262,16 +253,34 @@ impl OnlineEngine {
         slots
     }
 
-    /// Moves a server back into its pristine class set when its last
-    /// hosted piece leaves. `unhost` reverses `host` exactly, so a
-    /// drained ledger is indistinguishable from a fresh one and may
-    /// again stand behind its class representative.
+    /// Moves a server back to standby when its last hosted piece
+    /// leaves. `unhost` reverses `host` exactly, so a drained ledger is
+    /// indistinguishable from a fresh one and may again stand behind
+    /// its class representative.
     fn note_unhosted(&mut self, sid: ServerId) {
-        let i = sid.index();
-        if !self.down[i] && self.ledgers[i].hosted_count() == 0 {
-            self.awake.remove(&(i as u32));
-            self.pristine[self.class_of[i]].insert(i as u32);
+        if self.ledgers[sid.index()].hosted_count() == 0 {
+            self.index.deactivate(sid.0);
         }
+    }
+
+    /// The Eq. 7 argmin over the candidate index for `vm`.
+    #[inline]
+    fn scan(&self, vm: &Vm, counting: bool) -> Argmin {
+        let ledgers = &self.ledgers;
+        argmin(self.index.candidates(), counting, |i| {
+            let ledger = &ledgers[i as usize];
+            ledger.fits(vm).then(|| ledger.incremental_cost(vm))
+        })
+    }
+
+    /// Commits `vm` to `sid` and schedules its departure.
+    fn commit(&mut self, vm: &Vm, sid: ServerId) {
+        self.ledgers[sid.index()].host(vm);
+        self.index.activate(sid.0);
+        self.live.insert(vm.id(), (*vm, sid));
+        self.placements.push((vm.id(), sid));
+        self.pending.push(Reverse((departure_time(vm), vm.id())));
+        self.stats.live_peak = self.stats.live_peak.max(self.live.len() as u64);
     }
 
     /// Advances the clock to `t`, firing every departure scheduled at
@@ -321,7 +330,7 @@ impl OnlineEngine {
     }
 
     /// The instrumented arrival path. The scan is the MIEC argmin —
-    /// ascending server ids, spec-class pruning of asleep twins,
+    /// ascending server ids over the [`CandidateIndex`],
     /// [`incremental_cost`](ServerLedger::incremental_cost) scoring,
     /// strict `<` lowest-id tie-break — restricted to up servers.
     ///
@@ -350,64 +359,20 @@ impl OnlineEngine {
         self.stats.arrivals += 1;
 
         let _decision_span = tracer.lap_span("online.decision");
-        let mut best: Option<(f64, u32)> = None;
-        let mut candidates = 0u64;
-        let mut pruned = 0u64;
-        let mut unfit = 0u64;
-        let mut fp_ties = 0u64;
-        {
-            // Only awake servers and one pristine representative per
-            // class can win the argmin; down servers are in neither
-            // set, so a down twin never stands in for an up one. The
-            // lexicographic (delta, id) min is exactly MIEC's strict-<
-            // ascending scan with its lowest-id tie-break.
-            let ledgers = &self.ledgers;
-            let mut consider = |i: u32| {
-                let ledger = &ledgers[i as usize];
-                if !ledger.fits(&vm) {
-                    if T::ENABLED {
-                        unfit += 1;
-                    }
-                    return;
-                }
-                let delta = ledger.incremental_cost(&vm);
-                if T::ENABLED {
-                    candidates += 1;
-                    if best.is_some_and(|(cost, _)| delta == cost) {
-                        fp_ties += 1;
-                    }
-                }
-                if best.is_none_or(|(cost, id)| delta < cost || (delta == cost && i < id)) {
-                    best = Some((delta, i));
-                }
-            };
-            for &i in &self.awake {
-                consider(i);
-            }
-            for class in &self.pristine {
-                if let Some(&rep) = class.iter().next() {
-                    consider(rep);
-                    if T::ENABLED {
-                        pruned += class.len() as u64 - 1;
-                    }
-                }
-            }
-        }
+        // Down servers are in neither the active nor the standby set,
+        // so a down twin never stands in for an up one.
+        let Argmin {
+            best,
+            candidates,
+            unfit,
+            fp_ties,
+        } = self.scan(&vm, T::ENABLED);
+        let pruned = self.index.pruned();
         match best {
             Some((delta, winner)) => {
                 let sid = ServerId(winner);
-                let i = sid.index();
-                let was_pristine = self.ledgers[i].hosted_count() == 0;
-                self.ledgers[i].host(&vm);
-                if was_pristine {
-                    self.pristine[self.class_of[i]].remove(&winner);
-                    self.awake.insert(winner);
-                }
-                self.live.insert(vm.id(), (vm, sid));
-                self.placements.push((vm.id(), sid));
-                self.pending.push(Reverse((departure_time(&vm), vm.id())));
+                self.commit(&vm, sid);
                 self.stats.placed += 1;
-                self.stats.live_peak = self.stats.live_peak.max(self.live.len() as u64);
                 if T::ENABLED {
                     tracer.explain(&ExplainRecord {
                         candidates,
@@ -448,9 +413,7 @@ impl OnlineEngine {
         if i >= self.ledgers.len() {
             return Err(OnlineError::UnknownServer(server));
         }
-        self.down[i] = true;
-        self.awake.remove(&(i as u32));
-        self.pristine[self.class_of[i]].remove(&(i as u32));
+        self.index.set_down(server.0);
         let mut victims: Vec<Vm> = self
             .live
             .values()
@@ -472,14 +435,9 @@ impl OnlineEngine {
         if i >= self.ledgers.len() {
             return Err(OnlineError::UnknownServer(server));
         }
-        self.down[i] = false;
         // Eviction drained it on the way down, so it normally rejoins
-        // as pristine; the guard keeps a redundant `set_up` harmless.
-        if self.ledgers[i].hosted_count() == 0 {
-            self.pristine[self.class_of[i]].insert(i as u32);
-        } else {
-            self.awake.insert(i as u32);
-        }
+        // on standby; a redundant `set_up` of an up server is a no-op.
+        self.index.set_up(server.0, self.ledgers[i].hosted_count() > 0);
         Ok(())
     }
 
@@ -496,42 +454,10 @@ impl OnlineEngine {
     ///
     /// [`arrive_traced`]: OnlineEngine::arrive_traced
     fn rehost(&mut self, vm: &Vm) -> Option<ServerId> {
-        let mut best: Option<(f64, u32)> = None;
-        {
-            let ledgers = &self.ledgers;
-            let mut consider = |i: u32| {
-                let ledger = &ledgers[i as usize];
-                if !ledger.fits(vm) {
-                    return;
-                }
-                let delta = ledger.incremental_cost(vm);
-                if best.is_none_or(|(cost, id)| delta < cost || (delta == cost && i < id)) {
-                    best = Some((delta, i));
-                }
-            };
-            for &i in &self.awake {
-                consider(i);
-            }
-            for class in &self.pristine {
-                if let Some(&rep) = class.iter().next() {
-                    consider(rep);
-                }
-            }
-        }
-        let (_, winner) = best?;
+        let (_, winner) = self.scan(vm, false).best?;
         let sid = ServerId(winner);
-        let i = sid.index();
-        let was_pristine = self.ledgers[i].hosted_count() == 0;
-        self.ledgers[i].host(vm);
-        if was_pristine {
-            self.pristine[self.class_of[i]].remove(&winner);
-            self.awake.insert(winner);
-        }
-        self.live.insert(vm.id(), (*vm, sid));
-        self.placements.push((vm.id(), sid));
-        self.pending.push(Reverse((departure_time(vm), vm.id())));
+        self.commit(vm, sid);
         self.stats.repaired += 1;
-        self.stats.live_peak = self.stats.live_peak.max(self.live.len() as u64);
         Some(sid)
     }
 

@@ -109,11 +109,10 @@ options (figures):
   --algo-threads N  threads inside each allocator's scoring loops
                     (default: ESVM_THREADS, else 1; results are
                     bit-identical for every value)
-  --shards K        server-shard count of the sharded parallel engine
-                    (default: ESVM_SHARDS, else auto from the thread
-                    count; 0 = auto; bit-identical for every value)
-  --batch B         arrival-batch size per pool wake-up (default:
-                    ESVM_BATCH, else 16; bit-identical for every value)
+  --shards K        server-shard count of the sharded local-search
+                    relocation pass (default: ESVM_SHARDS, else auto
+                    from the thread count; 0 = auto; bit-identical for
+                    every value)
   --quick           scaled-down VM counts and 6 seeds
   --csv             emit CSV instead of aligned tables
 
@@ -221,7 +220,6 @@ struct Flags {
     force: bool,
     algo_threads: Option<usize>,
     algo_shards: Option<usize>,
-    algo_batch: Option<usize>,
     fault_rate: Option<f64>,
     rack_size: Option<u32>,
     mean_outage: Option<f64>,
@@ -242,8 +240,8 @@ struct Flags {
 impl Flags {
     /// The thread policy for each allocator's scoring loops:
     /// `--algo-threads` wins, otherwise the `ESVM_THREADS` default, and
-    /// the sharded-engine knobs `--shards` / `--batch` override
-    /// `ESVM_SHARDS` / `ESVM_BATCH` the same way. A malformed
+    /// the sharded-path knob `--shards` overrides `ESVM_SHARDS` the
+    /// same way. A malformed
     /// environment variable is a hard error here rather than a silent
     /// fall-back to a default — the user asked for a configuration and
     /// would otherwise get a different one without warning.
@@ -258,9 +256,6 @@ impl Flags {
         };
         if let Some(k) = self.algo_shards {
             par = par.with_shards(k);
-        }
-        if let Some(b) = self.algo_batch {
-            par = par.with_batch(b);
         }
         Ok(par)
     }
@@ -306,13 +301,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, CliError> {
                     value("--shards")?
                         .parse()
                         .map_err(|_| usage("--shards must be an integer".into()))?,
-                )
-            }
-            "--batch" => {
-                flags.algo_batch = Some(
-                    value("--batch")?
-                        .parse()
-                        .map_err(|_| usage("--batch must be an integer".into()))?,
                 )
             }
             "--standard-vms" => flags.standard_vms = true,
@@ -1751,9 +1739,13 @@ fn serve_with<T: esvm_obs::Tracer>(
                 format!("socket {path}, {} servers (seed {seed})", fleet.len())
             }
             None => {
-                let stdin = std::io::stdin();
-                let stdout = std::io::stdout();
-                serve_lines(stdin.lock(), stdout.lock(), &mut session)
+                // Unit tests never read the test runner's stdin: there a
+                // `serve --recover J` serves an empty stream.
+                #[cfg(test)]
+                let input = std::io::empty();
+                #[cfg(not(test))]
+                let input = std::io::stdin().lock();
+                serve_lines(input, std::io::stdout().lock(), &mut session)
                     .map_err(|e| CliError::Usage(format!("serve I/O failed: {e}")))?;
                 format!("stdin, {} servers (seed {seed})", fleet.len())
             }
@@ -2199,26 +2191,27 @@ mod tests {
     }
 
     #[test]
-    fn shard_and_batch_flags_are_parsed_and_validated() {
-        for (flag, bad) in [("--shards", "many"), ("--batch", "2.5")] {
+    fn shard_flag_is_parsed_and_validated() {
+        // There is no `--batch` flag: it is a usage error like any typo.
+        for (flag, bad) in [("--shards", "many"), ("--batch", "8")] {
             let err = run(&args(&["fig2", flag, bad])).unwrap_err();
             assert!(matches!(err, CliError::Usage(_)), "{flag}");
         }
         let out = run(&args(&[
             "compare", "--vms", "12", "--servers", "6", "--seeds", "2", "--algo-threads", "2",
-            "--shards", "3", "--batch", "8",
+            "--shards", "3",
         ]))
         .unwrap();
         assert!(out.contains("mean cost"), "{out}");
-        // The builder surface the flags map onto.
-        let mut flags = Flags::default();
-        flags.algo_threads = Some(2);
-        flags.algo_shards = Some(5);
-        flags.algo_batch = Some(64);
+        // The builder surface the flag maps onto.
+        let flags = Flags {
+            algo_threads: Some(2),
+            algo_shards: Some(5),
+            ..Flags::default()
+        };
         let par = flags.algo_parallelism().unwrap();
         assert_eq!(par.threads(), 2);
         assert_eq!(par.shards_override(), 5);
-        assert_eq!(par.batch(), 64);
     }
 
     #[test]
@@ -2429,11 +2422,15 @@ mod tests {
         .unwrap();
         assert!(first.contains("journaling to"), "{first}");
         assert!(first.contains("journal appends"), "{first}");
+        // Column padding follows the widest cell (timings included), so
+        // compare the row's words, not its spacing.
         let placed_row = |s: &str| {
             s.lines()
                 .find(|l| l.trim_start().starts_with("placed"))
                 .unwrap()
-                .to_owned()
+                .split_whitespace()
+                .collect::<Vec<_>>()
+                .join(" ")
         };
 
         // Clean recovery replays every record and reports no torn bytes.

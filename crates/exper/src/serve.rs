@@ -68,7 +68,7 @@
 //! [`fields`]: esvm_workload::trace::fields
 
 use std::fmt;
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 use std::time::Instant;
 
 use esvm_chaos::{FaultEvent, FaultPlan};
@@ -138,6 +138,10 @@ pub enum ProtocolError {
     Journal(String),
     /// The engine refused the event (duplicate id, time travel, …).
     Online(OnlineError),
+    /// The line is not valid UTF-8.
+    InvalidUtf8,
+    /// The line exceeds [`MAX_LINE_BYTES`]; the rest of it was skipped.
+    LineTooLong,
 }
 
 impl ProtocolError {
@@ -150,6 +154,8 @@ impl ProtocolError {
             ProtocolError::BadInterval { .. } => "bad-interval",
             ProtocolError::Overloaded { .. } => "overloaded",
             ProtocolError::Journal(_) => "journal-io",
+            ProtocolError::InvalidUtf8 => "invalid-utf8",
+            ProtocolError::LineTooLong => "line-too-long",
             ProtocolError::Online(OnlineError::DuplicateVm(_)) => "duplicate-id",
             ProtocolError::Online(OnlineError::OutOfOrder { .. }) => "out-of-order",
             ProtocolError::Online(OnlineError::UnknownVm(_)) => "unknown-id",
@@ -188,6 +194,10 @@ impl fmt::Display for ProtocolError {
             }
             ProtocolError::Journal(e) => write!(f, "event not journaled, not applied: {e}"),
             ProtocolError::Online(e) => write!(f, "{e}"),
+            ProtocolError::InvalidUtf8 => f.write_str("line is not valid UTF-8"),
+            ProtocolError::LineTooLong => {
+                write!(f, "line longer than {MAX_LINE_BYTES} bytes skipped")
+            }
         }
     }
 }
@@ -710,11 +720,23 @@ impl<'a, T: Tracer> ServeSession<'a, T> {
             Ok(Some(Request::Up(server))) => Some(self.fault_up(server)),
             Ok(Some(Request::Stats)) => Some(self.stats_line()),
             Ok(Some(Request::Drain)) => Some(self.drain()),
-            Err(e) => {
-                self.metrics.add(names::PROTOCOL_ERRORS, 1);
-                Some(e.reply())
-            }
+            Err(e) => Some(self.reject(&e)),
         }
+    }
+
+    /// [`ServeSession::handle`] for a raw wire line: bytes that are not
+    /// UTF-8 earn `ERR invalid-utf8` instead of ending the session.
+    fn handle_bytes(&mut self, line: &[u8]) -> Option<String> {
+        match std::str::from_utf8(line) {
+            Ok(line) => self.handle(line),
+            Err(_) => Some(self.reject(&ProtocolError::InvalidUtf8)),
+        }
+    }
+
+    /// Counts a protocol error and renders its `ERR` reply.
+    fn reject(&mut self, e: &ProtocolError) -> String {
+        self.metrics.add(names::PROTOCOL_ERRORS, 1);
+        e.reply()
     }
 
     /// The `DRAIN` verb: journal, depart every live VM, then journal a
@@ -736,27 +758,69 @@ impl<'a, T: Tracer> ServeSession<'a, T> {
     }
 }
 
-/// Drives a session from a line stream, writing one reply per
-/// non-empty line, until EOF. Protocol errors are replied to and the
-/// loop continues; only transport failures end the session early.
+/// Longest request line [`serve_lines`] accepts, in bytes, not counting
+/// its `\n`. The widest well-formed request is far shorter.
+pub const MAX_LINE_BYTES: usize = 4096;
+
+/// Drives a session from a byte stream, writing one reply per
+/// non-empty line, until EOF. Lines end at `\n` (an `\r` before it is
+/// dropped). Protocol errors are replied to and the loop continues — a
+/// line that is not UTF-8 earns `ERR invalid-utf8`, and one longer than
+/// [`MAX_LINE_BYTES`] earns `ERR line-too-long` and is skipped without
+/// being buffered — so only transport failures end the session early.
 ///
 /// # Errors
 ///
 /// I/O errors from the input or output stream.
 pub fn serve_lines<R: BufRead, W: Write, T: Tracer>(
-    input: R,
+    mut input: R,
     mut output: W,
     session: &mut ServeSession<'_, T>,
 ) -> std::io::Result<()> {
-    for line in input.lines() {
-        let line = line?;
-        if let Some(reply) = session.handle(&line) {
+    let mut line = Vec::with_capacity(256);
+    loop {
+        line.clear();
+        // One byte past the cap tells an overlong line from one that
+        // fills the cap exactly.
+        let limit = MAX_LINE_BYTES as u64 + 1;
+        if (&mut input).take(limit).read_until(b'\n', &mut line)? == 0 {
+            return Ok(());
+        }
+        let reply = match line.strip_suffix(b"\n") {
+            Some(body) => session.handle_bytes(body.strip_suffix(b"\r").unwrap_or(body)),
+            None if line.len() > MAX_LINE_BYTES => {
+                skip_line(&mut input)?;
+                Some(session.reject(&ProtocolError::LineTooLong))
+            }
+            // The last line, cut short by EOF.
+            None => session.handle_bytes(&line),
+        };
+        if let Some(reply) = reply {
             output.write_all(reply.as_bytes())?;
             output.write_all(b"\n")?;
             output.flush()?;
         }
     }
-    Ok(())
+}
+
+/// Discards input up to and including the next `\n` (or to EOF).
+fn skip_line<R: BufRead>(input: &mut R) -> std::io::Result<()> {
+    loop {
+        let buf = input.fill_buf()?;
+        if buf.is_empty() {
+            return Ok(());
+        }
+        match buf.iter().position(|&b| b == b'\n') {
+            Some(end) => {
+                input.consume(end + 1);
+                return Ok(());
+            }
+            None => {
+                let n = buf.len();
+                input.consume(n);
+            }
+        }
+    }
 }
 
 /// Replays a materialised problem through the session in canonical
@@ -1052,6 +1116,32 @@ mod tests {
         assert_eq!(lines.len(), 2);
         assert_eq!(lines[0], "PLACED 0 0");
         assert!(lines[1].starts_with("STATS requests=1"));
+    }
+
+    #[test]
+    fn serve_lines_survives_bad_bytes_and_overlong_lines() {
+        let metrics = MetricsRegistry::new();
+        let servers = fleet();
+        let mut session = ServeSession::new(&servers, &metrics, &NoopTracer);
+        let mut input = b"REQ 0 1 10 2.0 4.0\r\nREQ \xff 1 10 2.0 4.0\n".to_vec();
+        input.extend(std::iter::repeat_n(b'7', 3 * MAX_LINE_BYTES));
+        input.extend(b"\n");
+        input.extend(std::iter::repeat_n(b' ', MAX_LINE_BYTES));
+        input.extend(b"\nSTATS\n");
+        input.extend(std::iter::repeat_n(b'x', MAX_LINE_BYTES + 1));
+        let mut out = Vec::new();
+        serve_lines(&input[..], &mut out, &mut session).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 5, "{text}");
+        assert_eq!(lines[0], "PLACED 0 0");
+        assert!(lines[1].starts_with("ERR invalid-utf8 "), "{}", lines[1]);
+        assert!(lines[2].starts_with("ERR line-too-long "), "{}", lines[2]);
+        // A blank line exactly at the cap is still a line (no reply).
+        assert!(lines[3].starts_with("STATS requests=1"), "{}", lines[3]);
+        // An unterminated overlong tail is answered before EOF.
+        assert!(lines[4].starts_with("ERR line-too-long "), "{}", lines[4]);
+        assert_eq!(metrics.counter(names::PROTOCOL_ERRORS), 3);
     }
 
     #[test]

@@ -4,10 +4,11 @@
 //! a decision (`PLACED`/`REJECTED`), a typed `ERR` reply, or silence
 //! on blanks and comments. These tests mutate well-formed request
 //! streams — corrupted fields, truncation, duplicated and deleted
-//! lines — and assert the session never panics, never emits anything
-//! outside the reply grammar, and keeps serving after every error.
+//! lines, arbitrary bytes and overlong lines on the wire — and assert
+//! the session never panics, never emits anything outside the reply
+//! grammar, and keeps serving after every error.
 
-use esvm_exper::serve::ServeSession;
+use esvm_exper::serve::{serve_lines, ServeSession, MAX_LINE_BYTES};
 use esvm_obs::{MetricsRegistry, NoopTracer};
 use esvm_simcore::{PowerModel, Resources, ServerSpec};
 use proptest::prelude::*;
@@ -216,6 +217,60 @@ proptest! {
         prop_assert!(down.starts_with("DOWNED 0 "), "{down}");
         let up = session.handle("UP 0").expect("UP replies");
         prop_assert_eq!(up.as_str(), "UPPED 0");
+    }
+
+    /// Arbitrary bytes spliced into a valid wire stream — invalid
+    /// UTF-8, stray `\r` and NUL, and lines around the length cap —
+    /// never end the session: `serve_lines` returns `Ok`, every reply
+    /// is one well-formed UTF-8 line, every `ERR` is counted, and the
+    /// session serves the next connection's requests.
+    #[test]
+    fn arbitrary_bytes_never_end_the_session(
+        bytes in proptest::collection::vec(0u8..=255, 0..512),
+        at in 0usize..10_000,
+        run in 0usize..(2 * MAX_LINE_BYTES + 2),
+        fill in 0u8..=255,
+    ) {
+        let metrics = MetricsRegistry::new();
+        let servers = fleet();
+        let mut session = ServeSession::new(&servers, &metrics, &NoopTracer);
+
+        let mut wire = valid_stream(8).join("\n").into_bytes();
+        wire.push(b'\n');
+        let at = at % (wire.len() + 1);
+        let mut garbage = bytes;
+        // A run of one byte value: with `run` near the cap this probes
+        // both sides of it (and a newline fill splits it into blanks).
+        garbage.extend(std::iter::repeat_n(fill, run));
+        wire.splice(at..at, garbage);
+
+        let mut out = Vec::new();
+        serve_lines(&wire[..], &mut out, &mut session).expect("bad bytes are not I/O errors");
+        let text = String::from_utf8(out).expect("replies are UTF-8");
+        let mut errors = 0u64;
+        for reply in text.lines() {
+            prop_assert!(reply_is_well_formed(reply), "unexpected reply {reply:?}");
+            if reply.starts_with("ERR ") {
+                errors += 1;
+            }
+        }
+        prop_assert_eq!(
+            metrics.counter(esvm_obs::names::serve::PROTOCOL_ERRORS),
+            errors,
+            "every ERR reply is counted exactly once"
+        );
+
+        let mut out = Vec::new();
+        serve_lines(&b"REQ 50000 4000000000 5 1.0 2.0\nSTATS\n"[..], &mut out, &mut session)
+            .expect("the session keeps serving");
+        let text = String::from_utf8(out).expect("replies are UTF-8");
+        let replies: Vec<&str> = text.lines().collect();
+        prop_assert_eq!(replies.len(), 2, "{}", text);
+        prop_assert!(
+            replies[0].starts_with("PLACED 50000 ") || replies[0] == "REJECTED 50000",
+            "session did not survive: {}", replies[0]
+        );
+        prop_assert!(replies[1].starts_with("STATS "), "{}", replies[1]);
     }
 
     /// Bounded admission: for any queue cap, a burst admits exactly

@@ -3,8 +3,8 @@
 //!
 //! The paper's Eq. 7 argmin is opaque at runtime: the placement says
 //! *what* MIEC chose but not *why* — which candidates were scanned,
-//! what spec-class pruning discarded, which shard won, what the
-//! decision cost in wall time. This module makes each decision
+//! what spec-class pruning discarded, what the decision cost in wall
+//! time. This module makes each decision
 //! self-describing without perturbing the hot paths, using the same
 //! zero-cost static dispatch as [`EventSink`](crate::EventSink):
 //! instrumented algorithms are generic over `T: Tracer`, guard every
@@ -14,14 +14,13 @@
 //!
 //! Three primitives:
 //!
-//! * **Spans** — hierarchical wall-clock intervals (phase → batch →
+//! * **Spans** — hierarchical wall-clock intervals (run → phase →
 //!   decision) opened with [`Tracer::span`], closed by RAII when the
 //!   returned [`SpanGuard`] drops (including during panic unwinding),
 //!   carrying monotonic timestamps and parent ids.
 //! * **Explain records** — one [`ExplainRecord`] per placement
 //!   decision: the VM, how many candidates were scanned, how many the
-//!   spec-class prune discarded, which shards were touched and
-//!   re-scored, the winning server, the incremental-cost delta, and
+//!   spec-class prune discarded, the winning server, the incremental-cost delta, and
 //!   the floating-point-tie flag; under chaos, the repair/shed
 //!   attribution (attempt count, replay time, evicted-from server).
 //! * **Latency histograms** — every closed span's duration lands in a
@@ -106,17 +105,18 @@ pub struct ExplainRecord {
     pub vm: u64,
     /// Servers actually scored by the argmin scan.
     pub candidates: u64,
-    /// Asleep spec-class twins skipped by the prune.
+    /// Standby spec-class twins (pristine or cold) a lower-id class
+    /// representative stood in for.
     pub pruned: u64,
     /// Servers that failed the capacity check.
     pub unfit: u64,
-    /// Shards whose ledgers the scan touched (1 on the sequential
-    /// engine).
+    /// Shards whose ledgers the scan touched (1: every placement scan
+    /// is sequential).
     pub shards: u64,
-    /// Shards re-scored at commit because a batched placement dirtied
-    /// them (0 on the sequential engine).
+    /// Shards re-scored at commit; always 0, kept in the record schema.
     pub rescored: u64,
-    /// Shard that owns the winning server (0 on the sequential engine).
+    /// Shard that owns the winning server; always 0, kept in the
+    /// record schema.
     pub shard: u64,
     /// Winning server, when the decision placed somewhere.
     pub winner: Option<u64>,

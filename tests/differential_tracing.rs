@@ -32,7 +32,7 @@ fn rng_for(kind: AllocatorKind, seed: u64) -> StdRng {
 fn engines() -> [Parallelism; 2] {
     [
         Parallelism::sequential(),
-        Parallelism::new(4).with_shards(3).with_batch(8),
+        Parallelism::new(4).with_shards(3),
     ]
 }
 
@@ -220,7 +220,7 @@ fn chrome_export_of_a_real_run_is_structurally_sound() {
         &mut rng_for(kind, 9),
         &mut DiscardSink,
         &metrics,
-        Parallelism::new(4).with_shards(3).with_batch(8),
+        Parallelism::new(4).with_shards(3),
         &tracer,
     )
     .expect("traced run");

@@ -10,13 +10,15 @@
 //!   cost after *every* event, and the committed cost (retired +
 //!   live) is conserved across departures and evictions;
 //! * out-of-order arrivals and unknown departures are typed errors
-//!   that leave the engine usable.
+//!   that leave the engine usable;
+//! * the candidate index partitions the fleet into active (up, hosting),
+//!   per-class standby (up, empty) and down servers after every event.
 
 use std::collections::HashSet;
 
 use esvm::{
     event_order, FaultEvent, FaultPlan, FaultPlanConfig, Interval, OnlineEngine, OnlineError,
-    Resources, Vm, VmId, WorkloadConfig,
+    Resources, ServerId, Vm, VmId, WorkloadConfig,
 };
 use proptest::prelude::*;
 
@@ -40,6 +42,45 @@ fn check_energy(engine: &OnlineEngine, ctx: &str) {
         "{ctx}: committed {committed} vs retired+live {recomputed}"
     );
     assert!(committed.is_finite() && committed >= -1e-9, "{ctx}: {committed}");
+}
+
+/// Asserts that the candidate index partitions the fleet: every server
+/// is exactly one of active (up, hosting), standby in its own class (up,
+/// nothing hosted) or down, and the running `pruned` count matches.
+fn check_index(engine: &OnlineEngine, ctx: &str) {
+    let index = engine.candidate_index();
+    let ledgers = engine.ledgers();
+    assert_eq!(index.len(), ledgers.len(), "{ctx}: fleet size");
+    let mut seen = vec![0u32; ledgers.len()];
+    for s in index.active() {
+        seen[s.index()] += 1;
+        assert!(ledgers[s.index()].hosted_count() > 0, "{ctx}: idle {s} active");
+        assert!(!engine.is_down(s), "{ctx}: down {s} active");
+    }
+    let mut pruned = 0;
+    for class in 0..index.class_count() {
+        let members: Vec<ServerId> = index.standby(class).collect();
+        assert!(members.windows(2).all(|w| w[0] < w[1]), "{ctx}: class {class} order");
+        pruned += members.len().saturating_sub(1) as u64;
+        for s in members {
+            seen[s.index()] += 1;
+            assert_eq!(index.class_of(s), class, "{ctx}: {s} in a foreign class");
+            assert_eq!(ledgers[s.index()].hosted_count(), 0, "{ctx}: busy {s} on standby");
+            assert!(!engine.is_down(s), "{ctx}: down {s} on standby");
+        }
+    }
+    for (i, &n) in seen.iter().enumerate() {
+        let s = ServerId(i as u32);
+        let down = u32::from(engine.is_down(s));
+        assert_eq!(n + down, 1, "{ctx}: {s} is in {n} sets, down={down}");
+        let (up, hosting) = (down == 0, ledgers[i].hosted_count() > 0);
+        assert_eq!(
+            (index.is_active(s), index.is_standby(s), index.is_down(s)),
+            (up && hosting, up && !hosting, !up),
+            "{ctx}: {s} membership flags"
+        );
+    }
+    assert_eq!(index.pruned(), pruned, "{ctx}: pruned count");
 }
 
 proptest! {
@@ -93,6 +134,7 @@ proptest! {
                     }
                 }
                 check_energy(&engine, "after fault");
+                check_index(&engine, "after fault");
                 faults.next();
             }
 
@@ -131,6 +173,7 @@ proptest! {
             }
             committed_before_departures = engine.committed_cost();
             check_energy(&engine, "after event");
+            check_index(&engine, "after event");
         }
 
         // Each id appears at most once in the decision log.
@@ -149,6 +192,7 @@ proptest! {
             "drain changed the committed cost: {before} -> {after}"
         );
         prop_assert_eq!(engine.live_count(), 0);
+        check_index(&engine, "after drain");
     }
 
     /// Duplicate ids, out-of-order starts and unknown departures are
