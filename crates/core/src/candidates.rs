@@ -297,7 +297,7 @@ impl Iterator for Candidates<'_> {
 
 /// Outcome of one [`argmin`] pass.
 #[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct Argmin {
+pub struct Argmin {
     /// The strict-`<` minimum `(delta, server id)`, if any server fits.
     pub best: Option<(f64, u32)>,
     /// Servers scored (they fit).
@@ -312,19 +312,35 @@ pub(crate) struct Argmin {
 /// `score` (`None` = does not fit), and keeps the strict-`<` minimum,
 /// so the lowest id wins exact ties. The tallies are kept only when
 /// `counting` (a compile-time constant at every call site).
+///
+/// Offline MIEC and the online engine feed it a [`CandidateIndex`]'s
+/// candidates; the chaos replay's repair feeds it every up server.
+///
+/// # Example
+///
+/// ```
+/// use esvm_core::argmin;
+/// let scores = [Some(3.0), None, Some(1.0), Some(1.0)];
+/// let out = argmin(0..4, true, |i| scores[i as usize]);
+/// assert_eq!(out.best, Some((1.0, 2))); // the lowest id wins the tie
+/// assert_eq!((out.candidates, out.unfit, out.fp_ties), (3, 1, 1));
+/// ```
 #[inline]
-pub(crate) fn argmin(
+pub fn argmin(
     ids: impl Iterator<Item = u32>,
     counting: bool,
     mut score: impl FnMut(u32) -> Option<f64>,
 ) -> Argmin {
     let mut out = Argmin::default();
-    for i in ids {
+    // Internal iteration, so an adapter such as the chaos repair's
+    // `Filter` over the up servers runs its own fold rather than a
+    // nested `next()` loop.
+    ids.for_each(|i| {
         let Some(delta) = score(i) else {
             if counting {
                 out.unfit += 1;
             }
-            continue;
+            return;
         };
         if counting {
             out.candidates += 1;
@@ -335,7 +351,7 @@ pub(crate) fn argmin(
         if out.best.is_none_or(|(cost, _)| delta < cost) {
             out.best = Some((delta, i));
         }
-    }
+    });
     out
 }
 

@@ -60,7 +60,7 @@ mod registry;
 
 pub use allocator::Allocator;
 pub use baselines::{BestFit, FirstFit, LowestIdlePower, Random, RoundRobin};
-pub use candidates::CandidateIndex;
+pub use candidates::{argmin, Argmin, CandidateIndex};
 pub use error::{AllocError, AllocResult};
 pub use ffps::Ffps;
 pub use miec::Miec;

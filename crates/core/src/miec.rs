@@ -277,7 +277,6 @@ impl Miec {
                             candidates,
                             pruned,
                             unfit,
-                            shards: 1,
                             winner: Some(sid.index() as u64),
                             delta_cost: delta,
                             fp_tie: fp_ties > 0,
@@ -300,7 +299,6 @@ impl Miec {
                             candidates,
                             pruned,
                             unfit,
-                            shards: 1,
                             ..ExplainRecord::new(
                                 DecisionKind::Reject,
                                 vm.id().index() as u64,

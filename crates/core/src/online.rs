@@ -378,7 +378,6 @@ impl OnlineEngine {
                         candidates,
                         pruned,
                         unfit,
-                        shards: 1,
                         winner: Some(sid.index() as u64),
                         delta_cost: delta,
                         fp_tie: fp_ties > 0,
@@ -395,7 +394,6 @@ impl OnlineEngine {
                         candidates,
                         pruned,
                         unfit,
-                        shards: 1,
                         time: Some(vm.start() as u64),
                         ..ExplainRecord::new(DecisionKind::Reject, vm.id().index() as u64)
                     });
@@ -557,9 +555,8 @@ impl OnlineEngine {
 /// so it flows through the differential suites, chaos replay and
 /// `esvm query` like every offline kind.
 ///
-/// The event loop is inherently sequential (each decision conditions
-/// the next), so the allocator is bit-exact across `ESVM_THREADS`
-/// settings by construction.
+/// The event loop is inherently sequential: each decision conditions
+/// the next.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct OnlineGreedy;
 

@@ -5,7 +5,6 @@ use crate::{
     OnlineGreedy, Random, Refined, RoundRobin,
 };
 use esvm_obs::{EventSink, MetricsRegistry, NoopTracer, Tracer};
-use esvm_par::Parallelism;
 use esvm_simcore::{AllocationProblem, Assignment};
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
@@ -95,35 +94,20 @@ impl AllocatorKind {
         }
     }
 
-    /// Constructs the allocator (sequential scoring).
+    /// Constructs the allocator.
     pub fn build(&self) -> Box<dyn Allocator> {
-        self.build_with(Parallelism::sequential())
-    }
-
-    /// Constructs the allocator with a thread-count policy. Only the
-    /// local-search wrappers have parallel scoring paths; MIEC and the
-    /// simple baselines ignore `par`. Placements are bit-identical to
-    /// [`AllocatorKind::build`] for every thread count.
-    pub fn build_with(&self, par: Parallelism) -> Box<dyn Allocator> {
         match self {
             AllocatorKind::Miec => Box::new(Miec::new()),
             AllocatorKind::MiecNoAlpha => Box::new(Miec::ignoring_transition_costs()),
-            AllocatorKind::MiecLocalSearch => Box::new(Refined::new(
-                Miec::new(),
-                LocalSearch::new().with_parallelism(par),
-                "miec-ls",
-            )),
+            AllocatorKind::MiecLocalSearch => {
+                Box::new(Refined::new(Miec::new(), LocalSearch::new(), "miec-ls"))
+            }
             AllocatorKind::MiecBlindDuration => Box::new(Miec::with_assumed_duration(5)),
-            // The online event loop is inherently sequential (every
-            // decision conditions the next), so `par` is a no-op and
-            // thread-count bit-exactness is structural.
             AllocatorKind::OnlineGreedy => Box::new(OnlineGreedy::new()),
             AllocatorKind::Ffps => Box::new(Ffps::new()),
-            AllocatorKind::FfpsLocalSearch => Box::new(Refined::new(
-                Ffps::new(),
-                LocalSearch::new().with_parallelism(par),
-                "ffps-ls",
-            )),
+            AllocatorKind::FfpsLocalSearch => {
+                Box::new(Refined::new(Ffps::new(), LocalSearch::new(), "ffps-ls"))
+            }
             AllocatorKind::FirstFit => Box::new(FirstFit::new()),
             AllocatorKind::BestFit => Box::new(BestFit::new()),
             AllocatorKind::LowestIdlePower => Box::new(LowestIdlePower::new()),
@@ -150,34 +134,15 @@ impl AllocatorKind {
         sink: &mut S,
         metrics: &MetricsRegistry,
     ) -> AllocResult<Assignment<'p>> {
-        self.allocate_observed_with(problem, rng, sink, metrics, Parallelism::sequential())
+        self.allocate_traced_with(problem, rng, sink, metrics, &NoopTracer)
     }
 
-    /// [`AllocatorKind::allocate_observed`] with a thread-count policy
-    /// for the local-search scoring loops; `*.par.*` pool counters land
-    /// in `metrics` when `par` is parallel. Placements are
-    /// bit-identical for every thread count.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Allocator::allocate`].
-    pub fn allocate_observed_with<'p, S: EventSink>(
-        &self,
-        problem: &'p AllocationProblem,
-        rng: &mut dyn RngCore,
-        sink: &mut S,
-        metrics: &MetricsRegistry,
-        par: Parallelism,
-    ) -> AllocResult<Assignment<'p>> {
-        self.allocate_traced_with(problem, rng, sink, metrics, par, &NoopTracer)
-    }
-
-    /// [`AllocatorKind::allocate_observed_with`] with decision
+    /// [`AllocatorKind::allocate_observed`] with decision
     /// provenance: the instrumented kinds additionally record
     /// hierarchical spans, per-placement explain records and per-span
     /// latency histograms into `tracer`. The simple baselines run
     /// uninstrumented (no spans, no explains). With [`NoopTracer`] this
-    /// *is* [`AllocatorKind::allocate_observed_with`] — the differential
+    /// *is* [`AllocatorKind::allocate_observed`] — the differential
     /// tracing suite pins placements and costs bit-identical across all
     /// kinds.
     ///
@@ -190,7 +155,6 @@ impl AllocatorKind {
         rng: &mut dyn RngCore,
         sink: &mut S,
         metrics: &MetricsRegistry,
-        par: Parallelism,
         tracer: &T,
     ) -> AllocResult<Assignment<'p>> {
         match self {
@@ -204,14 +168,12 @@ impl AllocatorKind {
             AllocatorKind::MiecLocalSearch => {
                 let base = Miec::new().allocate_traced(problem, sink, metrics, tracer)?;
                 LocalSearch::new()
-                    .with_parallelism(par)
                     .refine_instrumented(&base, sink, metrics, tracer)
                     .map(|(refined, _)| refined)
             }
             AllocatorKind::FfpsLocalSearch => {
                 let base = Ffps::new().allocate(problem, rng)?;
                 LocalSearch::new()
-                    .with_parallelism(par)
                     .refine_instrumented(&base, sink, metrics, tracer)
                     .map(|(refined, _)| refined)
             }
@@ -322,45 +284,6 @@ mod tests {
             assert_eq!(
                 observed.total_cost().to_bits(),
                 plain.total_cost().to_bits(),
-                "{kind}"
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_build_matches_sequential_for_every_kind() {
-        use esvm_simcore::{Interval, PowerModel, ProblemBuilder, Resources};
-        use rand::{rngs::StdRng, SeedableRng};
-
-        let mut b = ProblemBuilder::new();
-        for i in 0..5 {
-            let scale = 1.0 + (i % 2) as f64;
-            b = b.server(
-                Resources::new(8.0 * scale, 16.0 * scale),
-                PowerModel::new(40.0 * scale, 100.0 * scale),
-                60.0 * scale,
-            );
-        }
-        for j in 0..10u32 {
-            b = b.vm(
-                Resources::new(1.0 + f64::from(j % 3), 2.0 + f64::from(j % 4)),
-                Interval::with_len(1 + j, 3 + (j % 4)),
-            );
-        }
-        let p = b.build().unwrap();
-
-        for kind in AllocatorKind::ALL {
-            let mut rng = StdRng::seed_from_u64(11);
-            let sequential = kind.build().allocate(&p, &mut rng).unwrap();
-            let mut rng = StdRng::seed_from_u64(11);
-            let parallel = kind
-                .build_with(Parallelism::new(4))
-                .allocate(&p, &mut rng)
-                .unwrap();
-            assert_eq!(sequential.placement(), parallel.placement(), "{kind}");
-            assert_eq!(
-                sequential.total_cost().to_bits(),
-                parallel.total_cost().to_bits(),
                 "{kind}"
             );
         }

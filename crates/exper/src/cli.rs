@@ -15,13 +15,12 @@
 //! Parsing is deliberately dependency-free; [`run`] returns the rendered
 //! output so it is fully testable.
 
-use crate::options::ExpOptions;
+use crate::options::{threads_from_env, ExpOptions};
 use crate::runner::{MonteCarlo, RunError};
 use crate::{experiments, Figure};
 use esvm_analysis::Table;
 use esvm_core::AllocatorKind;
 use esvm_ilp::Formulation;
-use esvm_par::Parallelism;
 use esvm_workload::WorkloadConfig;
 use std::fmt;
 
@@ -104,15 +103,9 @@ commands:
 
 options (figures):
   --seeds N         Monte-Carlo seeds per point (default 50)
-  --threads N       worker threads fanning seeds out (default: all
-                    cores, or ESVM_THREADS when set)
-  --algo-threads N  threads inside each allocator's scoring loops
-                    (default: ESVM_THREADS, else 1; results are
-                    bit-identical for every value)
-  --shards K        server-shard count of the sharded local-search
-                    relocation pass (default: ESVM_SHARDS, else auto
-                    from the thread count; 0 = auto; bit-identical for
-                    every value)
+  --threads N       worker threads fanning seeds out (default:
+                    ESVM_THREADS; unset or 0 = all cores); results are
+                    identical for every value
   --quick           scaled-down VM counts and 6 seeds
   --csv             emit CSV instead of aligned tables
 
@@ -218,8 +211,6 @@ struct Flags {
     events_out: Option<String>,
     trace_out: Option<String>,
     force: bool,
-    algo_threads: Option<usize>,
-    algo_shards: Option<usize>,
     fault_rate: Option<f64>,
     rack_size: Option<u32>,
     mean_outage: Option<f64>,
@@ -235,30 +226,6 @@ struct Flags {
     recover: Option<String>,
     queue: Option<usize>,
     live: bool,
-}
-
-impl Flags {
-    /// The thread policy for each allocator's scoring loops:
-    /// `--algo-threads` wins, otherwise the `ESVM_THREADS` default, and
-    /// the sharded-path knob `--shards` overrides `ESVM_SHARDS` the
-    /// same way. A malformed
-    /// environment variable is a hard error here rather than a silent
-    /// fall-back to a default — the user asked for a configuration and
-    /// would otherwise get a different one without warning.
-    fn algo_parallelism(&self) -> Result<Parallelism, CliError> {
-        let mut par = match self.algo_threads {
-            Some(n) => Parallelism::try_from_env()
-                .map(|env| env.with_threads(n))
-                .unwrap_or_else(|_| Parallelism::new(n)),
-            None => Parallelism::try_from_env().map_err(|e| {
-                CliError::Usage(format!("{e} (or pass --algo-threads N)"))
-            })?,
-        };
-        if let Some(k) = self.algo_shards {
-            par = par.with_shards(k);
-        }
-        Ok(par)
-    }
 }
 
 fn parse_flags(args: &[String]) -> Result<Flags, CliError> {
@@ -289,20 +256,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, CliError> {
             "--quick" => flags.quick = true,
             "--csv" => flags.csv = true,
             "--force" => flags.force = true,
-            "--algo-threads" => {
-                flags.algo_threads = Some(
-                    value("--algo-threads")?
-                        .parse()
-                        .map_err(|_| usage("--algo-threads must be an integer".into()))?,
-                )
-            }
-            "--shards" => {
-                flags.algo_shards = Some(
-                    value("--shards")?
-                        .parse()
-                        .map_err(|_| usage("--shards must be an integer".into()))?,
-                )
-            }
             "--standard-vms" => flags.standard_vms = true,
             "--small-servers" => flags.small_servers = true,
             "--vms" => {
@@ -320,25 +273,16 @@ fn parse_flags(args: &[String]) -> Result<Flags, CliError> {
                 )
             }
             "--interarrival" => {
-                flags.interarrival = Some(
-                    value("--interarrival")?
-                        .parse()
-                        .map_err(|_| usage("--interarrival must be a number".into()))?,
-                )
+                let raw = value(arg)?;
+                flags.interarrival = Some(workload_number(arg, &raw, false).map_err(usage)?);
             }
             "--duration" => {
-                flags.duration = Some(
-                    value("--duration")?
-                        .parse()
-                        .map_err(|_| usage("--duration must be a number".into()))?,
-                )
+                let raw = value(arg)?;
+                flags.duration = Some(workload_number(arg, &raw, false).map_err(usage)?);
             }
             "--transition" => {
-                flags.transition = Some(
-                    value("--transition")?
-                        .parse()
-                        .map_err(|_| usage("--transition must be a number".into()))?,
-                )
+                let raw = value(arg)?;
+                flags.transition = Some(workload_number(arg, &raw, true).map_err(usage)?);
             }
             "--out" => flags.out = Some(value("--out")?),
             "--metrics-out" => flags.metrics_out = Some(value("--metrics-out")?),
@@ -457,7 +401,23 @@ fn parse_flags(args: &[String]) -> Result<Flags, CliError> {
     Ok(flags)
 }
 
-fn options_from(flags: &Flags) -> ExpOptions {
+/// Parses the value of a workload time flag: a finite number, `> 0`, or
+/// `>= 0` when `zero_ok`. The workload generator asserts the same
+/// bounds, so checking here turns a panic into a usage error.
+fn workload_number(flag: &str, raw: &str, zero_ok: bool) -> Result<f64, String> {
+    match raw.parse::<f64>() {
+        Ok(x) if x.is_finite() && (x > 0.0 || (zero_ok && x == 0.0)) => Ok(x),
+        _ => Err(format!(
+            "{flag} must be a finite number {}, got {raw:?}",
+            if zero_ok { ">= 0" } else { "> 0" }
+        )),
+    }
+}
+
+/// Experiment options from the flags. `--threads` wins over
+/// `ESVM_THREADS`; a malformed `ESVM_THREADS` is a usage error rather
+/// than a silent fall-back to some other thread count.
+fn options_from(flags: &Flags) -> Result<ExpOptions, CliError> {
     let mut opts = if flags.quick {
         ExpOptions::quick()
     } else {
@@ -466,10 +426,12 @@ fn options_from(flags: &Flags) -> ExpOptions {
     if let Some(s) = flags.seeds {
         opts.seeds = s;
     }
-    if let Some(t) = flags.threads {
-        opts.threads = t;
-    }
-    opts
+    opts.threads = match flags.threads {
+        Some(t) => t,
+        None => threads_from_env()
+            .map_err(|e| CliError::Usage(format!("{e} (or pass --threads N)")))?,
+    };
+    Ok(opts)
 }
 
 fn render_figure(figure: &Figure, csv: bool) -> String {
@@ -510,7 +472,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             .map_err(|e| CliError::Usage(e.to_string()));
     }
     let flags = parse_flags(rest)?;
-    let opts = options_from(&flags);
+    let opts = options_from(&flags)?;
 
     let output = dispatch(command, &flags, &opts)?;
     // `gen` manages --out itself (it writes the trace, not the message).
@@ -658,7 +620,6 @@ fn telemetry_rows<S: esvm_obs::EventSink, T: esvm_obs::Tracer>(
     problem: &esvm_simcore::AllocationProblem,
     algos: &[AllocatorKind],
     seed: u64,
-    par: Parallelism,
     sink: &mut S,
     tracer: &T,
     table: &mut Table,
@@ -677,7 +638,7 @@ fn telemetry_rows<S: esvm_obs::EventSink, T: esvm_obs::Tracer>(
         let metrics = MetricsRegistry::new();
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let assignment = algo
-            .allocate_traced_with(problem, &mut rng, sink, &metrics, par, tracer)
+            .allocate_traced_with(problem, &mut rng, sink, &metrics, tracer)
             .map_err(|error| RunError::Alloc { algo, seed, error })?;
         let report = assignment.audit().map_err(RunError::Audit)?;
         metrics.set_gauge("energy.run", report.breakdown.run);
@@ -702,7 +663,6 @@ fn telemetry_capture<T: esvm_obs::Tracer>(
     problem: &esvm_simcore::AllocationProblem,
     algos: &[AllocatorKind],
     seed: u64,
-    par: Parallelism,
     events_out: Option<&str>,
     tracer: &T,
     table: &mut Table,
@@ -712,20 +672,12 @@ fn telemetry_capture<T: esvm_obs::Tracer>(
             let file = std::fs::File::create(path)
                 .map_err(|e| CliError::Usage(format!("cannot write {path:?}: {e}")))?;
             let mut sink = esvm_obs::JsonlWriter::new(std::io::BufWriter::new(file));
-            telemetry_rows(problem, algos, seed, par, &mut sink, tracer, &mut *table)?;
+            telemetry_rows(problem, algos, seed, &mut sink, tracer, &mut *table)?;
             sink.finish()
                 .map_err(|e| CliError::Usage(format!("cannot write {path:?}: {e}")))?;
         }
         None => {
-            telemetry_rows(
-                problem,
-                algos,
-                seed,
-                par,
-                &mut esvm_obs::DiscardSink,
-                tracer,
-                table,
-            )?;
+            telemetry_rows(problem, algos, seed, &mut esvm_obs::DiscardSink, tracer, table)?;
         }
     }
     Ok(())
@@ -788,13 +740,12 @@ fn telemetry_section(
     {
         preflight_out_path(path, flags.force)?;
     }
-    let par = flags.algo_parallelism()?;
     let mut table = Table::new(vec!["algorithm", "metric", "kind", "value"]);
     let events_out = flags.events_out.as_deref();
     let trace_note = match &flags.trace_out {
         Some(path) => {
             let tracer = esvm_obs::CollectingTracer::new();
-            telemetry_capture(problem, algos, seed, par, events_out, &tracer, &mut table)?;
+            telemetry_capture(problem, algos, seed, events_out, &tracer, &mut table)?;
             write_trace_output(path, &tracer)?
         }
         None => {
@@ -802,7 +753,6 @@ fn telemetry_section(
                 problem,
                 algos,
                 seed,
-                par,
                 events_out,
                 &esvm_obs::NoopTracer,
                 &mut table,
@@ -833,9 +783,7 @@ fn run_compare(flags: &Flags, opts: &ExpOptions) -> Result<String, CliError> {
         .algos
         .clone()
         .unwrap_or_else(|| vec![AllocatorKind::Miec, AllocatorKind::Ffps]);
-    let point = MonteCarlo::new(opts.seeds, opts.threads)
-        .with_algo_parallelism(flags.algo_parallelism()?)
-        .compare(&config, &algos)?;
+    let point = MonteCarlo::new(opts.seeds, opts.threads).compare(&config, &algos)?;
 
     let mut table = Table::new(vec![
         "algorithm",
@@ -913,7 +861,6 @@ fn chaos_rows<S: esvm_obs::EventSink, T: esvm_obs::Tracer>(
     problem: &esvm_simcore::AllocationProblem,
     algos: &[AllocatorKind],
     seed: u64,
-    par: Parallelism,
     sink: &mut S,
     tracer: &T,
     table: &mut Table,
@@ -925,7 +872,7 @@ fn chaos_rows<S: esvm_obs::EventSink, T: esvm_obs::Tracer>(
         let _algo_span = tracer.span(algo.name());
         let metrics = MetricsRegistry::new();
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let allocator = algo.build_with(par);
+        let allocator = algo.build();
         let report = engine
             .run_traced(problem, allocator.as_ref(), &mut rng, sink, &metrics, tracer)
             .map_err(|e| match e {
@@ -965,7 +912,6 @@ fn chaos_capture<T: esvm_obs::Tracer>(
     problem: &esvm_simcore::AllocationProblem,
     algos: &[AllocatorKind],
     seed: u64,
-    par: Parallelism,
     events_out: Option<&str>,
     tracer: &T,
     table: &mut Table,
@@ -981,7 +927,6 @@ fn chaos_capture<T: esvm_obs::Tracer>(
                 problem,
                 algos,
                 seed,
-                par,
                 &mut sink,
                 tracer,
                 table,
@@ -996,7 +941,6 @@ fn chaos_capture<T: esvm_obs::Tracer>(
                 problem,
                 algos,
                 seed,
-                par,
                 &mut esvm_obs::DiscardSink,
                 tracer,
                 table,
@@ -1079,10 +1023,7 @@ fn run_chaos(flags: &Flags) -> Result<String, CliError> {
     if let Some(shed) = flags.shed_policy {
         policy.shed = shed;
     }
-    let par = flags.algo_parallelism()?;
-    let engine = ChaosEngine::new(plan)
-        .with_policy(policy)
-        .with_parallelism(par);
+    let engine = ChaosEngine::new(plan).with_policy(policy);
 
     let algos = flags
         .algos
@@ -1108,7 +1049,6 @@ fn run_chaos(flags: &Flags) -> Result<String, CliError> {
                 &problem,
                 &algos,
                 seed,
-                par,
                 flags.events_out.as_deref(),
                 &tracer,
                 &mut table,
@@ -1122,7 +1062,6 @@ fn run_chaos(flags: &Flags) -> Result<String, CliError> {
                 &problem,
                 &algos,
                 seed,
-                par,
                 flags.events_out.as_deref(),
                 &esvm_obs::NoopTracer,
                 &mut table,
@@ -1324,7 +1263,7 @@ fn run_plan(flags: &Flags, opts: &ExpOptions) -> Result<String, CliError> {
             .collect()
     });
     let planner = crate::planner::CapacityPlanner::new(template, target, opts.seeds.clamp(2, 20))
-        .with_parallelism(Parallelism::new(opts.threads));
+        .with_threads(opts.threads);
     let plan = planner.plan(sizes)?;
     let verdict = match plan.recommended {
         Some(p) => format!(
@@ -2070,6 +2009,32 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// A faulted chaos replay (64 repairs under miec, 85 under ffps-ls,
+    /// which also runs the local search) is pinned byte for byte, so
+    /// neither the repair argmin nor the refinement can move silently.
+    #[test]
+    fn chaos_metrics_out_matches_committed_golden_file() {
+        let path = std::env::temp_dir().join("esvm_cli_chaos_metrics_golden_test.csv");
+        std::fs::remove_file(&path).ok();
+        run(&args(&[
+            "chaos", "--vms", "400", "--servers", "80", "--interarrival", "1", "--duration",
+            "30", "--fault-rate", "0.6", "--mean-outage", "20", "--seed", "7", "--algos",
+            "miec,ffps-ls", "--metrics-out", path.to_str().unwrap(),
+        ]))
+        .unwrap();
+        let got = std::fs::read_to_string(&path).unwrap();
+        let golden = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+            .join("../../tests/fixtures/chaos_metrics_golden.csv");
+        let want = std::fs::read_to_string(&golden).unwrap();
+        assert_eq!(
+            got, want,
+            "chaos metrics CSV drifted from tests/fixtures/chaos_metrics_golden.csv"
+        );
+        assert!(got.contains("miec,chaos.repairs,counter,64"), "{got}");
+        assert!(got.contains("ffps-ls,chaos.repairs,counter,85"), "{got}");
+        std::fs::remove_file(&path).ok();
+    }
+
     #[test]
     fn trace_out_writes_jsonl_with_one_explain_per_placement() {
         let path = std::env::temp_dir().join("esvm_cli_trace_test.jsonl");
@@ -2180,38 +2145,87 @@ mod tests {
     }
 
     #[test]
-    fn algo_threads_flag_is_parsed_and_validated() {
-        let err = run(&args(&["fig2", "--algo-threads", "many"])).unwrap_err();
-        assert!(matches!(err, CliError::Usage(_)));
-        let out = run(&args(&[
-            "compare", "--vms", "12", "--servers", "6", "--seeds", "2", "--algo-threads", "2",
-        ]))
-        .unwrap();
-        assert!(out.contains("mean cost"), "{out}");
+    fn algo_threads_flag_is_a_usage_error() {
+        // Every allocator is one sequential engine, so there is no inner
+        // thread count to set, well-formed or not.
+        for value in ["2", "many"] {
+            let err = run(&args(&[
+                "compare", "--vms", "12", "--servers", "6", "--seeds", "2", "--algo-threads",
+                value,
+            ]))
+            .unwrap_err();
+            assert!(
+                matches!(&err, CliError::Usage(msg) if msg.contains("unknown flag")),
+                "--algo-threads {value}: {err}"
+            );
+        }
     }
 
     #[test]
-    fn shard_flag_is_parsed_and_validated() {
-        // There is no `--batch` flag: it is a usage error like any typo.
-        for (flag, bad) in [("--shards", "many"), ("--batch", "8")] {
-            let err = run(&args(&["fig2", flag, bad])).unwrap_err();
-            assert!(matches!(err, CliError::Usage(_)), "{flag}");
+    fn shard_and_batch_flags_are_usage_errors() {
+        // No allocator is sharded or batched, so neither knob exists.
+        for (flag, value) in [("--shards", "3"), ("--shards", "many"), ("--batch", "8")] {
+            let err = run(&args(&[
+                "compare", "--vms", "12", "--servers", "6", "--seeds", "2", flag, value,
+            ]))
+            .unwrap_err();
+            assert!(
+                matches!(&err, CliError::Usage(msg) if msg.contains("unknown flag")),
+                "{flag} {value}: {err}"
+            );
         }
+    }
+
+    #[test]
+    fn bad_workload_flags_are_usage_errors() {
+        let bad = [
+            ("--interarrival", "0"),
+            ("--interarrival", "-3"),
+            ("--interarrival", "nan"),
+            ("--interarrival", "inf"),
+            ("--duration", "0"),
+            ("--duration", "-1"),
+            ("--duration", "nan"),
+            ("--duration", "inf"),
+            ("--transition", "-1"),
+            ("--transition", "nan"),
+            ("--transition", "inf"),
+        ];
+        for command in ["compare", "gen", "chaos", "gap", "timeline", "plan"] {
+            for (flag, value) in bad {
+                let err = run(&args(&[command, "--vms", "12", flag, value])).unwrap_err();
+                let want = format!("{flag} must be a finite number");
+                assert!(
+                    matches!(&err, CliError::Usage(msg) if msg.starts_with(&want)),
+                    "{command} {flag} {value}: {err}"
+                );
+            }
+        }
+        // Finite but huge values pass the parser; the generator turns
+        // the overflow they cause into a typed error.
+        for command in ["compare", "gen", "chaos", "gap", "timeline", "plan"] {
+            for (flag, value) in
+                [("--interarrival", "1e308"), ("--duration", "1e308"), ("--transition", "1e308")]
+            {
+                let err = run(&args(&[command, "--vms", "12", flag, value])).unwrap_err();
+                assert!(
+                    matches!(
+                        &err,
+                        CliError::Run(RunError::Generate(
+                            esvm_workload::GenerateError::BadParameter(_)
+                        ))
+                    ),
+                    "{command} {flag} {value}: {err}"
+                );
+            }
+        }
+        // The boundary values themselves are accepted.
         let out = run(&args(&[
-            "compare", "--vms", "12", "--servers", "6", "--seeds", "2", "--algo-threads", "2",
-            "--shards", "3",
+            "compare", "--vms", "12", "--servers", "6", "--seeds", "2", "--transition", "0",
+            "--interarrival", "0.5", "--duration", "0.5",
         ]))
         .unwrap();
         assert!(out.contains("mean cost"), "{out}");
-        // The builder surface the flag maps onto.
-        let flags = Flags {
-            algo_threads: Some(2),
-            algo_shards: Some(5),
-            ..Flags::default()
-        };
-        let par = flags.algo_parallelism().unwrap();
-        assert_eq!(par.threads(), 2);
-        assert_eq!(par.shards_override(), 5);
     }
 
     #[test]

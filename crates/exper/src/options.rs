@@ -7,7 +7,8 @@ use std::num::NonZeroUsize;
 pub struct ExpOptions {
     /// Number of Monte-Carlo seeds per sweep point (the paper uses 50).
     pub seeds: u64,
-    /// Worker threads (defaults to available parallelism).
+    /// Worker threads fanning seeds out (default: `ESVM_THREADS`, else
+    /// all cores).
     pub threads: usize,
     /// Quick mode shrinks VM counts (100–500 → 20–100) so the full
     /// figure set reproduces in seconds; used by tests and benches.
@@ -49,23 +50,41 @@ impl Default for ExpOptions {
     }
 }
 
-fn default_threads() -> usize {
+/// The seed fan-out's default thread count: [`threads_from_env`], or all
+/// cores when `ESVM_THREADS` is malformed. The CLI rejects a malformed
+/// value as a usage error before it builds options.
+pub(crate) fn default_threads() -> usize {
+    threads_from_env().unwrap_or_else(|_| all_cores())
+}
+
+/// Reads `ESVM_THREADS`, the seed fan-out's thread count, with
+/// [`threads_from`]'s rule.
+///
+/// # Errors
+///
+/// A message naming the malformed value.
+pub(crate) fn threads_from_env() -> Result<usize, String> {
     threads_from(std::env::var("ESVM_THREADS").ok().as_deref())
 }
 
-/// The policy behind the default thread count, factored out of the
-/// environment for testability: `ESVM_THREADS=N` (N ≥ 1) pins the
-/// count, while `0`, unset, or unparsable values mean "all cores" —
-/// mirroring [`esvm_par::Parallelism::parse_env`] except that the
-/// experiment fan-out defaults to full parallelism rather than
-/// sequential (seeds are independent, so this is always safe).
-fn threads_from(env: Option<&str>) -> usize {
-    match env.and_then(|v| v.trim().parse::<usize>().ok()) {
-        Some(n) if n >= 1 => n,
-        _ => std::thread::available_parallelism()
-            .map(NonZeroUsize::get)
-            .unwrap_or(4),
+/// The one `ESVM_THREADS` rule, factored out of the environment for
+/// testability: unset or `0` means all cores and `N ≥ 1` means `N`
+/// threads. Anything else is an error.
+fn threads_from(env: Option<&str>) -> Result<usize, String> {
+    match env.map(|v| v.trim().parse::<usize>()) {
+        None | Some(Ok(0)) => Ok(all_cores()),
+        Some(Ok(n)) => Ok(n),
+        Some(Err(_)) => Err(format!(
+            "ESVM_THREADS must be a non-negative integer (0 = all cores), got {:?}",
+            env.unwrap_or_default()
+        )),
     }
+}
+
+fn all_cores() -> usize {
+    std::thread::available_parallelism()
+        .map(NonZeroUsize::get)
+        .unwrap_or(4)
 }
 
 #[cfg(test)]
@@ -84,14 +103,32 @@ mod tests {
 
     #[test]
     fn esvm_threads_policy() {
-        let all_cores = threads_from(None);
+        // Unset or 0 means all cores; N ≥ 1 means N threads.
+        let all_cores = threads_from(None).unwrap();
         assert!(all_cores >= 1);
-        assert_eq!(threads_from(Some("3")), 3);
-        assert_eq!(threads_from(Some(" 2 ")), 2);
-        // 0 and garbage both fall back to all cores.
-        assert_eq!(threads_from(Some("0")), all_cores);
-        assert_eq!(threads_from(Some("lots")), all_cores);
-        assert_eq!(threads_from(Some("")), all_cores);
+        assert_eq!(threads_from(Some("0")), Ok(all_cores));
+        assert_eq!(threads_from(Some("1")), Ok(1));
+        assert_eq!(threads_from(Some("3")), Ok(3));
+    }
+
+    #[test]
+    fn esvm_threads_parsing_rules() {
+        // Surrounding whitespace is trimmed before the integer parse.
+        assert_eq!(threads_from(Some(" 2 ")), Ok(2));
+        assert_eq!(threads_from(Some(" 8 ")), Ok(8));
+        assert_eq!(threads_from(Some("\t4\n")), Ok(4));
+        assert_eq!(threads_from(Some(" 0 ")), threads_from(None));
+    }
+
+    #[test]
+    fn esvm_threads_bad_values_are_errors() {
+        // Anything but a non-negative integer, `auto` included, is an
+        // error naming the variable and the value.
+        for bad in ["lots", "nope", "", "auto", "-2", "4x", "3.5"] {
+            let err = threads_from(Some(bad)).unwrap_err();
+            assert!(err.contains("ESVM_THREADS"), "{err}");
+            assert!(err.contains(&format!("{bad:?}")), "{err}");
+        }
     }
 
     #[test]

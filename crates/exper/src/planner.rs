@@ -11,7 +11,7 @@
 use crate::runner::RunError;
 use esvm_analysis::Table;
 use esvm_core::{AllocatorKind, Miec};
-use esvm_par::{par_map, Parallelism};
+use esvm_par::par_map;
 use esvm_workload::WorkloadConfig;
 
 /// One fleet size on the frontier.
@@ -79,16 +79,16 @@ pub struct CapacityPlanner {
     template: WorkloadConfig,
     target: f64,
     seeds: u64,
-    par: Parallelism,
+    threads: usize,
 }
 
 impl CapacityPlanner {
     /// Creates a planner for the given workload template (its server
     /// count is ignored — the sweep overrides it) and admission target.
     ///
-    /// The per-fleet-size evaluation fans its seeds out over the
-    /// [`Parallelism::from_env`] thread policy; override it with
-    /// [`with_parallelism`](Self::with_parallelism). Results are
+    /// The per-fleet-size evaluation fans its seeds out over
+    /// `ESVM_THREADS` worker threads (all cores when unset); override
+    /// the count with [`with_threads`](Self::with_threads). Results are
     /// bit-identical for every thread count.
     ///
     /// # Panics
@@ -109,13 +109,14 @@ impl CapacityPlanner {
             template,
             target,
             seeds,
-            par: Parallelism::from_env(),
+            threads: crate::options::default_threads(),
         }
     }
 
-    /// Overrides the thread policy used to fan seeds out per fleet size.
-    pub fn with_parallelism(mut self, par: Parallelism) -> Self {
-        self.par = par;
+    /// Overrides the number of threads that fan seeds out per fleet
+    /// size.
+    pub fn with_threads(mut self, threads: usize) -> Self {
+        self.threads = threads;
         self
     }
 
@@ -123,7 +124,7 @@ impl CapacityPlanner {
     fn evaluate(&self, servers: usize) -> Result<FrontierPoint, RunError> {
         let config = self.template.clone().with_server_count(servers);
         let seeds: Vec<u64> = (0..self.seeds).collect();
-        let runs = par_map(self.par, &seeds, |_i, &seed| -> Result<_, RunError> {
+        let runs = par_map(self.threads, &seeds, |_i, &seed| -> Result<_, RunError> {
             let problem = config.generate(seed)?;
             let (assignment, rejected) =
                 Miec::new()
@@ -279,11 +280,11 @@ mod tests {
             .vm_types(vec![catalog::VM_TYPES[6]])
             .server_types(vec![catalog::SERVER_TYPES[0]]);
         let seq = CapacityPlanner::new(bad.clone(), 0.9, 4)
-            .with_parallelism(Parallelism::sequential())
+            .with_threads(1)
             .plan(vec![2])
             .unwrap_err();
         let par = CapacityPlanner::new(bad, 0.9, 4)
-            .with_parallelism(Parallelism::new(4))
+            .with_threads(4)
             .plan(vec![2])
             .unwrap_err();
         assert!(matches!(seq, RunError::Generate(_)), "{seq:?}");
@@ -293,12 +294,12 @@ mod tests {
     #[test]
     fn plan_is_independent_of_thread_count() {
         let seq = CapacityPlanner::new(template(), 0.9, 4)
-            .with_parallelism(Parallelism::sequential())
+            .with_threads(1)
             .plan(vec![2, 6, 20])
             .unwrap();
         for threads in [2, 4, 8] {
             let par = CapacityPlanner::new(template(), 0.9, 4)
-                .with_parallelism(Parallelism::new(threads))
+                .with_threads(threads)
                 .plan(vec![2, 6, 20])
                 .unwrap();
             assert_eq!(seq, par, "threads={threads}");

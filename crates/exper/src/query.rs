@@ -338,7 +338,7 @@ fn parse_plan(expr: &str) -> Result<Plan, QueryError> {
                 }
                 // Column-less specs resolve to the trailing default
                 // column, then to the last filter's column — so
-                // `filter pruned gt 100 | agg mean by:shard` means
+                // `filter pruned gt 100 | agg mean by:kind` means
                 // `mean:pruned` — and error only when neither exists.
                 let fallback = default_col.or_else(|| plan.filters.last().map(|f| f.col.clone()));
                 for spec in &mut specs {

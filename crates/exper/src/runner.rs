@@ -3,7 +3,7 @@
 //! Every sweep point of every figure boils down to: generate `k` seeded
 //! workloads, run a set of allocation algorithms on each, audit the
 //! assignments, and aggregate costs and utilizations. [`MonteCarlo`]
-//! does exactly that, fanning seeds out over a scoped thread pool.
+//! does exactly that, fanning seeds out over worker threads.
 //! Results are deterministic: workload generation is seeded by the run
 //! seed, and each algorithm's RNG is seeded by `(run seed, algorithm
 //! index)`, independent of thread scheduling.
@@ -11,7 +11,7 @@
 use esvm_analysis::metrics::mean_energy_reduction_ratio;
 use esvm_analysis::Summary;
 use esvm_core::AllocatorKind;
-use esvm_par::{par_map, Parallelism};
+use esvm_par::par_map;
 use esvm_simcore::AuditReport;
 use esvm_workload::{GenerateError, WorkloadConfig};
 use rand::rngs::StdRng;
@@ -194,9 +194,7 @@ pub fn run_once(
     seed: u64,
 ) -> Result<AuditReport, RunError> {
     let problem = config.generate(seed)?;
-    // Honors `ESVM_THREADS` for the allocator's scoring loops;
-    // placements are bit-identical for every thread count.
-    let allocator = algo.build_with(Parallelism::from_env());
+    let allocator = algo.build();
     let mut rng = algo_rng(seed, 0, algo);
     let assignment = allocator
         .allocate(&problem, &mut rng)
@@ -223,7 +221,7 @@ pub fn run_once_observed<S: esvm_obs::EventSink>(
     let problem = config.generate(seed)?;
     let mut rng = algo_rng(seed, 0, algo);
     let assignment = algo
-        .allocate_observed_with(&problem, &mut rng, sink, metrics, Parallelism::from_env())
+        .allocate_observed(&problem, &mut rng, sink, metrics)
         .map_err(|error| RunError::Alloc { algo, seed, error })?;
     let report = assignment.audit().map_err(RunError::Audit)?;
     metrics.set_gauge("energy.run", report.breakdown.run);
@@ -261,33 +259,17 @@ struct AlgoRun {
 pub struct MonteCarlo {
     /// Seeds `0..seeds` are run.
     pub seeds: u64,
-    /// Worker threads fanning *seeds* out (outer parallelism).
+    /// Worker threads fanning seeds out.
     pub threads: usize,
-    /// Thread-count policy for each allocator's scoring loops (inner
-    /// parallelism). Defaults to the `ESVM_THREADS` policy; results are
-    /// bit-identical for every setting, so the two axes compose freely
-    /// — though at full seed fan-out the outer axis alone usually
-    /// saturates the machine.
-    pub algo_parallelism: Parallelism,
 }
 
 impl MonteCarlo {
-    /// Creates an executor with the given seed count and threads. The
-    /// per-allocator scoring parallelism defaults to
-    /// [`Parallelism::from_env`].
+    /// Creates an executor with the given seed count and threads.
     pub fn new(seeds: u64, threads: usize) -> Self {
         Self {
             seeds,
             threads: threads.max(1),
-            algo_parallelism: Parallelism::from_env(),
         }
-    }
-
-    /// Overrides the thread-count policy of each allocator's scoring
-    /// loops (default: the `ESVM_THREADS` policy).
-    pub fn with_algo_parallelism(mut self, par: Parallelism) -> Self {
-        self.algo_parallelism = par;
-        self
     }
 
     /// Runs every algorithm on every seeded workload and aggregates.
@@ -318,8 +300,8 @@ impl MonteCarlo {
         }
 
         let seeds: Vec<u64> = (0..self.seeds).collect();
-        let outcomes = par_map(Parallelism::new(self.threads), &seeds, |_i, &seed| {
-            match Self::run_seed(config, algos, seed, self.algo_parallelism) {
+        let outcomes = par_map(self.threads, &seeds, |_i, &seed| {
+            match Self::run_seed(config, algos, seed) {
                 Ok(row) => SeedOutcome::Done(row),
                 // An overloaded instance is dropped for every
                 // algorithm, keeping the comparison paired.
@@ -375,14 +357,13 @@ impl MonteCarlo {
         config: &WorkloadConfig,
         algos: &[AllocatorKind],
         seed: u64,
-        par: Parallelism,
     ) -> Result<Vec<AlgoRun>, RunError> {
         let problem = config.generate(seed)?;
         algos
             .iter()
             .enumerate()
             .map(|(index, &algo)| {
-                let allocator = algo.build_with(par);
+                let allocator = algo.build();
                 let mut rng = algo_rng(seed, index, algo);
                 let assignment = allocator
                     .allocate(&problem, &mut rng)
@@ -418,28 +399,6 @@ mod tests {
         let b = MonteCarlo::new(6, 4).compare(&config(), &algos).unwrap();
         assert_eq!(a.costs, b.costs);
         assert_eq!(a.cpu_utilization, b.cpu_utilization);
-    }
-
-    #[test]
-    fn compare_is_independent_of_algo_parallelism() {
-        let algos = [
-            AllocatorKind::Miec,
-            AllocatorKind::MiecLocalSearch,
-            AllocatorKind::Ffps,
-        ];
-        let sequential = MonteCarlo::new(4, 1)
-            .with_algo_parallelism(Parallelism::sequential())
-            .compare(&config(), &algos)
-            .unwrap();
-        for (outer, inner) in [(1usize, 4usize), (2, 2), (4, 4)] {
-            let parallel = MonteCarlo::new(4, outer)
-                .with_algo_parallelism(Parallelism::new(inner))
-                .compare(&config(), &algos)
-                .unwrap();
-            assert_eq!(sequential.costs, parallel.costs, "outer={outer} inner={inner}");
-            assert_eq!(sequential.breakdowns, parallel.breakdowns);
-            assert_eq!(sequential.cpu_utilization, parallel.cpu_utilization);
-        }
     }
 
     #[test]

@@ -110,14 +110,6 @@ pub struct ExplainRecord {
     pub pruned: u64,
     /// Servers that failed the capacity check.
     pub unfit: u64,
-    /// Shards whose ledgers the scan touched (1: every placement scan
-    /// is sequential).
-    pub shards: u64,
-    /// Shards re-scored at commit; always 0, kept in the record schema.
-    pub rescored: u64,
-    /// Shard that owns the winning server; always 0, kept in the
-    /// record schema.
-    pub shard: u64,
     /// Winning server, when the decision placed somewhere.
     pub winner: Option<u64>,
     /// Incremental Eq. 7 cost delta of the winning placement.
@@ -144,9 +136,6 @@ impl ExplainRecord {
             candidates: 0,
             pruned: 0,
             unfit: 0,
-            shards: 0,
-            rescored: 0,
-            shard: 0,
             winner: None,
             delta_cost: 0.0,
             fp_tie: false,
@@ -314,9 +303,8 @@ struct Collected {
 /// and tracks per-span-name duration histograms.
 ///
 /// Like [`MetricsRegistry`](crate::MetricsRegistry) it uses interior
-/// mutability and is not `Sync`: parallel engines trace from the
-/// conductor thread only (where commits are serialised anyway), which
-/// keeps the hot worker loops free of synchronisation.
+/// mutability and is not `Sync`: every traced engine runs on one
+/// thread.
 #[derive(Debug)]
 pub struct CollectingTracer {
     epoch: Instant,
@@ -560,16 +548,12 @@ fn push_explain_fields(out: &mut String, e: &ExplainEntry) {
     let _ = write!(
         out,
         "\"kind\":\"{}\",\"vm\":{},\"candidates\":{},\"pruned\":{},\"unfit\":{},\
-         \"shards\":{},\"rescored\":{},\"shard\":{},\"winner\":{},\"delta\":{},\
-         \"fp_tie\":{}",
+         \"winner\":{},\"delta\":{},\"fp_tie\":{}",
         r.kind.as_str(),
         r.vm,
         r.candidates,
         r.pruned,
         r.unfit,
-        r.shards,
-        r.rescored,
-        r.shard,
         r.winner.map_or("null".to_owned(), |w| w.to_string()),
         json_f64(r.delta_cost),
         r.fp_tie,

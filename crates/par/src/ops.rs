@@ -1,132 +1,71 @@
-//! Deterministic parallel operations built on the pool.
+//! The seed fan-out.
 //!
-//! Both operations guarantee results *identical to the sequential loop*
-//! for every thread count: [`par_map`] writes each result into its
-//! input-index slot, and [`par_min_by`] merges chunk-local minima in
-//! ascending chunk order with the same strict `<` the sequential scans
-//! use — so the argmin, including its lowest-index tie-breaking (the
-//! paper's Eq. 7 rule), is bit-for-bit the sequential answer.
+//! [`par_map`] hands items to worker threads through one atomic cursor,
+//! so a slow item never stalls the others, and writes each result into
+//! its input slot: the output is the sequential map's for every thread
+//! count, whichever thread ran which item.
 
-use crate::config::Parallelism;
-use crate::pool::scope;
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Maps `f` over `items` on the pool, returning results in input order.
+/// Maps `f` over `items` on up to `threads` worker threads, returning
+/// results in input order.
 ///
 /// `f` receives `(index, &item)` so callers can derive per-item state
 /// (an RNG stream, a seed) from the position rather than the thread.
-/// With a sequential [`Parallelism`] this is a plain in-order loop.
+/// With one thread (or `0`, or at most one item) this is a plain
+/// in-order loop on the calling thread. A panic in `f` propagates out
+/// of `par_map` once every worker has stopped.
 ///
 /// # Example
 ///
 /// ```
-/// use esvm_par::{par_map, Parallelism};
-/// let squares = par_map(Parallelism::new(4), &[1u64, 2, 3, 4], |_i, x| x * x);
+/// use esvm_par::par_map;
+/// let squares = par_map(4, &[1u64, 2, 3, 4], |_i, x| x * x);
 /// assert_eq!(squares, vec![1, 4, 9, 16]);
 /// ```
-pub fn par_map<T, R, F>(par: Parallelism, items: &[T], f: F) -> Vec<R>
+pub fn par_map<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    if par.is_sequential() || items.len() <= 1 {
+    let workers = threads.min(items.len());
+    if workers <= 1 {
         return items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
     }
-    let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
-    scope(
-        par,
-        |_chunk, range| {
-            for i in range {
-                let result = f(i, &items[i]);
-                *slots[i].lock().expect("par_map slot poisoned") = Some(result);
-            }
-        },
-        |pool| pool.dispatch(items.len()),
-    );
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("par_map slot poisoned")
-                .expect("par_map slot unfilled")
-        })
-        .collect()
-}
-
-/// Strict-`<` argmin over `score(0..n)`, identical to the sequential
-/// left-to-right fold: the winner is the **lowest index** achieving the
-/// minimum score, and `None`-scored indices are skipped.
-///
-/// Each chunk folds locally with strict `<` (so within a chunk the
-/// lowest index wins ties), then the conductor merges chunk minima in
-/// ascending chunk order, again with strict `<` — equal scores never
-/// displace an earlier winner. NaN scores are skipped like the
-/// sequential scans skip them (`NaN < x` and `x < NaN` are both false).
-///
-/// Returns `(index, score)` of the winner, or `None` if no index
-/// produced a score.
-///
-/// # Example
-///
-/// ```
-/// use esvm_par::{par_min_by, Parallelism};
-/// let scores = [3.0f64, 1.0, 1.0, 2.0];
-/// let best = par_min_by(Parallelism::new(4), scores.len(), |i| Some(scores[i]));
-/// assert_eq!(best, Some((1, 1.0))); // lowest index wins the tie
-/// ```
-pub fn par_min_by<F>(par: Parallelism, n: usize, score: F) -> Option<(usize, f64)>
-where
-    F: Fn(usize) -> Option<f64> + Sync,
-{
-    if par.is_sequential() || n <= 1 {
-        return sequential_min(n, &score);
-    }
-    let (_, n_chunks) = par.chunking(n);
-    let slots: Vec<Mutex<Option<(usize, f64)>>> =
-        (0..n_chunks).map(|_| Mutex::new(None)).collect();
-    scope(
-        par,
-        |chunk, range| {
-            let mut best: Option<(usize, f64)> = None;
-            for i in range {
-                if let Some(s) = score(i) {
-                    if best.is_none_or(|(_, b)| s < b) {
-                        best = Some((i, s));
+    let cursor = AtomicUsize::new(0);
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            // Relaxed: the cursor only hands out indices. Results come
+            // back through `join`, which synchronises with the worker.
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(i) else {
+                return done;
+            };
+            done.push((i, f(i, item)));
+        }
+    };
+    let mut slots: Vec<Option<R>> = std::iter::repeat_with(|| None).take(items.len()).collect();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers).map(|_| scope.spawn(work)).collect();
+        for handle in handles {
+            match handle.join() {
+                Ok(done) => {
+                    for (i, result) in done {
+                        slots[i] = Some(result);
                     }
                 }
-            }
-            *slots[chunk].lock().expect("par_min_by slot poisoned") = best;
-        },
-        |pool| pool.dispatch(n),
-    );
-    // Merge in ascending chunk order: chunk c's indices all precede
-    // chunk c+1's, so strict `<` here reproduces the left-to-right
-    // sequential fold exactly, ties and all.
-    let mut best: Option<(usize, f64)> = None;
-    for slot in slots {
-        if let Some((i, s)) = slot.into_inner().expect("par_min_by slot poisoned") {
-            if best.is_none_or(|(_, b)| s < b) {
-                best = Some((i, s));
+                // The scope joins the remaining workers (they run the
+                // cursor dry) before the panic leaves it.
+                Err(payload) => std::panic::resume_unwind(payload),
             }
         }
-    }
-    best
-}
-
-fn sequential_min<F>(n: usize, score: &F) -> Option<(usize, f64)>
-where
-    F: Fn(usize) -> Option<f64>,
-{
-    let mut best: Option<(usize, f64)> = None;
-    for i in 0..n {
-        if let Some(s) = score(i) {
-            if best.is_none_or(|(_, b)| s < b) {
-                best = Some((i, s));
-            }
-        }
-    }
-    best
+    });
+    slots
+        .into_iter()
+        .map(|slot| slot.expect("every index is claimed exactly once"))
+        .collect()
 }
 
 #[cfg(test)]
@@ -135,52 +74,66 @@ mod tests {
 
     #[test]
     fn par_map_preserves_input_order() {
-        for threads in [1usize, 2, 4, 8] {
-            let items: Vec<u64> = (0..123).collect();
-            let out = par_map(Parallelism::new(threads), &items, |i, x| x * 2 + i as u64);
-            let expected: Vec<u64> = items.iter().enumerate().map(|(i, x)| x * 2 + i as u64).collect();
-            assert_eq!(out, expected, "threads={threads}");
+        for threads in [1usize, 2, 3, 8] {
+            for n in [0u64, 1, 7, 100] {
+                let items: Vec<u64> = (0..n).collect();
+                let expected: Vec<u64> =
+                    items.iter().enumerate().map(|(i, x)| x * 2 + i as u64).collect();
+                let out = par_map(threads, &items, |i, x| x * 2 + i as u64);
+                assert_eq!(out, expected, "threads={threads} n={n}");
+            }
         }
     }
 
     #[test]
     fn par_map_handles_empty_and_singleton() {
         let empty: Vec<u32> = Vec::new();
-        assert!(par_map(Parallelism::new(4), &empty, |_i, x| *x).is_empty());
-        assert_eq!(par_map(Parallelism::new(4), &[7u32], |_i, x| *x), vec![7]);
+        assert!(par_map(4, &empty, |_i, x| *x).is_empty());
+        assert_eq!(par_map(4, &[7u32], |_i, x| *x), vec![7]);
+        // Zero threads is the sequential loop, not a hang.
+        assert_eq!(par_map(0, &[1u32, 2], |_i, x| *x), vec![1, 2]);
     }
 
     #[test]
-    fn par_min_by_matches_sequential_fold() {
-        let scores: Vec<f64> = (0..500)
-            .map(|i| ((i * 2654435761u64 as usize) % 997) as f64 / 7.0)
-            .collect();
-        let expected = sequential_min(scores.len(), &|i| Some(scores[i]));
-        for threads in [1usize, 2, 3, 4, 8] {
-            let got = par_min_by(Parallelism::new(threads), scores.len(), |i| Some(scores[i]));
-            assert_eq!(got, expected, "threads={threads}");
-        }
+    fn a_slow_item_does_not_hold_back_the_rest() {
+        // Item 0 waits until every other item is done. Only a shared
+        // cursor lets that finish: a fixed split would strand item 0's
+        // block behind it.
+        use std::time::{Duration, Instant};
+        let done = AtomicUsize::new(0);
+        let items: Vec<u64> = (0..16).collect();
+        let out = par_map(2, &items, |i, x| {
+            if i == 0 {
+                let deadline = Instant::now() + Duration::from_secs(10);
+                while done.load(Ordering::SeqCst) < items.len() - 1 {
+                    assert!(Instant::now() < deadline, "the other items never ran");
+                    std::thread::yield_now();
+                }
+            } else {
+                done.fetch_add(1, Ordering::SeqCst);
+            }
+            x + 1
+        });
+        assert_eq!(out, (1..17).collect::<Vec<u64>>());
     }
 
     #[test]
-    fn par_min_by_lowest_index_wins_ties() {
-        // Exact FP duplicates — the tie rule must pick index 3, the
-        // first occurrence, under every thread count.
-        let scores = [9.0f64, 8.5, 9.0, 1.25, 7.0, 1.25, 1.25, 2.0];
-        for threads in [1usize, 2, 4, 8] {
-            let got = par_min_by(Parallelism::new(threads), scores.len(), |i| Some(scores[i]));
-            assert_eq!(got, Some((3, 1.25)), "threads={threads}");
+    fn a_panic_in_f_propagates() {
+        for threads in [1usize, 2, 8] {
+            let items: Vec<u32> = (0..50).collect();
+            let caught = std::panic::catch_unwind(|| {
+                par_map(threads, &items, |_i, &x| {
+                    assert!(x != 17, "item 17 fails");
+                    x
+                })
+            });
+            let payload = caught.expect_err("the panic must reach the caller");
+            let message = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| payload.downcast_ref::<&str>().copied())
+                .unwrap_or_default();
+            assert!(message.contains("item 17 fails"), "threads={threads}: {message:?}");
         }
-    }
-
-    #[test]
-    fn par_min_by_skips_none_and_handles_all_none() {
-        let scores = [None, Some(4.0f64), None, Some(3.0), None];
-        for threads in [1usize, 2, 4] {
-            let got = par_min_by(Parallelism::new(threads), scores.len(), |i| scores[i]);
-            assert_eq!(got, Some((3, 3.0)), "threads={threads}");
-        }
-        let got = par_min_by(Parallelism::new(4), 10, |_i| None);
-        assert_eq!(got, None);
     }
 }

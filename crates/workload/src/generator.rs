@@ -5,7 +5,7 @@ use crate::catalog::{self, ServerType, VmType};
 use crate::dist::Exponential;
 use crate::esvt::EsvtWriter;
 use crate::trace::TraceError;
-use esvm_simcore::{AllocationProblem, Interval, ServerSpec, Vm, VmId};
+use esvm_simcore::{AllocationProblem, Interval, ServerSpec, Vm, VmId, MAX_TIME};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
@@ -27,6 +27,11 @@ pub enum GenerateError {
     Invalid(esvm_simcore::Error),
     /// Writing a streamed trace failed.
     Trace(TraceError),
+    /// A parameter is out of range: a mean that is not finite and
+    /// positive, a transition time that is negative or makes some `α`
+    /// infinite, or a VM interval ending past
+    /// [`MAX_TIME`](esvm_simcore::MAX_TIME).
+    BadParameter(String),
 }
 
 impl fmt::Display for GenerateError {
@@ -38,6 +43,7 @@ impl fmt::Display for GenerateError {
             }
             GenerateError::Invalid(e) => write!(f, "generated instance is invalid: {e}"),
             GenerateError::Trace(e) => write!(f, "streamed trace write failed: {e}"),
+            GenerateError::BadParameter(msg) => write!(f, "{msg}"),
         }
     }
 }
@@ -204,7 +210,9 @@ impl WorkloadConfig {
     /// [`GenerateError::BadWeights`] if the weight vector's arity or
     /// values are invalid;
     /// [`GenerateError::Invalid`] if some VM type fits no server type in
-    /// the configuration (e.g. memory-intensive VMs on server types 1–3).
+    /// the configuration (e.g. memory-intensive VMs on server types 1–3);
+    /// [`GenerateError::BadParameter`] for an out-of-range mean or
+    /// transition time, or an instance longer than the time axis.
     pub fn generate(&self, seed: u64) -> Result<AllocationProblem, GenerateError> {
         self.generate_with(seed, &mut Vec::new())
     }
@@ -225,6 +233,7 @@ impl WorkloadConfig {
         seed: u64,
         arrival_buf: &mut Vec<u32>,
     ) -> Result<AllocationProblem, GenerateError> {
+        self.check_parameters()?;
         let cumulative = self.weight_cdf()?;
         let mut rng = StdRng::seed_from_u64(seed);
 
@@ -250,11 +259,36 @@ impl WorkloadConfig {
                     }
                 };
                 let ty = self.vm_types[idx];
-                Vm::new(j as u32, ty.demand(), Interval::with_len(start, len))
+                Ok(Vm::new(j as u32, ty.demand(), vm_interval(start, len)?))
             })
-            .collect();
+            .collect::<Result<_, GenerateError>>()?;
 
         Ok(AllocationProblem::new(servers, vms)?)
+    }
+
+    /// Rejects the parameters the samplers and [`ServerSpec::new`]
+    /// would panic on.
+    fn check_parameters(&self) -> Result<(), GenerateError> {
+        let positive = |x: f64| x.is_finite() && x > 0.0;
+        if self.arrivals.is_none() && !positive(self.mean_interarrival) {
+            return Err(GenerateError::BadParameter(format!(
+                "mean inter-arrival must be finite and positive, got {:?}",
+                self.mean_interarrival
+            )));
+        }
+        if !positive(self.mean_duration) {
+            return Err(GenerateError::BadParameter(format!(
+                "mean duration must be finite and positive, got {:?}",
+                self.mean_duration
+            )));
+        }
+        let t = self.transition_time;
+        if !(t >= 0.0 && self.server_types.iter().all(|s| (s.p_peak * t).is_finite())) {
+            return Err(GenerateError::BadParameter(format!(
+                "transition time must be non-negative and keep every α = P_peak · t finite, got {t:?}"
+            )));
+        }
+        Ok(())
     }
 
     /// Validates the catalogs and turns the optional VM type weights
@@ -319,6 +353,7 @@ impl WorkloadConfig {
         seed: u64,
         mut sink: impl FnMut(&Vm) -> Result<(), GenerateError>,
     ) -> Result<(), GenerateError> {
+        self.check_parameters()?;
         let cumulative = self.weight_cdf()?;
         if self.server_count == 0 {
             return Err(GenerateError::Invalid(esvm_simcore::Error::NoServers));
@@ -370,8 +405,9 @@ impl WorkloadConfig {
                 return;
             }
             let ty = self.vm_types[idx];
-            let vm = Vm::new(j, ty.demand(), Interval::with_len(start, len));
-            if let Err(e) = sink(&vm) {
+            let result = vm_interval(start, len)
+                .and_then(|interval| sink(&Vm::new(j, ty.demand(), interval)));
+            if let Err(e) = result {
                 failure = Some(e);
             }
             j += 1;
@@ -394,7 +430,8 @@ impl WorkloadConfig {
     /// As [`WorkloadConfig::stream_generate`], plus
     /// [`GenerateError::Trace`] if the sink fails.
     pub fn generate_esvt<W: Write>(&self, seed: u64, out: W) -> Result<W, GenerateError> {
-        // Catalog/weight validation must precede any header write.
+        // Parameter and catalog validation must precede any header write.
+        self.check_parameters()?;
         self.weight_cdf()?;
         let servers = self.build_servers();
         let mut w = EsvtWriter::new(out, &servers, self.vm_count as u64)?;
@@ -414,6 +451,17 @@ impl WorkloadConfig {
         out.flush()
             .map_err(|e| GenerateError::Trace(TraceError::Io(e.to_string())))?;
         Ok(())
+    }
+}
+
+/// The interval `[start, start + len − 1]`, or an error when its end
+/// passes [`MAX_TIME`] (huge means saturate the samplers at `u32::MAX`).
+fn vm_interval(start: u32, len: u32) -> Result<Interval, GenerateError> {
+    match start.checked_add(len - 1) {
+        Some(end) if end <= MAX_TIME => Ok(Interval::new(start, end)),
+        _ => Err(GenerateError::BadParameter(format!(
+            "a VM starting at {start} for {len} units ends past the time axis bound {MAX_TIME}"
+        ))),
     }
 }
 
@@ -649,6 +697,32 @@ mod tests {
         for (i, s) in p.servers().iter().enumerate() {
             let t = &catalog::server_types()[i % 5];
             assert_eq!(s.transition_cost(), t.p_peak * 3.0);
+        }
+    }
+
+    #[test]
+    fn out_of_range_parameters_are_typed_errors() {
+        let base = WorkloadConfig::new(12, 6);
+        let bad = [
+            base.clone().mean_interarrival(0.0),
+            base.clone().mean_interarrival(f64::NAN),
+            base.clone().mean_interarrival(f64::INFINITY),
+            base.clone().mean_duration(-1.0),
+            base.clone().mean_duration(f64::INFINITY),
+            base.clone().transition_time(-1.0),
+            base.clone().transition_time(f64::NAN),
+            // α = P_peak · t overflows to infinity.
+            base.clone().transition_time(1e308),
+            // Finite means whose samples run past the u32 time axis.
+            base.clone().mean_interarrival(1e308),
+            base.clone().mean_duration(1e308),
+        ];
+        for config in bad {
+            let ctx = format!("{config:?}");
+            let err = config.generate(0).unwrap_err();
+            assert!(matches!(err, GenerateError::BadParameter(_)), "{ctx}: {err}");
+            let err = config.generate_esvt(0, Vec::new()).unwrap_err();
+            assert!(matches!(err, GenerateError::BadParameter(_)), "{ctx}: {err}");
         }
     }
 }

@@ -23,8 +23,9 @@
 //!   from-scratch simplex + branch-and-bound solver for certification;
 //! * [`workload`] — Poisson/exponential workload generation and the
 //!   EC2-derived Table I / Table II catalogs;
-//! * [`par`] — the deterministic scoped thread pool behind every
-//!   parallel scoring loop (bit-identical results per thread count);
+//! * [`par`] — the seed fan-out: a positional parallel map that runs
+//!   Monte-Carlo and capacity-planner seeds on worker threads (results
+//!   identical for every thread count; every allocator is sequential);
 //! * [`analysis`] — statistics, the paper's Adj.R² curve fits, tables;
 //! * [`exper`] — the harness reproducing every figure and table.
 //!
@@ -76,7 +77,6 @@ pub use esvm_core::{
 };
 pub use esvm_exper::{ExpOptions, Figure, MonteCarlo, Series};
 pub use esvm_ilp::Formulation;
-pub use esvm_par::Parallelism;
 pub use esvm_simcore::{
     replay, AllocationProblem, Assignment, AuditReport, EnergyBreakdown, Interval, PowerModel,
     PowerTrace, ProblemBuilder, Resources, Schedule, ScheduleAudit, ServerId, ServerLedger,

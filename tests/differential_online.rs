@@ -4,8 +4,8 @@
 //! Three contracts make `esvm serve` trustworthy:
 //!
 //! 1. **Determinism** — the online greedy is sequential by
-//!    construction, so its placement must be bit-identical across
-//!    thread counts (`ESVM_THREADS` is a no-op for it) and across
+//!    construction (`ESVM_THREADS` only sizes the seed fan-out, which
+//!    it never enters), so its placement must be bit-identical across
 //!    repeated runs.
 //! 2. **Source blindness** — a problem streamed from an ESVT trace
 //!    must produce the same decisions as the same problem
@@ -16,7 +16,7 @@
 //!    competitive ratio is ≥ 1 on every seed, not just on average.
 
 use esvm::workload::{esvt, trace};
-use esvm::{Allocator, AllocatorKind, LocalSearch, Miec, Parallelism, WorkloadConfig};
+use esvm::{Allocator, AllocatorKind, LocalSearch, Miec, WorkloadConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -39,31 +39,23 @@ fn config() -> WorkloadConfig {
 fn online_greedy_is_thread_count_blind_and_rerun_stable() {
     for seed in 0..SEEDS {
         let problem = config().generate(seed).expect("generation is feasible");
-        let oracle = KIND
-            .build_with(Parallelism::sequential())
-            .allocate(&problem, &mut rng_for(seed));
-        for threads in [1usize, 4] {
-            // Two runs per thread count: one against the oracle, one
-            // for plain rerun determinism.
-            for round in 0..2 {
-                let rerun = KIND
-                    .build_with(Parallelism::new(threads))
-                    .allocate(&problem, &mut rng_for(seed));
-                let ctx = format!("seed {seed} threads {threads} round {round}");
-                match (&oracle, &rerun) {
-                    (Ok(a), Ok(b)) => {
-                        assert_eq!(a.placement(), b.placement(), "{ctx}: placement");
-                        assert_eq!(
-                            a.total_cost().to_bits(),
-                            b.total_cost().to_bits(),
-                            "{ctx}: total cost"
-                        );
-                    }
-                    (Err(a), Err(b)) => {
-                        assert_eq!(format!("{a:?}"), format!("{b:?}"), "{ctx}: error");
-                    }
-                    (a, b) => panic!("{ctx}: feasibility disagrees: {a:?} vs {b:?}"),
+        let oracle = KIND.build().allocate(&problem, &mut rng_for(seed));
+        for round in 0..2 {
+            let rerun = KIND.build().allocate(&problem, &mut rng_for(seed));
+            let ctx = format!("seed {seed} round {round}");
+            match (&oracle, &rerun) {
+                (Ok(a), Ok(b)) => {
+                    assert_eq!(a.placement(), b.placement(), "{ctx}: placement");
+                    assert_eq!(
+                        a.total_cost().to_bits(),
+                        b.total_cost().to_bits(),
+                        "{ctx}: total cost"
+                    );
                 }
+                (Err(a), Err(b)) => {
+                    assert_eq!(format!("{a:?}"), format!("{b:?}"), "{ctx}: error");
+                }
+                (a, b) => panic!("{ctx}: feasibility disagrees: {a:?} vs {b:?}"),
             }
         }
     }
