@@ -16,6 +16,13 @@
 //! path is certified against (the same pattern PR 1 used for MIEC), and
 //! the relocate scan prunes spec-class-symmetric asleep targets and can
 //! optionally visit targets in cached-cost order.
+//!
+//! Rejected evaluations are reused. Only an accepted move changes a
+//! host, so a relocate target or swap pair whose hosts are all
+//! unchanged since that VM's previous scan is skipped: it was rejected
+//! then on identical bits. Fit verdicts are cached per (server, VM)
+//! until the server changes, and time-disjoint swap pairs read them,
+//! since a VM leaving frees nothing outside its own interval.
 
 use crate::classes::spec_classes;
 use crate::{AllocError, AllocResult, Allocator};
@@ -130,13 +137,14 @@ fn pair_mut(hosts: &mut [Host], a: usize, b: usize) -> (&mut Host, &mut Host) {
 /// Exact cost change on one swap side: `leaving` departs and `incoming`
 /// arrives on `host`. When the two intervals' influence regions on the
 /// current segment set are disjoint, the removal and insertion deltas
-/// are exactly additive and the score is pure arithmetic; otherwise the
-/// ledger is probed transiently (unhost, score, rehost — integer state
-/// round-trips exactly, the float accumulator is checkpointed).
+/// are exactly additive and the score is pure arithmetic; otherwise
+/// [`ServerLedger::replacement_delta`] scores the insertion on the
+/// segments `leaving` leaves behind and restores them exactly. Either
+/// way the ledger is bit-identical afterwards.
 ///
 /// The boolean reports which path evaluated the side (`true` = the
 /// influence-region fast path), so instrumented callers can count
-/// fast-path hits vs checkpointed probe rollbacks.
+/// fast-path hits vs replacement probes.
 fn swap_side_delta(host: &mut Host, leaving: &Vm, incoming: &Vm) -> (f64, bool) {
     let segments = host.ledger.segments();
     let independent = !segments
@@ -148,12 +156,71 @@ fn swap_side_delta(host: &mut Host, leaving: &Vm, incoming: &Vm) -> (f64, bool) 
             true,
         )
     } else {
-        let checkpoint = host.ledger.checkpoint();
-        let dec = host.ledger.unhost(leaving);
-        let inc = host.ledger.incremental_cost(incoming);
-        host.ledger.host(leaving);
-        host.ledger.restore_costs(checkpoint);
-        (inc - dec, false)
+        (host.ledger.replacement_delta(leaving, incoming), false)
+    }
+}
+
+/// What the search may reuse from its earlier, rejected evaluations.
+///
+/// A host changes only when a move is accepted: fit checks and scoring
+/// read the ledgers, and swap probes restore them bit for bit. So an
+/// evaluation whose hosts are all unchanged since it last ran would
+/// rerun on identical bits. The clock ticks once per accepted move and
+/// each host keeps the clock value of its last change; a relocate scan
+/// or swap row records the clock at which it began, and a host is
+/// unchanged since then when its stamp is not later.
+struct Reuse {
+    clock: u64,
+    /// Per host, the clock value of its last change (1: the start
+    /// placement; scan stamps start at 0, "never ran").
+    changed: Vec<u64>,
+    vm_count: usize,
+    /// `hosts[s].fits(vm j)` at `s * vm_count + j`, one byte each,
+    /// `None` until computed; a host's row is cleared when it changes.
+    verdicts: Vec<Option<bool>>,
+    /// Fit verdicts computed (not read back from `verdicts`).
+    fit_checks: u64,
+}
+
+impl Reuse {
+    fn new(servers: usize, vms: usize) -> Self {
+        Self {
+            clock: 1,
+            changed: vec![1; servers],
+            vm_count: vms,
+            verdicts: vec![None; servers * vms],
+            fit_checks: 0,
+        }
+    }
+
+    /// Whether host `s` is unchanged since a scan that began at `since`.
+    fn unchanged(&self, s: usize, since: u64) -> bool {
+        self.changed[s] <= since
+    }
+
+    /// Records an accepted move that changed hosts `a` and `b`.
+    fn record_move(&mut self, a: usize, b: usize) {
+        self.clock += 1;
+        for s in [a, b] {
+            self.changed[s] = self.clock;
+            self.verdicts[s * self.vm_count..(s + 1) * self.vm_count].fill(None);
+        }
+    }
+
+    /// `host.fits(vm)` for host `s` and VM index `j`, computed at most
+    /// once per host state.
+    fn fits(&mut self, host: &Host, s: usize, j: usize, vm: &Vm) -> bool {
+        let slot = &mut self.verdicts[s * self.vm_count + j];
+        *slot.get_or_insert_with(|| {
+            self.fit_checks += 1;
+            host.fits(vm)
+        })
+    }
+
+    /// `host.ledger.fits_replacing(incoming, leaving)`, counted.
+    fn fits_replacing(&mut self, host: &Host, incoming: &Vm, leaving: &Vm) -> bool {
+        self.fit_checks += 1;
+        host.ledger.fits_replacing(incoming, leaving)
     }
 }
 
@@ -237,7 +304,9 @@ impl LocalSearch {
 
     /// The seed's clone-and-rescan evaluation, retained as the oracle
     /// the delta-scored path is verified against (tests and the
-    /// `local_search` bench). Functionally equivalent to
+    /// `local_search` bench). It evaluates every candidate move, with no
+    /// reuse of rejected evaluations and no fit-verdict cache.
+    /// Functionally equivalent to
     /// [`LocalSearch::new`] up to certified floating-point score ties;
     /// an order of magnitude slower.
     pub fn reference() -> Self {
@@ -291,9 +360,10 @@ impl LocalSearch {
 
     /// [`LocalSearch::refine_traced`] with observability: every accepted
     /// move is emitted as a `local_search.relocate` / `local_search.swap`
-    /// event, and the scan tallies (moves considered / accepted /
-    /// rejected, spec-class pruned targets, influence-region fast-path
-    /// hits vs checkpointed probe rollbacks) land in `metrics`. With the
+    /// event, and the scan tallies (moves scored / accepted / rejected,
+    /// evaluations reused from an earlier rejection, fit verdicts
+    /// computed, spec-class pruned targets, influence-region fast-path
+    /// hits vs replacement probes) land in `metrics`. With the
     /// default [`NoopSink`] the instrumentation compiles away and this
     /// *is* the uninstrumented search.
     ///
@@ -314,8 +384,8 @@ impl LocalSearch {
     /// `local_search.round` child per improvement round, and every
     /// accepted move emits a [`DecisionKind::Relocate`] /
     /// [`DecisionKind::Swap`] explain record (winner, source server,
-    /// delta, and — for relocates — candidates scanned and pruned-by-
-    /// class counts). With [`NoopTracer`] this *is*
+    /// delta, and — for relocates — the targets scored in this scan and
+    /// the pruned-by-class count). With [`NoopTracer`] this *is*
     /// [`LocalSearch::refine_observed`], instruction for instruction.
     ///
     /// # Errors
@@ -354,12 +424,19 @@ impl LocalSearch {
         // Target visit order; stays the identity unless ordered_targets.
         let mut order: Vec<usize> = (0..hosts.len()).collect();
         let mut moves: Vec<SearchMove> = Vec::new();
+        // Reuse of rejected evaluations (off on the reference path): the
+        // clock at which each VM's relocate scan and swap row last began.
+        let mut reuse = Reuse::new(hosts.len(), problem.vm_count());
+        let mut relocate_since: Vec<u64> = vec![0; problem.vm_count()];
+        let mut swap_since: Vec<u64> = vec![0; problem.vm_count()];
         // Hot-loop tallies; flushed to `metrics` once after the search.
         let mut rounds = 0u64;
         let mut relocates_considered = 0u64;
         let mut relocates_accepted = 0u64;
+        let mut relocates_reused = 0u64;
         let mut swaps_considered = 0u64;
         let mut swaps_accepted = 0u64;
+        let mut swaps_reused = 0u64;
         let mut pruned_targets = 0u64;
         let mut fastpath_hits = 0u64;
         let mut probe_rollbacks = 0u64;
@@ -394,12 +471,19 @@ impl LocalSearch {
                     });
                 }
                 scan += 1;
+                // The last scan of this VM accepted nothing if its source
+                // is unchanged since, so it rejected every non-empty
+                // target that is unchanged too.
+                let since = std::mem::replace(&mut relocate_since[j], reuse.clock);
+                let settled = !self.reference && reuse.unchanged(src.index(), since);
                 for &i in &order {
                     let dst = ServerId(i as u32);
                     if dst == src {
                         continue;
                     }
                     if prune && hosts[i].vms.is_empty() {
+                        // Asleep targets are never reused: which member of
+                        // a class gets scored can change between scans.
                         let class = classes.class_of[i];
                         if class_seen[class] == scan {
                             // A cheaper-or-equal asleep twin of the same
@@ -410,8 +494,18 @@ impl LocalSearch {
                             continue;
                         }
                         class_seen[class] = scan;
+                    } else if settled && reuse.unchanged(i, since) {
+                        if S::ENABLED {
+                            relocates_reused += 1;
+                        }
+                        continue;
                     }
-                    if !hosts[i].fits(&vm) {
+                    let fits = if self.reference {
+                        hosts[i].fits(&vm)
+                    } else {
+                        reuse.fits(&hosts[i], i, j, &vm)
+                    };
+                    if !fits {
                         continue;
                     }
                     let delta = if self.reference {
@@ -425,6 +519,7 @@ impl LocalSearch {
                     if delta < -1e-9 {
                         let v = hosts[src.index()].remove(vm.id());
                         hosts[i].add(v);
+                        reuse.record_move(src.index(), i);
                         location[j] = dst;
                         moves.push(SearchMove::Relocate {
                             vm: vm.id(),
@@ -471,9 +566,21 @@ impl LocalSearch {
             // Swap moves.
             if self.enable_swaps {
                 for a in 0..problem.vm_count() {
+                    // While `a` has not moved since its last row began
+                    // (which then accepted nothing), that row rejected
+                    // every pair whose other host is unchanged too.
+                    let since = std::mem::replace(&mut swap_since[a], reuse.clock);
+                    let mut settled =
+                        !self.reference && reuse.unchanged(location[a].index(), since);
                     for b in (a + 1)..problem.vm_count() {
                         let (sa, sb) = (location[a], location[b]);
                         if sa == sb {
+                            continue;
+                        }
+                        if settled && reuse.unchanged(sb.index(), since) {
+                            if S::ENABLED {
+                                swaps_reused += 1;
+                            }
                             continue;
                         }
                         let va = problem.vms()[a];
@@ -490,9 +597,17 @@ impl LocalSearch {
                                 + (hb.cost_replacing(&va, vb.id()) - hb.reference_cost())
                         } else {
                             let (ha, hb) = pair_mut(&mut hosts, sa.index(), sb.index());
-                            if !ha.ledger.fits_replacing(&vb, &va)
-                                || !hb.ledger.fits_replacing(&va, &vb)
-                            {
+                            let fits = if va.interval().overlaps(vb.interval()) {
+                                reuse.fits_replacing(ha, &vb, &va)
+                                    && reuse.fits_replacing(hb, &va, &vb)
+                            } else {
+                                // The leaving VM frees no time unit the
+                                // incoming one needs: `fits_replacing` is
+                                // exactly `fits`.
+                                reuse.fits(ha, sa.index(), b, &vb)
+                                    && reuse.fits(hb, sb.index(), a, &va)
+                            };
+                            if !fits {
                                 continue;
                             }
                             let (da, fast_a) = swap_side_delta(ha, &va, &vb);
@@ -516,6 +631,8 @@ impl LocalSearch {
                             let vb_owned = hosts[sb.index()].remove(vb.id());
                             hosts[sa.index()].add(vb_owned);
                             hosts[sb.index()].add(va_owned);
+                            reuse.record_move(sa.index(), sb.index());
+                            settled = false;
                             location[a] = sb;
                             location[b] = sa;
                             moves.push(SearchMove::Swap {
@@ -573,9 +690,12 @@ impl LocalSearch {
                 "local_search.relocates_rejected",
                 relocates_considered - relocates_accepted,
             );
+            metrics.add("local_search.relocates_reused", relocates_reused);
             metrics.add("local_search.swaps_considered", swaps_considered);
             metrics.add("local_search.swaps_accepted", swaps_accepted);
             metrics.add("local_search.swaps_rejected", swaps_considered - swaps_accepted);
+            metrics.add("local_search.swaps_reused", swaps_reused);
+            metrics.add("local_search.fit_checks", reuse.fit_checks);
             metrics.add("local_search.spec_class_pruned", pruned_targets);
             metrics.add("local_search.swap_fastpath_hits", fastpath_hits);
             metrics.add("local_search.swap_probe_rollbacks", probe_rollbacks);
@@ -743,6 +863,10 @@ mod tests {
             metrics.counter("local_search.relocates_considered")
                 >= metrics.counter("local_search.relocates_accepted")
         );
+        // The last round re-meets pairs an earlier round rejected on
+        // hosts nothing has changed since: the reuse path must run.
+        assert!(metrics.counter("local_search.swaps_reused") > 0);
+        assert!(metrics.counter("local_search.fit_checks") > 0);
         let h = metrics.histogram("local_search.accepted_delta").unwrap();
         assert_eq!(h.count, moves.len() as u64);
         assert!(h.min > 0.0, "accepted improvements are recorded as positive gains");

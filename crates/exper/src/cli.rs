@@ -74,6 +74,7 @@ commands:
   compare           one Monte-Carlo comparison at explicit parameters
   exact             certify heuristics against the exact ILP optimum
   timeline          replay one instance and chart power / active servers
+                    (horizons over 1000000 time units are refused)
   gen               generate a workload and write it as a trace file
                     (--out x.esvt streams the binary columnar format)
   solve             load a trace file (text or ESVT) and compare
@@ -1184,6 +1185,11 @@ fn run_chaos_live(
     Ok(out)
 }
 
+/// Longest horizon `esvm timeline` renders. `replay` keeps three
+/// per-time-unit series (about 28 bytes a unit with the chart's copy),
+/// so this caps one replay near 28 MB.
+const TIMELINE_MAX_HORIZON: u32 = 1_000_000;
+
 fn run_timeline(flags: &Flags) -> Result<String, CliError> {
     use esvm_analysis::chart::strip;
     use esvm_simcore::replay;
@@ -1195,6 +1201,14 @@ fn run_timeline(flags: &Flags) -> Result<String, CliError> {
     let problem = config
         .generate(seed)
         .map_err(|e| CliError::Run(RunError::Generate(e)))?;
+    if problem.horizon() > TIMELINE_MAX_HORIZON {
+        return Err(CliError::Usage(format!(
+            "timeline: the instance's horizon is {} time units, over the \
+             {TIMELINE_MAX_HORIZON}-unit limit of the per-unit replay; use fewer VMs \
+             or a shorter --interarrival / --duration\n\n{USAGE}",
+            problem.horizon()
+        )));
+    }
     let algos = flags
         .algos
         .clone()
@@ -1884,6 +1898,19 @@ mod tests {
         assert!(out.contains("admission"), "{out}");
         let err = run(&args(&["plan", "--target", "1.5"])).unwrap_err();
         assert!(matches!(err, CliError::Usage(_)));
+    }
+
+    #[test]
+    fn timeline_refuses_a_horizon_over_its_cap() {
+        // This instance's horizon is about 2.4e9 units, tens of GB of
+        // per-unit series; the cap is checked before any allocator or
+        // replay runs.
+        let err = run(&args(&["timeline", "--vms", "10", "--duration", "1e9"])).unwrap_err();
+        let CliError::Usage(msg) = err else {
+            panic!("expected a usage error, got {err:?}");
+        };
+        assert!(msg.contains("1000000-unit limit"), "{msg}");
+        assert!(msg.contains("horizon is"), "{msg}");
     }
 
     #[test]

@@ -520,6 +520,28 @@ impl ServerLedger {
         self.usage.fits(interval, demand, self.spec.capacity())
     }
 
+    /// Cost change if `leaving` (hosted here) were replaced by
+    /// `incoming`: [`ServerLedger::incremental_cost`] of `incoming` on the
+    /// segments left once `leaving`'s exclusive runs are gone, minus
+    /// [`ServerLedger::decremental_cost`] of `leaving`. Bit for bit what
+    /// an `unhost(leaving)` / `incremental_cost(incoming)` /
+    /// `host(leaving)` probe returns, without touching the usage profile
+    /// or the cost caches: only the segment set is edited, and putting
+    /// the runs back restores it exactly (a canonical set is determined
+    /// by the time units it covers), so the ledger is bit-identical
+    /// afterwards. Does not check capacity.
+    pub fn replacement_delta(&mut self, leaving: &Vm, incoming: &Vm) -> f64 {
+        let dec = self.decremental_cost(leaving);
+        for run in self.coverage.exclusive_runs(leaving.interval()) {
+            self.segments.remove(run);
+        }
+        let inc = self.incremental_cost(incoming);
+        for run in self.coverage.exclusive_runs(leaving.interval()) {
+            self.segments.insert(run);
+        }
+        inc - dec
+    }
+
     /// Whether `incoming` would fit if `outgoing` (hosted here) left
     /// first — the swap feasibility check, evaluated in one pass over the
     /// usage breakpoints with no clone.

@@ -461,3 +461,109 @@ proptest! {
         }
     }
 }
+
+/// A demand with fractional components, so usage sums carry rounding.
+fn fractional(cpu: u32, mem: u32) -> Resources {
+    Resources::new(f64::from(cpu) * 0.35, f64::from(mem) * 0.85)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// For time-disjoint intervals, "does b fit once a leaves" is exactly
+    /// "does b fit": the freed interval never covers a piece of b's. The
+    /// local search reads swap feasibility of such pairs from its cached
+    /// `fits` verdicts on this identity.
+    #[test]
+    fn fits_replacing_is_fits_for_disjoint_intervals(
+        entries in proptest::collection::vec((arb_interval(), 1u32..8, 1u32..8, 0u32..4), 0..12),
+        leaving in (arb_interval(), 1u32..8, 1u32..8),
+        incoming in (0u32..30, 1u32..30, 1u32..8, 1u32..8, 0u32..2),
+        cap in (4u32..24, 4u32..24),
+    ) {
+        let capacity = Resources::new(f64::from(cap.0), f64::from(cap.1));
+        let mut profile = UsageProfile::new();
+        let mut added: Vec<(Interval, Resources)> = Vec::new();
+        for (iv, cpu, mem, action) in entries {
+            if action == 0 {
+                if let Some((iv, demand)) = added.pop() {
+                    profile.remove(iv, demand);
+                }
+            } else {
+                profile.add(iv, fractional(cpu, mem));
+                added.push((iv, fractional(cpu, mem)));
+            }
+        }
+        let (ia, a_cpu, a_mem) = leaving;
+        let da = fractional(a_cpu, a_mem);
+        profile.add(ia, da);
+        let (gap, len, b_cpu, b_mem, before) = incoming;
+        let ib = if before == 1 && ia.start() > gap + len {
+            Interval::with_len(ia.start() - gap - len, len)
+        } else {
+            Interval::with_len(ia.end() + 1 + gap, len)
+        };
+        prop_assert!(!ia.overlaps(ib));
+        let db = fractional(b_cpu, b_mem);
+        prop_assert_eq!(
+            profile.fits_replacing(ib, db, ia, da, capacity),
+            profile.fits(ib, db, capacity)
+        );
+    }
+
+    /// `replacement_delta` returns, bit for bit, what the swap probe it
+    /// replaces returned (checkpoint, unhost the leaving VM, score the
+    /// incoming one, host the leaving VM back, restore), and leaves the
+    /// whole ledger as it found it.
+    #[test]
+    fn replacement_delta_matches_the_probe_and_leaves_the_ledger_unchanged(
+        spec in arb_spec(),
+        history in proptest::collection::vec((arb_interval(), 1u32..4, 1u32..4, 0u32..4), 1..16),
+        pick in 0usize..16,
+        incoming in (arb_interval(), 1u32..4, 1u32..4),
+    ) {
+        let mut ledger = ServerLedger::new(spec);
+        let mut resident: Vec<Vm> = Vec::new();
+        for (j, (iv, cpu, mem, action)) in history.into_iter().enumerate() {
+            let vm = Vm::new(j as u32, fractional(cpu, mem), iv);
+            if action == 0 && !resident.is_empty() {
+                let victim = resident.remove(j % resident.len());
+                ledger.unhost(&victim);
+            } else if ledger.fits(&vm) {
+                ledger.host(&vm);
+                resident.push(vm);
+            }
+        }
+        if resident.is_empty() {
+            return Ok(());
+        }
+        let leaving = resident[pick % resident.len()];
+        let (iv, cpu, mem) = incoming;
+        let incoming = Vm::new(99, fractional(cpu, mem), iv);
+
+        let mut probe = ledger.clone();
+        let checkpoint = probe.checkpoint();
+        let dec = probe.unhost(&leaving);
+        let inc = probe.incremental_cost(&incoming);
+        probe.host(&leaving);
+        probe.restore_costs(checkpoint);
+        let expected = inc - dec;
+
+        let before = ledger.clone();
+        let got = ledger.replacement_delta(&leaving, &incoming);
+        prop_assert_eq!(got.to_bits(), expected.to_bits(), "{} vs probe {}", got, expected);
+        prop_assert_eq!(ledger.segments(), before.segments());
+        prop_assert_eq!(ledger.usage(), before.usage());
+        prop_assert_eq!(ledger.cost().to_bits(), before.cost().to_bits());
+        prop_assert_eq!(ledger.transition_count(), before.transition_count());
+        let (b, a) = (before.energy_breakdown(), ledger.energy_breakdown());
+        prop_assert_eq!(
+            (a.run.to_bits(), a.idle.to_bits(), a.transition.to_bits()),
+            (b.run.to_bits(), b.idle.to_bits(), b.transition.to_bits())
+        );
+        // `Debug` prints every field (coverage counts, hosted count, busy
+        // time and gap caches included), each `f64` in its shortest
+        // round-trip form, so equal text means equal bits.
+        prop_assert_eq!(format!("{ledger:?}"), format!("{before:?}"));
+    }
+}
