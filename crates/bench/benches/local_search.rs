@@ -121,6 +121,8 @@ fn bench_local_search_at_scale(c: &mut Criterion) {
     let swap_fastpath_hits = search_metrics.counter("local_search.swap_fastpath_hits");
     let relocates_reused = search_metrics.counter("local_search.relocates_reused");
     let swaps_reused = search_metrics.counter("local_search.swaps_reused");
+    let relocates_bounded = search_metrics.counter("local_search.relocates_bounded");
+    let swaps_bounded = search_metrics.counter("local_search.swaps_bounded");
     let fit_checks = search_metrics.counter("local_search.fit_checks");
 
     // Optimised and reference timed interleaved: their ratio is what
@@ -224,7 +226,7 @@ fn bench_local_search_at_scale(c: &mut Criterion) {
     let consolidator_migrations = consolidator_metrics.counter("consolidator.migrations");
 
     let json = format!(
-        "{{\n  \"benchmark\": \"local_search_refinement\",\n  \"vms\": {VMS},\n  \"servers\": {SERVERS},\n  \"workload_seed\": 1,\n  \"mean_interarrival\": 4.0,\n  \"optimised_seconds\": {optimised_s:.6},\n  \"instrumented_seconds\": {instrumented_s:.6},\n  \"instrumentation_overhead\": {instrumentation_overhead:.4},\n  \"reference_seconds\": {reference_s:.6},\n  \"speedup\": {speedup:.2},\n  \"moves_accepted\": {moves},\n  \"relocates_considered\": {relocates_considered},\n  \"swaps_considered\": {swaps_considered},\n  \"spec_class_pruned\": {spec_class_pruned},\n  \"swap_fastpath_hits\": {swap_fastpath_hits},\n  \"relocates_reused\": {relocates_reused},\n  \"swaps_reused\": {swaps_reused},\n  \"fit_checks\": {fit_checks},\n  \"refinement_improvement\": {improvement:.6},\n  \"trajectory_equivalent\": {trajectory_equivalent},\n  \"placements_identical\": {placements_identical},\n  \"consolidation_optimised_seconds\": {consolidation_optimised_s:.6},\n  \"consolidation_reference_seconds\": {consolidation_reference_s:.6},\n  \"consolidation_speedup\": {consolidation_speedup:.2},\n  \"consolidator_evictions_committed\": {evictions_committed},\n  \"consolidator_migrations\": {consolidator_migrations},\n  \"consolidation_schedules_identical\": {schedules_identical},\n  \"consolidation_cost_rel_diff\": {consolidation_rel:.3e}\n}}\n",
+        "{{\n  \"benchmark\": \"local_search_refinement\",\n  \"vms\": {VMS},\n  \"servers\": {SERVERS},\n  \"workload_seed\": 1,\n  \"mean_interarrival\": 4.0,\n  \"optimised_seconds\": {optimised_s:.6},\n  \"instrumented_seconds\": {instrumented_s:.6},\n  \"instrumentation_overhead\": {instrumentation_overhead:.4},\n  \"reference_seconds\": {reference_s:.6},\n  \"speedup\": {speedup:.2},\n  \"moves_accepted\": {moves},\n  \"relocates_considered\": {relocates_considered},\n  \"swaps_considered\": {swaps_considered},\n  \"spec_class_pruned\": {spec_class_pruned},\n  \"swap_fastpath_hits\": {swap_fastpath_hits},\n  \"relocates_reused\": {relocates_reused},\n  \"swaps_reused\": {swaps_reused},\n  \"relocates_bounded\": {relocates_bounded},\n  \"swaps_bounded\": {swaps_bounded},\n  \"fit_checks\": {fit_checks},\n  \"refinement_improvement\": {improvement:.6},\n  \"trajectory_equivalent\": {trajectory_equivalent},\n  \"placements_identical\": {placements_identical},\n  \"consolidation_optimised_seconds\": {consolidation_optimised_s:.6},\n  \"consolidation_reference_seconds\": {consolidation_reference_s:.6},\n  \"consolidation_speedup\": {consolidation_speedup:.2},\n  \"consolidator_evictions_committed\": {evictions_committed},\n  \"consolidator_migrations\": {consolidator_migrations},\n  \"consolidation_schedules_identical\": {schedules_identical},\n  \"consolidation_cost_rel_diff\": {consolidation_rel:.3e}\n}}\n",
         moves = fast_moves.len(),
     );
     if let Err(e) = std::fs::write(path, json) {

@@ -23,6 +23,15 @@
 //! then on identical bits. Fit verdicts are cached per (server, VM)
 //! until the server changes, and time-disjoint swap pairs read them,
 //! since a VM leaving frees nothing outside its own interval.
+//!
+//! Moves are bounded before they are checked. Each (server, VM) keeps
+//! an insertion floor (`incremental_cost` rounded down into an `f32`)
+//! and each VM its `decremental_cost`, both until the host changes.
+//! Busy time already on a server never makes an insertion dearer (the
+//! Eq. 16 gap price is concave), so `floor(vb on sa) − dec(vb) +
+//! floor(va on sb) − dec(va)` bounds a swap from below, and a relocate
+//! is bounded by its own half. A move whose bound shows it cannot
+//! improve is skipped before its fit check; DESIGN.md §7 has the proof.
 
 use crate::classes::spec_classes;
 use crate::{AllocError, AllocResult, Allocator};
@@ -160,6 +169,37 @@ fn swap_side_delta(host: &mut Host, leaving: &Vm, incoming: &Vm) -> (f64, bool) 
     }
 }
 
+/// `x` rounded toward −∞ into an `f32`: never above `x`, so a bound
+/// built from it never overstates a cost.
+fn round_down(x: f64) -> f32 {
+    let f = x as f32;
+    if f64::from(f) > x {
+        f.next_down()
+    } else {
+        f
+    }
+}
+
+/// The swap bound's rounding margin `τ = 2^-30 · C`, where `C = Σ_j
+/// max_i (run_ij + P_idle,i · len_j + α_i)` bounds every cost term the
+/// search adds up. It exceeds the summation rounding of both the bound
+/// and the exact swap score on any server with fewer than ~2^21
+/// segments (DESIGN.md §7).
+fn rounding_margin(problem: &AllocationProblem) -> f64 {
+    let scale: f64 = problem
+        .vms()
+        .iter()
+        .map(|vm| {
+            problem
+                .servers()
+                .iter()
+                .map(|s| s.run_cost(vm) + s.idle_cost(vm.interval().len()) + s.transition_cost())
+                .fold(0.0, f64::max)
+        })
+        .sum();
+    scale * (-30f64).exp2()
+}
+
 /// What the search may reuse from its earlier, rejected evaluations.
 ///
 /// A host changes only when a move is accepted: fit checks and scoring
@@ -178,17 +218,30 @@ struct Reuse {
     /// `hosts[s].fits(vm j)` at `s * vm_count + j`, one byte each,
     /// `None` until computed; a host's row is cleared when it changes.
     verdicts: Vec<Option<bool>>,
+    /// `hosts[s].ledger.incremental_cost(vm j)` rounded down, at the
+    /// same index as `verdicts`; NaN until computed, and a host's row
+    /// is cleared with its verdict row.
+    floors: Vec<f32>,
+    /// Per VM, `decremental_cost` on its host; NaN once that host
+    /// changes.
+    removals: Vec<f64>,
+    /// See [`rounding_margin`].
+    tau: f64,
     /// Fit verdicts computed (not read back from `verdicts`).
     fit_checks: u64,
 }
 
 impl Reuse {
-    fn new(servers: usize, vms: usize) -> Self {
+    fn new(problem: &AllocationProblem) -> Self {
+        let (servers, vms) = (problem.server_count(), problem.vm_count());
         Self {
             clock: 1,
             changed: vec![1; servers],
             vm_count: vms,
             verdicts: vec![None; servers * vms],
+            floors: vec![f32::NAN; servers * vms],
+            removals: vec![f64::NAN; vms],
+            tau: rounding_margin(problem),
             fit_checks: 0,
         }
     }
@@ -198,13 +251,48 @@ impl Reuse {
         self.changed[s] <= since
     }
 
-    /// Records an accepted move that changed hosts `a` and `b`.
-    fn record_move(&mut self, a: usize, b: usize) {
+    /// Records an accepted move that changed hosts `a` and `b` (called
+    /// once `hosts` holds the new placement).
+    fn record_move(&mut self, hosts: &[Host], a: usize, b: usize) {
         self.clock += 1;
         for s in [a, b] {
             self.changed[s] = self.clock;
-            self.verdicts[s * self.vm_count..(s + 1) * self.vm_count].fill(None);
+            let row = s * self.vm_count..(s + 1) * self.vm_count;
+            self.verdicts[row.clone()].fill(None);
+            self.floors[row].fill(f32::NAN);
+            for vm in &hosts[s].vms {
+                self.removals[vm.id().index()] = f64::NAN;
+            }
         }
+    }
+
+    /// A lower bound on the cost change of moving VM `j` from host
+    /// `src` to host `s`: its insertion floor on `s` minus its
+    /// decremental cost on `src`, each computed at most once per host
+    /// state.
+    fn relocate_floor(&mut self, hosts: &[Host], j: usize, vm: &Vm, src: usize, s: usize) -> f64 {
+        let slot = &mut self.floors[s * self.vm_count + j];
+        if slot.is_nan() {
+            *slot = round_down(hosts[s].ledger.incremental_cost(vm));
+        }
+        let floor = f64::from(*slot);
+        floor - self.removal(&hosts[src], j, vm)
+    }
+
+    /// `host.ledger.decremental_cost(vm)` for VM index `j` on its host,
+    /// computed at most once per host state.
+    fn removal(&mut self, host: &Host, j: usize, vm: &Vm) -> f64 {
+        let removal = &mut self.removals[j];
+        if removal.is_nan() {
+            *removal = host.ledger.decremental_cost(vm);
+        }
+        *removal
+    }
+
+    /// Whether a swap whose two relocate floors sum to `bound` is sure
+    /// to be rejected: its exact score is at least `bound − τ`.
+    fn swap_cannot_improve(&self, bound: f64) -> bool {
+        bound >= self.tau
     }
 
     /// `host.fits(vm)` for host `s` and VM index `j`, computed at most
@@ -424,19 +512,25 @@ impl LocalSearch {
         // Target visit order; stays the identity unless ordered_targets.
         let mut order: Vec<usize> = (0..hosts.len()).collect();
         let mut moves: Vec<SearchMove> = Vec::new();
-        // Reuse of rejected evaluations (off on the reference path): the
-        // clock at which each VM's relocate scan and swap row last began.
-        let mut reuse = Reuse::new(hosts.len(), problem.vm_count());
+        // Reuse of rejected evaluations and the move bounds (both off on
+        // the reference path): the clock at which each VM's relocate scan
+        // and swap row last began.
+        let mut reuse = Reuse::new(problem);
         let mut relocate_since: Vec<u64> = vec![0; problem.vm_count()];
         let mut swap_since: Vec<u64> = vec![0; problem.vm_count()];
+        // The swap row's own half of each pair bound: its VM's relocate
+        // floor onto each server, filled as the row meets the server.
+        let mut row_floor: Vec<f64> = vec![f64::NAN; hosts.len()];
         // Hot-loop tallies; flushed to `metrics` once after the search.
         let mut rounds = 0u64;
         let mut relocates_considered = 0u64;
         let mut relocates_accepted = 0u64;
         let mut relocates_reused = 0u64;
+        let mut relocates_bounded = 0u64;
         let mut swaps_considered = 0u64;
         let mut swaps_accepted = 0u64;
         let mut swaps_reused = 0u64;
+        let mut swaps_bounded = 0u64;
         let mut pruned_targets = 0u64;
         let mut fastpath_hits = 0u64;
         let mut probe_rollbacks = 0u64;
@@ -463,7 +557,7 @@ impl LocalSearch {
                 let removal_gain = if self.reference {
                     hosts[src.index()].cost_without(vm.id()) - hosts[src.index()].reference_cost()
                 } else {
-                    -hosts[src.index()].ledger.decremental_cost(&vm)
+                    -reuse.removal(&hosts[src.index()], j, &vm)
                 };
                 if self.ordered_targets && !self.reference {
                     order.sort_unstable_by(|&x, &y| {
@@ -500,6 +594,17 @@ impl LocalSearch {
                         }
                         continue;
                     }
+                    // `floor ≤ incremental_cost` and rounded addition is
+                    // monotone, so a non-negative floor sum proves the
+                    // exact score is too: no margin is needed.
+                    if !self.reference
+                        && reuse.relocate_floor(&hosts, j, &vm, src.index(), i) >= 0.0
+                    {
+                        if S::ENABLED {
+                            relocates_bounded += 1;
+                        }
+                        continue;
+                    }
                     let fits = if self.reference {
                         hosts[i].fits(&vm)
                     } else {
@@ -519,7 +624,7 @@ impl LocalSearch {
                     if delta < -1e-9 {
                         let v = hosts[src.index()].remove(vm.id());
                         hosts[i].add(v);
-                        reuse.record_move(src.index(), i);
+                        reuse.record_move(&hosts, src.index(), i);
                         location[j] = dst;
                         moves.push(SearchMove::Relocate {
                             vm: vm.id(),
@@ -572,6 +677,7 @@ impl LocalSearch {
                     let since = std::mem::replace(&mut swap_since[a], reuse.clock);
                     let mut settled =
                         !self.reference && reuse.unchanged(location[a].index(), since);
+                    row_floor.fill(f64::NAN);
                     for b in (a + 1)..problem.vm_count() {
                         let (sa, sb) = (location[a], location[b]);
                         if sa == sb {
@@ -585,6 +691,21 @@ impl LocalSearch {
                         }
                         let va = problem.vms()[a];
                         let vb = problem.vms()[b];
+                        if !self.reference {
+                            let a_half = &mut row_floor[sb.index()];
+                            if a_half.is_nan() {
+                                *a_half =
+                                    reuse.relocate_floor(&hosts, a, &va, sa.index(), sb.index());
+                            }
+                            let bound = reuse.relocate_floor(&hosts, b, &vb, sb.index(), sa.index())
+                                + *a_half;
+                            if reuse.swap_cannot_improve(bound) {
+                                if S::ENABLED {
+                                    swaps_bounded += 1;
+                                }
+                                continue;
+                            }
+                        }
                         let delta = if self.reference {
                             let ha = &hosts[sa.index()];
                             let hb = &hosts[sb.index()];
@@ -631,8 +752,9 @@ impl LocalSearch {
                             let vb_owned = hosts[sb.index()].remove(vb.id());
                             hosts[sa.index()].add(vb_owned);
                             hosts[sb.index()].add(va_owned);
-                            reuse.record_move(sa.index(), sb.index());
+                            reuse.record_move(&hosts, sa.index(), sb.index());
                             settled = false;
+                            row_floor.fill(f64::NAN);
                             location[a] = sb;
                             location[b] = sa;
                             moves.push(SearchMove::Swap {
@@ -691,16 +813,22 @@ impl LocalSearch {
                 relocates_considered - relocates_accepted,
             );
             metrics.add("local_search.relocates_reused", relocates_reused);
+            metrics.add("local_search.relocates_bounded", relocates_bounded);
             metrics.add("local_search.swaps_considered", swaps_considered);
             metrics.add("local_search.swaps_accepted", swaps_accepted);
             metrics.add("local_search.swaps_rejected", swaps_considered - swaps_accepted);
             metrics.add("local_search.swaps_reused", swaps_reused);
+            metrics.add("local_search.swaps_bounded", swaps_bounded);
             metrics.add("local_search.fit_checks", reuse.fit_checks);
             metrics.add("local_search.spec_class_pruned", pruned_targets);
             metrics.add("local_search.swap_fastpath_hits", fastpath_hits);
             metrics.add("local_search.swap_probe_rollbacks", probe_rollbacks);
         }
 
+        // The search state goes before the result is built, so the peak
+        // holds one of them, not both.
+        drop(hosts);
+        drop(reuse);
         let placement: Vec<Option<ServerId>> = location.into_iter().map(Some).collect();
         let refined =
             Assignment::from_placement(problem, &placement).map_err(AllocError::Placement)?;
@@ -867,6 +995,9 @@ mod tests {
         // hosts nothing has changed since: the reuse path must run.
         assert!(metrics.counter("local_search.swaps_reused") > 0);
         assert!(metrics.counter("local_search.fit_checks") > 0);
+        // Most moves cannot improve, and their bounds show it.
+        assert!(metrics.counter("local_search.relocates_bounded") > 0);
+        assert!(metrics.counter("local_search.swaps_bounded") > 0);
         let h = metrics.histogram("local_search.accepted_delta").unwrap();
         assert_eq!(h.count, moves.len() as u64);
         assert!(h.min > 0.0, "accepted improvements are recorded as positive gains");
@@ -986,6 +1117,77 @@ mod tests {
             assert_eq!(fast.placement(), slow.placement(), "seed {seed}");
             assert!((fast.total_cost() - slow.total_cost()).abs() < 1e-6);
         }
+    }
+
+    /// On every placement a refinement from a round-robin start passes
+    /// through, each relocate target and swap pair the bounds skip is
+    /// also rejected by the full evaluation (fit check and exact score),
+    /// and no bound exceeds the exact score it bounds by more than its
+    /// margin (none for a relocate, `τ` for a swap).
+    #[test]
+    fn bounded_moves_are_rejected_by_the_full_evaluation() {
+        let p = problem();
+        let (mut relocates_bounded, mut swaps_bounded) = (0u32, 0u32);
+        for seed in 0..4 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let base = crate::RoundRobin::new().allocate(&p, &mut rng).unwrap();
+            let (_, moves) = LocalSearch::new().refine_traced(&base).unwrap();
+            let mut location: Vec<usize> =
+                base.placement().iter().map(|s| s.unwrap().index()).collect();
+            for step in 0..=moves.len() {
+                let mut hosts: Vec<Host> = p.servers().iter().map(|s| Host::new(*s)).collect();
+                for (j, &s) in location.iter().enumerate() {
+                    hosts[s].add(p.vms()[j]);
+                }
+                let mut reuse = Reuse::new(&p);
+                for (j, vm) in p.vms().iter().enumerate() {
+                    let src = location[j];
+                    for dst in (0..hosts.len()).filter(|&i| i != src) {
+                        let floor = reuse.relocate_floor(&hosts, j, vm, src, dst);
+                        let exact = -hosts[src].ledger.decremental_cost(vm)
+                            + hosts[dst].ledger.incremental_cost(vm);
+                        assert!(floor <= exact, "vm{j} → srv{dst}: {floor} > {exact}");
+                        if floor >= 0.0 {
+                            relocates_bounded += 1;
+                            assert!(!(hosts[dst].fits(vm) && exact < -1e-9), "vm{j} → srv{dst}");
+                        }
+                    }
+                }
+                for a in 0..p.vm_count() {
+                    for b in (a + 1)..p.vm_count() {
+                        let (sa, sb) = (location[a], location[b]);
+                        if sa == sb {
+                            continue;
+                        }
+                        let (va, vb) = (p.vms()[a], p.vms()[b]);
+                        let bound = reuse.relocate_floor(&hosts, b, &vb, sb, sa)
+                            + reuse.relocate_floor(&hosts, a, &va, sa, sb);
+                        let (ha, hb) = pair_mut(&mut hosts, sa, sb);
+                        let fits = ha.ledger.fits_replacing(&vb, &va)
+                            && hb.ledger.fits_replacing(&va, &vb);
+                        let exact =
+                            swap_side_delta(ha, &va, &vb).0 + swap_side_delta(hb, &vb, &va).0;
+                        assert!(
+                            bound - reuse.tau <= exact,
+                            "vm{a} ⇄ vm{b}: {bound} vs {exact}"
+                        );
+                        if reuse.swap_cannot_improve(bound) {
+                            swaps_bounded += 1;
+                            assert!(!(fits && exact < -1e-9), "vm{a} ⇄ vm{b}");
+                        }
+                    }
+                }
+                match moves.get(step) {
+                    Some(&SearchMove::Relocate { vm, to, .. }) => location[vm.index()] = to.index(),
+                    Some(&SearchMove::Swap { a, b, server_a, server_b, .. }) => {
+                        location[a.index()] = server_b.index();
+                        location[b.index()] = server_a.index();
+                    }
+                    None => {}
+                }
+            }
+        }
+        assert!(relocates_bounded > 0 && swaps_bounded > 0);
     }
 
     #[test]

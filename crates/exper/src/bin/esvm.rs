@@ -1,14 +1,28 @@
 //! `esvm` — reproduce the tables and figures of Xie et al. (ICDCSW
 //! 2013) from the command line. Run `esvm` with no arguments for usage.
 
+use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match esvm_exper::cli::run(&args) {
         Ok(output) => {
-            println!("{output}");
-            ExitCode::SUCCESS
+            let mut stdout = std::io::stdout().lock();
+            let written = stdout
+                .write_all(output.as_bytes())
+                .and_then(|()| stdout.write_all(b"\n"))
+                .and_then(|()| stdout.flush());
+            match written {
+                Ok(()) => ExitCode::SUCCESS,
+                // The reader stopped reading (`esvm table1 | head -1`):
+                // it has all it asked for.
+                Err(e) if e.kind() == ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+                Err(e) => {
+                    eprintln!("esvm: cannot write the report to stdout: {e}");
+                    ExitCode::FAILURE
+                }
+            }
         }
         Err(e) => {
             eprintln!("{e}");

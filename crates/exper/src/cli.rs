@@ -241,11 +241,13 @@ fn parse_flags(args: &[String]) -> Result<Flags, CliError> {
         };
         match arg.as_str() {
             "--seeds" => {
-                flags.seeds = Some(
-                    value("--seeds")?
-                        .parse()
-                        .map_err(|_| usage("--seeds must be an integer".into()))?,
-                )
+                let seeds: u64 = value("--seeds")?
+                    .parse()
+                    .map_err(|_| usage("--seeds must be an integer".into()))?;
+                if seeds == 0 {
+                    return Err(usage("--seeds must be at least 1".into()));
+                }
+                flags.seeds = Some(seeds);
             }
             "--threads" => {
                 flags.threads = Some(
@@ -1746,9 +1748,15 @@ fn run_serve(flags: &Flags) -> Result<String, CliError> {
 }
 
 fn run_gap(flags: &Flags) -> Result<String, CliError> {
-    let seeds = flags.seeds.unwrap_or(10).max(1);
+    let seeds = flags.seeds.unwrap_or(10);
     let base = flags.seed.unwrap_or(0);
     let vms = flags.vms.unwrap_or(100);
+    if vms == 0 {
+        // No VM, no cost: the competitive ratio would be 0/0.
+        return Err(CliError::Usage(format!(
+            "gap: --vms must be at least 1\n\n{USAGE}"
+        )));
+    }
     let servers = flags.servers.unwrap_or_else(|| (vms / 2).max(1));
     let mut table = Table::new(vec![
         "seed",
@@ -1858,6 +1866,25 @@ mod tests {
             let err = run(&args(&bad)).unwrap_err();
             assert!(matches!(err, CliError::Usage(_)), "{bad:?}");
         }
+    }
+
+    #[test]
+    fn zero_seeds_is_a_usage_error_naming_the_flag() {
+        for command in ["compare", "fig2", "gap", "plan"] {
+            let err = run(&args(&[command, "--seeds", "0"])).unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "{command}: {err}");
+            assert!(err.to_string().starts_with("--seeds must be at least 1"), "{command}: {err}");
+        }
+    }
+
+    #[test]
+    fn gap_with_zero_vms_is_a_usage_error_naming_the_flag() {
+        let err = run(&args(&["gap", "--vms", "0", "--seeds", "1"])).unwrap_err();
+        assert!(matches!(err, CliError::Usage(_)), "{err}");
+        assert!(err.to_string().contains("--vms must be at least 1"), "{err}");
+        // One VM is a real instance: a finite ratio, not NaN.
+        let out = run(&args(&["gap", "--vms", "1", "--seeds", "1"])).unwrap();
+        assert!(out.contains("seeds 0..1") && out.contains("ratio: mean 1.0000"), "{out}");
     }
 
     #[test]

@@ -567,3 +567,139 @@ proptest! {
         prop_assert_eq!(format!("{ledger:?}"), format!("{before:?}"));
     }
 }
+
+/// Table II's `(P_idle, P_peak)` pairs and CPU capacities.
+const PAPER_SERVERS: [(f64, f64, f64); 5] = [
+    (38.0, 80.0, 16.0),
+    (68.0, 150.0, 30.0),
+    (135.0, 300.0, 60.0),
+    (202.0, 450.0, 90.0),
+    (270.0, 600.0, 120.0),
+];
+
+/// A Table II server with `α = P_peak × t` for a transition time `t` of
+/// `half_units / 2`, its powers and `α` multiplied by `scale`.
+fn paper_spec(kind: usize, half_units: u32, scale: u32) -> ServerSpec {
+    let (idle, peak, cpu) = PAPER_SERVERS[kind];
+    let scale = f64::from(scale);
+    ServerSpec::new(
+        0,
+        Resources::new(cpu, 2.0 * cpu),
+        PowerModel::new(idle * scale, peak * scale),
+        peak * f64::from(half_units) * 0.5 * scale,
+    )
+}
+
+/// One VM of a bound property: a start and a length in units of `scale`
+/// time units, each plus a small offset in single units, so that gaps
+/// both far beyond and near the break-even appear at every scale.
+type ScaledVm = (u32, u32, u32, u32);
+
+fn arb_scaled_vm() -> impl Strategy<Value = ScaledVm> {
+    (0u32..60, 0u32..12, 0u32..6, 1u32..8)
+}
+
+fn scaled_vm(id: u32, (start, len, offset, cpu): ScaledVm, scale: u32) -> Vm {
+    Vm::new(
+        id,
+        fractional(cpu, 1),
+        Interval::with_len(start * scale + offset, len * scale + offset + 1),
+    )
+}
+
+/// A ledger grown from `history` (an action of 0 unhosts a resident VM,
+/// anything else hosts the VM if it fits) and its residents.
+fn grow(spec: ServerSpec, history: &[(ScaledVm, u32)], scale: u32) -> (ServerLedger, Vec<Vm>) {
+    let mut ledger = ServerLedger::new(spec);
+    let mut resident: Vec<Vm> = Vec::new();
+    for (j, &(shape, action)) in history.iter().enumerate() {
+        let vm = scaled_vm(j as u32, shape, scale);
+        if action == 0 && !resident.is_empty() {
+            let victim = resident.remove(j % resident.len());
+            ledger.unhost(&victim);
+        } else if ledger.fits(&vm) {
+            ledger.host(&vm);
+            resident.push(vm);
+        }
+    }
+    (ledger, resident)
+}
+
+/// The local search's rounding margin `τ = 2^-30 · C` for one server,
+/// with `C = Σ (run + P_idle · len + α)` over the VMs involved.
+fn rounding_margin(spec: &ServerSpec, vms: &[Vm]) -> f64 {
+    let scale: f64 = vms
+        .iter()
+        .map(|vm| spec.run_cost(vm) + spec.idle_cost(vm.interval().len()) + spec.transition_cost())
+        .sum();
+    scale * (-30f64).exp2()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Busy time already on a server never makes a later insertion
+    /// dearer: hosting one more VM raises no other VM's
+    /// `incremental_cost` by more than the rounding margin `τ`. The
+    /// Eq. 16 gap price `min(P_idle · g, α)` is concave, which makes the
+    /// segment overhead submodular; the local search's swap bound rests
+    /// on this. Checked at the paper's magnitudes and with powers, `α`
+    /// and durations scaled by 10^6.
+    #[test]
+    fn hosting_a_vm_never_makes_another_insertion_dearer(
+        server in (0usize..5, 0u32..13),
+        history in proptest::collection::vec((arb_scaled_vm(), 0u32..4), 0..16),
+        added in arb_scaled_vm(),
+        probe in arb_scaled_vm(),
+    ) {
+        for scale in [1, 1_000_000] {
+            let spec = paper_spec(server.0, server.1, scale);
+            let (mut ledger, mut involved) = grow(spec, &history, scale);
+            let added = scaled_vm(98, added, scale);
+            let probe = scaled_vm(99, probe, scale);
+            if !ledger.fits(&added) {
+                continue;
+            }
+            let before = ledger.incremental_cost(&probe);
+            ledger.host(&added);
+            let after = ledger.incremental_cost(&probe);
+            involved.extend([added, probe]);
+            let tau = rounding_margin(&spec, &involved);
+            prop_assert!(
+                after <= before + tau,
+                "scale {}: {} after hosting vs {} before (τ {})", scale, after, before, tau
+            );
+        }
+    }
+
+    /// The exact swap side is never below its bound:
+    /// `replacement_delta(leaving, incoming) ≥ incremental_cost(incoming)
+    /// − decremental_cost(leaving) − τ`, since `incoming` lands on a
+    /// subset of today's busy time once `leaving` is gone. Checked at
+    /// the paper's magnitudes and scaled by 10^6.
+    #[test]
+    fn replacement_delta_is_at_least_the_separate_deltas(
+        server in (0usize..5, 0u32..13),
+        history in proptest::collection::vec((arb_scaled_vm(), 0u32..4), 1..16),
+        pick in 0usize..16,
+        incoming in arb_scaled_vm(),
+    ) {
+        for scale in [1, 1_000_000] {
+            let spec = paper_spec(server.0, server.1, scale);
+            let (mut ledger, mut involved) = grow(spec, &history, scale);
+            if involved.is_empty() {
+                continue;
+            }
+            let leaving = involved[pick % involved.len()];
+            let incoming = scaled_vm(99, incoming, scale);
+            let bound = ledger.incremental_cost(&incoming) - ledger.decremental_cost(&leaving);
+            let exact = ledger.replacement_delta(&leaving, &incoming);
+            involved.push(incoming);
+            let tau = rounding_margin(&spec, &involved);
+            prop_assert!(
+                exact >= bound - tau,
+                "scale {}: replacement {} below the bound {} (τ {})", scale, exact, bound, tau
+            );
+        }
+    }
+}
