@@ -10,7 +10,7 @@ use esvm_bench::{
     ScalePoint,
 };
 use esvm_core::{Allocator, AllocatorKind, Miec};
-use esvm_obs::{DiscardSink, MetricsRegistry};
+use esvm_obs::{DiscardTracer, MetricsRegistry, NoopTracer};
 use esvm_workload::WorkloadConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -164,12 +164,13 @@ fn bench_miec_at_scale(c: &mut Criterion) {
         })
     });
     // Metrics-on scale point: same scan with counters and histograms
-    // recording (events discarded) — the cost of turning telemetry on.
+    // recording (the metrics-only tracer keeps no spans or explain
+    // records) — the cost of turning telemetry on.
     group.bench_function(BenchmarkId::from_parameter("instrumented"), |b| {
         b.iter(|| {
             let metrics = MetricsRegistry::new();
             let a = Miec::new()
-                .allocate_observed(black_box(&problem), &mut DiscardSink, &metrics)
+                .allocate_traced(black_box(&problem), &metrics, &DiscardTracer)
                 .unwrap();
             black_box(a.total_cost())
         })
@@ -207,7 +208,7 @@ fn bench_miec_at_scale(c: &mut Criterion) {
     // instance, plus a decision-equivalence check against the plain run.
     let metrics = MetricsRegistry::new();
     let observed = Miec::new()
-        .allocate_observed(&problem, &mut DiscardSink, &metrics)
+        .allocate_traced(&problem, &metrics, &DiscardTracer)
         .unwrap();
     assert_eq!(
         observed.placement(),
@@ -238,18 +239,19 @@ fn bench_miec_at_scale(c: &mut Criterion) {
     let instrumented_s = time_best(7, || {
         let metrics = MetricsRegistry::new();
         Miec::new()
-            .allocate_observed(&problem, &mut DiscardSink, &metrics)
+            .allocate_traced(&problem, &metrics, &DiscardTracer)
             .unwrap()
             .total_cost()
     });
     // Provenance tracing at the same point: the statically disabled
-    // NoopTracer path (the shipping default — must cost nothing beyond
-    // the metrics layer it rides on) and the enabled CollectingTracer
-    // path (a span per decision plus one explain record per placement).
-    // Each ratio comes from an interleaved pair against the
-    // instrumented baseline so scheduler drift cancels, and the
-    // enabled run reuses one warm tracer (reset between runs) so the
-    // gate measures steady-state recording, not first-run page-ins.
+    // NoopTracer entry point (the shipping default — must cost nothing
+    // beyond the plain `allocate` it compiles to) and the enabled
+    // CollectingTracer path (a span per decision plus one explain
+    // record per placement) against the metrics-only DiscardTracer.
+    // Each ratio comes from an interleaved pair against its baseline
+    // so scheduler drift cancels, and the enabled run reuses one warm
+    // tracer (reset between runs) so the gate measures steady-state
+    // recording, not first-run page-ins.
     // Wall-clock ratios on shared machines still see multi-10ms
     // interference bursts that outlast one whole pair block, so the
     // measurement retries up to three times and keeps the best pair —
@@ -262,16 +264,16 @@ fn bench_miec_at_scale(c: &mut Criterion) {
         let noop_pair = time_pair_best(
             7,
             || {
-                let metrics = MetricsRegistry::new();
+                let mut rng = StdRng::seed_from_u64(7);
                 Miec::new()
-                    .allocate_observed(&problem, &mut DiscardSink, &metrics)
+                    .allocate(&problem, &mut rng)
                     .unwrap()
                     .total_cost()
             },
             || {
                 let metrics = MetricsRegistry::new();
                 Miec::new()
-                    .allocate_traced(&problem, &mut DiscardSink, &metrics, &esvm_obs::NoopTracer)
+                    .allocate_traced(&problem, &metrics, &NoopTracer)
                     .unwrap()
                     .total_cost()
             },
@@ -284,7 +286,7 @@ fn bench_miec_at_scale(c: &mut Criterion) {
             || {
                 let metrics = MetricsRegistry::new();
                 Miec::new()
-                    .allocate_observed(&problem, &mut DiscardSink, &metrics)
+                    .allocate_traced(&problem, &metrics, &DiscardTracer)
                     .unwrap()
                     .total_cost()
             },
@@ -292,7 +294,7 @@ fn bench_miec_at_scale(c: &mut Criterion) {
                 let metrics = MetricsRegistry::new();
                 warm_tracer.reset();
                 Miec::new()
-                    .allocate_traced(&problem, &mut DiscardSink, &metrics, &warm_tracer)
+                    .allocate_traced(&problem, &metrics, &warm_tracer)
                     .unwrap()
                     .total_cost()
             },
@@ -309,8 +311,8 @@ fn bench_miec_at_scale(c: &mut Criterion) {
     let trace_noop_overhead = trace_noop_s / noop_best.0 - 1.0;
     let trace_overhead = trace_enabled_s / trace_best.0 - 1.0;
     println!(
-        "miec tracing @ {VMS} VMs: noop tracer {trace_noop_s:.4} s ({:+.1}%), \
-         collecting tracer {trace_enabled_s:.4} s ({:+.1}%) vs instrumented",
+        "miec tracing @ {VMS} VMs: noop tracer {trace_noop_s:.4} s ({:+.1}% vs plain), \
+         collecting tracer {trace_enabled_s:.4} s ({:+.1}% vs metrics-only)",
         trace_noop_overhead * 100.0,
         trace_overhead * 100.0
     );
@@ -382,13 +384,13 @@ fn bench_miec_at_scale(c: &mut Criterion) {
     );
     // Gate at the 5% acceptance margin widened by the ratio noise this
     // very run observed (per-round spread of optimised/reference): the
-    // disabled-sink path must stay within noise of the committed number.
+    // disabled-tracer path must stay within noise of the committed number.
     println!(
         "miec ratio noise this run: {:.1}%",
         pair.ratio_noise * 100.0
     );
     assert_no_regression(
-        "miec optimised/reference ratio (no-op sink)",
+        "miec optimised/reference ratio (no-op tracer)",
         optimised_s / reference_s,
         committed_ratio,
         0.05 + pair.ratio_noise,

@@ -7,7 +7,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use esvm_bench::{assert_no_regression, committed_bench_field, time_pair_best};
 use esvm_core::{Allocator, Consolidator, Ffps, LocalSearch, SearchMove};
-use esvm_obs::{DiscardSink, MetricsRegistry};
+use esvm_obs::{DiscardTracer, MetricsRegistry, NoopTracer};
 use esvm_simcore::VmId;
 use esvm_workload::WorkloadConfig;
 use rand::rngs::StdRng;
@@ -65,12 +65,13 @@ fn bench_local_search_at_scale(c: &mut Criterion) {
         })
     });
     // Metrics-on scale point: the same search with counters and
-    // histograms recording (events discarded).
+    // histograms recording (the metrics-only tracer keeps no spans or
+    // explain records).
     group.bench_function(BenchmarkId::from_parameter("instrumented"), |b| {
         b.iter(|| {
             let metrics = MetricsRegistry::new();
             let (refined, _) = LocalSearch::new()
-                .refine_observed(black_box(&base), &mut DiscardSink, &metrics)
+                .refine_traced(black_box(&base), &metrics, &DiscardTracer)
                 .unwrap();
             black_box(refined.total_cost())
         })
@@ -80,8 +81,13 @@ fn bench_local_search_at_scale(c: &mut Criterion) {
     // Refinement equivalence: the delta-scored search must walk the same
     // first-improvement trajectory as the reference (up to FP ties at
     // the acceptance threshold, which these instances do not exhibit).
-    let (fast, fast_moves) = LocalSearch::new().refine_traced(&base).unwrap();
-    let (slow, slow_moves) = LocalSearch::reference().refine_traced(&base).unwrap();
+    let trajectory = |search: LocalSearch| {
+        search
+            .refine_traced(&base, &MetricsRegistry::new(), &NoopTracer)
+            .unwrap()
+    };
+    let (fast, fast_moves) = trajectory(LocalSearch::new());
+    let (slow, slow_moves) = trajectory(LocalSearch::reference());
     let trajectory_equivalent = fast_moves.len() == slow_moves.len()
         && fast_moves
             .iter()
@@ -107,7 +113,7 @@ fn bench_local_search_at_scale(c: &mut Criterion) {
     // this instance, plus a decision-equivalence check.
     let search_metrics = MetricsRegistry::new();
     let (observed, observed_moves) = LocalSearch::new()
-        .refine_observed(&base, &mut DiscardSink, &search_metrics)
+        .refine_traced(&base, &search_metrics, &DiscardTracer)
         .unwrap();
     assert_eq!(
         observed.placement(),
@@ -142,7 +148,7 @@ fn bench_local_search_at_scale(c: &mut Criterion) {
         || {
             let metrics = MetricsRegistry::new();
             let (refined, _) = LocalSearch::new()
-                .refine_observed(&base, &mut DiscardSink, &metrics)
+                .refine_traced(&base, &metrics, &DiscardTracer)
                 .unwrap();
             refined.total_cost()
         },
@@ -162,7 +168,7 @@ fn bench_local_search_at_scale(c: &mut Criterion) {
     // 5% acceptance margin widened by the ratio noise this run observed
     // (per-round spread of optimised/reference).
     assert_no_regression(
-        "local search optimised/reference ratio (no-op sink)",
+        "local search optimised/reference ratio (no-op tracer)",
         optimised_s / reference_s,
         committed_ratio,
         0.05 + pair.ratio_noise,
@@ -210,7 +216,7 @@ fn bench_local_search_at_scale(c: &mut Criterion) {
          reference {consolidation_reference_s:.3} s, {consolidation_speedup:.1}x"
     );
     assert_no_regression(
-        "consolidation optimised/reference ratio (no-op sink)",
+        "consolidation optimised/reference ratio",
         consolidation_optimised_s / consolidation_reference_s,
         committed_consolidation_ratio,
         0.05 + consolidation_pair.ratio_noise,
@@ -219,7 +225,7 @@ fn bench_local_search_at_scale(c: &mut Criterion) {
     // Instrumented consolidation run for the eviction counters.
     let consolidator_metrics = MetricsRegistry::new();
     Consolidator::new(2.0)
-        .consolidate_observed(&base, &mut DiscardSink, &consolidator_metrics)
+        .consolidate_observed(&base, &consolidator_metrics)
         .unwrap();
     let evictions_committed =
         consolidator_metrics.counter("consolidator.evictions_committed");

@@ -51,10 +51,7 @@
 use crate::plan::{FaultEvent, FaultPlan};
 use crate::policy::{RepairPolicy, ShedPolicy};
 use esvm_core::{argmin, AllocError, Allocator};
-use esvm_obs::{
-    names, DecisionKind, Event, EventSink, ExplainRecord, FieldValue, MetricsRegistry, NoopSink,
-    NoopTracer, Tracer,
-};
+use esvm_obs::{names, DecisionKind, ExplainRecord, MetricsRegistry, NoopTracer, Tracer};
 use esvm_simcore::{
     AllocationProblem, EnergyBreakdown, Interval, ServerId, ServerLedger, TimeUnit, VmId,
 };
@@ -210,45 +207,29 @@ impl ChaosEngine {
         allocator: &dyn Allocator,
         rng: &mut dyn RngCore,
     ) -> Result<ChaosReport, ChaosError> {
-        let metrics = MetricsRegistry::new();
-        self.run_observed(problem, allocator, rng, &mut NoopSink, &metrics)
+        self.run_traced(problem, allocator, rng, &MetricsRegistry::new(), &NoopTracer)
     }
 
-    /// [`ChaosEngine::run`] with chaos events emitted to `sink` and
-    /// robustness metrics recorded in `metrics` (see
-    /// [`esvm_obs::names::chaos`]).
+    /// [`ChaosEngine::run`] with instrumentation: robustness metrics
+    /// land in `metrics` (see [`esvm_obs::names::chaos`]); phase 1 runs
+    /// under a `chaos.offline` span, phase 2 under `chaos.replay` with
+    /// one `chaos.evict` child per effective outage and one
+    /// `chaos.attempt` child per repair-scoring pass; every displaced
+    /// VM emits a [`DecisionKind::Evict`] explain record (source server
+    /// and instant), and every repair / shed / refusal a
+    /// [`DecisionKind::Repair`] / [`DecisionKind::Shed`] /
+    /// [`DecisionKind::Refuse`] record attributing the displacement
+    /// source, attempt count and instant. With [`NoopTracer`] this *is*
+    /// [`ChaosEngine::run`].
     ///
     /// # Errors
     ///
     /// [`ChaosError::Offline`] when the wrapped allocator fails.
-    pub fn run_observed<S: EventSink>(
+    pub fn run_traced<T: Tracer>(
         &self,
         problem: &AllocationProblem,
         allocator: &dyn Allocator,
         rng: &mut dyn RngCore,
-        sink: &mut S,
-        metrics: &MetricsRegistry,
-    ) -> Result<ChaosReport, ChaosError> {
-        self.run_traced(problem, allocator, rng, sink, metrics, &NoopTracer)
-    }
-
-    /// [`ChaosEngine::run_observed`] with decision provenance: phase 1
-    /// runs under a `chaos.offline` span, phase 2 under `chaos.replay`
-    /// with one `chaos.attempt` child per repair-scoring pass, and every
-    /// repair / shed / refusal emits a [`DecisionKind::Repair`] /
-    /// [`DecisionKind::Shed`] / [`DecisionKind::Refuse`] explain record
-    /// attributing the displacement source, attempt count and instant.
-    /// With [`NoopTracer`] this *is* [`ChaosEngine::run_observed`].
-    ///
-    /// # Errors
-    ///
-    /// [`ChaosError::Offline`] when the wrapped allocator fails.
-    pub fn run_traced<S: EventSink, T: Tracer>(
-        &self,
-        problem: &AllocationProblem,
-        allocator: &dyn Allocator,
-        rng: &mut dyn RngCore,
-        sink: &mut S,
         metrics: &MetricsRegistry,
         tracer: &T,
     ) -> Result<ChaosReport, ChaosError> {
@@ -261,17 +242,16 @@ impl ChaosEngine {
         let offline_cost = intended.total_cost();
         let intended_placement: Vec<Option<ServerId>> = intended.placement().to_vec();
         drop(intended);
-        Ok(self.replay(problem, &intended_placement, offline_cost, sink, metrics, tracer))
+        Ok(self.replay(problem, &intended_placement, offline_cost, metrics, tracer))
     }
 
     /// Phase 2: event-driven replay of the intended placement under the
     /// fault plan.
-    fn replay<S: EventSink, T: Tracer>(
+    fn replay<T: Tracer>(
         &self,
         problem: &AllocationProblem,
         intended: &[Option<ServerId>],
         offline_cost: f64,
-        sink: &mut S,
         metrics: &MetricsRegistry,
         tracer: &T,
     ) -> ChaosReport {
@@ -327,32 +307,13 @@ impl ChaosEngine {
                                     resolved_outages.push((s, c, t));
                                 }
                             }
-                            if S::ENABLED {
-                                sink.emit(&Event {
-                                    name: "chaos.server_up",
-                                    fields: &[
-                                        ("server", FieldValue::U64(s as u64)),
-                                        ("time", FieldValue::U64(u64::from(t))),
-                                    ],
-                                });
-                            }
                         }
                     }
-                    FaultEvent::ServerDown { server, cause, .. } => {
+                    FaultEvent::ServerDown { server, .. } => {
                         let s = server.index();
                         if s < n && up[s] {
                             up[s] = false;
                             outage_start[s] = Some(t);
-                            if S::ENABLED {
-                                sink.emit(&Event {
-                                    name: "chaos.server_down",
-                                    fields: &[
-                                        ("server", FieldValue::U64(s as u64)),
-                                        ("time", FieldValue::U64(u64::from(t))),
-                                        ("cause", FieldValue::Str(cause.name())),
-                                    ],
-                                });
-                            }
                             Self::evict(
                                 s,
                                 t,
@@ -361,7 +322,6 @@ impl ChaosEngine {
                                 &mut resident,
                                 &mut queue,
                                 &mut report,
-                                sink,
                                 metrics,
                                 tracer,
                             );
@@ -394,7 +354,6 @@ impl ChaosEngine {
                     &mut queue,
                     &mut agenda,
                     &mut report,
-                    sink,
                     metrics,
                     tracer,
                 );
@@ -440,7 +399,6 @@ impl ChaosEngine {
                         &mut queue,
                         &mut agenda,
                         &mut report,
-                        sink,
                         metrics,
                         tracer,
                     );
@@ -452,7 +410,7 @@ impl ChaosEngine {
         // retry instant that could matter — count it as lost.
         let leftovers = std::mem::take(&mut queue);
         for entry in leftovers {
-            self.drop_entry(&entry, &mut report, sink, metrics, tracer);
+            self.drop_entry(&entry, &mut report, metrics, tracer);
         }
 
         self.charge_recovery_transitions(&ledgers, &resolved_outages, &mut report, metrics);
@@ -464,7 +422,7 @@ impl ChaosEngine {
             report.breakdown.idle += b.idle;
             report.breakdown.transition += b.transition;
         }
-        if S::ENABLED {
+        if T::ENABLED {
             metrics.set_gauge(names::chaos::ENERGY_COST, report.cost);
             metrics.set_gauge(names::chaos::ENERGY_ADJUSTED_COST, report.adjusted_cost());
             metrics.set_gauge(names::chaos::ENERGY_OFFLINE_COST, offline_cost);
@@ -476,7 +434,7 @@ impl ChaosEngine {
 
     /// Evicts every live piece of server `s` at instant `t`.
     #[allow(clippy::too_many_arguments)]
-    fn evict<S: EventSink, T: Tracer>(
+    fn evict<T: Tracer>(
         s: usize,
         t: TimeUnit,
         problem: &AllocationProblem,
@@ -484,7 +442,6 @@ impl ChaosEngine {
         resident: &mut [Vec<Piece>],
         queue: &mut Vec<QueueEntry>,
         report: &mut ChaosReport,
-        sink: &mut S,
         metrics: &MetricsRegistry,
         tracer: &T,
     ) {
@@ -521,17 +478,14 @@ impl ChaosEngine {
                 displaced_at: t,
                 from: Some(ServerId(s as u32)),
             });
-            if S::ENABLED {
+            if T::ENABLED {
                 metrics.add(names::chaos::DISPLACED_VMS, 1);
                 metrics.add(names::chaos::DISPLACED_VM_MINUTES, tail_len);
-                sink.emit(&Event {
-                    name: "chaos.evict",
-                    fields: &[
-                        ("vm", FieldValue::U64(piece.vm as u64)),
-                        ("server", FieldValue::U64(s as u64)),
-                        ("time", FieldValue::U64(u64::from(t))),
-                        ("tail_len", FieldValue::U64(tail_len)),
-                    ],
+                // The displaced tail is `[time, end]` of the VM.
+                tracer.explain(&ExplainRecord {
+                    from: Some(s as u64),
+                    time: Some(u64::from(t)),
+                    ..ExplainRecord::new(DecisionKind::Evict, piece.vm as u64)
                 });
             }
         }
@@ -559,7 +513,7 @@ impl ChaosEngine {
     /// MIEC-style lowest-incremental-cost scoring over the up servers,
     /// exponential backoff on failure, shed/refuse on exhaustion.
     #[allow(clippy::too_many_arguments)]
-    fn attempt<S: EventSink, T: Tracer>(
+    fn attempt<T: Tracer>(
         &self,
         mut entry: QueueEntry,
         t: TimeUnit,
@@ -571,18 +525,17 @@ impl ChaosEngine {
         queue: &mut Vec<QueueEntry>,
         agenda: &mut BTreeSet<TimeUnit>,
         report: &mut ChaosReport,
-        sink: &mut S,
         metrics: &MetricsRegistry,
         tracer: &T,
     ) {
         let _attempt_span = tracer.span("chaos.attempt");
         if t > entry.end {
-            self.drop_entry(&entry, report, sink, metrics, tracer);
+            self.drop_entry(&entry, report, metrics, tracer);
             return;
         }
         let demand = problem.vms()[entry.vm].demand();
         let Some(interval) = Interval::checked_new(t, entry.end) else {
-            self.drop_entry(&entry, report, sink, metrics, tracer);
+            self.drop_entry(&entry, report, metrics, tracer);
             return;
         };
         // The Eq. 7 argmin kernel over the up servers in ascending id:
@@ -626,31 +579,21 @@ impl ChaosEngine {
             if entry.from.is_none() && record.latency() == 0 {
                 report.redirected_admissions += 1;
             }
-            if S::ENABLED {
+            if T::ENABLED {
                 metrics.observe(names::chaos::REPAIR_LATENCY, record.latency() as f64);
                 metrics.add(names::chaos::REPAIRS, 1);
-                sink.emit(&Event {
-                    name: "chaos.repair",
-                    fields: &[
-                        ("vm", FieldValue::U64(entry.vm as u64)),
-                        ("to", FieldValue::U64(s as u64)),
-                        ("time", FieldValue::U64(u64::from(t))),
-                        ("latency", FieldValue::U64(record.latency())),
-                        ("attempts", FieldValue::U64(u64::from(entry.attempts))),
-                    ],
-                });
             }
             report.repairs.push(record);
             return;
         }
         entry.attempts += 1;
         if entry.attempts > self.policy.max_retries {
-            self.drop_entry(&entry, report, sink, metrics, tracer);
+            self.drop_entry(&entry, report, metrics, tracer);
             return;
         }
         let next_try = t.saturating_add(self.policy.delay_for(entry.attempts));
         if next_try > entry.end {
-            self.drop_entry(&entry, report, sink, metrics, tracer);
+            self.drop_entry(&entry, report, metrics, tracer);
             return;
         }
         entry.next_try = next_try;
@@ -661,11 +604,10 @@ impl ChaosEngine {
     /// Records a queue entry that ran out of retries or time: shed if
     /// it had already run a prefix somewhere, refused if it was never
     /// admitted at all.
-    fn drop_entry<S: EventSink, T: Tracer>(
+    fn drop_entry<T: Tracer>(
         &self,
         entry: &QueueEntry,
         report: &mut ChaosReport,
-        sink: &mut S,
         metrics: &MetricsRegistry,
         tracer: &T,
     ) {
@@ -677,8 +619,10 @@ impl ChaosEngine {
         }
         if T::ENABLED {
             let kind = if entry.from.is_some() {
+                metrics.add(names::chaos::SHED, 1);
                 DecisionKind::Shed
             } else {
+                metrics.add(names::chaos::REFUSED_ADMISSIONS, 1);
                 DecisionKind::Refuse
             };
             tracer.explain(&ExplainRecord {
@@ -686,22 +630,6 @@ impl ChaosEngine {
                 attempt: u64::from(entry.attempts),
                 time: Some(u64::from(entry.displaced_at)),
                 ..ExplainRecord::new(kind, entry.vm as u64)
-            });
-        }
-        if S::ENABLED {
-            let name = if entry.from.is_some() {
-                metrics.add(names::chaos::SHED, 1);
-                "chaos.shed"
-            } else {
-                metrics.add(names::chaos::REFUSED_ADMISSIONS, 1);
-                "chaos.refused"
-            };
-            sink.emit(&Event {
-                name,
-                fields: &[
-                    ("vm", FieldValue::U64(entry.vm as u64)),
-                    ("attempts", FieldValue::U64(u64::from(entry.attempts))),
-                ],
             });
         }
     }

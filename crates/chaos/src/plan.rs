@@ -28,7 +28,7 @@ pub enum FaultCause {
 }
 
 impl FaultCause {
-    /// Stable lower-case name used in serialisation and event fields.
+    /// Stable lower-case name used in the serialised plan.
     pub fn name(&self) -> &'static str {
         match self {
             FaultCause::Crash => "crash",

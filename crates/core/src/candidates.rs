@@ -314,7 +314,8 @@ pub struct Argmin {
 /// `counting` (a compile-time constant at every call site).
 ///
 /// Offline MIEC and the online engine feed it a [`CandidateIndex`]'s
-/// candidates; the chaos replay's repair feeds it every up server.
+/// candidates; the chaos replay's repair feeds it every up server, and
+/// the consolidator every server but the one it would empty.
 ///
 /// # Example
 ///

@@ -35,10 +35,7 @@
 
 use crate::classes::spec_classes;
 use crate::{AllocError, AllocResult, Allocator};
-use esvm_obs::{
-    DecisionKind, Event, EventSink, ExplainRecord, FieldValue, MetricsRegistry, NoopSink,
-    NoopTracer, Tracer,
-};
+use esvm_obs::{DecisionKind, ExplainRecord, MetricsRegistry, NoopTracer, Tracer};
 use esvm_simcore::energy::full_cost;
 use esvm_simcore::{
     AllocationProblem, Assignment, ServerId, ServerLedger, ServerSpec, Vm, VmId,
@@ -433,56 +430,32 @@ impl LocalSearch {
     /// [`AllocError::Placement`] if the input is incomplete, or if the
     /// final placement fails re-validation (would indicate a bug).
     pub fn refine<'p>(&self, base: &Assignment<'p>) -> AllocResult<Assignment<'p>> {
-        self.refine_traced(base).map(|(refined, _)| refined)
+        self.refine_traced(base, &MetricsRegistry::new(), &NoopTracer)
+            .map(|(refined, _)| refined)
     }
 
     /// [`LocalSearch::refine`], additionally returning every accepted
-    /// move in acceptance order — the trace the property tests and the
-    /// `local_search` bench replay against the reference oracle.
-    pub fn refine_traced<'p>(
-        &self,
-        base: &Assignment<'p>,
-    ) -> AllocResult<(Assignment<'p>, Vec<SearchMove>)> {
-        self.refine_observed(base, &mut NoopSink, &MetricsRegistry::new())
-    }
-
-    /// [`LocalSearch::refine_traced`] with observability: every accepted
-    /// move is emitted as a `local_search.relocate` / `local_search.swap`
-    /// event, and the scan tallies (moves scored / accepted / rejected,
-    /// evaluations reused from an earlier rejection, fit verdicts
-    /// computed, spec-class pruned targets, influence-region fast-path
-    /// hits vs replacement probes) land in `metrics`. With the
-    /// default [`NoopSink`] the instrumentation compiles away and this
-    /// *is* the uninstrumented search.
+    /// move in acceptance order — the trajectory the property tests and
+    /// the `local_search` bench replay against the reference oracle —
+    /// with instrumentation. The scan tallies (moves scored / accepted
+    /// / rejected, evaluations reused from an earlier rejection, fit
+    /// verdicts computed, spec-class pruned targets, influence-region
+    /// fast-path hits vs replacement probes) and the accepted-delta
+    /// histogram land in `metrics`; the whole refinement runs under a
+    /// `local_search.refine` span with one `local_search.round` child
+    /// per improvement round, and every accepted move emits a
+    /// [`DecisionKind::Relocate`] / [`DecisionKind::Swap`] explain
+    /// record (winner, source server, delta, and — for relocates — the
+    /// targets scored in this scan and the pruned-by-class count). With
+    /// [`NoopTracer`] the instrumentation compiles away and this *is*
+    /// the uninstrumented search, instruction for instruction.
     ///
     /// # Errors
     ///
     /// Same as [`LocalSearch::refine`].
-    pub fn refine_observed<'p, S: EventSink>(
+    pub fn refine_traced<'p, T: Tracer>(
         &self,
         base: &Assignment<'p>,
-        sink: &mut S,
-        metrics: &MetricsRegistry,
-    ) -> AllocResult<(Assignment<'p>, Vec<SearchMove>)> {
-        self.refine_instrumented(base, sink, metrics, &NoopTracer)
-    }
-
-    /// [`LocalSearch::refine_observed`] with decision provenance: the
-    /// whole refinement runs under a `local_search.refine` span with one
-    /// `local_search.round` child per improvement round, and every
-    /// accepted move emits a [`DecisionKind::Relocate`] /
-    /// [`DecisionKind::Swap`] explain record (winner, source server,
-    /// delta, and — for relocates — the targets scored in this scan and
-    /// the pruned-by-class count). With [`NoopTracer`] this *is*
-    /// [`LocalSearch::refine_observed`], instruction for instruction.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`LocalSearch::refine`].
-    pub fn refine_instrumented<'p, S: EventSink, T: Tracer>(
-        &self,
-        base: &Assignment<'p>,
-        sink: &mut S,
         metrics: &MetricsRegistry,
         tracer: &T,
     ) -> AllocResult<(Assignment<'p>, Vec<SearchMove>)> {
@@ -538,7 +511,7 @@ impl LocalSearch {
         for _ in 0..self.max_rounds {
             let mut improved = false;
             let _round_span = tracer.span("local_search.round");
-            if S::ENABLED {
+            if T::ENABLED {
                 rounds += 1;
             }
 
@@ -548,8 +521,8 @@ impl LocalSearch {
             for j in 0..problem.vm_count() {
                 let vm = problem.vms()[j];
                 let src = location[j];
-                // Per-VM scan tallies feed the explain record; the run
-                // totals (flushed once below) stay sink-gated.
+                // Per-VM scan tallies feed the explain record and the
+                // run totals flushed once below.
                 let mut vm_considered = 0u64;
                 let mut vm_pruned = 0u64;
                 // Score the departure once per VM: pure arithmetic on the
@@ -582,14 +555,14 @@ impl LocalSearch {
                         if class_seen[class] == scan {
                             // A cheaper-or-equal asleep twin of the same
                             // spec class was already scored this scan.
-                            if S::ENABLED || T::ENABLED {
+                            if T::ENABLED {
                                 vm_pruned += 1;
                             }
                             continue;
                         }
                         class_seen[class] = scan;
                     } else if settled && reuse.unchanged(i, since) {
-                        if S::ENABLED {
+                        if T::ENABLED {
                             relocates_reused += 1;
                         }
                         continue;
@@ -600,7 +573,7 @@ impl LocalSearch {
                     if !self.reference
                         && reuse.relocate_floor(&hosts, j, &vm, src.index(), i) >= 0.0
                     {
-                        if S::ENABLED {
+                        if T::ENABLED {
                             relocates_bounded += 1;
                         }
                         continue;
@@ -618,7 +591,7 @@ impl LocalSearch {
                     } else {
                         removal_gain + hosts[i].ledger.incremental_cost(&vm)
                     };
-                    if S::ENABLED || T::ENABLED {
+                    if T::ENABLED {
                         vm_considered += 1;
                     }
                     if delta < -1e-9 {
@@ -633,20 +606,9 @@ impl LocalSearch {
                             delta,
                         });
                         improved = true;
-                        if S::ENABLED {
+                        if T::ENABLED {
                             relocates_accepted += 1;
                             metrics.observe("local_search.accepted_delta", -delta);
-                            sink.emit(&Event {
-                                name: "local_search.relocate",
-                                fields: &[
-                                    ("vm", FieldValue::U64(vm.id().index() as u64)),
-                                    ("from", FieldValue::U64(src.index() as u64)),
-                                    ("to", FieldValue::U64(dst.index() as u64)),
-                                    ("delta", FieldValue::F64(delta)),
-                                ],
-                            });
-                        }
-                        if T::ENABLED {
                             tracer.explain(&ExplainRecord {
                                 candidates: vm_considered,
                                 pruned: vm_pruned,
@@ -662,7 +624,7 @@ impl LocalSearch {
                         break;
                     }
                 }
-                if S::ENABLED {
+                if T::ENABLED {
                     relocates_considered += vm_considered;
                     pruned_targets += vm_pruned;
                 }
@@ -684,7 +646,7 @@ impl LocalSearch {
                             continue;
                         }
                         if settled && reuse.unchanged(sb.index(), since) {
-                            if S::ENABLED {
+                            if T::ENABLED {
                                 swaps_reused += 1;
                             }
                             continue;
@@ -700,7 +662,7 @@ impl LocalSearch {
                             let bound = reuse.relocate_floor(&hosts, b, &vb, sb.index(), sa.index())
                                 + *a_half;
                             if reuse.swap_cannot_improve(bound) {
-                                if S::ENABLED {
+                                if T::ENABLED {
                                     swaps_bounded += 1;
                                 }
                                 continue;
@@ -733,7 +695,7 @@ impl LocalSearch {
                             }
                             let (da, fast_a) = swap_side_delta(ha, &va, &vb);
                             let (db, fast_b) = swap_side_delta(hb, &vb, &va);
-                            if S::ENABLED {
+                            if T::ENABLED {
                                 for fast in [fast_a, fast_b] {
                                     if fast {
                                         fastpath_hits += 1;
@@ -744,7 +706,7 @@ impl LocalSearch {
                             }
                             da + db
                         };
-                        if S::ENABLED {
+                        if T::ENABLED {
                             swaps_considered += 1;
                         }
                         if delta < -1e-9 {
@@ -765,21 +727,9 @@ impl LocalSearch {
                                 delta,
                             });
                             improved = true;
-                            if S::ENABLED {
+                            if T::ENABLED {
                                 swaps_accepted += 1;
                                 metrics.observe("local_search.accepted_delta", -delta);
-                                sink.emit(&Event {
-                                    name: "local_search.swap",
-                                    fields: &[
-                                        ("a", FieldValue::U64(va.id().index() as u64)),
-                                        ("b", FieldValue::U64(vb.id().index() as u64)),
-                                        ("server_a", FieldValue::U64(sa.index() as u64)),
-                                        ("server_b", FieldValue::U64(sb.index() as u64)),
-                                        ("delta", FieldValue::F64(delta)),
-                                    ],
-                                });
-                            }
-                            if T::ENABLED {
                                 // `vm` is the a-side VM; `winner` is its
                                 // new server, `from` its old one; the
                                 // partner rides in `attempt`.
@@ -804,7 +754,7 @@ impl LocalSearch {
             }
         }
 
-        if S::ENABLED {
+        if T::ENABLED {
             metrics.add("local_search.rounds", rounds);
             metrics.add("local_search.relocates_considered", relocates_considered);
             metrics.add("local_search.relocates_accepted", relocates_accepted);
@@ -872,6 +822,16 @@ mod tests {
     use crate::{Ffps, Miec};
     use esvm_simcore::{Interval, PowerModel, ProblemBuilder, Resources};
     use rand::{rngs::StdRng, SeedableRng};
+
+    /// The uninstrumented refinement and its accepted moves.
+    fn trajectory<'p>(
+        search: LocalSearch,
+        base: &Assignment<'p>,
+    ) -> (Assignment<'p>, Vec<SearchMove>) {
+        search
+            .refine_traced(base, &MetricsRegistry::new(), &NoopTracer)
+            .unwrap()
+    }
 
     fn problem() -> AllocationProblem {
         let mut b = ProblemBuilder::new();
@@ -973,10 +933,10 @@ mod tests {
         let base = crate::RoundRobin::new().allocate(&p, &mut rng).unwrap();
         let plain = LocalSearch::new().refine(&base).unwrap();
 
-        let mut sink = esvm_obs::MemorySink::default();
+        let tracer = esvm_obs::CollectingTracer::new();
         let metrics = MetricsRegistry::new();
         let (observed, moves) = LocalSearch::new()
-            .refine_observed(&base, &mut sink, &metrics)
+            .refine_traced(&base, &metrics, &tracer)
             .unwrap();
 
         // Instrumentation must not change any decision.
@@ -1001,12 +961,12 @@ mod tests {
         let h = metrics.histogram("local_search.accepted_delta").unwrap();
         assert_eq!(h.count, moves.len() as u64);
         assert!(h.min > 0.0, "accepted improvements are recorded as positive gains");
-        // One event line per accepted move.
-        assert_eq!(sink.lines.len(), moves.len());
-        assert!(sink.lines.iter().all(|l| {
-            l.starts_with("{\"event\":\"local_search.relocate\"")
-                || l.starts_with("{\"event\":\"local_search.swap\"")
-        }));
+        // One explain record per accepted move.
+        let explains = tracer.explains();
+        assert_eq!(explains.len(), moves.len());
+        assert!(explains
+            .iter()
+            .all(|e| matches!(e.record.kind, DecisionKind::Relocate | DecisionKind::Swap)));
     }
 
     #[test]
@@ -1014,11 +974,11 @@ mod tests {
         let p = problem();
         let mut rng = StdRng::seed_from_u64(0);
         let base = crate::RoundRobin::new().allocate(&p, &mut rng).unwrap();
-        let (plain, plain_moves) = LocalSearch::new().refine_traced(&base).unwrap();
+        let (plain, plain_moves) = trajectory(LocalSearch::new(), &base);
 
         let tracer = esvm_obs::CollectingTracer::new();
         let (traced, moves) = LocalSearch::new()
-            .refine_instrumented(&base, &mut NoopSink, &MetricsRegistry::new(), &tracer)
+            .refine_traced(&base, &MetricsRegistry::new(), &tracer)
             .unwrap();
         assert_eq!(traced.placement(), plain.placement());
         assert_eq!(traced.total_cost().to_bits(), plain.total_cost().to_bits());
@@ -1108,8 +1068,8 @@ mod tests {
         for seed in 0..4 {
             let mut rng = StdRng::seed_from_u64(seed);
             let base = crate::RoundRobin::new().allocate(&p, &mut rng).unwrap();
-            let (fast, fast_moves) = LocalSearch::new().refine_traced(&base).unwrap();
-            let (slow, slow_moves) = LocalSearch::reference().refine_traced(&base).unwrap();
+            let (fast, fast_moves) = trajectory(LocalSearch::new(), &base);
+            let (slow, slow_moves) = trajectory(LocalSearch::reference(), &base);
             assert_eq!(
                 fast_moves, slow_moves,
                 "seed {seed}: trajectories diverged (would need tie certification)"
@@ -1131,7 +1091,7 @@ mod tests {
         for seed in 0..4 {
             let mut rng = StdRng::seed_from_u64(seed);
             let base = crate::RoundRobin::new().allocate(&p, &mut rng).unwrap();
-            let (_, moves) = LocalSearch::new().refine_traced(&base).unwrap();
+            let (_, moves) = trajectory(LocalSearch::new(), &base);
             let mut location: Vec<usize> =
                 base.placement().iter().map(|s| s.unwrap().index()).collect();
             for step in 0..=moves.len() {
@@ -1208,7 +1168,7 @@ mod tests {
         let p = problem();
         let mut rng = StdRng::seed_from_u64(6);
         let base = crate::RoundRobin::new().allocate(&p, &mut rng).unwrap();
-        let (refined, moves) = LocalSearch::new().refine_traced(&base).unwrap();
+        let (refined, moves) = trajectory(LocalSearch::new(), &base);
         assert!(!moves.is_empty(), "round-robin start should leave work");
         let mut placement: Vec<Option<ServerId>> = base.placement().to_vec();
         for m in &moves {

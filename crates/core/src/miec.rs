@@ -2,10 +2,7 @@
 
 use crate::candidates::{argmin, Argmin, CandidateIndex, ColdRule};
 use crate::{AllocError, AllocResult, Allocator};
-use esvm_obs::{
-    DecisionKind, Event, EventSink, ExplainRecord, FieldValue, MetricsRegistry, NoopSink,
-    NoopTracer, Tracer,
-};
+use esvm_obs::{DecisionKind, ExplainRecord, MetricsRegistry, NoopTracer, Tracer};
 use esvm_simcore::{AllocationProblem, Assignment, ServerId, ServerLedger};
 use rand::RngCore;
 
@@ -150,15 +147,14 @@ impl Miec {
     /// the unpruned oracles visit every server. Both visit in ascending
     /// id order with strict `<`, so placements are bit-identical.
     ///
-    /// Generic over the event sink and tracer: with the default
-    /// [`NoopSink`] / [`NoopTracer`] (`ENABLED == false`) every
-    /// instrumentation block is a compile-time-dead branch and the
-    /// monomorphised loop is the uninstrumented code.
-    fn run<'p, S: EventSink, T: Tracer>(
+    /// Generic over the tracer: with the default [`NoopTracer`]
+    /// (`ENABLED == false`) every instrumentation block is a
+    /// compile-time-dead branch and the monomorphised loop is the
+    /// uninstrumented code.
+    fn run<'p, T: Tracer>(
         &self,
         problem: &'p AllocationProblem,
         admit: bool,
-        sink: &mut S,
         metrics: &MetricsRegistry,
         tracer: &T,
     ) -> AllocResult<(Assignment<'p>, Vec<esvm_simcore::VmId>)> {
@@ -226,15 +222,14 @@ impl Miec {
                     None => real.incremental_cost(&scoring),
                 })
             };
-            let counting = S::ENABLED || T::ENABLED;
             let (scan, pruned) = match pruning.as_mut() {
                 Some((index, cold)) => {
                     // Arrivals come in start order, so the clock only
                     // grows and a cold server stays cold.
                     cold.demote_until(vm.start(), index);
-                    (argmin(index.candidates(), counting, score), index.pruned())
+                    (argmin(index.candidates(), T::ENABLED, score), index.pruned())
                 }
-                None => (argmin(0..n_servers, counting, score), 0),
+                None => (argmin(0..n_servers, T::ENABLED, score), 0),
             };
             let Argmin {
                 best,
@@ -242,7 +237,7 @@ impl Miec {
                 unfit,
                 fp_ties,
             } = scan;
-            if S::ENABLED {
+            if T::ENABLED {
                 candidates_total += candidates;
                 pruned_total += pruned;
                 unfit_total += unfit;
@@ -259,20 +254,8 @@ impl Miec {
                         index.activate(winner);
                         cold.hosted(index, winner, assignment.ledger(sid));
                     }
-                    if S::ENABLED {
-                        metrics.observe("miec.placement_delta", delta);
-                        sink.emit(&Event {
-                            name: "miec.place",
-                            fields: &[
-                                ("vm", FieldValue::U64(vm.id().index() as u64)),
-                                ("server", FieldValue::U64(sid.index() as u64)),
-                                ("delta", FieldValue::F64(delta)),
-                                ("candidates", FieldValue::U64(candidates)),
-                                ("pruned", FieldValue::U64(pruned)),
-                            ],
-                        });
-                    }
                     if T::ENABLED {
+                        metrics.observe("miec.placement_delta", delta);
                         tracer.explain(&ExplainRecord {
                             candidates,
                             pruned,
@@ -288,12 +271,6 @@ impl Miec {
                     }
                 }
                 None if admit => {
-                    if S::ENABLED {
-                        sink.emit(&Event {
-                            name: "miec.reject",
-                            fields: &[("vm", FieldValue::U64(vm.id().index() as u64))],
-                        });
-                    }
                     if T::ENABLED {
                         tracer.explain(&ExplainRecord {
                             candidates,
@@ -310,7 +287,7 @@ impl Miec {
                 None => return Err(AllocError::NoFeasibleServer(vm.id())),
             }
         }
-        if S::ENABLED {
+        if T::ENABLED {
             let placed = problem.vm_count() as u64 - rejected.len() as u64;
             metrics.add("miec.vms_placed", placed);
             metrics.add("miec.vms_rejected", rejected.len() as u64);
@@ -321,40 +298,25 @@ impl Miec {
         }
         Ok((assignment, rejected))
     }
-    /// Observed variant of [`Allocator::allocate`]: identical placement
-    /// decisions, with a `miec.place` event per VM emitted to `sink` and
-    /// the scan tallies (candidates considered, spec-class pruned, exact
-    /// FP ties, unfit skips) accumulated into `metrics`.
+    /// [`Allocator::allocate`] with instrumentation: identical
+    /// placement decisions, with the scan tallies (candidates
+    /// considered, spec-class pruned, exact FP ties, unfit skips) and
+    /// the placement-delta histogram accumulated into `metrics`, a
+    /// `miec.run` span around the placement loop, a `miec.decision`
+    /// span around every per-VM argmin, and one [`ExplainRecord`] per
+    /// VM in `tracer` whose `(winner, delta_cost)` bit-match the
+    /// placement. With [`NoopTracer`] this *is* `allocate`.
     ///
     /// # Errors
     ///
     /// Same as [`Allocator::allocate`].
-    pub fn allocate_observed<'p, S: EventSink>(
+    pub fn allocate_traced<'p, T: Tracer>(
         &self,
         problem: &'p AllocationProblem,
-        sink: &mut S,
-        metrics: &MetricsRegistry,
-    ) -> AllocResult<Assignment<'p>> {
-        self.run(problem, false, sink, metrics, &NoopTracer).map(|(a, _)| a)
-    }
-
-    /// [`Miec::allocate_observed`] with decision provenance: a
-    /// `miec.run` span wraps the placement loop, every per-VM argmin
-    /// runs inside a `miec.decision` span, and one [`ExplainRecord`] per VM lands in
-    /// `tracer` whose `(winner, delta_cost)` bit-match the placement.
-    /// With [`NoopTracer`] this *is* `allocate_observed`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Allocator::allocate`].
-    pub fn allocate_traced<'p, S: EventSink, T: Tracer>(
-        &self,
-        problem: &'p AllocationProblem,
-        sink: &mut S,
         metrics: &MetricsRegistry,
         tracer: &T,
     ) -> AllocResult<Assignment<'p>> {
-        self.run(problem, false, sink, metrics, tracer).map(|(a, _)| a)
+        self.run(problem, false, metrics, tracer).map(|(a, _)| a)
     }
 
     /// Allocation with admission control: unplaceable VMs are rejected
@@ -370,7 +332,7 @@ impl Miec {
         &self,
         problem: &'p AllocationProblem,
     ) -> AllocResult<(Assignment<'p>, Vec<esvm_simcore::VmId>)> {
-        self.run(problem, true, &mut NoopSink, &MetricsRegistry::new(), &NoopTracer)
+        self.run(problem, true, &MetricsRegistry::new(), &NoopTracer)
     }
 }
 
@@ -394,7 +356,7 @@ impl Allocator for Miec {
         problem: &'p AllocationProblem,
         _rng: &mut dyn RngCore,
     ) -> AllocResult<Assignment<'p>> {
-        self.run(problem, false, &mut NoopSink, &MetricsRegistry::new(), &NoopTracer)
+        self.run(problem, false, &MetricsRegistry::new(), &NoopTracer)
             .map(|(a, _)| a)
     }
 }
@@ -603,7 +565,7 @@ mod tests {
 
     #[test]
     fn observed_run_matches_plain_run_and_reports_scan_counts() {
-        use esvm_obs::MemorySink;
+        use esvm_obs::CollectingTracer;
         let mut b = ProblemBuilder::new();
         for _ in 0..3 {
             b = b.server(Resources::new(8.0, 16.0), PowerModel::new(100.0, 200.0), 50.0);
@@ -616,9 +578,9 @@ mod tests {
             .build()
             .unwrap();
         let plain = Miec::new().allocate(&p, &mut rng()).unwrap();
-        let mut sink = MemorySink::new();
+        let tracer = CollectingTracer::new();
         let metrics = esvm_obs::MetricsRegistry::new();
-        let observed = Miec::new().allocate_observed(&p, &mut sink, &metrics).unwrap();
+        let observed = Miec::new().allocate_traced(&p, &metrics, &tracer).unwrap();
         assert_eq!(plain.placement(), observed.placement());
         assert_eq!(metrics.counter("miec.vms_placed"), 3);
         assert_eq!(metrics.counter("miec.vms_rejected"), 0);
@@ -627,9 +589,10 @@ mod tests {
         assert!(metrics.counter("miec.candidates_considered") >= 3);
         assert!(metrics.counter("miec.spec_class_pruned") >= 2);
         assert_eq!(metrics.histogram("miec.placement_delta").unwrap().count, 3);
-        // One miec.place event per VM, in placement order.
-        assert_eq!(sink.lines.len(), 3);
-        assert!(sink.lines.iter().all(|l| l.contains("\"event\":\"miec.place\"")));
+        // One place explain record per VM, in placement order.
+        let explains = tracer.explains();
+        assert_eq!(explains.len(), 3);
+        assert!(explains.iter().all(|e| e.record.kind == DecisionKind::Place));
     }
 
     /// A fleet of `n` servers in three spec classes, interleaved by id.
@@ -695,7 +658,7 @@ mod tests {
             let tracer = esvm_obs::CollectingTracer::new();
             let metrics = esvm_obs::MetricsRegistry::new();
             let a = miec
-                .allocate_traced(&p, &mut NoopSink, &metrics, &tracer)
+                .allocate_traced(&p, &metrics, &tracer)
                 .unwrap();
             (a.placement().to_vec(), tracer.explains()[1].record)
         };
@@ -728,7 +691,7 @@ mod tests {
         for miec in [Miec::new(), Miec::new().without_pruning()] {
             let tracer = esvm_obs::CollectingTracer::new();
             let metrics = esvm_obs::MetricsRegistry::new();
-            miec.allocate_traced(&p, &mut NoopSink, &metrics, &tracer).unwrap();
+            miec.allocate_traced(&p, &metrics, &tracer).unwrap();
             for e in tracer.explains() {
                 let r = &e.record;
                 assert_eq!(r.candidates + r.pruned + r.unfit, 9, "{} {r:?}", miec.name());
@@ -751,7 +714,7 @@ mod tests {
         let tracer = CollectingTracer::new();
         let metrics = esvm_obs::MetricsRegistry::new();
         let traced = Miec::new()
-            .allocate_traced(&p, &mut NoopSink, &metrics, &tracer)
+            .allocate_traced(&p, &metrics, &tracer)
             .unwrap();
         assert_eq!(plain.placement(), traced.placement());
         assert_eq!(plain.total_cost().to_bits(), traced.total_cost().to_bits());

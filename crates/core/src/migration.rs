@@ -24,8 +24,9 @@
 //! evaluation survives behind [`Consolidator::reference`] as the oracle
 //! the fast path is tested against.
 
+use crate::candidates::argmin;
 use crate::{AllocError, AllocResult};
-use esvm_obs::{Event, EventSink, FieldValue, MetricsRegistry, NoopSink};
+use esvm_obs::MetricsRegistry;
 use esvm_simcore::energy::segment_cost;
 use esvm_simcore::{
     Assignment, Interval, LedgerCheckpoint, Resources, Schedule, SegmentSet, ServerId,
@@ -193,31 +194,29 @@ impl Consolidator {
     /// [`AllocError::Placement`] if the base assignment is incomplete
     /// (the pass needs full knowledge of every VM's placement).
     pub fn consolidate<'p>(&self, base: &Assignment<'p>) -> AllocResult<Schedule<'p>> {
-        self.consolidate_observed(base, &mut NoopSink, &MetricsRegistry::new())
+        self.consolidate_observed(base, &MetricsRegistry::new())
     }
 
     /// [`Consolidator::consolidate`] with telemetry: eviction decisions
     /// are counted into `metrics` (`consolidator.*` counters and the
-    /// `consolidator.eviction_net_gain` histogram) and every committed
-    /// eviction emits a `consolidator.evict` event into `sink`.
-    ///
-    /// With [`esvm_obs::NoopSink`] this monomorphizes to exactly the
-    /// uninstrumented pass. The reference oracle path is never
-    /// instrumented (it exists only for equivalence testing).
+    /// `consolidator.eviction_net_gain` histogram). The pass records
+    /// once per run and once per committed eviction, which costs
+    /// nothing next to its scan, so it records unconditionally. The
+    /// reference oracle path is never instrumented (it exists only for
+    /// equivalence testing).
     ///
     /// # Errors
     ///
     /// Same contract as [`Consolidator::consolidate`].
-    pub fn consolidate_observed<'p, S: EventSink>(
+    pub fn consolidate_observed<'p>(
         &self,
         base: &Assignment<'p>,
-        sink: &mut S,
         metrics: &MetricsRegistry,
     ) -> AllocResult<Schedule<'p>> {
         if self.reference {
             self.consolidate_reference(base)
         } else {
-            self.consolidate_fast(base, sink, metrics)
+            self.consolidate_fast(base, metrics)
         }
     }
 
@@ -232,10 +231,9 @@ impl Consolidator {
     /// Delta-scored evaluation on [`ServerLedger`]s: savings realized by
     /// transient `unhost_piece`, targets scored by pure insertion
     /// deltas, rejected evictions rolled back via checkpoints.
-    fn consolidate_fast<'p, S: EventSink>(
+    fn consolidate_fast<'p>(
         &self,
         base: &Assignment<'p>,
-        sink: &mut S,
         metrics: &MetricsRegistry,
     ) -> AllocResult<Schedule<'p>> {
         let problem = base.problem();
@@ -266,18 +264,15 @@ impl Consolidator {
         let mut evictions_rolled_back = 0u64;
         let mut migrations = 0u64;
 
+        let n_servers = problem.server_count() as u32;
         for &t in &Self::departures(problem) {
-            if S::ENABLED {
-                departure_events += 1;
-            }
+            departure_events += 1;
             for source in 0..problem.server_count() {
                 let tails = tails_on(&current, ServerId(source as u32), t);
                 if tails.is_empty() {
                     continue;
                 }
-                if S::ENABLED {
-                    evictions_proposed += 1;
-                }
+                evictions_proposed += 1;
 
                 // Evict the tails transiently; the realized returns sum
                 // to the exact run + idle + switch-on saving on the
@@ -298,20 +293,23 @@ impl Consolidator {
                 let mut feasible = true;
                 for &(vm, tail) in &tails {
                     let demand = problem.vms()[vm.index()].demand();
-                    let mut best: Option<(f64, usize)> = None;
-                    for (i, ledger) in ledgers.iter().enumerate() {
-                        if i == source || !ledger.fits_piece(demand, tail) {
-                            continue;
-                        }
-                        let delta = ledger.incremental_piece_cost(demand, tail);
-                        if best.is_none_or(|(d, _)| delta < d) {
-                            best = Some((delta, i));
-                        }
-                    }
-                    let Some((delta, target)) = best else {
+                    // The Eq. 7 argmin kernel over every server but the
+                    // source, in ascending id: strict `<`, so the
+                    // lowest id wins exact ties. Two chained ranges, not
+                    // a `filter`: the filtered scan measured ~1.8× slower.
+                    let (below, above) = (0..source as u32, source as u32 + 1..n_servers);
+                    let others = below.chain(above);
+                    let scan = argmin(others, false, |i| {
+                        let ledger = &ledgers[i as usize];
+                        ledger
+                            .fits_piece(demand, tail)
+                            .then(|| ledger.incremental_piece_cost(demand, tail))
+                    });
+                    let Some((delta, target)) = scan.best else {
                         feasible = false;
                         break;
                     };
+                    let target = target as usize;
                     if !touched.iter().any(|&(i, _)| i == target) {
                         touched.push((target, ledgers[target].checkpoint()));
                     }
@@ -321,9 +319,7 @@ impl Consolidator {
                 }
 
                 if !feasible || saving - relocation_cost <= self.min_gain {
-                    if S::ENABLED {
-                        evictions_rolled_back += 1;
-                    }
+                    evictions_rolled_back += 1;
                     // Roll back: targets first, then re-host the tails on
                     // the source; checkpoints restore the float
                     // accumulators bit-exactly.
@@ -343,21 +339,9 @@ impl Consolidator {
 
                 // Commit: the ledgers already reflect the eviction;
                 // mirror it on the schedule.
-                if S::ENABLED {
-                    evictions_committed += 1;
-                    migrations += moves.len() as u64;
-                    metrics.observe("consolidator.eviction_net_gain", saving - relocation_cost);
-                    sink.emit(&Event {
-                        name: "consolidator.evict",
-                        fields: &[
-                            ("t", FieldValue::U64(u64::from(t))),
-                            ("source", FieldValue::U64(source as u64)),
-                            ("tails", FieldValue::U64(tails.len() as u64)),
-                            ("saving", FieldValue::F64(saving)),
-                            ("relocation_cost", FieldValue::F64(relocation_cost)),
-                        ],
-                    });
-                }
+                evictions_committed += 1;
+                migrations += moves.len() as u64;
+                metrics.observe("consolidator.eviction_net_gain", saving - relocation_cost);
                 for &(vm, tail, target) in &moves {
                     schedule
                         .truncate_last_piece(vm, t)
@@ -370,13 +354,11 @@ impl Consolidator {
             }
         }
 
-        if S::ENABLED {
-            metrics.add("consolidator.departure_events", departure_events);
-            metrics.add("consolidator.evictions_proposed", evictions_proposed);
-            metrics.add("consolidator.evictions_committed", evictions_committed);
-            metrics.add("consolidator.evictions_rolled_back", evictions_rolled_back);
-            metrics.add("consolidator.migrations", migrations);
-        }
+        metrics.add("consolidator.departure_events", departure_events);
+        metrics.add("consolidator.evictions_proposed", evictions_proposed);
+        metrics.add("consolidator.evictions_committed", evictions_committed);
+        metrics.add("consolidator.evictions_rolled_back", evictions_rolled_back);
+        metrics.add("consolidator.migrations", migrations);
         Ok(schedule)
     }
 
@@ -612,10 +594,9 @@ mod tests {
         let base = Ffps::new().allocate(&problem, &mut rng).unwrap();
         let plain = Consolidator::new(2.0).consolidate(&base).unwrap();
 
-        let mut sink = esvm_obs::MemorySink::default();
         let metrics = MetricsRegistry::new();
         let observed = Consolidator::new(2.0)
-            .consolidate_observed(&base, &mut sink, &metrics)
+            .consolidate_observed(&base, &metrics)
             .unwrap();
 
         // Instrumentation must not change any decision.
@@ -637,12 +618,6 @@ mod tests {
         let gains = metrics.histogram("consolidator.eviction_net_gain").unwrap();
         assert_eq!(gains.count, committed);
         assert!(gains.min > 0.0, "committed evictions always clear min_gain");
-        // One event line per committed eviction.
-        assert_eq!(sink.lines.len(), committed as usize);
-        assert!(sink
-            .lines
-            .iter()
-            .all(|l| l.starts_with("{\"event\":\"consolidator.evict\"")));
     }
 
     #[test]

@@ -4,7 +4,7 @@ use crate::{
     AllocResult, Allocator, BestFit, Ffps, FirstFit, LocalSearch, LowestIdlePower, Miec,
     OnlineGreedy, Random, Refined, RoundRobin,
 };
-use esvm_obs::{EventSink, MetricsRegistry, NoopTracer, Tracer};
+use esvm_obs::{MetricsRegistry, Tracer};
 use esvm_simcore::{AllocationProblem, Assignment};
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
@@ -116,65 +116,45 @@ impl AllocatorKind {
         }
     }
 
-    /// Builds and runs the allocator with telemetry: instrumented kinds
-    /// (the MIEC family and the local-search wrappers) record decision
-    /// counters and histograms into `metrics` and stream per-decision
-    /// events into `sink`; the simple baselines run uninstrumented and
-    /// record nothing. Placements are identical to
-    /// [`AllocatorKind::build`] + [`Allocator::allocate`] with the same
-    /// `rng`.
+    /// Builds and runs the allocator with instrumentation: the
+    /// instrumented kinds (the MIEC family, the local-search wrappers
+    /// and online greedy) record decision counters and histograms into
+    /// `metrics` and hierarchical spans, per-decision explain records
+    /// and per-span latency histograms into `tracer`. The simple
+    /// baselines run uninstrumented and record nothing. Placements are
+    /// identical to [`AllocatorKind::build`] + [`Allocator::allocate`]
+    /// with the same `rng` — the differential tracing suite pins
+    /// placements and costs bit-identical across all kinds for
+    /// disabled and enabled tracers.
     ///
     /// # Errors
     ///
     /// Same contract as [`Allocator::allocate`].
-    pub fn allocate_observed<'p, S: EventSink>(
+    pub fn allocate_traced_with<'p, T: Tracer>(
         &self,
         problem: &'p AllocationProblem,
         rng: &mut dyn RngCore,
-        sink: &mut S,
-        metrics: &MetricsRegistry,
-    ) -> AllocResult<Assignment<'p>> {
-        self.allocate_traced_with(problem, rng, sink, metrics, &NoopTracer)
-    }
-
-    /// [`AllocatorKind::allocate_observed`] with decision
-    /// provenance: the instrumented kinds additionally record
-    /// hierarchical spans, per-placement explain records and per-span
-    /// latency histograms into `tracer`. The simple baselines run
-    /// uninstrumented (no spans, no explains). With [`NoopTracer`] this
-    /// *is* [`AllocatorKind::allocate_observed`] — the differential
-    /// tracing suite pins placements and costs bit-identical across all
-    /// kinds.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Allocator::allocate`].
-    pub fn allocate_traced_with<'p, S: EventSink, T: Tracer>(
-        &self,
-        problem: &'p AllocationProblem,
-        rng: &mut dyn RngCore,
-        sink: &mut S,
         metrics: &MetricsRegistry,
         tracer: &T,
     ) -> AllocResult<Assignment<'p>> {
         match self {
-            AllocatorKind::Miec => Miec::new().allocate_traced(problem, sink, metrics, tracer),
+            AllocatorKind::Miec => Miec::new().allocate_traced(problem, metrics, tracer),
             AllocatorKind::MiecNoAlpha => {
-                Miec::ignoring_transition_costs().allocate_traced(problem, sink, metrics, tracer)
+                Miec::ignoring_transition_costs().allocate_traced(problem, metrics, tracer)
             }
             AllocatorKind::MiecBlindDuration => {
-                Miec::with_assumed_duration(5).allocate_traced(problem, sink, metrics, tracer)
+                Miec::with_assumed_duration(5).allocate_traced(problem, metrics, tracer)
             }
             AllocatorKind::MiecLocalSearch => {
-                let base = Miec::new().allocate_traced(problem, sink, metrics, tracer)?;
+                let base = Miec::new().allocate_traced(problem, metrics, tracer)?;
                 LocalSearch::new()
-                    .refine_instrumented(&base, sink, metrics, tracer)
+                    .refine_traced(&base, metrics, tracer)
                     .map(|(refined, _)| refined)
             }
             AllocatorKind::FfpsLocalSearch => {
                 let base = Ffps::new().allocate(problem, rng)?;
                 LocalSearch::new()
-                    .refine_instrumented(&base, sink, metrics, tracer)
+                    .refine_traced(&base, metrics, tracer)
                     .map(|(refined, _)| refined)
             }
             AllocatorKind::OnlineGreedy => {
@@ -274,11 +254,10 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(9);
             let plain = kind.build().allocate(&p, &mut rng).unwrap();
 
-            let mut sink = esvm_obs::MemorySink::new();
             let metrics = MetricsRegistry::new();
             let mut rng = StdRng::seed_from_u64(9);
             let observed = kind
-                .allocate_observed(&p, &mut rng, &mut sink, &metrics)
+                .allocate_traced_with(&p, &mut rng, &metrics, &esvm_obs::DiscardTracer)
                 .unwrap();
             assert_eq!(observed.placement(), plain.placement(), "{kind}");
             assert_eq!(

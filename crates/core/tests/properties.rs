@@ -4,6 +4,7 @@ use esvm_core::{
     AllocError, Allocator, AllocatorKind, Consolidator, Ffps, LocalSearch, Miec, RoundRobin,
     SearchMove,
 };
+use esvm_obs::{MetricsRegistry, NoopTracer};
 use esvm_simcore::energy::full_cost;
 use esvm_simcore::{
     AllocationProblem, Assignment, Interval, PowerModel, Resources, ServerLedger, ServerSpec, Vm,
@@ -114,6 +115,13 @@ fn apply_move(hosts: &mut [Vec<Vm>], m: &SearchMove) {
             transfer(b, server_b.index(), server_a.index());
         }
     }
+}
+
+/// The uninstrumented refinement of `base` and its accepted moves.
+fn trajectory<'p>(search: LocalSearch, base: &Assignment<'p>) -> (Assignment<'p>, Vec<SearchMove>) {
+    search
+        .refine_traced(base, &MetricsRegistry::new(), &NoopTracer)
+        .unwrap()
 }
 
 /// Per-server VM lists for a complete assignment, in VM-index order —
@@ -411,7 +419,7 @@ proptest! {
         else {
             return Ok(());
         };
-        let (refined, moves) = LocalSearch::new().refine_traced(&base).unwrap();
+        let (refined, moves) = trajectory(LocalSearch::new(), &base);
         let mut hosts = host_lists(&problem, &base);
         let mut total = base.total_cost();
         for m in &moves {
@@ -447,8 +455,8 @@ proptest! {
         else {
             return Ok(());
         };
-        let (fast, fast_moves) = LocalSearch::new().refine_traced(&base).unwrap();
-        let (slow, slow_moves) = LocalSearch::reference().refine_traced(&base).unwrap();
+        let (fast, fast_moves) = trajectory(LocalSearch::new(), &base);
+        let (slow, slow_moves) = trajectory(LocalSearch::reference(), &base);
         let prefix = fast_moves
             .iter()
             .zip(&slow_moves)

@@ -79,8 +79,8 @@ commands:
                     (--out x.esvt streams the binary columnar format)
   solve             load a trace file (text or ESVT) and compare
                     allocators on it
-  query             run a piped query plan over a trace or an
-                    --events-out JSONL file, e.g.
+  query             run a piped query plan over a trace or a flat
+                    JSONL file such as a --trace-out trace, e.g.
                     esvm query \"load t.esvt | filter start >= 50 \\
                                 | agg count,mean:cpu by:end\"
                     stages: load PATH | filter COL OP VALUE | sel COL,…
@@ -171,22 +171,25 @@ options (gap):
                     of the paper workload model
   (--vms/--servers and the workload flags shape the instances)
 
-options (telemetry, compare/solve/chaos/serve):
+options (telemetry, compare/solve/chaos/serve only; other commands
+refuse them, and chaos --live refuses --trace-out):
   --metrics-out F   run one instrumented pass per algorithm and write
                     its decision metrics as CSV (histogram rows carry
                     exact p50/p95/p99; a summary table is also
                     appended to the output)
-  --events-out F    stream the per-decision events of that pass as
-                    JSON lines (one object per placement / move)
   --trace-out F     write the decision-provenance trace of that pass:
-                    hierarchical spans, per-placement explain records
+                    hierarchical spans, one explain record per
+                    decision (placement, move, eviction, repair, shed)
                     and span-latency percentiles. A .json extension
                     selects Chrome trace_event JSON (load in Perfetto
                     / chrome://tracing); anything else is flat JSONL
                     that `esvm query` can load
-  --force           allow --metrics-out / --events-out / --trace-out
-                    to overwrite an existing file (refused by default)
+  --force           allow --metrics-out / --trace-out to overwrite an
+                    existing file (refused by default)
 ";
+
+/// The commands that write `--metrics-out` / `--trace-out`.
+const TELEMETRY_COMMANDS: [&str; 4] = ["compare", "solve", "chaos", "serve"];
 
 /// Flag accumulator.
 #[derive(Debug, Default, Clone)]
@@ -209,7 +212,6 @@ struct Flags {
     target: Option<f64>,
     sizes: Option<Vec<usize>>,
     metrics_out: Option<String>,
-    events_out: Option<String>,
     trace_out: Option<String>,
     force: bool,
     fault_rate: Option<f64>,
@@ -289,7 +291,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, CliError> {
             }
             "--out" => flags.out = Some(value("--out")?),
             "--metrics-out" => flags.metrics_out = Some(value("--metrics-out")?),
-            "--events-out" => flags.events_out = Some(value("--events-out")?),
             "--trace-out" => flags.trace_out = Some(value("--trace-out")?),
             "--target" => {
                 flags.target = Some(
@@ -475,6 +476,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             .map_err(|e| CliError::Usage(e.to_string()));
     }
     let flags = parse_flags(rest)?;
+    refuse_unwritten_telemetry(command, &flags)?;
     let opts = options_from(&flags)?;
 
     let output = dispatch(command, &flags, &opts)?;
@@ -487,6 +489,27 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         }
         _ => Ok(output),
     }
+}
+
+/// Refuses a telemetry flag the command would accept and then never
+/// write: only the [`TELEMETRY_COMMANDS`] write them, and the live
+/// chaos drill records metrics but no provenance trace.
+fn refuse_unwritten_telemetry(command: &str, flags: &Flags) -> Result<(), CliError> {
+    let writes = TELEMETRY_COMMANDS.contains(&command);
+    let live = command == "chaos" && flags.live;
+    for (flag, set, written) in [
+        ("--metrics-out", flags.metrics_out.is_some(), writes),
+        ("--trace-out", flags.trace_out.is_some(), writes && !live),
+    ] {
+        if set && !written {
+            let what = if live { "chaos --live" } else { command };
+            return Err(CliError::Usage(format!(
+                "{what} writes no {flag} output; the telemetry flags apply to compare, \
+                 solve, chaos and serve (chaos --live takes --metrics-out only)\n\n{USAGE}"
+            )));
+        }
+    }
+    Ok(())
 }
 
 fn dispatch(command: &str, flags: &Flags, opts: &ExpOptions) -> Result<String, CliError> {
@@ -615,33 +638,25 @@ fn preflight_out_path(path: &str, force: bool) -> Result<(), CliError> {
 }
 
 /// One instrumented run per algorithm on `problem`: decision metrics
-/// become rows of `table`, per-decision events stream into `sink`,
-/// provenance spans and explain records land in `tracer` (each
-/// algorithm's run nested under a span named after it), and the audited
-/// energy decomposition is exported as `energy.*` gauges.
-fn telemetry_rows<S: esvm_obs::EventSink, T: esvm_obs::Tracer>(
+/// become rows of `table`, provenance spans and explain records land
+/// in `tracer` (each algorithm's run nested under a span named after
+/// it), and the audited energy decomposition is exported as `energy.*`
+/// gauges.
+fn telemetry_rows<T: esvm_obs::Tracer>(
     problem: &esvm_simcore::AllocationProblem,
     algos: &[AllocatorKind],
     seed: u64,
-    sink: &mut S,
     tracer: &T,
     table: &mut Table,
 ) -> Result<(), CliError> {
-    use esvm_obs::{Event, FieldValue, MetricsRegistry};
+    use esvm_obs::MetricsRegistry;
     use rand::SeedableRng;
     for &algo in algos {
-        sink.emit(&Event {
-            name: "run.start",
-            fields: &[
-                ("algo", FieldValue::Str(algo.name())),
-                ("seed", FieldValue::U64(seed)),
-            ],
-        });
         let _algo_span = tracer.span(algo.name());
         let metrics = MetricsRegistry::new();
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let assignment = algo
-            .allocate_traced_with(problem, &mut rng, sink, &metrics, tracer)
+            .allocate_traced_with(problem, &mut rng, &metrics, tracer)
             .map_err(|error| RunError::Alloc { algo, seed, error })?;
         let report = assignment.audit().map_err(RunError::Audit)?;
         metrics.set_gauge("energy.run", report.breakdown.run);
@@ -655,32 +670,6 @@ fn telemetry_rows<S: esvm_obs::EventSink, T: esvm_obs::Tracer>(
                 value.kind().to_owned(),
                 value.render(),
             ]);
-        }
-    }
-    Ok(())
-}
-
-/// Routes `telemetry_rows` through the `--events-out` sink choice with
-/// a caller-chosen tracer.
-fn telemetry_capture<T: esvm_obs::Tracer>(
-    problem: &esvm_simcore::AllocationProblem,
-    algos: &[AllocatorKind],
-    seed: u64,
-    events_out: Option<&str>,
-    tracer: &T,
-    table: &mut Table,
-) -> Result<(), CliError> {
-    match events_out {
-        Some(path) => {
-            let file = std::fs::File::create(path)
-                .map_err(|e| CliError::Usage(format!("cannot write {path:?}: {e}")))?;
-            let mut sink = esvm_obs::JsonlWriter::new(std::io::BufWriter::new(file));
-            telemetry_rows(problem, algos, seed, &mut sink, tracer, &mut *table)?;
-            sink.finish()
-                .map_err(|e| CliError::Usage(format!("cannot write {path:?}: {e}")))?;
-        }
-        None => {
-            telemetry_rows(problem, algos, seed, &mut esvm_obs::DiscardSink, tracer, table)?;
         }
     }
     Ok(())
@@ -724,8 +713,8 @@ fn write_trace_output(
     Ok(out)
 }
 
-/// Renders the `--metrics-out` / `--events-out` / `--trace-out`
-/// telemetry section (an empty string when none of the flags is set):
+/// Renders the `--metrics-out` / `--trace-out` telemetry section (an
+/// empty string when neither flag is set):
 /// a metric summary table for one instrumented run per algorithm, plus
 /// the side files.
 fn telemetry_section(
@@ -734,32 +723,21 @@ fn telemetry_section(
     seed: u64,
     flags: &Flags,
 ) -> Result<String, CliError> {
-    if flags.metrics_out.is_none() && flags.events_out.is_none() && flags.trace_out.is_none() {
+    if flags.metrics_out.is_none() && flags.trace_out.is_none() {
         return Ok(String::new());
     }
-    for path in [&flags.metrics_out, &flags.events_out, &flags.trace_out]
-        .into_iter()
-        .flatten()
-    {
+    for path in [&flags.metrics_out, &flags.trace_out].into_iter().flatten() {
         preflight_out_path(path, flags.force)?;
     }
     let mut table = Table::new(vec!["algorithm", "metric", "kind", "value"]);
-    let events_out = flags.events_out.as_deref();
     let trace_note = match &flags.trace_out {
         Some(path) => {
             let tracer = esvm_obs::CollectingTracer::new();
-            telemetry_capture(problem, algos, seed, events_out, &tracer, &mut table)?;
+            telemetry_rows(problem, algos, seed, &tracer, &mut table)?;
             write_trace_output(path, &tracer)?
         }
         None => {
-            telemetry_capture(
-                problem,
-                algos,
-                seed,
-                events_out,
-                &esvm_obs::NoopTracer,
-                &mut table,
-            )?;
+            telemetry_rows(problem, algos, seed, &esvm_obs::DiscardTracer, &mut table)?;
             String::new()
         }
     };
@@ -770,9 +748,6 @@ fn telemetry_section(
         std::fs::write(path, table.to_csv())
             .map_err(|e| CliError::Usage(format!("cannot write {path:?}: {e}")))?;
         out.push_str(&format!("metrics written to {path}\n"));
-    }
-    if let Some(path) = &flags.events_out {
-        out.push_str(&format!("events written to {path}\n"));
     }
     out.push_str(&trace_note);
     Ok(out)
@@ -845,7 +820,7 @@ fn run_compare(flags: &Flags, opts: &ExpOptions) -> Result<String, CliError> {
             ));
         }
     }
-    if flags.metrics_out.is_some() || flags.events_out.is_some() || flags.trace_out.is_some() {
+    if flags.metrics_out.is_some() || flags.trace_out.is_some() {
         let seed = flags.seed.unwrap_or(0);
         let problem = config
             .generate(seed)
@@ -857,14 +832,12 @@ fn run_compare(flags: &Flags, opts: &ExpOptions) -> Result<String, CliError> {
 
 /// One instrumented chaos replay per algorithm: summary rows into
 /// `table`, the full robustness metric snapshot into `metric_table`,
-/// chaos events into `sink`, repair/shed provenance into `tracer`.
-#[allow(clippy::too_many_arguments)]
-fn chaos_rows<S: esvm_obs::EventSink, T: esvm_obs::Tracer>(
+/// eviction/repair/shed provenance into `tracer`.
+fn chaos_rows<T: esvm_obs::Tracer>(
     engine: &esvm_chaos::ChaosEngine,
     problem: &esvm_simcore::AllocationProblem,
     algos: &[AllocatorKind],
     seed: u64,
-    sink: &mut S,
     tracer: &T,
     table: &mut Table,
     metric_table: &mut Table,
@@ -877,7 +850,7 @@ fn chaos_rows<S: esvm_obs::EventSink, T: esvm_obs::Tracer>(
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let allocator = algo.build();
         let report = engine
-            .run_traced(problem, allocator.as_ref(), &mut rng, sink, &metrics, tracer)
+            .run_traced(problem, allocator.as_ref(), &mut rng, &metrics, tracer)
             .map_err(|e| match e {
                 esvm_chaos::ChaosError::Offline(error) => {
                     CliError::Run(RunError::Alloc { algo, seed, error })
@@ -902,53 +875,6 @@ fn chaos_rows<S: esvm_obs::EventSink, T: esvm_obs::Tracer>(
                 value.kind().to_owned(),
                 value.render(),
             ]);
-        }
-    }
-    Ok(())
-}
-
-/// Routes `chaos_rows` through the `--events-out` sink choice with a
-/// caller-chosen tracer.
-#[allow(clippy::too_many_arguments)]
-fn chaos_capture<T: esvm_obs::Tracer>(
-    engine: &esvm_chaos::ChaosEngine,
-    problem: &esvm_simcore::AllocationProblem,
-    algos: &[AllocatorKind],
-    seed: u64,
-    events_out: Option<&str>,
-    tracer: &T,
-    table: &mut Table,
-    metric_table: &mut Table,
-) -> Result<(), CliError> {
-    match events_out {
-        Some(path) => {
-            let file = std::fs::File::create(path)
-                .map_err(|e| CliError::Usage(format!("cannot write {path:?}: {e}")))?;
-            let mut sink = esvm_obs::JsonlWriter::new(std::io::BufWriter::new(file));
-            chaos_rows(
-                engine,
-                problem,
-                algos,
-                seed,
-                &mut sink,
-                tracer,
-                table,
-                metric_table,
-            )?;
-            sink.finish()
-                .map_err(|e| CliError::Usage(format!("cannot write {path:?}: {e}")))?;
-        }
-        None => {
-            chaos_rows(
-                engine,
-                problem,
-                algos,
-                seed,
-                &mut esvm_obs::DiscardSink,
-                tracer,
-                table,
-                metric_table,
-            )?;
         }
     }
     Ok(())
@@ -985,14 +911,9 @@ fn run_chaos(flags: &Flags) -> Result<String, CliError> {
     };
 
     // Fail before the run, not after it, on unwritable outputs.
-    for path in [
-        &flags.plan_out,
-        &flags.metrics_out,
-        &flags.events_out,
-        &flags.trace_out,
-    ]
-    .into_iter()
-    .flatten()
+    for path in [&flags.plan_out, &flags.metrics_out, &flags.trace_out]
+        .into_iter()
+        .flatten()
     {
         preflight_out_path(path, flags.force)?;
     }
@@ -1047,12 +968,11 @@ fn run_chaos(flags: &Flags) -> Result<String, CliError> {
     let trace_note = match &flags.trace_out {
         Some(path) => {
             let tracer = esvm_obs::CollectingTracer::new();
-            chaos_capture(
+            chaos_rows(
                 &engine,
                 &problem,
                 &algos,
                 seed,
-                flags.events_out.as_deref(),
                 &tracer,
                 &mut table,
                 &mut metric_table,
@@ -1060,13 +980,12 @@ fn run_chaos(flags: &Flags) -> Result<String, CliError> {
             write_trace_output(path, &tracer)?
         }
         None => {
-            chaos_capture(
+            chaos_rows(
                 &engine,
                 &problem,
                 &algos,
                 seed,
-                flags.events_out.as_deref(),
-                &esvm_obs::NoopTracer,
+                &esvm_obs::DiscardTracer,
                 &mut table,
                 &mut metric_table,
             )?;
@@ -1096,9 +1015,6 @@ fn run_chaos(flags: &Flags) -> Result<String, CliError> {
         std::fs::write(path, metric_table.to_csv())
             .map_err(|e| CliError::Usage(format!("cannot write {path:?}: {e}")))?;
         out.push_str(&format!("\nmetrics written to {path}\n"));
-    }
-    if let Some(path) = &flags.events_out {
-        out.push_str(&format!("\nevents written to {path}\n"));
     }
     out.push_str(&trace_note);
     Ok(out)
@@ -1956,6 +1872,8 @@ mod tests {
         let dir = std::env::temp_dir();
         let metrics_path = dir.join("esvm_cli_metrics_test.csv");
         let events_path = dir.join("esvm_cli_events_test.jsonl");
+        std::fs::remove_file(&metrics_path).ok();
+        std::fs::remove_file(&events_path).ok();
         let out = run(&args(&[
             "compare",
             "--vms",
@@ -1968,7 +1886,7 @@ mod tests {
             "miec,miec-ls",
             "--metrics-out",
             metrics_path.to_str().unwrap(),
-            "--events-out",
+            "--trace-out",
             events_path.to_str().unwrap(),
         ]))
         .unwrap();
@@ -1984,15 +1902,14 @@ mod tests {
 
         let events = std::fs::read_to_string(&events_path).unwrap();
         let lines: Vec<&str> = events.lines().collect();
-        // One run.start marker per algorithm, then its decision events.
-        assert_eq!(
-            lines
-                .iter()
-                .filter(|l| l.starts_with("{\"event\":\"run.start\""))
-                .count(),
-            2
-        );
-        assert!(lines.iter().any(|l| l.starts_with("{\"event\":\"miec.place\"")));
+        // One root span per algorithm, and its decisions' explain records.
+        for algo in ["miec", "miec-ls"] {
+            let root = format!("\"parent\":0,\"name\":\"{algo}\"");
+            assert_eq!(lines.iter().filter(|l| l.contains(&root)).count(), 1, "{algo}");
+        }
+        assert!(lines
+            .iter()
+            .any(|l| l.starts_with("{\"type\":\"explain\",\"kind\":\"place\"")));
         std::fs::remove_file(&metrics_path).ok();
         std::fs::remove_file(&events_path).ok();
     }
@@ -2034,10 +1951,10 @@ mod tests {
         std::fs::remove_file(&path).ok();
         let out = run(&args(&[
             "compare", "--vms", "12", "--servers", "6", "--seeds", "2", "--algos", "miec",
-            "--events-out", path.to_str().unwrap(),
+            "--trace-out", path.to_str().unwrap(),
         ]))
         .unwrap();
-        assert!(out.contains("events written"), "{out}");
+        assert!(out.contains("provenance trace"), "{out}");
         assert!(path.exists());
         std::fs::remove_file(&path).ok();
     }
@@ -2231,6 +2148,54 @@ mod tests {
     }
 
     #[test]
+    fn events_out_flag_is_a_usage_error() {
+        // Decisions are recorded through the tracer alone: --trace-out.
+        let path = std::env::temp_dir().join("esvm_cli_events_out_flag_test.jsonl");
+        std::fs::remove_file(&path).ok();
+        let err = run(&args(&[
+            "compare", "--vms", "12", "--servers", "6", "--seeds", "2", "--events-out",
+            path.to_str().unwrap(),
+        ]))
+        .unwrap_err();
+        assert!(
+            matches!(&err, CliError::Usage(msg) if msg.contains("unknown flag")),
+            "{err}"
+        );
+        assert!(!path.exists());
+    }
+
+    #[test]
+    fn telemetry_flags_are_refused_where_nothing_writes_them() {
+        let path = std::env::temp_dir().join("esvm_cli_unwritten_telemetry_test.out");
+        let path_str = path.to_str().unwrap().to_owned();
+        let commands: [&[&str]; 6] = [
+            &["gap", "--seeds", "2"],
+            &["timeline"],
+            &["gen"],
+            &["exact"],
+            &["table1"],
+            &["chaos", "--live"],
+        ];
+        for command in commands {
+            for flag in ["--metrics-out", "--trace-out"] {
+                if command == ["chaos", "--live"] && flag == "--metrics-out" {
+                    // The live drill writes its session metrics.
+                    continue;
+                }
+                std::fs::remove_file(&path).ok();
+                let mut argv = command.to_vec();
+                argv.extend([flag, path_str.as_str()]);
+                let err = run(&args(&argv)).unwrap_err();
+                assert!(
+                    matches!(&err, CliError::Usage(msg) if msg.contains(flag)),
+                    "{argv:?}: {err}"
+                );
+                assert!(!path.exists(), "{argv:?} wrote {path_str}");
+            }
+        }
+    }
+
+    #[test]
     fn bad_workload_flags_are_usage_errors() {
         let bad = [
             ("--interarrival", "0"),
@@ -2346,13 +2311,21 @@ mod tests {
             "chaos", "--vms", "20", "--servers", "6", "--seed", "5", "--fault-rate", "0.8",
             "--algos", "miec",
             "--metrics-out", metrics_path.to_str().unwrap(),
-            "--events-out", events_path.to_str().unwrap(),
+            "--trace-out", events_path.to_str().unwrap(),
         ]))
         .unwrap();
         assert!(out.contains("metrics written"), "{out}");
         let csv = std::fs::read_to_string(&metrics_path).unwrap();
         assert!(csv.starts_with("algorithm,metric,kind,value"), "{csv}");
         assert!(csv.contains("chaos."), "{csv}");
+        // One evict explain record per displaced VM.
+        let displaced = csv
+            .lines()
+            .find_map(|l| l.strip_prefix("miec,chaos.displaced_vms,counter,"))
+            .map_or(0, |n| n.parse::<usize>().unwrap());
+        let trace = std::fs::read_to_string(&events_path).unwrap();
+        let evicts = trace.lines().filter(|l| l.contains("\"kind\":\"evict\"")).count();
+        assert_eq!(evicts, displaced, "{trace}");
         std::fs::remove_file(&metrics_path).ok();
         std::fs::remove_file(&events_path).ok();
     }

@@ -14,9 +14,10 @@
 //!   are streamed block-by-block and the per-block `start`/`end`
 //!   min/max statistics prune blocks that cannot match the filters —
 //!   skipped blocks are never decoded (their payload is seeked past).
-//! * **JSON-lines event files** (`--events-out`, chaos telemetry): one
-//!   flat JSON object per line; the columns are the union of keys in
-//!   first-seen order.
+//! * **Flat JSON-lines files** — the provenance traces `--trace-out`
+//!   writes (one object per explain record or span), or any event log
+//!   of the same shape: one flat JSON object per line; the columns are
+//!   the union of keys in first-seen order.
 //!
 //! Filters accept the operators `==`, `!=`, `>=`, `<=`, `>`, `<` and
 //! `~` (substring match), each with a shell-friendly word alias
@@ -222,7 +223,7 @@ plan grammar:
         each takes :COL, the trailing default COL, or — for a lone
         column-less spec — the column of the last filter stage
 columns: id,cpu,mem,start,end,duration for traces; JSON keys for
-         event / provenance-trace files";
+         flat JSONL files such as provenance traces";
 
 fn parse_plan(expr: &str) -> Result<Plan, QueryError> {
     let help = |msg: String| err(format!("{msg}\n\n{PLAN_HELP}"));
@@ -588,7 +589,7 @@ fn scan_jsonl(
 }
 
 // ---------------------------------------------------------------------------
-// Flat JSON-object parser (the shape `--events-out` writes).
+// Flat JSON-object parser (the shape `--trace-out` JSONL writes).
 // ---------------------------------------------------------------------------
 
 fn parse_json_line(

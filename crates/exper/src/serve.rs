@@ -768,10 +768,13 @@ pub const MAX_LINE_BYTES: usize = 4096;
 /// line that is not UTF-8 earns `ERR invalid-utf8`, and one longer than
 /// [`MAX_LINE_BYTES`] earns `ERR line-too-long` and is skipped without
 /// being buffered — so only transport failures end the session early.
+/// A reply stream closed by its reader (`esvm serve … | head -1`) ends
+/// the session as EOF does: nobody is left to answer.
 ///
 /// # Errors
 ///
-/// I/O errors from the input or output stream.
+/// I/O errors from the input stream, and output errors other than a
+/// broken pipe.
 pub fn serve_lines<R: BufRead, W: Write, T: Tracer>(
     mut input: R,
     mut output: W,
@@ -796,9 +799,14 @@ pub fn serve_lines<R: BufRead, W: Write, T: Tracer>(
             None => session.handle_bytes(&line),
         };
         if let Some(reply) = reply {
-            output.write_all(reply.as_bytes())?;
-            output.write_all(b"\n")?;
-            output.flush()?;
+            let written = output
+                .write_all(reply.as_bytes())
+                .and_then(|()| output.write_all(b"\n"))
+                .and_then(|()| output.flush());
+            match written {
+                Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => return Ok(()),
+                other => other?,
+            }
         }
     }
 }

@@ -2,6 +2,9 @@
 //! (`esvm gen … | head -1`): a closed stdout ends the run quietly, not
 //! with a panic.
 
+use esvm_exper::journal::{recover_file, JournalRecord};
+use std::fmt::Write as _;
+use std::io::Write as _;
 use std::process::{Command, Stdio};
 
 #[test]
@@ -20,4 +23,53 @@ fn a_closed_stdout_ends_the_run_quietly() {
     assert_ne!(out.status.code(), Some(101), "esvm panicked: {stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
     assert!(out.status.success(), "exit {:?}: {stderr}", out.status);
+}
+
+/// `esvm serve … | head -1`: a reply stream closed by its reader ends
+/// the session as EOF does — the shutdown checkpoint reaches the
+/// journal and the process exits 0.
+#[test]
+fn a_closed_stdout_ends_a_serve_session_at_its_checkpoint() {
+    let journal = std::env::temp_dir().join(format!(
+        "esvm_closed_stdout_serve_{}.esvj",
+        std::process::id()
+    ));
+    std::fs::remove_file(&journal).ok();
+    let mut child = Command::new(env!("CARGO_BIN_EXE_esvm"))
+        .args([
+            "serve",
+            "--servers",
+            "50",
+            "--journal",
+            journal.to_str().unwrap(),
+        ])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("esvm starts");
+    drop(child.stdout.take());
+    let mut stdin = child.stdin.take().expect("piped stdin");
+    let feeder = std::thread::spawn(move || {
+        let mut requests = String::new();
+        for id in 0..20_000u32 {
+            let _ = writeln!(requests, "REQ {id} {} 5 1.0 2.0", id / 10 + 1);
+        }
+        // The session stops reading once its replies have nowhere to
+        // go, so this write may meet a closed pipe too.
+        let _ = stdin.write_all(requests.as_bytes());
+    });
+    let out = child.wait_with_output().expect("esvm runs to its end");
+    feeder.join().expect("the feeder thread ends");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "exit {:?}: {stderr}", out.status);
+
+    let recovered = recover_file(&journal).expect("the journal recovers");
+    assert!(
+        matches!(recovered.records.last(), Some(JournalRecord::Checkpoint(_))),
+        "the journal ends with {:?}",
+        recovered.records.last()
+    );
+    assert_eq!(recovered.torn_bytes, 0);
+    std::fs::remove_file(&journal).ok();
 }

@@ -8,25 +8,23 @@
 //! both visible without perturbing the hot paths:
 //!
 //! * a [`MetricsRegistry`] holding named counters, gauges and
-//!   log2-bucketed histograms (with p50/p95/p99 quantiles), plus RAII
-//!   [`SpanTimer`]s for wall-clock phases;
-//! * a structured [`EventSink`] trait for per-decision records, with a
-//!   [`JsonlWriter`] for machine-readable traces and an allocation-free
-//!   [`NoopSink`] default;
+//!   log2-bucketed histograms (with p50/p95/p99 quantiles);
 //! * a [`Tracer`] trait for decision provenance — RAII hierarchical
-//!   spans ([`trace::SpanGuard`]), per-placement [`ExplainRecord`]s,
+//!   spans ([`trace::SpanGuard`]), per-decision [`ExplainRecord`]s,
 //!   and per-span latency histograms, collected by
 //!   [`CollectingTracer`] and exportable as query-friendly JSON Lines
 //!   or Chrome `trace_event` JSON.
 //!
-//! Instrumented algorithms are generic over `S: EventSink` (and
-//! `T: Tracer`) and guard every counter increment and record
-//! construction behind the associated constants
-//! [`EventSink::ENABLED`] / [`Tracer::ENABLED`]. Monomorphisation then
-//! compiles the `NoopSink`/`NoopTracer` instantiation down to the
-//! uninstrumented code — the disabled path has literally zero
+//! The tracer is the one instrumentation switch. Instrumented engines
+//! take `(metrics, tracer)` and are generic over `T: Tracer` only;
+//! every counter increment, histogram observation and explain record
+//! sits behind the associated constant [`Tracer::ENABLED`].
+//! Monomorphisation compiles the [`NoopTracer`] instantiation down to
+//! the uninstrumented code — the disabled path has literally zero
 //! observability instructions, which the `ledger` and `local_search`
-//! benches pin against the recorded PR 2 numbers.
+//! benches pin against the recorded numbers. A metrics-only run passes
+//! the [`DiscardTracer`], which is enabled but keeps no spans or
+//! records.
 //!
 //! The crate is dependency-free (the workspace builds offline) and
 //! deliberately single-threaded: the registry uses interior mutability
@@ -37,16 +35,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod events;
 pub mod metrics;
 pub mod names;
 pub mod trace;
 
-pub use events::{
-    encode_json, DiscardSink, Event, EventSink, FieldValue, JsonlWriter, MemorySink, NoopSink,
-};
-pub use metrics::{HistogramSummary, Log2Histogram, MetricValue, MetricsRegistry, SpanTimer};
+pub use metrics::{HistogramSummary, Log2Histogram, MetricValue, MetricsRegistry};
 pub use trace::{
-    CollectingTracer, DecisionKind, ExplainEntry, ExplainRecord, NoopTracer, SpanGuard, SpanId,
-    SpanRecord, Tracer,
+    CollectingTracer, DecisionKind, DiscardTracer, ExplainEntry, ExplainRecord, NoopTracer,
+    SpanGuard, SpanId, SpanRecord, Tracer,
 };

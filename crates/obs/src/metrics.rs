@@ -1,5 +1,6 @@
 //! Metrics registry: named counters, gauges and log2-bucketed
-//! histograms with quantiles, plus RAII span timers.
+//! histograms with quantiles. Wall-clock phases are the tracer's spans
+//! (see [`crate::trace`]).
 //!
 //! The registry uses interior mutability (`RefCell`) so that a single
 //! shared `&MetricsRegistry` can be threaded through call layers
@@ -8,8 +9,6 @@
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
-use std::time::Instant;
 
 /// Sub-buckets per power of two: bucket edges grow by a factor of
 /// `2^(1/16) ≈ 1.044`, bounding the relative error of a reported
@@ -264,13 +263,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Starts an RAII span timer; its wall-clock duration in seconds is
-    /// recorded into the histogram `name` when the returned guard
-    /// drops.
-    pub fn span(&self, name: &str) -> SpanTimer<'_> {
-        SpanTimer { registry: self, name: name.to_owned(), start: Instant::now() }
-    }
-
     /// Current value of the counter `name` (0 if never incremented).
     pub fn counter(&self, name: &str) -> u64 {
         self.inner.borrow().counters.get(name).copied().unwrap_or(0)
@@ -309,33 +301,6 @@ impl MetricsRegistry {
             rows.push((name.clone(), MetricValue::Histogram(h.summary())));
         }
         rows
-    }
-
-    /// Plain-text rendering: one aligned `name kind value` line per
-    /// metric.
-    pub fn render(&self) -> String {
-        let rows = self.snapshot();
-        let width = rows.iter().map(|(n, _)| n.len()).max().unwrap_or(0);
-        let mut out = String::new();
-        for (name, value) in rows {
-            let _ = writeln!(out, "{name:<width$}  {:<9}  {}", value.kind(), value.render());
-        }
-        out
-    }
-}
-
-/// RAII wall-clock timer handed out by [`MetricsRegistry::span`];
-/// records elapsed seconds into its histogram on drop.
-#[derive(Debug)]
-pub struct SpanTimer<'a> {
-    registry: &'a MetricsRegistry,
-    name: String,
-    start: Instant,
-}
-
-impl Drop for SpanTimer<'_> {
-    fn drop(&mut self) {
-        self.registry.observe(&self.name, self.start.elapsed().as_secs_f64());
     }
 }
 
@@ -445,21 +410,10 @@ mod tests {
         for v in [1.0, 2.0, 3.0, 4.0] {
             m.observe("lat", v);
         }
-        let rendered = m.render();
+        let rendered = MetricValue::Histogram(m.histogram("lat").unwrap()).render();
         for needle in ["n=4", "mean=2.5", "p50=", "p95=", "p99=", "min=1.0", "max=4.0"] {
             assert!(rendered.contains(needle), "{rendered}");
         }
-    }
-
-    #[test]
-    fn span_timer_records_on_drop() {
-        let m = MetricsRegistry::new();
-        {
-            let _t = m.span("phase.seconds");
-        }
-        let h = m.histogram("phase.seconds").unwrap();
-        assert_eq!(h.count, 1);
-        assert!(h.sum >= 0.0);
     }
 
     #[test]
@@ -469,8 +423,9 @@ mod tests {
         m.add("c.b", 1);
         m.add("c.a", 1);
         m.set_gauge("g.y", 2.0);
-        let names: Vec<String> = m.snapshot().into_iter().map(|(n, _)| n).collect();
+        let snapshot = m.snapshot();
+        let names: Vec<&str> = snapshot.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, vec!["c.a", "c.b", "g.y", "h.x"]);
-        assert!(m.render().contains("counter"));
+        assert_eq!(snapshot[0].1.kind(), "counter");
     }
 }

@@ -5,12 +5,12 @@
 //! *what* MIEC chose but not *why* — which candidates were scanned,
 //! what spec-class pruning discarded, what the decision cost in wall
 //! time. This module makes each decision
-//! self-describing without perturbing the hot paths, using the same
-//! zero-cost static dispatch as [`EventSink`](crate::EventSink):
-//! instrumented algorithms are generic over `T: Tracer`, guard every
-//! record construction behind the associated constant
-//! [`Tracer::ENABLED`], and monomorphisation compiles the
-//! [`NoopTracer`] instantiation down to the uninstrumented code.
+//! self-describing without perturbing the hot paths, using zero-cost
+//! static dispatch: instrumented algorithms are generic over
+//! `T: Tracer`, guard every metric update and record construction
+//! behind the associated constant [`Tracer::ENABLED`], and
+//! monomorphisation compiles the [`NoopTracer`] instantiation down to
+//! the uninstrumented code.
 //!
 //! Three primitives:
 //!
@@ -21,8 +21,9 @@
 //! * **Explain records** — one [`ExplainRecord`] per placement
 //!   decision: the VM, how many candidates were scanned, how many the
 //!   spec-class prune discarded, the winning server, the incremental-cost delta, and
-//!   the floating-point-tie flag; under chaos, the repair/shed
-//!   attribution (attempt count, replay time, evicted-from server).
+//!   the floating-point-tie flag; under chaos, the eviction and
+//!   repair/shed attribution (attempt count, replay time,
+//!   evicted-from server).
 //! * **Latency histograms** — every closed span's duration lands in a
 //!   per-name [`Log2Histogram`], so p50/p95/p99/max decision latency
 //!   is available without post-processing.
@@ -31,8 +32,9 @@
 //! two formats: flat JSON Lines (queryable with `esvm query`, one
 //! object per span or explain record) and Chrome `trace_event` JSON,
 //! loadable in `chrome://tracing` or [Perfetto](https://ui.perfetto.dev).
+//! The [`DiscardTracer`] is enabled but keeps nothing: the tracer of a
+//! metrics-only run.
 
-use crate::events::push_json_string;
 use crate::metrics::{HistogramSummary, Log2Histogram};
 use std::cell::RefCell;
 use std::fmt::Write as _;
@@ -70,6 +72,9 @@ pub enum DecisionKind {
     Shed,
     /// ChaosEngine refused an arrival admission under degradation.
     Refuse,
+    /// ChaosEngine displaced a VM's remaining work from a server that
+    /// went down (`from`), at replay time `time`.
+    Evict,
 }
 
 impl DecisionKind {
@@ -83,6 +88,7 @@ impl DecisionKind {
             DecisionKind::Repair => "repair",
             DecisionKind::Shed => "shed",
             DecisionKind::Refuse => "refuse",
+            DecisionKind::Evict => "evict",
         }
     }
 }
@@ -146,11 +152,12 @@ impl ExplainRecord {
     }
 }
 
-/// Destination for spans and explain records.
+/// The one instrumentation channel: destination for spans and explain
+/// records, and the switch for every metric an engine records.
 ///
-/// Mirrors [`EventSink`](crate::EventSink): implementations with
-/// `ENABLED = true` receive everything; [`NoopTracer`] sets
-/// `ENABLED = false`, and instrumented call sites guard explain-record
+/// Implementations with `ENABLED = true` receive everything;
+/// [`NoopTracer`] sets `ENABLED = false`, and instrumented call sites
+/// guard metric updates, argmin tallies and explain-record
 /// construction behind this constant so the disabled instantiation
 /// compiles to the uninstrumented code. Span guards need no guard —
 /// the noop `enter`/`exit` pair is inlined away.
@@ -231,6 +238,26 @@ pub struct NoopTracer;
 impl Tracer for NoopTracer {
     const ENABLED: bool = false;
 
+    #[inline(always)]
+    fn enter(&self, _name: &'static str) -> SpanId {
+        SpanId::NONE
+    }
+
+    #[inline(always)]
+    fn exit(&self, _id: SpanId) {}
+
+    #[inline(always)]
+    fn explain(&self, _record: &ExplainRecord) {}
+}
+
+/// An enabled tracer that keeps nothing: every instrumentation guard
+/// runs, so counters and histograms land in the metrics registry, but
+/// spans and explain records are dropped. The tracer of a metrics-only
+/// run.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct DiscardTracer;
+
+impl Tracer for DiscardTracer {
     #[inline(always)]
     fn enter(&self, _name: &'static str) -> SpanId {
         SpanId::NONE
@@ -533,14 +560,33 @@ impl Tracer for CollectingTracer {
     }
 }
 
-/// Shortest-roundtrip f64 rendering with non-finite values as `null`
-/// (mirrors the event encoder).
+/// Shortest-roundtrip f64 rendering with non-finite values as `null`.
 fn json_f64(v: f64) -> String {
     if v.is_finite() {
         format!("{v}")
     } else {
         "null".to_owned()
     }
+}
+
+/// Appends `s` as a JSON string literal, escaping quotes, backslashes
+/// and control characters.
+fn push_json_string(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
 }
 
 fn push_explain_fields(out: &mut String, e: &ExplainEntry) {
@@ -581,8 +627,19 @@ mod tests {
     use super::*;
 
     #[test]
+    fn escapes_strings_and_nulls_non_finite_floats() {
+        let mut out = String::new();
+        push_json_string(&mut out, "a\"b\\c\nd\u{1}");
+        assert_eq!(out, r#""a\"b\\c\nd\u0001""#);
+        assert_eq!(json_f64(2.5), "2.5");
+        assert_eq!(json_f64(f64::NAN), "null");
+        assert_eq!(json_f64(f64::INFINITY), "null");
+    }
+
+    #[test]
     fn noop_tracer_is_statically_disabled() {
         assert!(!<NoopTracer as Tracer>::ENABLED);
+        assert!(<DiscardTracer as Tracer>::ENABLED);
         assert!(<CollectingTracer as Tracer>::ENABLED);
         let t = NoopTracer;
         let g = t.span("x");

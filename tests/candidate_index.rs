@@ -6,7 +6,7 @@
 //! The two must agree bit for bit on every variant, and on a sparse
 //! fleet the indexed scan must visit a small, bounded set.
 
-use esvm::obs::{CollectingTracer, DiscardSink, MetricsRegistry};
+use esvm::obs::{CollectingTracer, MetricsRegistry};
 use esvm::{catalog, Allocator, AllocationProblem, Assignment, Miec, ServerSpec, WorkloadConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -143,7 +143,7 @@ fn a_sparse_fleet_visits_only_warm_servers_and_class_representatives() {
     let gaps: Vec<Option<u64>> = problem.servers().iter().map(break_even).collect();
     let tracer = CollectingTracer::new();
     let assignment = Miec::new()
-        .allocate_traced(&problem, &mut DiscardSink, &MetricsRegistry::new(), &tracer)
+        .allocate_traced(&problem, &MetricsRegistry::new(), &tracer)
         .expect("allocation succeeds");
 
     // Last busy end of every server used so far.

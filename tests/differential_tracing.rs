@@ -11,7 +11,7 @@
 //! server the placement vector actually names, and whose cost delta is
 //! bit-identical to the increment the run charged.
 
-use esvm::obs::{CollectingTracer, DecisionKind, DiscardSink, MetricsRegistry, NoopTracer};
+use esvm::obs::{CollectingTracer, DecisionKind, MetricsRegistry, NoopTracer};
 use esvm::{AllocatorKind, ChaosEngine, FaultPlan, FaultPlanConfig, WorkloadConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -40,24 +40,12 @@ fn traced_runs_match_plain_for_every_kind_and_engine() {
                 .expect("plain run");
             let metrics = MetricsRegistry::new();
             let noop = kind
-                .allocate_traced_with(
-                    &problem,
-                    &mut rng_for(kind, seed),
-                    &mut DiscardSink,
-                    &metrics,
-                    &NoopTracer,
-                )
+                .allocate_traced_with(&problem, &mut rng_for(kind, seed), &metrics, &NoopTracer)
                 .expect("noop-traced run");
             let tracer = CollectingTracer::new();
             let metrics2 = MetricsRegistry::new();
             let collected = kind
-                .allocate_traced_with(
-                    &problem,
-                    &mut rng_for(kind, seed),
-                    &mut DiscardSink,
-                    &metrics2,
-                    &tracer,
-                )
+                .allocate_traced_with(&problem, &mut rng_for(kind, seed), &metrics2, &tracer)
                 .expect("collect-traced run");
             let ctx = format!("{} seed {seed}", kind.name());
             assert_eq!(plain.placement(), noop.placement(), "{ctx}: noop placement");
@@ -96,13 +84,7 @@ fn explain_records_name_the_placed_server_bit_for_bit() {
             let tracer = CollectingTracer::new();
             let metrics = MetricsRegistry::new();
             let assignment = kind
-                .allocate_traced_with(
-                    &problem,
-                    &mut rng_for(kind, seed),
-                    &mut DiscardSink,
-                    &metrics,
-                    &tracer,
-                )
+                .allocate_traced_with(&problem, &mut rng_for(kind, seed), &metrics, &tracer)
                 .expect("traced run");
             let ctx = format!("{} seed {seed}", kind.name());
             let placement = assignment.placement();
@@ -155,7 +137,6 @@ fn chaos_replay_is_bit_exact_under_tracing_and_attributes_repairs() {
                     &problem,
                     &*allocator,
                     &mut rng_for(kind, seed),
-                    &mut DiscardSink,
                     &metrics,
                     &tracer,
                 )
@@ -182,6 +163,11 @@ fn chaos_replay_is_bit_exact_under_tracing_and_attributes_repairs() {
                 traced.shed.len() + traced.refused.len(),
                 "{ctx}: shed/refuse explains"
             );
+            let evicts = explains
+                .iter()
+                .filter(|e| e.record.kind == DecisionKind::Evict)
+                .count();
+            assert_eq!(evicts as u64, traced.displaced, "{ctx}: evict explains");
         }
     }
 }
@@ -195,14 +181,8 @@ fn chrome_export_of_a_real_run_is_structurally_sound() {
     let tracer = CollectingTracer::new();
     let metrics = MetricsRegistry::new();
     let kind = AllocatorKind::MiecLocalSearch;
-    kind.allocate_traced_with(
-        &problem,
-        &mut rng_for(kind, 9),
-        &mut DiscardSink,
-        &metrics,
-        &tracer,
-    )
-    .expect("traced run");
+    kind.allocate_traced_with(&problem, &mut rng_for(kind, 9), &metrics, &tracer)
+        .expect("traced run");
     let spans = tracer.spans();
     assert!(!spans.is_empty());
     for s in &spans {

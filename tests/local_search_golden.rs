@@ -14,6 +14,7 @@
 //! inspection.
 
 use esvm::core::SearchMove;
+use esvm::obs::{MetricsRegistry, NoopTracer};
 use esvm::{Allocator, Assignment, Ffps, LocalSearch, Miec, RoundRobin, WorkloadConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -106,7 +107,9 @@ fn golden_table() -> String {
                     .allocate(&problem, &mut StdRng::seed_from_u64(seed))
                     .expect("base allocation");
                 for (mode, search) in &modes {
-                    let (refined, moves) = search.refine_traced(&base).expect("refinement");
+                    let (refined, moves) = search
+                        .refine_traced(&base, &MetricsRegistry::new(), &NoopTracer)
+                        .expect("refinement");
                     writeln!(
                         out,
                         "{shape},{start},{mode},{seed},{},{:016x},{:016x},{:016x}",
