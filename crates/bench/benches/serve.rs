@@ -13,7 +13,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use esvm_bench::{assert_no_regression, committed_bench_field};
-use esvm_exper::serve::{feed_problem, ServeSession};
+use esvm_chaos::FaultPlan;
+use esvm_exper::serve::{feed_problem_with_faults, ServeSession};
 use esvm_obs::{names::serve as names, MetricsRegistry, NoopTracer};
 use esvm_workload::WorkloadConfig;
 use std::hint::black_box;
@@ -55,7 +56,7 @@ fn run_session(
         ));
     }
     let start = std::time::Instant::now();
-    black_box(feed_problem(&problem, &mut session));
+    black_box(feed_problem_with_faults(&problem, &FaultPlan::empty(), &mut session));
     session.finish().expect("final checkpoint");
     let total = start.elapsed().as_secs_f64();
     let hist = metrics

@@ -86,10 +86,10 @@ impl Default for RepairPolicy {
 impl RepairPolicy {
     /// Delay before retry attempt `attempt` (1-based): `backoff *
     /// 2^(attempt-1)`, saturating, never less than 1 so the engine
-    /// always makes forward progress.
+    /// always makes forward progress. The online repair path's schedule,
+    /// [`esvm_core::repair_delay`].
     pub fn delay_for(&self, attempt: u32) -> u32 {
-        let shift = attempt.saturating_sub(1).min(31);
-        self.backoff.saturating_mul(1u32 << shift).max(1)
+        esvm_core::repair_delay(self.backoff, attempt)
     }
 }
 
@@ -108,6 +108,11 @@ mod tests {
             ..RepairPolicy::default()
         };
         assert_eq!(extreme.delay_for(30), u32::MAX);
+        let unit = RepairPolicy {
+            backoff: 1,
+            ..RepairPolicy::default()
+        };
+        assert_eq!(unit.delay_for(33), u32::MAX, "2^32 saturates");
         let zero = RepairPolicy {
             backoff: 0,
             ..RepairPolicy::default()

@@ -27,9 +27,8 @@
 //!
 //! ## The cold rule
 //!
-//! The online engine moves a server to standby when its last hosted
-//! piece leaves ([`ServerLedger::unhost`] reverses `host` exactly).
-//! Offline MIEC never unhosts, but it sees arrivals in `(start, id)`
+//! Both start-ordered engines, offline MIEC and the online engine, move
+//! a server to standby by one rule. Decisions come in `(start, id)`
 //! order, so the clock `t` never decreases. Let `e` be the last busy
 //! end of a used server. When `t − e − 1 ≥ g*`, where `g*` is the
 //! smallest gap with `P_idle · g* ≥ α` (the break-even time `α/P_idle`
@@ -40,11 +39,13 @@
 //! `run + idle + 0.0 + α` — bit-identical — and `fits` agrees because no
 //! hosted piece reaches `t`. Such a server is *cold*: [`ColdRule`]
 //! demotes it to standby before the decision and it stays
-//! interchangeable with its twins until it hosts again. (The strict
-//! `<` of [`ServerSpec::switches_off_for_gap`] would miss the exact
-//! break-even gap, so `g*` is found with `>=` by binary search.)
+//! interchangeable with its twins until it hosts again. MIEC keeps the
+//! cold server's history; the online engine *seals* it (moves its cost
+//! into a retired total and resets the ledger), which prices every later
+//! arrival the same way. (The strict `<` of
+//! [`ServerSpec::switches_off_for_gap`] would miss the exact break-even
+//! gap, so `g*` is found with `>=` by binary search.)
 //!
-//! [`ServerLedger::unhost`]: esvm_simcore::ServerLedger::unhost
 //! [`ServerSpec::switches_off_for_gap`]: esvm_simcore::ServerSpec::switches_off_for_gap
 
 use std::cmp::Reverse;
@@ -379,9 +380,10 @@ pub(crate) fn break_even_gap(spec: &ServerSpec) -> Option<u32> {
     Some(lo)
 }
 
-/// MIEC's cold rule (see the [module docs](self)): a min-heap of the
-/// times at which used servers turn cold.
-#[derive(Debug)]
+/// The cold rule of both start-ordered engines (see the [module
+/// docs](self)): a min-heap of the times at which used servers turn
+/// cold.
+#[derive(Debug, Clone)]
 pub(crate) struct ColdRule {
     /// `g*` per spec class of the *scoring* specs.
     break_even: Vec<Option<u32>>,
@@ -417,10 +419,16 @@ impl ColdRule {
         }
     }
 
-    /// Schedules the demotion of `server` after it hosted a piece on
-    /// `ledger`: it turns cold at `e + 1 + g*`, `e` being its last busy
-    /// end.
-    pub(crate) fn hosted(&mut self, index: &CandidateIndex, server: u32, ledger: &ServerLedger) {
+    /// Schedules the demotion of `server` after its pieces on `ledger`
+    /// changed: it turns cold at `e + 1 + g*`, `e` being its last busy
+    /// end. An empty ledger keeps its old due time, which is then late
+    /// and harmless.
+    pub(crate) fn reschedule(
+        &mut self,
+        index: &CandidateIndex,
+        server: u32,
+        ledger: &ServerLedger,
+    ) {
         let (Some(gap), Some(span)) = (
             self.break_even[index.class_of[server as usize]],
             ledger.segments().span(),
@@ -434,8 +442,14 @@ impl ColdRule {
         }
     }
 
-    /// Demotes every server that is cold at clock `t` to standby.
-    pub(crate) fn demote_until(&mut self, t: u32, index: &mut CandidateIndex) {
+    /// Demotes every server that is cold at clock `t` to standby and
+    /// hands it to `cold` — down servers too, whose slot stays down.
+    pub(crate) fn demote_until(
+        &mut self,
+        t: u32,
+        index: &mut CandidateIndex,
+        mut cold: impl FnMut(u32),
+    ) {
         while let Some(&Reverse((due, server))) = self.heap.peek() {
             if due > u64::from(t) {
                 break;
@@ -444,6 +458,7 @@ impl ColdRule {
             if self.due[server as usize] == due {
                 self.due[server as usize] = u64::MAX;
                 index.deactivate(server);
+                cold(server);
             }
         }
     }
@@ -564,14 +579,16 @@ mod tests {
         let vm = Vm::new(0, Resources::new(1.0, 1.0), Interval::new(1, 10));
         ledger.host(&vm);
         index.activate(0);
-        cold.hosted(&index, 0, &ledger);
+        cold.reschedule(&index, 0, &ledger);
         // Gap t − e − 1 = g* − 1: still active.
-        cold.demote_until(10 + gap, &mut index);
-        assert!(index.is_active(ServerId(0)));
+        let mut demoted = Vec::new();
+        cold.demote_until(10 + gap, &mut index, |s| demoted.push(s));
+        assert!(index.is_active(ServerId(0)) && demoted.is_empty());
         // Gap = g*: cold, and then priced like the pristine twin.
         let t = 11 + gap;
-        cold.demote_until(t, &mut index);
+        cold.demote_until(t, &mut index, |s| demoted.push(s));
         assert!(index.is_standby(ServerId(0)));
+        assert_eq!(demoted, vec![0]);
         let next = Vm::new(1, Resources::new(1.0, 1.0), Interval::new(t, t + 4));
         let twin = ServerLedger::new(fleet[1]);
         assert_eq!(
@@ -593,9 +610,9 @@ mod tests {
             let mut ledger = ServerLedger::new(fleet[i as usize]);
             ledger.host(&Vm::new(i, Resources::new(1.0, 1.0), Interval::new(1, 2)));
             index.activate(i);
-            cold.hosted(&index, i, &ledger);
+            cold.reschedule(&index, i, &ledger);
         }
-        cold.demote_until(u32::MAX, &mut index);
+        cold.demote_until(u32::MAX, &mut index, |s| panic!("{s} demoted"));
         assert!(index.is_active(ServerId(0)) && index.is_active(ServerId(1)));
     }
 }

@@ -66,5 +66,7 @@ pub use ffps::Ffps;
 pub use miec::Miec;
 pub use local_search::{LocalSearch, Refined, SearchMove};
 pub use migration::Consolidator;
-pub use online::{OnlineDecision, OnlineEngine, OnlineError, OnlineGreedy, OnlineStats, RepairOutcome};
+pub use online::{
+    repair_delay, OnlineDecision, OnlineEngine, OnlineError, OnlineStats, RepairOutcome,
+};
 pub use registry::AllocatorKind;

@@ -226,7 +226,7 @@ impl Miec {
                 Some((index, cold)) => {
                     // Arrivals come in start order, so the clock only
                     // grows and a cold server stays cold.
-                    cold.demote_until(vm.start(), index);
+                    cold.demote_until(vm.start(), index, |_| {});
                     (argmin(index.candidates(), T::ENABLED, score), index.pruned())
                 }
                 None => (argmin(0..n_servers, T::ENABLED, score), 0),
@@ -252,7 +252,7 @@ impl Miec {
                     }
                     if let Some((index, cold)) = pruning.as_mut() {
                         index.activate(winner);
-                        cold.hosted(index, winner, assignment.ledger(sid));
+                        cold.reschedule(index, winner, assignment.ledger(sid));
                     }
                     if T::ENABLED {
                         metrics.observe("miec.placement_delta", delta);

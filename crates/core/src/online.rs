@@ -6,51 +6,63 @@
 //! placement decision *at arrival* using the same O(log K)
 //! [`incremental_cost`] scoring as MIEC, and the decision is
 //! irrevocable — no later relocation, no knowledge of future arrivals.
-//! Departures are events too: when a VM's closed interval ends, its
-//! capacity frees through [`unhost`], so a long-running service keeps
-//! every ledger O(live VMs) instead of O(VMs ever seen).
 //!
-//! ## Cost accounting
+//! ## One start-ordered rule
 //!
-//! Unhosting a departed VM makes the ledger forget it ever ran, which
-//! changes how *later* gaps on that server are priced (a fresh arrival
-//! pays a switch-on instead of bridging an idle gap to history). The
-//! engine therefore keeps a [`committed_cost`] accumulator with the
-//! telescoping invariant `committed == retired + Σ ledger.cost()`:
-//! hosting raises it by the placement delta, unhosting moves energy
-//! from the live ledgers into `retired` without changing the sum. For
-//! the online/offline optimality gap, decisions are exported as a
-//! placement vector and re-audited by
-//! [`Assignment::from_placement`] so both sides are measured by the
-//! identical full-horizon Eq. 7 functional.
+//! MIEC places VMs in `(start, id)` order and looks only at earlier
+//! placements and each VM's declared duration, so it is an online rule.
+//! The engine keeps the same state MIEC keeps: a departure frees the
+//! VM's id from the live set but leaves its piece on the ledger, because
+//! a later arrival may bridge the idle gap it left. A server's history
+//! is dropped only once it is *cold* — the clock has reached its last
+//! busy end + 1 + `g*`, the cold rule MIEC applies (DESIGN §8) — and
+//! then no later arrival can price it differently from a pristine twin.
+//! At that point the engine *seals* the ledger: its [`cost`] moves into
+//! [`retired_cost`] and the ledger is reset. Fed a problem's
+//! start-ordered event stream, the engine therefore makes MIEC's
+//! decisions bit for bit (`tests/differential_online.rs`), while each
+//! ledger holds only live VMs and pieces that ended within `g*`.
+//! Servers with no `g*` (`P_idle = 0` with `α > 0`) are never cold and
+//! keep their history.
+//!
+//! ## Pieces and cost accounting
+//!
+//! Eviction ([`set_down`]), an explicit [`depart`] and [`drain`] stop a
+//! running VM at the clock: the part that already ran, `[start,
+//! clock − 1]`, stays on its server, and a piece that has not started
+//! leaves the ledger. A repair hosts the remaining tail elsewhere, as
+//! the chaos replay does. [`committed_cost`] is `retired + Σ
+//! ledger.cost()`, the Eq. 7 energy of the pieces the session has run or
+//! committed to run. Sealing moves energy between the two terms without
+//! changing the pieces. For the placement view, decisions are exported
+//! as a placement vector and re-audited by [`Assignment::from_placement`].
 //!
 //! ## Capacity correctness
 //!
 //! [`ServerLedger::fits`] is time-aware: it checks peak usage over the
-//! arriving VM's interval. A new arrival at clock `t` can only overlap
-//! VMs whose intervals reach `t` or later, and those are exactly the
-//! ones still hosted (departures fire at `end + 1 > t`), so live-only
-//! `fits` verdicts equal full-history verdicts and the final
-//! `from_placement` replay is capacity-valid by construction.
+//! arriving VM's interval. Departed pieces end before the clock and
+//! sealed ones before the last seal, so neither can overlap an arrival,
+//! which starts at the clock or later.
 //!
 //! [`incremental_cost`]: esvm_simcore::ServerLedger::incremental_cost
-//! [`unhost`]: esvm_simcore::ServerLedger::unhost
+//! [`cost`]: esvm_simcore::ServerLedger::cost
+//! [`retired_cost`]: OnlineEngine::retired_cost
 //! [`committed_cost`]: OnlineEngine::committed_cost
+//! [`set_down`]: OnlineEngine::set_down
+//! [`depart`]: OnlineEngine::depart
+//! [`drain`]: OnlineEngine::drain
 //! [`Assignment::from_placement`]: esvm_simcore::Assignment::from_placement
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::fmt;
 
-use esvm_obs::{DecisionKind, ExplainRecord, MetricsRegistry, NoopTracer, Tracer};
+use esvm_obs::{DecisionKind, ExplainRecord, NoopTracer, Tracer};
 use esvm_simcore::{
-    departure_time, AllocationProblem, Assignment, Interval, ServerId, ServerLedger, ServerSpec,
-    TimeUnit, Vm, VmEvent, VmId,
+    departure_time, Interval, ServerId, ServerLedger, ServerSpec, TimeUnit, Vm, VmEvent, VmId,
 };
-use rand::RngCore;
 
-use crate::candidates::{argmin, Argmin, CandidateIndex};
-use crate::{AllocError, AllocResult, Allocator};
+use crate::candidates::{argmin, Argmin, CandidateIndex, ColdRule};
 
 /// Typed rejection reasons of the online event loop. Every variant is a
 /// *protocol* error: the event was malformed relative to the session
@@ -128,7 +140,8 @@ pub struct OnlineStats {
     pub placed: u64,
     /// Arrivals refused for lack of a feasible up server.
     pub rejected: u64,
-    /// VMs whose capacity was freed (scheduled end or explicit depart).
+    /// VMs that left the live set at their scheduled end or by an
+    /// explicit depart.
     pub departed: u64,
     /// VMs evicted because their server went down under a fault plan.
     pub evicted: u64,
@@ -157,18 +170,41 @@ pub enum RepairOutcome {
     Shed,
 }
 
+/// The bounded-backoff delay before repair retry `attempt` (1-based):
+/// `backoff · 2^(attempt − 1)`, saturating at `u32::MAX`, never less
+/// than one tick so a retry schedule always makes progress. The one
+/// schedule of the online repair path and the chaos replay's
+/// `RepairPolicy::delay_for`.
+///
+/// # Example
+///
+/// ```
+/// use esvm_core::repair_delay;
+/// assert_eq!(repair_delay(2, 3), 8);
+/// assert_eq!(repair_delay(1, 33), u32::MAX); // 2^32 saturates
+/// assert_eq!(repair_delay(0, 1), 1);
+/// ```
+pub fn repair_delay(backoff: u32, attempt: u32) -> u32 {
+    let doubling = 1u32
+        .checked_shl(attempt.saturating_sub(1))
+        .unwrap_or(u32::MAX);
+    backoff.saturating_mul(doubling).max(1)
+}
+
 /// The online allocation engine: time-ordered arrivals in, irrevocable
 /// decisions out. See the [module docs](self) for the model.
 #[derive(Debug, Clone)]
 pub struct OnlineEngine {
+    /// Per-server pieces since the server was last sealed.
     ledgers: Vec<ServerLedger>,
-    /// Up servers with outstanding hosted pieces are active; up,
-    /// drained (or never used) servers wait on standby per spec class,
-    /// where only the lowest id is ever scored — MIEC's tie-break
-    /// winner. Each decision stays O(live) no matter how large the
-    /// fleet is.
+    /// Up servers with unsealed pieces are active; up, sealed (or never
+    /// used) servers wait on standby per spec class, where only the
+    /// lowest id is ever scored — MIEC's tie-break winner. Each
+    /// decision stays O(active) no matter how large the fleet is.
     index: CandidateIndex,
-    /// Live placements: id → (vm, server).
+    /// When each used server turns cold and is sealed.
+    cold: ColdRule,
+    /// Live placements: id → (running piece, server).
     live: HashMap<VmId, (Vm, ServerId)>,
     /// Every id ever accepted — placed, rejected or departed.
     seen: HashSet<VmId>,
@@ -184,9 +220,11 @@ pub struct OnlineEngine {
 impl OnlineEngine {
     /// A fresh session over the given fleet, clock at 0, all servers up.
     pub fn new(servers: &[ServerSpec]) -> Self {
+        let index = CandidateIndex::new(servers);
         Self {
             ledgers: servers.iter().map(|s| ServerLedger::new(*s)).collect(),
-            index: CandidateIndex::new(servers),
+            cold: ColdRule::new(&index, servers.iter().copied()),
+            index,
             live: HashMap::new(),
             seen: HashSet::new(),
             placements: Vec::new(),
@@ -212,20 +250,20 @@ impl OnlineEngine {
         self.stats
     }
 
-    /// The per-server energy ledgers of the *live* hosted sets.
+    /// The per-server energy ledgers: every piece since the server was
+    /// last sealed, live or ended.
     pub fn ledgers(&self) -> &[ServerLedger] {
         &self.ledgers
     }
 
-    /// Total Eq. 7 energy committed by every placement so far:
-    /// `retired + Σ ledger.cost()` (the telescoping invariant of the
-    /// module docs). Departures move energy between the two terms
-    /// without changing the sum.
+    /// Total Eq. 7 energy of every piece the session has run or
+    /// committed to run: `retired + Σ ledger.cost()`.
     pub fn committed_cost(&self) -> f64 {
         self.retired_cost + self.ledgers.iter().map(|l| l.cost()).sum::<f64>()
     }
 
-    /// Energy of placements that have fully departed the live ledgers.
+    /// Energy of the sealed ledgers: servers whose pieces can no longer
+    /// change any later price.
     pub fn retired_cost(&self) -> f64 {
         self.retired_cost
     }
@@ -241,8 +279,11 @@ impl OnlineEngine {
     }
 
     /// The decision history as a placement vector over `n_vms` dense id
-    /// slots (`None` = rejected or never arrived), ready for
-    /// [`Assignment::from_placement`] re-audit.
+    /// slots (`None` = rejected or never arrived; a repaired VM maps to
+    /// its last server), ready for [`Assignment::from_placement`]
+    /// re-audit.
+    ///
+    /// [`Assignment::from_placement`]: esvm_simcore::Assignment::from_placement
     pub fn placement(&self, n_vms: usize) -> Vec<Option<ServerId>> {
         let mut slots = vec![None; n_vms];
         for (vm, sid) in self.placements.iter() {
@@ -251,16 +292,6 @@ impl OnlineEngine {
             }
         }
         slots
-    }
-
-    /// Moves a server back to standby when its last hosted piece
-    /// leaves. `unhost` reverses `host` exactly, so a drained ledger is
-    /// indistinguishable from a fresh one and may again stand behind
-    /// its class representative.
-    fn note_unhosted(&mut self, sid: ServerId) {
-        if self.ledgers[sid.index()].hosted_count() == 0 {
-            self.index.deactivate(sid.0);
-        }
     }
 
     /// The Eq. 7 argmin over the candidate index for `vm`.
@@ -277,14 +308,34 @@ impl OnlineEngine {
     fn commit(&mut self, vm: &Vm, sid: ServerId) {
         self.ledgers[sid.index()].host(vm);
         self.index.activate(sid.0);
+        self.cold.reschedule(&self.index, sid.0, &self.ledgers[sid.index()]);
         self.live.insert(vm.id(), (*vm, sid));
         self.placements.push((vm.id(), sid));
         self.pending.push(Reverse((departure_time(vm), vm.id())));
         self.stats.live_peak = self.stats.live_peak.max(self.live.len() as u64);
     }
 
+    /// Stops the running piece `vm` on `sid` at the clock: `[start,
+    /// clock − 1]` stays on the ledger, a piece that has not started
+    /// leaves it. A ledger left empty is pristine again.
+    fn truncate(&mut self, vm: &Vm, sid: ServerId) {
+        // Live pieces reach the clock: departures fire at `end + 1`.
+        debug_assert!(vm.end() >= self.clock, "{vm} ended before {}", self.clock);
+        let ledger = &mut self.ledgers[sid.index()];
+        ledger.unhost(vm);
+        if vm.start() < self.clock {
+            ledger.host_piece(vm.demand(), Interval::new(vm.start(), self.clock - 1));
+        }
+        if ledger.hosted_count() == 0 {
+            self.index.deactivate(sid.0);
+        } else {
+            self.cold.reschedule(&self.index, sid.0, ledger);
+        }
+    }
+
     /// Advances the clock to `t`, firing every departure scheduled at
-    /// or before `t` in (time, id) order.
+    /// or before `t` in (time, id) order, then sealing every server
+    /// that is cold at the new clock.
     pub fn advance_to(&mut self, t: TimeUnit) {
         while let Some(Reverse((at, vm))) = self.pending.peek().copied() {
             if at > t {
@@ -292,36 +343,38 @@ impl OnlineEngine {
             }
             self.pending.pop();
             // Stale entries (explicitly departed or evicted ids) are
-            // skipped: `live` is the source of truth.
-            if let Some((vm, sid)) = self.live.remove(&vm) {
-                self.retired_cost += self.ledgers[sid.index()].unhost(&vm);
+            // skipped: `live` is the source of truth. The piece stays
+            // on its ledger until the server is cold.
+            if self.live.remove(&vm).is_some() {
                 self.stats.departed += 1;
-                self.note_unhosted(sid);
             }
         }
         self.clock = self.clock.max(t);
+        let (ledgers, retired) = (&mut self.ledgers, &mut self.retired_cost);
+        self.cold.demote_until(self.clock, &mut self.index, |i| {
+            let ledger = &mut ledgers[i as usize];
+            *retired += ledger.cost();
+            *ledger = ServerLedger::new(*ledger.spec());
+        });
     }
 
-    /// Explicitly departs a live VM ahead of (or at) schedule, freeing
-    /// its capacity now. Returns the realized Eq. 7 cost decrease.
-    pub fn depart(&mut self, vm: VmId) -> Result<f64, OnlineError> {
+    /// Explicitly departs a live VM ahead of (or at) schedule: its
+    /// piece stops at the clock, freeing its capacity from now on.
+    pub fn depart(&mut self, vm: VmId) -> Result<(), OnlineError> {
         let (vm, sid) = self.live.remove(&vm).ok_or(OnlineError::UnknownVm(vm))?;
-        let freed = self.ledgers[sid.index()].unhost(&vm);
-        self.retired_cost += freed;
+        self.truncate(&vm, sid);
         self.stats.departed += 1;
-        self.note_unhosted(sid);
-        Ok(freed)
+        Ok(())
     }
 
     /// Departs every live VM (session drain). Returns how many departed.
     pub fn drain(&mut self) -> usize {
         let mut ids: Vec<VmId> = self.live.keys().copied().collect();
         ids.sort_unstable();
-        let n = ids.len();
-        for id in ids {
+        for &id in &ids {
             let _ = self.depart(id);
         }
-        n
+        ids.len()
     }
 
     /// Uninstrumented arrival: decides, commits, schedules the departure.
@@ -403,12 +456,13 @@ impl OnlineEngine {
         }
     }
 
-    /// Marks `server` down, evicting its live VMs (capacity freed, ids
+    /// Marks `server` down, evicting its live VMs at the clock: each
+    /// keeps the part it already ran on `server`, and its id stays
     /// consumed — an online service cannot replay irrevocable
-    /// decisions). Returns the evicted VMs in ascending id order.
+    /// decisions. Returns the evicted pieces in ascending id order;
+    /// [`repair_traced`](Self::repair_traced) re-places their tails.
     pub fn set_down(&mut self, server: ServerId) -> Result<Vec<Vm>, OnlineError> {
-        let i = server.index();
-        if i >= self.ledgers.len() {
+        if server.index() >= self.ledgers.len() {
             return Err(OnlineError::UnknownServer(server));
         }
         self.index.set_down(server.0);
@@ -421,7 +475,7 @@ impl OnlineEngine {
         victims.sort_unstable_by_key(|vm| vm.id());
         for vm in &victims {
             self.live.remove(&vm.id());
-            self.retired_cost += self.ledgers[i].unhost(vm);
+            self.truncate(vm, server);
             self.stats.evicted += 1;
         }
         Ok(victims)
@@ -433,24 +487,16 @@ impl OnlineEngine {
         if i >= self.ledgers.len() {
             return Err(OnlineError::UnknownServer(server));
         }
-        // Eviction drained it on the way down, so it normally rejoins
-        // on standby; a redundant `set_up` of an up server is a no-op.
+        // A server still holding unsealed pieces rejoins the active set,
+        // a sealed or emptied one standby; a redundant `set_up` of an
+        // up server is a no-op.
         self.index.set_up(server.0, self.ledgers[i].hosted_count() > 0);
         Ok(())
     }
 
-    /// Re-places an evicted VM (single attempt, no retry schedule).
-    ///
-    /// This is the arrival argmin with the irrevocability bookkeeping
-    /// relaxed where eviction demands it: the id is already consumed
-    /// (`seen`), the clock does not move (repair happens *at* the fault
-    /// instant, between arrivals), and the interval is whatever
-    /// remainder the caller computed. Down servers are excluded by the
-    /// same candidate-set construction as [`arrive_traced`].
-    ///
+    /// Re-places an evicted VM's remainder (single attempt): the arrival
+    /// argmin at the current clock, with the id already consumed.
     /// Returns the chosen server, or `None` when no up server fits.
-    ///
-    /// [`arrive_traced`]: OnlineEngine::arrive_traced
     fn rehost(&mut self, vm: &Vm) -> Option<ServerId> {
         let (_, winner) = self.scan(vm, false).best?;
         let sid = ServerId(winner);
@@ -459,23 +505,12 @@ impl OnlineEngine {
         Some(sid)
     }
 
-    /// The bounded-backoff delay before retry `attempt` (1-based),
-    /// mirroring `esvm_chaos::RepairPolicy::delay_for`: exponential
-    /// doubling on `backoff`, saturating, never less than one tick.
-    /// (Duplicated rather than imported: the chaos crate depends on
-    /// this one.)
-    fn repair_delay(backoff: u32, attempt: u32) -> TimeUnit {
-        backoff
-            .saturating_mul(1u32.checked_shl(attempt - 1).unwrap_or(u32::MAX))
-            .max(1)
-    }
-
     /// Runs the chaos-style bounded-backoff repair schedule for one
-    /// evicted VM: an immediate re-place attempt at
+    /// evicted VM: an immediate re-place attempt of the tail from
     /// `max(clock, vm.start())`, then up to `max_retries` retries whose
-    /// restart is pushed back by the exponential
-    /// [`delay_for`](Self::repair_delay) schedule. A restart past the
-    /// VM's end means the remaining work cannot run and the VM is shed.
+    /// restart is pushed back by the [`repair_delay`] schedule. A
+    /// restart past the VM's end means the remaining work cannot run
+    /// and the VM is shed.
     ///
     /// Never panics and never returns an error: repair is best-effort
     /// by contract — the fault already happened.
@@ -489,7 +524,7 @@ impl OnlineEngine {
         let mut start = vm.start().max(self.clock);
         for attempt in 0..=max_retries {
             if attempt > 0 {
-                start = start.saturating_add(Self::repair_delay(backoff, attempt));
+                start = start.saturating_add(repair_delay(backoff, attempt));
             }
             if start > vm.end() {
                 break;
@@ -548,76 +583,11 @@ impl OnlineEngine {
     }
 }
 
-/// The MIEC scoring rule run online: requests in arrival order, each
-/// placed irrevocably on the feasible up server with the least
-/// incremental Eq. 7 cost at that instant. Registered as
-/// [`AllocatorKind::OnlineGreedy`](crate::AllocatorKind::OnlineGreedy)
-/// so it flows through the differential suites, chaos replay and
-/// `esvm query` like every offline kind.
-///
-/// The event loop is inherently sequential: each decision conditions
-/// the next.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct OnlineGreedy;
-
-impl OnlineGreedy {
-    /// Creates the online allocator.
-    pub fn new() -> Self {
-        Self
-    }
-
-    /// Instrumented run: replays the problem's canonical arrival order
-    /// through an [`OnlineEngine`], then re-audits the decisions as a
-    /// full-horizon [`Assignment`] (see the module docs on cost
-    /// accounting).
-    pub fn allocate_traced<'p, T: Tracer>(
-        &self,
-        problem: &'p AllocationProblem,
-        metrics: &MetricsRegistry,
-        tracer: &T,
-    ) -> AllocResult<Assignment<'p>> {
-        let _run_span = tracer.span("online.run");
-        let mut engine = OnlineEngine::new(problem.servers());
-        for j in problem.vms_by_start_time() {
-            let vm = problem.vms()[j];
-            // The feed is sorted by (start, id) over dense unique ids,
-            // so the engine's preconditions hold by construction.
-            match engine.arrive_traced(vm, tracer) {
-                Ok(OnlineDecision::Placed(_)) => {}
-                Ok(OnlineDecision::Rejected) => {
-                    return Err(AllocError::NoFeasibleServer(vm.id()))
-                }
-                Err(e) => unreachable!("arrival-sorted feed violated online preconditions: {e}"),
-            }
-        }
-        let stats = engine.stats();
-        metrics.add("online.arrivals", stats.arrivals);
-        metrics.add("online.vms_placed", stats.placed);
-        metrics.add("online.departures", stats.departed);
-        metrics.set_gauge("online.live_peak", stats.live_peak as f64);
-        let placement = engine.placement(problem.vm_count());
-        Ok(Assignment::from_placement(problem, &placement)?)
-    }
-}
-
-impl Allocator for OnlineGreedy {
-    fn name(&self) -> &'static str {
-        "online-greedy"
-    }
-
-    fn allocate<'p>(
-        &self,
-        problem: &'p AllocationProblem,
-        _rng: &mut dyn RngCore,
-    ) -> AllocResult<Assignment<'p>> {
-        self.allocate_traced(problem, &MetricsRegistry::new(), &NoopTracer)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use esvm_simcore::{Interval, PowerModel, ProblemBuilder, Resources};
+    use crate::Allocator;
+    use esvm_simcore::{Assignment, Interval, PowerModel, ProblemBuilder, Resources};
     use rand::{rngs::StdRng, SeedableRng};
 
     fn fleet(n: usize) -> Vec<ServerSpec> {
@@ -718,7 +688,7 @@ mod tests {
         assert_eq!(engine.stats().evicted, 1);
         assert_eq!(engine.live_count(), 1);
         // The scheduled departure of the evicted VM is stale, not a
-        // double-unhost.
+        // second departure.
         engine.advance_to(20);
         assert_eq!(engine.stats().departed, 1);
     }
@@ -754,14 +724,88 @@ mod tests {
             );
         }
         let problem = builder.build().unwrap();
-        let mut rng = StdRng::seed_from_u64(7);
-        let online = OnlineGreedy::new().allocate(&problem, &mut rng).unwrap();
-        let offline = crate::Miec::new().allocate(&problem, &mut rng).unwrap();
-        assert_eq!(online.placement(), offline.placement());
+        let mut engine = OnlineEngine::new(problem.servers());
+        for j in problem.vms_by_start_time() {
+            assert!(engine.arrive(problem.vms()[j]).unwrap().is_placed());
+        }
+        let offline = crate::Miec::new()
+            .allocate(&problem, &mut StdRng::seed_from_u64(7))
+            .unwrap();
+        assert_eq!(engine.placement(problem.vm_count()), offline.placement());
+        let online = Assignment::from_placement(&problem, &engine.placement(10)).unwrap();
         assert_eq!(
             online.total_cost().to_bits(),
             offline.total_cost().to_bits()
         );
+    }
+
+    #[test]
+    fn departed_pieces_stay_until_the_server_is_cold_then_seal() {
+        // P_idle = 100, α = 120: g* = 2. VM 0 runs [1, 5]; the server
+        // turns cold at 5 + 1 + 2 = 8.
+        let mut engine = OnlineEngine::new(&fleet(2));
+        engine.arrive(vm(0, 1, 5, 2.0)).unwrap();
+        let hosted = engine.committed_cost();
+        // A gap of one unit is bridged like MIEC bridges it: the
+        // departed piece still prices the arrival on server 0.
+        assert_eq!(
+            engine.arrive(vm(1, 7, 9, 2.0)).unwrap(),
+            OnlineDecision::Placed(ServerId(0))
+        );
+        assert_eq!(engine.stats().departed, 1);
+        assert_eq!(engine.ledgers()[0].hosted_count(), 2);
+        assert!(engine.committed_cost() > hosted);
+        // Past 9 + 1 + 2 the server seals: its energy is retired and its
+        // ledger is pristine again.
+        let before = engine.committed_cost();
+        engine.advance_to(12);
+        assert_eq!(engine.ledgers()[0].hosted_count(), 0);
+        assert!(engine.candidate_index().is_standby(ServerId(0)));
+        assert_eq!(engine.retired_cost().to_bits(), before.to_bits());
+        assert_eq!(engine.committed_cost().to_bits(), before.to_bits());
+    }
+
+    #[test]
+    fn eviction_and_drain_keep_the_part_that_ran() {
+        let spec = fleet(1)[0];
+        let mut engine = OnlineEngine::new(&fleet(2));
+        engine.arrive(vm(0, 1, 10, 2.0)).unwrap();
+        engine.arrive(vm(1, 4, 20, 2.0)).unwrap();
+        engine.arrive(vm(2, 6, 30, 2.0)).unwrap();
+        // Down at clock 6: VMs 0 and 1 keep [1, 5] and [4, 5]; VM 2 has
+        // not started and leaves the ledger.
+        let victims = engine.set_down(ServerId(0)).unwrap();
+        assert_eq!(victims.len(), 3);
+        let mut audit = ServerLedger::new(spec);
+        audit.host_piece(Resources::new(2.0, 2.0), Interval::new(1, 5));
+        audit.host_piece(Resources::new(2.0, 2.0), Interval::new(4, 5));
+        assert_eq!(engine.ledgers()[0].hosted_count(), 2);
+        assert!((engine.committed_cost() - audit.cost()).abs() < 1e-9);
+        // Drain at clock 8 stops the repaired tail [6, 10] at 7.
+        engine.repair(victims[0], 3, 2);
+        engine.advance_to(8);
+        assert_eq!(engine.drain(), 1);
+        let mut tail = ServerLedger::new(spec);
+        tail.host_piece(Resources::new(2.0, 2.0), Interval::new(6, 7));
+        let want = audit.cost() + tail.cost();
+        assert!((engine.committed_cost() - want).abs() < 1e-9 * want);
+    }
+
+    #[test]
+    fn repair_delay_doubles_and_saturates() {
+        // attempts × backoffs {0, 1, 2, u32::MAX}
+        let want: [(u32, [u32; 4]); 5] = [
+            (1, [1, 1, 2, u32::MAX]),
+            (2, [1, 2, 4, u32::MAX]),
+            (32, [1, 1 << 31, u32::MAX, u32::MAX]),
+            (33, [1, u32::MAX, u32::MAX, u32::MAX]),
+            (40, [1, u32::MAX, u32::MAX, u32::MAX]),
+        ];
+        for (attempt, row) in want {
+            for (backoff, delay) in [0, 1, 2, u32::MAX].into_iter().zip(row) {
+                assert_eq!(repair_delay(backoff, attempt), delay, "{backoff} × {attempt}");
+            }
+        }
     }
 
     #[test]
@@ -826,7 +870,7 @@ mod tests {
             }
             RepairOutcome::Shed => panic!("retry should have succeeded"),
         }
-        // Conservation: committed cost is still retired + live.
+        // Conservation: committed cost is still retired + ledgers.
         let recomputed =
             engine.retired_cost() + engine.ledgers().iter().map(|l| l.cost()).sum::<f64>();
         assert!((engine.committed_cost() - recomputed).abs() < 1e-9);

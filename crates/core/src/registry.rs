@@ -1,8 +1,8 @@
 //! Name-based registry of all allocation algorithms.
 
 use crate::{
-    AllocResult, Allocator, BestFit, Ffps, FirstFit, LocalSearch, LowestIdlePower, Miec,
-    OnlineGreedy, Random, Refined, RoundRobin,
+    AllocResult, Allocator, BestFit, Ffps, FirstFit, LocalSearch, LowestIdlePower, Miec, Random,
+    Refined, RoundRobin,
 };
 use esvm_obs::{MetricsRegistry, Tracer};
 use esvm_simcore::{AllocationProblem, Assignment};
@@ -37,10 +37,6 @@ pub enum AllocatorKind {
     /// [`Miec::with_assumed_duration`] — scoring blind to true
     /// durations (assumes the paper's default mean of 5 units).
     MiecBlindDuration,
-    /// [`OnlineGreedy`] — the MIEC scoring rule run online: requests in
-    /// arrival order, decisions irrevocable at arrival, departed VMs
-    /// freed from the live ledgers.
-    OnlineGreedy,
     /// [`Ffps`] — the paper's baseline.
     Ffps,
     /// [`FirstFit`].
@@ -60,12 +56,11 @@ pub enum AllocatorKind {
 
 impl AllocatorKind {
     /// All kinds, in presentation order.
-    pub const ALL: [AllocatorKind; 12] = [
+    pub const ALL: [AllocatorKind; 11] = [
         AllocatorKind::Miec,
         AllocatorKind::MiecNoAlpha,
         AllocatorKind::MiecLocalSearch,
         AllocatorKind::MiecBlindDuration,
-        AllocatorKind::OnlineGreedy,
         AllocatorKind::Ffps,
         AllocatorKind::FfpsLocalSearch,
         AllocatorKind::FirstFit,
@@ -83,7 +78,6 @@ impl AllocatorKind {
             AllocatorKind::MiecNoAlpha => "miec-noalpha",
             AllocatorKind::MiecLocalSearch => "miec-ls",
             AllocatorKind::MiecBlindDuration => "miec-blind",
-            AllocatorKind::OnlineGreedy => "online-greedy",
             AllocatorKind::Ffps => "ffps",
             AllocatorKind::FfpsLocalSearch => "ffps-ls",
             AllocatorKind::FirstFit => "first-fit",
@@ -103,7 +97,6 @@ impl AllocatorKind {
                 Box::new(Refined::new(Miec::new(), LocalSearch::new(), "miec-ls"))
             }
             AllocatorKind::MiecBlindDuration => Box::new(Miec::with_assumed_duration(5)),
-            AllocatorKind::OnlineGreedy => Box::new(OnlineGreedy::new()),
             AllocatorKind::Ffps => Box::new(Ffps::new()),
             AllocatorKind::FfpsLocalSearch => {
                 Box::new(Refined::new(Ffps::new(), LocalSearch::new(), "ffps-ls"))
@@ -117,8 +110,8 @@ impl AllocatorKind {
     }
 
     /// Builds and runs the allocator with instrumentation: the
-    /// instrumented kinds (the MIEC family, the local-search wrappers
-    /// and online greedy) record decision counters and histograms into
+    /// instrumented kinds (the MIEC family and the local-search
+    /// wrappers) record decision counters and histograms into
     /// `metrics` and hierarchical spans, per-decision explain records
     /// and per-span latency histograms into `tracer`. The simple
     /// baselines run uninstrumented and record nothing. Placements are
@@ -156,9 +149,6 @@ impl AllocatorKind {
                 LocalSearch::new()
                     .refine_traced(&base, metrics, tracer)
                     .map(|(refined, _)| refined)
-            }
-            AllocatorKind::OnlineGreedy => {
-                OnlineGreedy::new().allocate_traced(problem, metrics, tracer)
             }
             _ => self.build().allocate(problem, rng),
         }
@@ -223,7 +213,7 @@ mod tests {
         use std::collections::HashSet;
         let names: HashSet<&str> = AllocatorKind::ALL.iter().map(|k| k.name()).collect();
         assert_eq!(names.len(), AllocatorKind::ALL.len());
-        for name in ["miec-blind", "miec-ls", "ffps-ls", "online-greedy"] {
+        for name in ["miec-blind", "miec-ls", "ffps-ls"] {
             assert!(names.contains(name), "{name} missing from ALL");
         }
     }

@@ -1,4 +1,4 @@
-//! The `esvm serve` write-ahead journal (ESVJ v1).
+//! The `esvm serve` write-ahead journal (ESVJ v2).
 //!
 //! A serve session is a long-lived process making irrevocable
 //! decisions; losing its state to a crash would strand every placement
@@ -8,7 +8,7 @@
 //! cadence, made durable) *before* the reply leaves the process, and
 //! recovery replays the log through a fresh [`OnlineEngine`] — which is
 //! deterministic, so the replayed state is bit-exact, checkable against
-//! the retired-cost telescoping invariant snapshotted in
+//! the committed and retired costs snapshotted in
 //! [`JournalRecord::Checkpoint`] records.
 //!
 //! ## On-disk format
@@ -52,8 +52,11 @@ use esvm_workload::trace::fields;
 
 /// File magic: an ESVJ journal, not an ESVT trace.
 pub const MAGIC: [u8; 4] = *b"ESVJ";
-/// Format version this build writes and reads.
-pub const VERSION: u16 = 1;
+/// Format version this build writes and reads. Version 2 journals the
+/// session whose online engine keeps each server's history until it is
+/// cold (DESIGN §11); replaying a version-1 journal through it would
+/// reach different checkpoint costs, so version 1 is refused.
+pub const VERSION: u16 = 2;
 /// Sanity cap on one record's payload length; a larger declared length
 /// is treated as a torn/corrupt frame, bounding recovery allocations.
 pub const MAX_RECORD_LEN: u32 = 1024;
@@ -774,6 +777,13 @@ mod tests {
         assert_eq!(
             recover_bytes(&wrong_version),
             Err(JournalError::BadVersion(9))
+        );
+        // A journal written before the engine kept history until cold.
+        let mut version_one = bytes.clone();
+        version_one[4..6].copy_from_slice(&1u16.to_le_bytes());
+        assert_eq!(
+            recover_bytes(&version_one),
+            Err(JournalError::BadVersion(1))
         );
         let mut flipped = bytes.clone();
         let last = flipped.len() - 20;

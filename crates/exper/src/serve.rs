@@ -60,9 +60,10 @@
 //! recovery rules.
 //!
 //! Feeds: [`serve_lines`] drives a session from any [`BufRead`] (stdin,
-//! a Unix socket, a file of `REQ` lines); [`feed_problem`] replays a
-//! fully materialised problem; [`feed_records`] streams an ESVT trace
-//! through [`TraceReader::records`] without materialising the VM list.
+//! a Unix socket, a file of `REQ` lines); [`feed_problem_with_faults`]
+//! replays a fully materialised problem, with or without faults;
+//! [`feed_records`] streams an ESVT trace through
+//! [`TraceReader::records`] without materialising the VM list.
 //!
 //! [`TraceReader::records`]: esvm_workload::TraceReader::records
 //! [`fields`]: esvm_workload::trace::fields
@@ -832,35 +833,16 @@ fn skip_line<R: BufRead>(input: &mut R) -> std::io::Result<()> {
 }
 
 /// Replays a materialised problem through the session in canonical
-/// arrival order (departures fire implicitly as the clock advances).
-/// Arrivals sharing a start time form one admission burst (see
-/// [`ServeSession::burst`]). Returns the replies, one per VM.
-pub fn feed_problem<T: Tracer>(
-    problem: &esvm_simcore::AllocationProblem,
-    session: &mut ServeSession<'_, T>,
-) -> Vec<String> {
-    let vms = problem.vms();
-    let order = problem.vms_by_start_time();
-    let mut replies = Vec::with_capacity(order.len());
-    let mut i = 0;
-    while i < order.len() {
-        let start = vms[order[i]].start();
-        let mut j = i;
-        while j < order.len() && vms[order[j]].start() == start {
-            j += 1;
-        }
-        replies.extend(session.burst(order[i..j].iter().map(|&k| vms[k])));
-        i = j;
-    }
-    replies
-}
-
-/// Replays a problem through the session with a [`FaultPlan`] striking
-/// live: before each arrival burst at time `t`, every plan event with
-/// `at ≤ t` is applied through the session's fault verbs (evictions,
-/// bounded-backoff repair, journal and all); trailing events fire
-/// after the last arrival. This is `esvm chaos --live` — the drill
-/// runs against the real service loop, not an offline replay.
+/// arrival order (departures fire implicitly as the clock advances),
+/// with a [`FaultPlan`] striking live: before each arrival burst at
+/// time `t`, every plan event with `at ≤ t` is applied through the
+/// session's fault verbs (evictions, bounded-backoff repair, journal
+/// and all); trailing events fire after the last arrival. Arrivals
+/// sharing a start time form one admission burst (see
+/// [`ServeSession::burst`]). With a plan this is `esvm chaos --live` —
+/// the drill runs against the real service loop, not an offline
+/// replay; with [`FaultPlan::empty`] it is `esvm serve --trace` on a
+/// text trace.
 pub fn feed_problem_with_faults<T: Tracer>(
     problem: &esvm_simcore::AllocationProblem,
     plan: &FaultPlan,
@@ -1215,6 +1197,47 @@ mod tests {
             matches!(err, JournalError::CheckpointMismatch { field: "placed", .. }),
             "{err:?}"
         );
+    }
+
+    #[test]
+    fn a_streamed_esvt_trace_is_served_as_miec_decides_it() {
+        use esvm_core::Miec;
+        use esvm_workload::{esvt, TraceReader, WorkloadConfig};
+        let mut rejected_total = 0;
+        for seed in 0..10 {
+            // Dense enough that some seeds turn work away.
+            let problem = WorkloadConfig::new(300, 12)
+                .mean_interarrival(0.3)
+                .mean_duration(8.0)
+                .generate(seed)
+                .expect("generation succeeds");
+            let bytes = esvt::to_esvt_with_block_len(&problem, 16);
+            let reader = TraceReader::new(std::io::Cursor::new(bytes)).expect("ESVT header");
+            let servers = reader.servers().to_vec();
+            let metrics = MetricsRegistry::new();
+            let mut session = ServeSession::new(&servers, &metrics, &NoopTracer);
+            let (placed, rejected) =
+                feed_records(reader.records(), &mut session).expect("ESVT records");
+
+            let (miec, miec_rejected) = Miec::new()
+                .allocate_with_admission(&problem)
+                .expect("admission run");
+            let ctx = format!("seed {seed}");
+            assert_eq!(
+                session.engine().placement(problem.vm_count()),
+                miec.placement(),
+                "{ctx}: PLACED servers"
+            );
+            assert_eq!(rejected, miec_rejected.len() as u64, "{ctx}: rejected");
+            assert_eq!(placed + rejected, problem.vm_count() as u64, "{ctx}: replies");
+            let (energy, total) = (session.engine().committed_cost(), miec.total_cost());
+            assert!(
+                (energy - total).abs() <= 1e-9 * total,
+                "{ctx}: served energy {energy} vs MIEC {total}"
+            );
+            rejected_total += rejected;
+        }
+        assert!(rejected_total > 0, "no seed rejected work: admission is untested");
     }
 
     #[test]

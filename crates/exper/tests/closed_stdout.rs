@@ -1,6 +1,6 @@
 //! `esvm` writes its report to a reader that may stop early
-//! (`esvm gen … | head -1`): a closed stdout ends the run quietly, not
-//! with a panic.
+//! (`esvm gen … | head -1`): a closed stdout ends the run quietly, and
+//! a closed stderr costs only the error message, never a panic.
 
 use esvm_exper::journal::{recover_file, JournalRecord};
 use std::fmt::Write as _;
@@ -23,6 +23,21 @@ fn a_closed_stdout_ends_the_run_quietly() {
     assert_ne!(out.status.code(), Some(101), "esvm panicked: {stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
     assert!(out.status.success(), "exit {:?}: {stderr}", out.status);
+}
+
+/// `esvm compare --bogus 2>&1 | head -1` after `head` has gone: the
+/// usage error meets a closed stderr and still exits 1, not 101.
+#[test]
+fn a_closed_stderr_keeps_the_error_exit_code() {
+    let (reader, writer) = std::io::pipe().expect("a pipe");
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_esvm"))
+        .args(["compare", "--bogus"])
+        .stdout(Stdio::null())
+        .stderr(writer)
+        .output()
+        .expect("esvm runs to its end");
+    assert_eq!(out.status.code(), Some(1), "exit {:?}", out.status);
 }
 
 /// `esvm serve … | head -1`: a reply stream closed by its reader ends

@@ -72,8 +72,7 @@ pub use esvm_chaos::{
 };
 pub use esvm_core::{
     Allocator, AllocatorKind, BestFit, Consolidator, Ffps, FirstFit, LocalSearch, LowestIdlePower,
-    Miec, OnlineDecision, OnlineEngine, OnlineError, OnlineGreedy, OnlineStats, Random, Refined,
-    RoundRobin,
+    Miec, OnlineDecision, OnlineEngine, OnlineError, OnlineStats, Random, Refined, RoundRobin,
 };
 pub use esvm_exper::{ExpOptions, Figure, MonteCarlo, Series};
 pub use esvm_ilp::Formulation;

@@ -7,23 +7,86 @@
 //!   error, not a second placement;
 //! * a VM is never placed on a server that is down at decision time;
 //! * every ledger's Eq. 7 decomposition stays consistent with its
-//!   cost after *every* event, and the committed cost (retired +
-//!   live) is conserved across departures and evictions;
+//!   cost after *every* event, and the committed cost equals an
+//!   independent Eq. 7 audit of the piece schedule the test drove:
+//!   each placed piece, stopped at its eviction or drain clock, plus
+//!   each repaired tail;
 //! * out-of-order arrivals and unknown departures are typed errors
 //!   that leave the engine usable;
-//! * the candidate index partitions the fleet into active (up, hosting),
-//!   per-class standby (up, empty) and down servers after every event.
+//! * the candidate index partitions the fleet into active (up, holding
+//!   unsealed pieces), per-class standby (up, sealed or never used) and
+//!   down servers after every event.
 
 use std::collections::HashSet;
 
+use esvm::core::RepairOutcome;
+use esvm::simcore::TimeUnit;
 use esvm::{
     event_order, FaultEvent, FaultPlan, FaultPlanConfig, Interval, OnlineEngine, OnlineError,
-    Resources, ServerId, Vm, VmId, WorkloadConfig,
+    Resources, ServerId, ServerLedger, ServerSpec, Vm, VmEvent, VmId, WorkloadConfig,
 };
 use proptest::prelude::*;
 
-/// Asserts the per-ledger Eq. 7 decomposition and the conservation of
-/// the committed cost after an event.
+/// The piece schedule a test drives through an engine, kept apart from
+/// the engine: every piece placed, each stopped where the test stopped
+/// it.
+struct Pieces {
+    servers: Vec<ServerSpec>,
+    /// `(server, vm, demand, interval)`; `None` once a piece that had
+    /// not started was stopped.
+    pieces: Vec<Option<(ServerId, VmId, Resources, Interval)>>,
+}
+
+impl Pieces {
+    fn new(servers: &[ServerSpec]) -> Self {
+        Self { servers: servers.to_vec(), pieces: Vec::new() }
+    }
+
+    fn place(&mut self, server: ServerId, vm: &Vm) {
+        self.pieces.push(Some((server, vm.id(), vm.demand(), vm.interval())));
+    }
+
+    /// Stops every piece on `server` (all servers when `None`) that
+    /// still runs at `clock`: `[start, clock − 1]` stays, a piece that
+    /// has not started goes. Returns the stopped VMs in id order.
+    fn stop(&mut self, server: Option<ServerId>, clock: TimeUnit) -> Vec<VmId> {
+        let mut stopped = Vec::new();
+        for slot in &mut self.pieces {
+            let Some((s, vm, demand, iv)) = *slot else { continue };
+            if iv.end() < clock || server.is_some_and(|want| want != s) {
+                continue;
+            }
+            stopped.push(vm);
+            *slot = (iv.start() < clock)
+                .then(|| (s, vm, demand, Interval::new(iv.start(), clock - 1)));
+        }
+        stopped.sort_unstable();
+        stopped
+    }
+
+    /// Eq. 7 energy of the schedule on fresh ledgers.
+    fn audit(&self) -> f64 {
+        let mut ledgers: Vec<ServerLedger> =
+            self.servers.iter().map(|s| ServerLedger::new(*s)).collect();
+        for &(server, _, demand, interval) in self.pieces.iter().flatten() {
+            ledgers[server.index()].host_piece(demand, interval);
+        }
+        ledgers.iter().map(|l| l.cost()).sum()
+    }
+}
+
+/// Asserts that the engine's committed cost is the piece schedule's
+/// audited energy.
+fn check_audit(engine: &OnlineEngine, pieces: &Pieces, ctx: &str) {
+    let (committed, audited) = (engine.committed_cost(), pieces.audit());
+    assert!(
+        (committed - audited).abs() <= 1e-9 * audited.abs().max(1.0),
+        "{ctx}: committed {committed} vs audited piece schedule {audited}"
+    );
+}
+
+/// Asserts the per-ledger Eq. 7 decomposition and that the committed
+/// cost is the retired energy plus the open ledgers after an event.
 fn check_energy(engine: &OnlineEngine, ctx: &str) {
     let mut live_total = 0.0;
     for (i, ledger) in engine.ledgers().iter().enumerate() {
@@ -45,8 +108,9 @@ fn check_energy(engine: &OnlineEngine, ctx: &str) {
 }
 
 /// Asserts that the candidate index partitions the fleet: every server
-/// is exactly one of active (up, hosting), standby in its own class (up,
-/// nothing hosted) or down, and the running `pruned` count matches.
+/// is exactly one of active (up, holding unsealed pieces), standby in
+/// its own class (up, sealed or never used) or down, and the running
+/// `pruned` count matches.
 fn check_index(engine: &OnlineEngine, ctx: &str) {
     let index = engine.candidate_index();
     let ledgers = engine.ledgers();
@@ -108,10 +172,10 @@ proptest! {
         );
 
         let mut engine = OnlineEngine::new(problem.servers());
+        let mut pieces = Pieces::new(problem.servers());
         let mut faults = plan.events().iter().peekable();
         let mut down: HashSet<u32> = HashSet::new();
         let mut placed_ids: HashSet<VmId> = HashSet::new();
-        let mut committed_before_departures = engine.committed_cost();
 
         for event in event_order(problem.vms()) {
             // Faults strike as soon as the clock would reach them.
@@ -123,9 +187,19 @@ proptest! {
                     FaultEvent::ServerDown { server, .. } => {
                         let evicted = engine.set_down(*server).expect("known server");
                         down.insert(server.0);
-                        // Evicted ids stay consumed: irrevocability.
+                        let stopped = pieces.stop(Some(*server), engine.clock());
+                        let ids: Vec<VmId> = evicted.iter().map(|vm| vm.id()).collect();
+                        prop_assert_eq!(&ids, &stopped, "evicted VMs are the running pieces");
                         for vm in &evicted {
+                            // Evicted ids stay consumed: irrevocability.
                             prop_assert!(placed_ids.contains(&vm.id()));
+                            let outcome = engine.repair(*vm, 3, 2);
+                            if let RepairOutcome::Rehosted { server, start, .. } = outcome {
+                                prop_assert!(!down.contains(&server.0), "repaired onto a down server");
+                                let tail = Interval::new(start, vm.end());
+                                pieces.place(server, &Vm::new(vm.id().0, vm.demand(), tail));
+                            }
+                            check_audit(&engine, &pieces, "after repair");
                         }
                     }
                     FaultEvent::ServerUp { server, .. } => {
@@ -135,10 +209,14 @@ proptest! {
                 }
                 check_energy(&engine, "after fault");
                 check_index(&engine, "after fault");
+                check_audit(&engine, &pieces, "after fault");
                 faults.next();
             }
 
-            let is_departure = event.is_departure();
+            let arrival = match event {
+                VmEvent::Arrive(vm) => Some(vm),
+                _ => None,
+            };
             let vm_id = event.vm();
             match engine.apply(event) {
                 Ok(Some(decision)) => {
@@ -155,6 +233,7 @@ proptest! {
                             placed_ids.insert(vm_id),
                             "id {vm_id:?} placed twice"
                         );
+                        pieces.place(server, &arrival.expect("a decision answers an arrival"));
                     }
                 }
                 Ok(None) => {}
@@ -163,17 +242,9 @@ proptest! {
                     "in-order stream event must be accepted: {e}"
                 ),
             }
-            if is_departure {
-                // Departures move energy between the live ledgers and
-                // the retired pool without changing the sum.
-                let committed = engine.committed_cost();
-                prop_assert!(
-                    committed <= committed_before_departures.max(committed) + 1e-6
-                );
-            }
-            committed_before_departures = engine.committed_cost();
             check_energy(&engine, "after event");
             check_index(&engine, "after event");
+            check_audit(&engine, &pieces, "after event");
         }
 
         // Each id appears at most once in the decision log.
@@ -183,16 +254,14 @@ proptest! {
         prop_assert!(engine.stats().placed + engine.stats().rejected
             == engine.stats().arrivals);
 
-        // Drain the survivors; the committed cost is conserved.
-        let before = engine.committed_cost();
-        engine.drain();
-        let after = engine.committed_cost();
-        prop_assert!(
-            (before - after).abs() <= 1e-6 * before.abs().max(1.0),
-            "drain changed the committed cost: {before} -> {after}"
-        );
+        // Drain the survivors: each running piece stops at the clock.
+        let clock = engine.clock();
+        let drained = engine.drain();
+        prop_assert_eq!(drained, pieces.stop(None, clock).len());
         prop_assert_eq!(engine.live_count(), 0);
+        check_energy(&engine, "after drain");
         check_index(&engine, "after drain");
+        check_audit(&engine, &pieces, "after drain");
     }
 
     /// Duplicate ids, out-of-order starts and unknown departures are
