@@ -3,40 +3,35 @@
 //! [`ChaosEngine`] replays an offline allocation against a
 //! [`FaultPlan`] in two phases. Phase 1 runs the wrapped allocator on
 //! the unmodified problem to obtain the *intended* placement. Phase 2
-//! replays the timeline event by event over a fresh set of
-//! [`ServerLedger`]s: arrivals host onto their intended server when it
-//! is up and has capacity; a `ServerDown` evicts the victim's live VMs
-//! — the already-elapsed prefix of each interval stays charged to the
-//! crashed server, the remaining tail enters a retry queue and is
-//! re-placed by the same incremental-cost scoring MIEC uses. Bounded
-//! retries with deterministic exponential backoff precede admission
-//! shedding; nothing in the engine panics on a hostile plan.
+//! replays the timeline event by event over a fresh [`Fleet`], the one
+//! the online engine runs on too: arrivals host onto their intended
+//! server when it is up and has capacity; a `ServerDown` evicts the
+//! victim's live VMs — the already-elapsed prefix of each interval stays
+//! charged to the crashed server, the remaining tail enters a retry
+//! queue and is re-placed by the fleet's Eq. 7 argmin over the candidate
+//! index. Bounded retries with deterministic exponential backoff precede
+//! admission shedding; nothing in the engine panics on a hostile plan.
 //!
 //! # Event ordering
 //!
 //! At one instant `t` the engine processes, in order: (1) availability
 //! events in canonical plan order (per server, `down` precedes `up`, so
-//! a zero-length outage still displaces), (2) the retry queue in
-//! [`ShedPolicy`] order, (3) arrivals in `(start, id)` order. Every
-//! piece is hosted at an interval starting at the current instant, so
-//! no busy segment of a server ever overlaps one of its own outages —
-//! the invariant behind the recovery-transition accounting below.
+//! a zero-length outage still displaces), then the cold rule's pass,
+//! which moves the servers cold at `t` to standby and keeps their
+//! history, as MIEC does; (2) the retry queue in [`ShedPolicy`] order;
+//! (3) arrivals in `(start, id)` order. Every piece is hosted at an
+//! interval starting at the current instant.
 //!
 //! # Energy accounting under faults
 //!
-//! Evicting at `t` truncates the run cost at the crash instant: the
-//! hosted piece `[s, e]` is unhosted and its prefix `[s, t-1]` is
-//! re-hosted, so the ledger charges exactly the work performed before
-//! the crash. After replay, each resolved outage `(crash c, recover r)`
-//! that falls inside a gap the ledger prices as *kept-on idle* adds one
-//! forced transition per Eq. 7 — the server was physically off and must
-//! switch back on — recorded as `extra_transitions` and
-//! `fault_transition_energy` (α minus the idle energy the ledger
-//! over-charged for the down span). Outages inside gaps the ledger
-//! already prices as off-and-restart coincide with the planned
-//! transition and add nothing. The surcharge is reported separately
-//! from [`ChaosReport::cost`] so that the empty-plan replay remains
-//! bit-for-bit identical to the offline allocator.
+//! Evicting at `t` keeps the prefix `[s, t-1]` of a hosted piece
+//! `[s, e]`, so the ledger charges exactly the work performed before the
+//! crash. Outages inside gaps a ledger idles through forced switch-ons
+//! the ledgers do not show; the fleet prices them on the final ledgers
+//! ([`Fleet::fault_transitions`]) as `extra_transitions` and
+//! `fault_transition_energy`, reported apart from [`ChaosReport::cost`]
+//! so that the empty-plan replay stays bit-for-bit identical to the
+//! offline allocator.
 //!
 //! # The empty-plan guarantee
 //!
@@ -50,10 +45,10 @@
 
 use crate::plan::{FaultEvent, FaultPlan};
 use crate::policy::{RepairPolicy, ShedPolicy};
-use esvm_core::{argmin, AllocError, Allocator};
+use esvm_core::{AllocError, Allocator, Fleet};
 use esvm_obs::{names, DecisionKind, ExplainRecord, MetricsRegistry, NoopTracer, Tracer};
 use esvm_simcore::{
-    AllocationProblem, EnergyBreakdown, Interval, ServerId, ServerLedger, TimeUnit, VmId,
+    AllocationProblem, EnergyBreakdown, Interval, ServerId, ServerLedger, TimeUnit, Vm, VmId,
 };
 use rand::RngCore;
 use std::collections::BTreeSet;
@@ -104,7 +99,7 @@ impl RepairRecord {
 }
 
 /// Outcome of a chaos run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ChaosReport {
     /// Final placement, indexed by VM id: the server hosting the VM's
     /// last-scheduled piece. Shed VMs keep the server their prefix ran
@@ -145,13 +140,6 @@ impl ChaosReport {
     pub fn adjusted_cost(&self) -> f64 {
         self.cost + self.fault_transition_energy
     }
-}
-
-/// A piece of a VM's interval currently charged to one server.
-#[derive(Debug, Clone, Copy)]
-struct Piece {
-    vm: usize,
-    interval: Interval,
 }
 
 /// A displaced tail (or unadmitted arrival) waiting for capacity.
@@ -258,238 +246,94 @@ impl ChaosEngine {
         let _replay_span = tracer.span("chaos.replay");
         let vms = problem.vms();
         let n = problem.servers().len();
-        let mut ledgers: Vec<ServerLedger> = problem
-            .servers()
-            .iter()
-            .map(|spec| ServerLedger::new(spec.clone()))
-            .collect();
-        let mut up = vec![true; n];
-        let mut outage_start: Vec<Option<TimeUnit>> = vec![None; n];
-        let mut resolved_outages: Vec<(usize, TimeUnit, TimeUnit)> = Vec::new();
-        let mut resident: Vec<Vec<Piece>> = vec![Vec::new(); n];
-        let mut placement: Vec<Option<ServerId>> = vec![None; vms.len()];
-        let mut queue: Vec<QueueEntry> = Vec::new();
-        let mut report = ChaosReport {
-            placement: Vec::new(),
-            cost: 0.0,
-            breakdown: EnergyBreakdown::default(),
-            offline_cost,
-            extra_transitions: 0,
-            fault_transition_energy: 0.0,
-            displaced_vm_minutes: 0,
-            displaced: 0,
-            redirected_admissions: 0,
-            shed: Vec::new(),
-            refused: Vec::new(),
-            repairs: Vec::new(),
-            ledgers: Vec::new(),
-        };
-
         // Agenda: every instant where something can happen. Retry times
         // are inserted as backoffs are scheduled.
-        let arrivals: Vec<usize> = problem.vms_by_start_time();
-        let mut agenda: BTreeSet<TimeUnit> = vms.iter().map(|vm| vm.start()).collect();
         let events = self.plan.events();
+        let mut agenda: BTreeSet<TimeUnit> = vms.iter().map(|vm| vm.start()).collect();
         agenda.extend(events.iter().map(FaultEvent::at));
+        let mut replay = Replay {
+            policy: self.policy,
+            vms,
+            fleet: Fleet::new(problem.servers()),
+            queue: Vec::new(),
+            agenda,
+            report: ChaosReport {
+                placement: vec![None; vms.len()],
+                offline_cost,
+                ..ChaosReport::default()
+            },
+            metrics,
+            tracer,
+        };
+        let arrivals: Vec<usize> = problem.vms_by_start_time();
         let mut next_event = 0usize;
         let mut next_arrival = 0usize;
 
-        while let Some(t) = agenda.pop_first() {
+        while let Some(t) = replay.agenda.pop_first() {
             // (1) Availability events, in canonical plan order.
             while next_event < events.len() && events[next_event].at() == t {
-                match events[next_event] {
-                    FaultEvent::ServerUp { server, .. } => {
-                        let s = server.index();
-                        if s < n && !up[s] {
-                            up[s] = true;
-                            if let Some(c) = outage_start[s].take() {
-                                if t > c {
-                                    resolved_outages.push((s, c, t));
-                                }
-                            }
-                        }
-                    }
-                    FaultEvent::ServerDown { server, .. } => {
-                        let s = server.index();
-                        if s < n && up[s] {
-                            up[s] = false;
-                            outage_start[s] = Some(t);
-                            Self::evict(
-                                s,
-                                t,
-                                problem,
-                                &mut ledgers,
-                                &mut resident,
-                                &mut queue,
-                                &mut report,
-                                metrics,
-                                tracer,
-                            );
-                        }
-                    }
-                }
+                let event = &events[next_event];
                 next_event += 1;
+                let server = event.server();
+                if server.index() >= n {
+                    continue;
+                }
+                if let FaultEvent::ServerUp { .. } = event {
+                    replay.fleet.set_up(server, t);
+                } else if replay.fleet.set_down(server, t) {
+                    replay.displace(server, t);
+                }
             }
+            // Cold servers move to standby before any decision at `t`.
+            replay.fleet.demote(t);
 
             // (2) Retry queue, in shed-policy order.
-            let mut due: Vec<QueueEntry> = Vec::new();
-            queue.retain(|entry| {
-                if entry.next_try <= t {
-                    due.push(*entry);
-                    false
-                } else {
-                    true
-                }
-            });
+            let (mut due, waiting): (Vec<QueueEntry>, _) = std::mem::take(&mut replay.queue)
+                .into_iter()
+                .partition(|entry| entry.next_try <= t);
+            replay.queue = waiting;
             self.order_queue(&mut due, t);
             for entry in due {
-                self.attempt(
-                    entry,
-                    t,
-                    problem,
-                    &mut ledgers,
-                    &up,
-                    &mut resident,
-                    &mut placement,
-                    &mut queue,
-                    &mut agenda,
-                    &mut report,
-                    metrics,
-                    tracer,
-                );
+                replay.attempt(entry, t);
             }
 
             // (3) Arrivals, in (start, id) order.
             while next_arrival < arrivals.len() && vms[arrivals[next_arrival]].start() == t {
                 let j = arrivals[next_arrival];
                 next_arrival += 1;
-                let vm = &vms[j];
-                let target = intended.get(j).copied().flatten();
-                let hosted = target.is_some_and(|server| {
-                    let s = server.index();
-                    s < n && up[s] && ledgers[s].fits_piece(vm.demand(), vm.interval())
-                });
-                if let (true, Some(server)) = (hosted, target) {
-                    let s = server.index();
-                    ledgers[s].host_piece(vm.demand(), vm.interval());
-                    resident[s].push(Piece {
-                        vm: j,
-                        interval: vm.interval(),
-                    });
-                    placement[j] = Some(server);
-                } else {
+                let vm = vms[j];
+                match intended.get(j).copied().flatten() {
+                    Some(server)
+                        if server.index() < n
+                            && !replay.fleet.index().is_down(server)
+                            && replay.fleet.ledgers()[server.index()].fits(&vm) =>
+                    {
+                        replay.fleet.host(server, vm);
+                        replay.report.placement[j] = Some(server);
+                    }
                     // Intended server down or out of capacity: redirect
                     // through the same scoring the repair path uses.
-                    let entry = QueueEntry {
-                        vm: j,
-                        end: vm.end(),
-                        attempts: 0,
-                        next_try: t,
-                        displaced_at: t,
-                        from: None,
-                    };
-                    self.attempt(
-                        entry,
+                    _ => replay.attempt(
+                        QueueEntry {
+                            vm: j,
+                            end: vm.end(),
+                            attempts: 0,
+                            next_try: t,
+                            displaced_at: t,
+                            from: None,
+                        },
                         t,
-                        problem,
-                        &mut ledgers,
-                        &up,
-                        &mut resident,
-                        &mut placement,
-                        &mut queue,
-                        &mut agenda,
-                        &mut report,
-                        metrics,
-                        tracer,
-                    );
+                    ),
                 }
             }
         }
 
         // Anything still queued when the agenda runs dry is past every
         // retry instant that could matter — count it as lost.
-        let leftovers = std::mem::take(&mut queue);
-        for entry in leftovers {
-            self.drop_entry(&entry, &mut report, metrics, tracer);
+        for entry in std::mem::take(&mut replay.queue) {
+            replay.drop_entry(&entry);
         }
-
-        self.charge_recovery_transitions(&ledgers, &resolved_outages, &mut report, metrics);
-
-        for ledger in &ledgers {
-            let b = ledger.energy_breakdown();
-            report.cost += ledger.cost();
-            report.breakdown.run += b.run;
-            report.breakdown.idle += b.idle;
-            report.breakdown.transition += b.transition;
-        }
-        if T::ENABLED {
-            metrics.set_gauge(names::chaos::ENERGY_COST, report.cost);
-            metrics.set_gauge(names::chaos::ENERGY_ADJUSTED_COST, report.adjusted_cost());
-            metrics.set_gauge(names::chaos::ENERGY_OFFLINE_COST, offline_cost);
-        }
-        report.placement = placement;
-        report.ledgers = ledgers;
-        report
-    }
-
-    /// Evicts every live piece of server `s` at instant `t`.
-    #[allow(clippy::too_many_arguments)]
-    fn evict<T: Tracer>(
-        s: usize,
-        t: TimeUnit,
-        problem: &AllocationProblem,
-        ledgers: &mut [ServerLedger],
-        resident: &mut [Vec<Piece>],
-        queue: &mut Vec<QueueEntry>,
-        report: &mut ChaosReport,
-        metrics: &MetricsRegistry,
-        tracer: &T,
-    ) {
-        let _evict_span = tracer.span("chaos.evict");
-        let pieces = std::mem::take(&mut resident[s]);
-        let mut kept = Vec::with_capacity(pieces.len());
-        for piece in pieces {
-            let iv = piece.interval;
-            if iv.end() < t {
-                kept.push(piece);
-                continue;
-            }
-            let demand = problem.vms()[piece.vm].demand();
-            ledgers[s].unhost_piece(demand, iv);
-            if iv.start() < t {
-                // The work done before the crash really happened; only
-                // the tail is displaced.
-                if let Some(prefix) = Interval::checked_new(iv.start(), t - 1) {
-                    ledgers[s].host_piece(demand, prefix);
-                    kept.push(Piece {
-                        vm: piece.vm,
-                        interval: prefix,
-                    });
-                }
-            }
-            let tail_len = u64::from(iv.end() - t) + 1;
-            report.displaced += 1;
-            report.displaced_vm_minutes += tail_len;
-            queue.push(QueueEntry {
-                vm: piece.vm,
-                end: iv.end(),
-                attempts: 0,
-                next_try: t,
-                displaced_at: t,
-                from: Some(ServerId(s as u32)),
-            });
-            if T::ENABLED {
-                metrics.add(names::chaos::DISPLACED_VMS, 1);
-                metrics.add(names::chaos::DISPLACED_VM_MINUTES, tail_len);
-                // The displaced tail is `[time, end]` of the VM.
-                tracer.explain(&ExplainRecord {
-                    from: Some(s as u64),
-                    time: Some(u64::from(t)),
-                    ..ExplainRecord::new(DecisionKind::Evict, piece.vm as u64)
-                });
-            }
-        }
-        resident[s] = kept;
+        replay.finish()
     }
 
     /// Orders due queue entries so the front of the queue gets first
@@ -508,124 +352,125 @@ impl ChaosEngine {
             }
         }
     }
+}
 
-    /// One placement attempt for a queued entry at instant `t`:
-    /// MIEC-style lowest-incremental-cost scoring over the up servers,
-    /// exponential backoff on failure, shed/refuse on exhaustion.
-    #[allow(clippy::too_many_arguments)]
-    fn attempt<T: Tracer>(
-        &self,
-        mut entry: QueueEntry,
-        t: TimeUnit,
-        problem: &AllocationProblem,
-        ledgers: &mut [ServerLedger],
-        up: &[bool],
-        resident: &mut [Vec<Piece>],
-        placement: &mut [Option<ServerId>],
-        queue: &mut Vec<QueueEntry>,
-        agenda: &mut BTreeSet<TimeUnit>,
-        report: &mut ChaosReport,
-        metrics: &MetricsRegistry,
-        tracer: &T,
-    ) {
-        let _attempt_span = tracer.span("chaos.attempt");
-        if t > entry.end {
-            self.drop_entry(&entry, report, metrics, tracer);
-            return;
+/// Phase 2's state: the fleet, the retry queue, the agenda and the
+/// report being filled in.
+struct Replay<'a, T> {
+    policy: RepairPolicy,
+    vms: &'a [Vm],
+    fleet: Fleet,
+    queue: Vec<QueueEntry>,
+    agenda: BTreeSet<TimeUnit>,
+    report: ChaosReport,
+    metrics: &'a MetricsRegistry,
+    tracer: &'a T,
+}
+
+impl<T: Tracer> Replay<'_, T> {
+    /// Evicts every live piece of `server` at instant `t` through the
+    /// fleet and queues the displaced tails.
+    fn displace(&mut self, server: ServerId, t: TimeUnit) {
+        let _evict_span = self.tracer.span("chaos.evict");
+        // Every piece starts at the instant it was hosted, so start order
+        // is hosting order, the order of the ledger edits the cost bits
+        // depend on.
+        for piece in self.fleet.evict(server, t, Vm::start) {
+            let tail_len = u64::from(piece.end() - t) + 1;
+            self.report.displaced += 1;
+            self.report.displaced_vm_minutes += tail_len;
+            self.queue.push(QueueEntry {
+                vm: piece.id().index(),
+                end: piece.end(),
+                attempts: 0,
+                next_try: t,
+                displaced_at: t,
+                from: Some(server),
+            });
+            if T::ENABLED {
+                self.metrics.add(names::chaos::DISPLACED_VMS, 1);
+                self.metrics.add(names::chaos::DISPLACED_VM_MINUTES, tail_len);
+                // The displaced tail is `[time, end]` of the VM.
+                self.tracer.explain(&ExplainRecord {
+                    from: Some(server.index() as u64),
+                    time: Some(u64::from(t)),
+                    ..ExplainRecord::new(DecisionKind::Evict, piece.id().index() as u64)
+                });
+            }
         }
-        let demand = problem.vms()[entry.vm].demand();
+    }
+
+    /// One placement attempt for a queued entry at instant `t`: the
+    /// fleet's Eq. 7 argmin over the up servers, exponential backoff on
+    /// failure, shed/refuse on exhaustion.
+    fn attempt(&mut self, mut entry: QueueEntry, t: TimeUnit) {
+        let _attempt_span = self.tracer.span("chaos.attempt");
         let Some(interval) = Interval::checked_new(t, entry.end) else {
-            self.drop_entry(&entry, report, metrics, tracer);
+            self.drop_entry(&entry);
             return;
         };
-        // The Eq. 7 argmin kernel over the up servers in ascending id:
-        // strict `<`, so the lowest id wins exact ties. Its tallies feed
-        // the explain record and are kept only in traced builds.
-        let up_ids = (0..ledgers.len() as u32).filter(|&i| up[i as usize]);
-        let scan = argmin(up_ids, T::ENABLED, |i| {
-            let ledger = &ledgers[i as usize];
-            ledger
-                .fits_piece(demand, interval)
-                .then(|| ledger.incremental_piece_cost(demand, interval))
-        });
-        if let Some((winning_cost, s)) = scan.best {
-            let s = s as usize;
+        let piece = Vm::new(entry.vm as u32, self.vms[entry.vm].demand(), interval);
+        let scan = self.fleet.scan(&piece, T::ENABLED);
+        if let Some((_, s)) = scan.best {
+            let server = ServerId(s);
             if T::ENABLED {
-                tracer.explain(&ExplainRecord {
-                    candidates: scan.candidates,
-                    unfit: scan.unfit,
-                    winner: Some(s as u64),
-                    delta_cost: winning_cost,
+                let pruned = self.fleet.index().pruned();
+                self.tracer.explain(&ExplainRecord {
                     from: entry.from.map(|f| f.index() as u64),
                     attempt: u64::from(entry.attempts),
                     time: Some(u64::from(t)),
-                    ..ExplainRecord::new(DecisionKind::Repair, entry.vm as u64)
+                    ..scan.explain(DecisionKind::Repair, entry.vm as u64, pruned)
                 });
             }
-            ledgers[s].host_piece(demand, interval);
-            resident[s].push(Piece {
-                vm: entry.vm,
-                interval,
-            });
-            placement[entry.vm] = Some(ServerId(s as u32));
+            self.fleet.host(server, piece);
+            self.report.placement[entry.vm] = Some(server);
             let record = RepairRecord {
                 vm: VmId(entry.vm as u32),
                 from: entry.from,
-                to: ServerId(s as u32),
+                to: server,
                 displaced_at: entry.displaced_at,
                 placed_at: t,
                 attempts: entry.attempts,
             };
             if entry.from.is_none() && record.latency() == 0 {
-                report.redirected_admissions += 1;
+                self.report.redirected_admissions += 1;
             }
             if T::ENABLED {
-                metrics.observe(names::chaos::REPAIR_LATENCY, record.latency() as f64);
-                metrics.add(names::chaos::REPAIRS, 1);
+                self.metrics
+                    .observe(names::chaos::REPAIR_LATENCY, record.latency() as f64);
+                self.metrics.add(names::chaos::REPAIRS, 1);
             }
-            report.repairs.push(record);
+            self.report.repairs.push(record);
             return;
         }
         entry.attempts += 1;
         if entry.attempts > self.policy.max_retries {
-            self.drop_entry(&entry, report, metrics, tracer);
+            self.drop_entry(&entry);
             return;
         }
         let next_try = t.saturating_add(self.policy.delay_for(entry.attempts));
         if next_try > entry.end {
-            self.drop_entry(&entry, report, metrics, tracer);
+            self.drop_entry(&entry);
             return;
         }
         entry.next_try = next_try;
-        agenda.insert(next_try);
-        queue.push(entry);
+        self.agenda.insert(next_try);
+        self.queue.push(entry);
     }
 
     /// Records a queue entry that ran out of retries or time: shed if
     /// it had already run a prefix somewhere, refused if it was never
     /// admitted at all.
-    fn drop_entry<T: Tracer>(
-        &self,
-        entry: &QueueEntry,
-        report: &mut ChaosReport,
-        metrics: &MetricsRegistry,
-        tracer: &T,
-    ) {
-        let vm = VmId(entry.vm as u32);
-        if entry.from.is_some() {
-            report.shed.push(vm);
-        } else {
-            report.refused.push(vm);
-        }
+    fn drop_entry(&mut self, entry: &QueueEntry) {
+        use names::chaos::{REFUSED_ADMISSIONS, SHED};
+        let (list, kind, counter) = match entry.from {
+            Some(_) => (&mut self.report.shed, DecisionKind::Shed, SHED),
+            None => (&mut self.report.refused, DecisionKind::Refuse, REFUSED_ADMISSIONS),
+        };
+        list.push(VmId(entry.vm as u32));
         if T::ENABLED {
-            let kind = if entry.from.is_some() {
-                metrics.add(names::chaos::SHED, 1);
-                DecisionKind::Shed
-            } else {
-                metrics.add(names::chaos::REFUSED_ADMISSIONS, 1);
-                DecisionKind::Refuse
-            };
-            tracer.explain(&ExplainRecord {
+            self.metrics.add(counter, 1);
+            self.tracer.explain(&ExplainRecord {
                 from: entry.from.map(|f| f.index() as u64),
                 attempt: u64::from(entry.attempts),
                 time: Some(u64::from(entry.displaced_at)),
@@ -634,49 +479,33 @@ impl ChaosEngine {
         }
     }
 
-    /// Final pass: charge one forced Eq. 7 transition for each resolved
-    /// outage that fell inside a gap the ledger prices as kept-on idle
-    /// (see the module docs for why this is exact).
-    fn charge_recovery_transitions(
-        &self,
-        ledgers: &[ServerLedger],
-        resolved: &[(usize, TimeUnit, TimeUnit)],
-        report: &mut ChaosReport,
-        metrics: &MetricsRegistry,
-    ) {
-        for &(s, c, r) in resolved {
-            let ledger = &ledgers[s];
-            let spec = ledger.spec();
-            let mut prev_end: Option<TimeUnit> = None;
-            let mut next_start: Option<TimeUnit> = None;
-            for iv in ledger.segments().iter() {
-                if iv.end() < c {
-                    prev_end = Some(iv.end());
-                } else if next_start.is_none() {
-                    next_start = Some(iv.start());
-                }
-            }
-            let (Some(prev), Some(next)) = (prev_end, next_start) else {
-                // The outage sits before the first or after the last
-                // busy segment: the ledger's initial switch-on (or
-                // nothing at all) already tells the right story.
-                continue;
-            };
-            debug_assert!(next >= r, "busy segment overlaps an outage");
-            let gap_len = u64::from(next - prev) - 1;
-            if spec.switches_off_for_gap(gap_len) {
-                // The ledger already prices this gap as off + restart;
-                // the recovery coincides with the planned transition.
-                continue;
-            }
-            report.extra_transitions += 1;
-            report.fault_transition_energy +=
-                spec.transition_cost() - spec.idle_cost(u64::from(r - c));
-        }
-        metrics.add(names::chaos::EXTRA_TRANSITIONS, report.extra_transitions);
-        metrics.set_gauge(
+    /// Prices the outages and folds the ledgers into the report.
+    fn finish(self) -> ChaosReport {
+        let mut report = self.report;
+        let faults = self.fleet.fault_transitions();
+        report.extra_transitions = faults.count;
+        report.fault_transition_energy = faults.energy;
+        self.metrics
+            .add(names::chaos::EXTRA_TRANSITIONS, report.extra_transitions);
+        self.metrics.set_gauge(
             names::chaos::FAULT_TRANSITION_ENERGY,
             report.fault_transition_energy,
         );
+        for ledger in self.fleet.ledgers() {
+            let b = ledger.energy_breakdown();
+            report.cost += ledger.cost();
+            report.breakdown.run += b.run;
+            report.breakdown.idle += b.idle;
+            report.breakdown.transition += b.transition;
+        }
+        if T::ENABLED {
+            self.metrics.set_gauge(names::chaos::ENERGY_COST, report.cost);
+            self.metrics
+                .set_gauge(names::chaos::ENERGY_ADJUSTED_COST, report.adjusted_cost());
+            self.metrics
+                .set_gauge(names::chaos::ENERGY_OFFLINE_COST, report.offline_cost);
+        }
+        report.ledgers = self.fleet.into_ledgers();
+        report
     }
 }

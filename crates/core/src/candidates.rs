@@ -27,9 +27,10 @@
 //!
 //! ## The cold rule
 //!
-//! Both start-ordered engines, offline MIEC and the online engine, move
-//! a server to standby by one rule. Decisions come in `(start, id)`
-//! order, so the clock `t` never decreases. Let `e` be the last busy
+//! Every engine that scans the index — offline MIEC and, through the
+//! [`Fleet`](crate::Fleet), the chaos replay and the online engine —
+//! moves a server to standby by one rule. Each engine's decision clock
+//! `t` never decreases. Let `e` be the last busy
 //! end of a used server. When `t − e − 1 ≥ g*`, where `g*` is the
 //! smallest gap with `P_idle · g* ≥ α` (the break-even time `α/P_idle`
 //! of Albers & Quedenfeld), the interior gap a new arrival opens costs
@@ -39,10 +40,10 @@
 //! `run + idle + 0.0 + α` — bit-identical — and `fits` agrees because no
 //! hosted piece reaches `t`. Such a server is *cold*: [`ColdRule`]
 //! demotes it to standby before the decision and it stays
-//! interchangeable with its twins until it hosts again. MIEC keeps the
-//! cold server's history; the online engine *seals* it (moves its cost
-//! into a retired total and resets the ledger), which prices every later
-//! arrival the same way. (The strict `<` of
+//! interchangeable with its twins until it hosts again. MIEC and the
+//! chaos replay keep the cold server's history; the online engine
+//! *seals* it (moves its cost into a retired total and resets the
+//! ledger), which prices every later arrival the same way. (The strict `<` of
 //! [`ServerSpec::switches_off_for_gap`] would miss the exact break-even
 //! gap, so `g*` is found with `>=` by binary search.)
 //!
@@ -51,6 +52,7 @@
 use std::cmp::Reverse;
 use std::collections::{btree_set, BTreeSet, BinaryHeap};
 
+use esvm_obs::{DecisionKind, ExplainRecord};
 use esvm_simcore::{ServerId, ServerLedger, ServerSpec};
 
 /// Where one server sits in a [`CandidateIndex`].
@@ -309,14 +311,30 @@ pub struct Argmin {
     pub fp_ties: u64,
 }
 
+impl Argmin {
+    /// The explain record of this scan deciding about `vm`: its tallies,
+    /// the `pruned` twins, and the winner with its delta when it placed.
+    pub fn explain(&self, kind: DecisionKind, vm: u64, pruned: u64) -> ExplainRecord {
+        ExplainRecord {
+            candidates: self.candidates,
+            pruned,
+            unfit: self.unfit,
+            winner: self.best.map(|(_, s)| u64::from(s)),
+            delta_cost: self.best.map_or(0.0, |(delta, _)| delta),
+            fp_tie: self.fp_ties > 0,
+            ..ExplainRecord::new(kind, vm)
+        }
+    }
+}
+
 /// The Eq. 7 argmin kernel: visits `ids` (ascending), scores each with
 /// `score` (`None` = does not fit), and keeps the strict-`<` minimum,
 /// so the lowest id wins exact ties. The tallies are kept only when
 /// `counting` (a compile-time constant at every call site).
 ///
-/// Offline MIEC and the online engine feed it a [`CandidateIndex`]'s
-/// candidates; the chaos replay's repair feeds it every up server, and
-/// the consolidator every server but the one it would empty.
+/// Offline MIEC and the [`Fleet`](crate::Fleet) under both fault engines
+/// feed it a [`CandidateIndex`]'s candidates, and the consolidator every
+/// server but the one it would empty.
 ///
 /// # Example
 ///
@@ -334,9 +352,9 @@ pub fn argmin(
     mut score: impl FnMut(u32) -> Option<f64>,
 ) -> Argmin {
     let mut out = Argmin::default();
-    // Internal iteration, so an adapter such as the chaos repair's
-    // `Filter` over the up servers runs its own fold rather than a
-    // nested `next()` loop.
+    // Internal iteration, so an adapter such as the consolidator's
+    // chained id ranges runs its own fold rather than a nested `next()`
+    // loop.
     ids.for_each(|i| {
         let Some(delta) = score(i) else {
             if counting {
@@ -380,7 +398,7 @@ pub(crate) fn break_even_gap(spec: &ServerSpec) -> Option<u32> {
     Some(lo)
 }
 
-/// The cold rule of both start-ordered engines (see the [module
+/// The cold rule of every engine that scans the index (see the [module
 /// docs](self)): a min-heap of the times at which used servers turn
 /// cold.
 #[derive(Debug, Clone)]

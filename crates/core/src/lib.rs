@@ -52,6 +52,7 @@ mod candidates;
 mod classes;
 mod error;
 mod ffps;
+mod fleet;
 mod miec;
 mod local_search;
 mod migration;
@@ -63,6 +64,7 @@ pub use baselines::{BestFit, FirstFit, LowestIdlePower, Random, RoundRobin};
 pub use candidates::{argmin, Argmin, CandidateIndex};
 pub use error::{AllocError, AllocResult};
 pub use ffps::Ffps;
+pub use fleet::{FaultTransitions, Fleet};
 pub use miec::Miec;
 pub use local_search::{LocalSearch, Refined, SearchMove};
 pub use migration::Consolidator;

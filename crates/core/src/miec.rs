@@ -1,8 +1,8 @@
 //! The paper's heuristic: Minimum Incremental Energy Cost (MIEC).
 
-use crate::candidates::{argmin, Argmin, CandidateIndex, ColdRule};
+use crate::candidates::{argmin, CandidateIndex, ColdRule};
 use crate::{AllocError, AllocResult, Allocator};
-use esvm_obs::{DecisionKind, ExplainRecord, MetricsRegistry, NoopTracer, Tracer};
+use esvm_obs::{DecisionKind, MetricsRegistry, NoopTracer, Tracer};
 use esvm_simcore::{AllocationProblem, Assignment, ServerId, ServerLedger};
 use rand::RngCore;
 
@@ -231,19 +231,14 @@ impl Miec {
                 }
                 None => (argmin(0..n_servers, T::ENABLED, score), 0),
             };
-            let Argmin {
-                best,
-                candidates,
-                unfit,
-                fp_ties,
-            } = scan;
             if T::ENABLED {
-                candidates_total += candidates;
+                candidates_total += scan.candidates;
                 pruned_total += pruned;
-                unfit_total += unfit;
-                fp_ties_total += fp_ties;
+                unfit_total += scan.unfit;
+                fp_ties_total += scan.fp_ties;
             }
-            match best {
+            let explain = |kind| scan.explain(kind, vm.id().index() as u64, pruned);
+            match scan.best {
                 Some((delta, winner)) => {
                     let sid = ServerId(winner);
                     assignment.place(vm.id(), sid)?;
@@ -256,31 +251,12 @@ impl Miec {
                     }
                     if T::ENABLED {
                         metrics.observe("miec.placement_delta", delta);
-                        tracer.explain(&ExplainRecord {
-                            candidates,
-                            pruned,
-                            unfit,
-                            winner: Some(sid.index() as u64),
-                            delta_cost: delta,
-                            fp_tie: fp_ties > 0,
-                            ..ExplainRecord::new(
-                                DecisionKind::Place,
-                                vm.id().index() as u64,
-                            )
-                        });
+                        tracer.explain(&explain(DecisionKind::Place));
                     }
                 }
                 None if admit => {
                     if T::ENABLED {
-                        tracer.explain(&ExplainRecord {
-                            candidates,
-                            pruned,
-                            unfit,
-                            ..ExplainRecord::new(
-                                DecisionKind::Reject,
-                                vm.id().index() as u64,
-                            )
-                        });
+                        tracer.explain(&explain(DecisionKind::Reject));
                     }
                     rejected.push(vm.id());
                 }
@@ -303,7 +279,7 @@ impl Miec {
     /// considered, spec-class pruned, exact FP ties, unfit skips) and
     /// the placement-delta histogram accumulated into `metrics`, a
     /// `miec.run` span around the placement loop, a `miec.decision`
-    /// span around every per-VM argmin, and one [`ExplainRecord`] per
+    /// span around every per-VM argmin, and one [`ExplainRecord`](esvm_obs::ExplainRecord) per
     /// VM in `tracer` whose `(winner, delta_cost)` bit-match the
     /// placement. With [`NoopTracer`] this *is* `allocate`.
     ///

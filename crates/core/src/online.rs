@@ -25,6 +25,10 @@
 //! Servers with no `g*` (`P_idle = 0` with `α > 0`) are never cold and
 //! keep their history.
 //!
+//! The ledgers, candidate index, cold rule, pieces and outages
+//! live in the [`Fleet`] the chaos replay runs on too; only the repair
+//! rules differ (DESIGN §9).
+//!
 //! ## Pieces and cost accounting
 //!
 //! Eviction ([`set_down`]), an explicit [`depart`] and [`drain`] stop a
@@ -34,8 +38,11 @@
 //! the chaos replay does. [`committed_cost`] is `retired + Σ
 //! ledger.cost()`, the Eq. 7 energy of the pieces the session has run or
 //! committed to run. Sealing moves energy between the two terms without
-//! changing the pieces. For the placement view, decisions are exported
-//! as a placement vector and re-audited by [`Assignment::from_placement`].
+//! changing the pieces. An outage inside a gap a ledger idles through
+//! forces a switch-on the ledger does not charge;
+//! [`fault_transition_energy`] reports it beside [`committed_cost`]. For
+//! the placement view, decisions are exported as a placement vector and
+//! re-audited by [`Assignment::from_placement`].
 //!
 //! ## Capacity correctness
 //!
@@ -48,6 +55,7 @@
 //! [`cost`]: esvm_simcore::ServerLedger::cost
 //! [`retired_cost`]: OnlineEngine::retired_cost
 //! [`committed_cost`]: OnlineEngine::committed_cost
+//! [`fault_transition_energy`]: OnlineEngine::fault_transition_energy
 //! [`set_down`]: OnlineEngine::set_down
 //! [`depart`]: OnlineEngine::depart
 //! [`drain`]: OnlineEngine::drain
@@ -62,7 +70,8 @@ use esvm_simcore::{
     departure_time, Interval, ServerId, ServerLedger, ServerSpec, TimeUnit, Vm, VmEvent, VmId,
 };
 
-use crate::candidates::{argmin, Argmin, CandidateIndex, ColdRule};
+use crate::candidates::CandidateIndex;
+use crate::fleet::Fleet;
 
 /// Typed rejection reasons of the online event loop. Every variant is a
 /// *protocol* error: the event was malformed relative to the session
@@ -195,17 +204,10 @@ pub fn repair_delay(backoff: u32, attempt: u32) -> u32 {
 /// decisions out. See the [module docs](self) for the model.
 #[derive(Debug, Clone)]
 pub struct OnlineEngine {
-    /// Per-server pieces since the server was last sealed.
-    ledgers: Vec<ServerLedger>,
-    /// Up servers with unsealed pieces are active; up, sealed (or never
-    /// used) servers wait on standby per spec class, where only the
-    /// lowest id is ever scored — MIEC's tie-break winner. Each
-    /// decision stays O(active) no matter how large the fleet is.
-    index: CandidateIndex,
-    /// When each used server turns cold and is sealed.
-    cold: ColdRule,
-    /// Live placements: id → (running piece, server).
-    live: HashMap<VmId, (Vm, ServerId)>,
+    /// Ledgers, candidate index, cold rule (sealing), pieces, outages.
+    fleet: Fleet,
+    /// Live placements: id → server of its running piece.
+    live: HashMap<VmId, ServerId>,
     /// Every id ever accepted — placed, rejected or departed.
     seen: HashSet<VmId>,
     /// Append-only decision log of placements, in arrival order.
@@ -220,11 +222,8 @@ pub struct OnlineEngine {
 impl OnlineEngine {
     /// A fresh session over the given fleet, clock at 0, all servers up.
     pub fn new(servers: &[ServerSpec]) -> Self {
-        let index = CandidateIndex::new(servers);
         Self {
-            ledgers: servers.iter().map(|s| ServerLedger::new(*s)).collect(),
-            cold: ColdRule::new(&index, servers.iter().copied()),
-            index,
+            fleet: Fleet::new(servers),
             live: HashMap::new(),
             seen: HashSet::new(),
             placements: Vec::new(),
@@ -253,13 +252,24 @@ impl OnlineEngine {
     /// The per-server energy ledgers: every piece since the server was
     /// last sealed, live or ended.
     pub fn ledgers(&self) -> &[ServerLedger] {
-        &self.ledgers
+        self.fleet.ledgers()
     }
 
     /// Total Eq. 7 energy of every piece the session has run or
     /// committed to run: `retired + Σ ledger.cost()`.
     pub fn committed_cost(&self) -> f64 {
-        self.retired_cost + self.ledgers.iter().map(|l| l.cost()).sum::<f64>()
+        self.retired_cost + self.ledgers().iter().map(|l| l.cost()).sum::<f64>()
+    }
+
+    /// Net energy of the switch-ons outages forced inside gaps the
+    /// ledgers idle through (see [`Fleet`]), apart from the committed cost.
+    pub fn fault_transition_energy(&self) -> f64 {
+        self.fleet.fault_transitions().energy
+    }
+
+    /// Number of those forced switch-ons.
+    pub fn extra_transitions(&self) -> u64 {
+        self.fleet.fault_transitions().count
     }
 
     /// Energy of the sealed ledgers: servers whose pieces can no longer
@@ -270,12 +280,12 @@ impl OnlineEngine {
 
     /// Whether `server` is currently marked down.
     pub fn is_down(&self, server: ServerId) -> bool {
-        self.index.is_down(server)
+        self.fleet.index().is_down(server)
     }
 
     /// The candidate index the arrival and repair scans visit.
     pub fn candidate_index(&self) -> &CandidateIndex {
-        &self.index
+        self.fleet.index()
     }
 
     /// The decision history as a placement vector over `n_vms` dense id
@@ -294,43 +304,13 @@ impl OnlineEngine {
         slots
     }
 
-    /// The Eq. 7 argmin over the candidate index for `vm`.
-    #[inline]
-    fn scan(&self, vm: &Vm, counting: bool) -> Argmin {
-        let ledgers = &self.ledgers;
-        argmin(self.index.candidates(), counting, |i| {
-            let ledger = &ledgers[i as usize];
-            ledger.fits(vm).then(|| ledger.incremental_cost(vm))
-        })
-    }
-
     /// Commits `vm` to `sid` and schedules its departure.
     fn commit(&mut self, vm: &Vm, sid: ServerId) {
-        self.ledgers[sid.index()].host(vm);
-        self.index.activate(sid.0);
-        self.cold.reschedule(&self.index, sid.0, &self.ledgers[sid.index()]);
-        self.live.insert(vm.id(), (*vm, sid));
+        self.fleet.host(sid, *vm);
+        self.live.insert(vm.id(), sid);
         self.placements.push((vm.id(), sid));
         self.pending.push(Reverse((departure_time(vm), vm.id())));
         self.stats.live_peak = self.stats.live_peak.max(self.live.len() as u64);
-    }
-
-    /// Stops the running piece `vm` on `sid` at the clock: `[start,
-    /// clock − 1]` stays on the ledger, a piece that has not started
-    /// leaves it. A ledger left empty is pristine again.
-    fn truncate(&mut self, vm: &Vm, sid: ServerId) {
-        // Live pieces reach the clock: departures fire at `end + 1`.
-        debug_assert!(vm.end() >= self.clock, "{vm} ended before {}", self.clock);
-        let ledger = &mut self.ledgers[sid.index()];
-        ledger.unhost(vm);
-        if vm.start() < self.clock {
-            ledger.host_piece(vm.demand(), Interval::new(vm.start(), self.clock - 1));
-        }
-        if ledger.hosted_count() == 0 {
-            self.index.deactivate(sid.0);
-        } else {
-            self.cold.reschedule(&self.index, sid.0, ledger);
-        }
     }
 
     /// Advances the clock to `t`, firing every departure scheduled at
@@ -350,19 +330,16 @@ impl OnlineEngine {
             }
         }
         self.clock = self.clock.max(t);
-        let (ledgers, retired) = (&mut self.ledgers, &mut self.retired_cost);
-        self.cold.demote_until(self.clock, &mut self.index, |i| {
-            let ledger = &mut ledgers[i as usize];
-            *retired += ledger.cost();
-            *ledger = ServerLedger::new(*ledger.spec());
-        });
+        self.fleet.seal(self.clock, &mut self.retired_cost);
     }
 
     /// Explicitly departs a live VM ahead of (or at) schedule: its
     /// piece stops at the clock, freeing its capacity from now on.
     pub fn depart(&mut self, vm: VmId) -> Result<(), OnlineError> {
-        let (vm, sid) = self.live.remove(&vm).ok_or(OnlineError::UnknownVm(vm))?;
-        self.truncate(&vm, sid);
+        let sid = self.live.remove(&vm).ok_or(OnlineError::UnknownVm(vm))?;
+        // Live pieces reach the clock: departures fire at `end + 1`.
+        let stopped = self.fleet.stop(sid, vm, self.clock);
+        debug_assert!(stopped.is_some(), "{vm} ended before {}", self.clock);
         self.stats.departed += 1;
         Ok(())
     }
@@ -414,46 +391,27 @@ impl OnlineEngine {
         let _decision_span = tracer.lap_span("online.decision");
         // Down servers are in neither the active nor the standby set,
         // so a down twin never stands in for an up one.
-        let Argmin {
-            best,
-            candidates,
-            unfit,
-            fp_ties,
-        } = self.scan(&vm, T::ENABLED);
-        let pruned = self.index.pruned();
-        match best {
-            Some((delta, winner)) => {
+        let scan = self.fleet.scan(&vm, T::ENABLED);
+        let pruned = self.fleet.index().pruned();
+        let (decision, kind) = match scan.best {
+            Some((_, winner)) => {
                 let sid = ServerId(winner);
                 self.commit(&vm, sid);
                 self.stats.placed += 1;
-                if T::ENABLED {
-                    tracer.explain(&ExplainRecord {
-                        candidates,
-                        pruned,
-                        unfit,
-                        winner: Some(sid.index() as u64),
-                        delta_cost: delta,
-                        fp_tie: fp_ties > 0,
-                        time: Some(vm.start() as u64),
-                        ..ExplainRecord::new(DecisionKind::Place, vm.id().index() as u64)
-                    });
-                }
-                Ok(OnlineDecision::Placed(sid))
+                (OnlineDecision::Placed(sid), DecisionKind::Place)
             }
             None => {
                 self.stats.rejected += 1;
-                if T::ENABLED {
-                    tracer.explain(&ExplainRecord {
-                        candidates,
-                        pruned,
-                        unfit,
-                        time: Some(vm.start() as u64),
-                        ..ExplainRecord::new(DecisionKind::Reject, vm.id().index() as u64)
-                    });
-                }
-                Ok(OnlineDecision::Rejected)
+                (OnlineDecision::Rejected, DecisionKind::Reject)
             }
+        };
+        if T::ENABLED {
+            tracer.explain(&ExplainRecord {
+                time: Some(vm.start() as u64),
+                ..scan.explain(kind, vm.id().index() as u64, pruned)
+            });
         }
+        Ok(decision)
     }
 
     /// Marks `server` down, evicting its live VMs at the clock: each
@@ -462,20 +420,16 @@ impl OnlineEngine {
     /// decisions. Returns the evicted pieces in ascending id order;
     /// [`repair_traced`](Self::repair_traced) re-places their tails.
     pub fn set_down(&mut self, server: ServerId) -> Result<Vec<Vm>, OnlineError> {
-        if server.index() >= self.ledgers.len() {
+        if server.index() >= self.ledgers().len() {
             return Err(OnlineError::UnknownServer(server));
         }
-        self.index.set_down(server.0);
-        let mut victims: Vec<Vm> = self
-            .live
-            .values()
-            .filter(|(_, sid)| *sid == server)
-            .map(|(vm, _)| *vm)
-            .collect();
-        victims.sort_unstable_by_key(|vm| vm.id());
+        // A server already down runs nothing: no piece is hosted on it.
+        if !self.fleet.set_down(server, self.clock) {
+            return Ok(Vec::new());
+        }
+        let victims = self.fleet.evict(server, self.clock, Vm::id);
         for vm in &victims {
             self.live.remove(&vm.id());
-            self.truncate(vm, server);
             self.stats.evicted += 1;
         }
         Ok(victims)
@@ -483,26 +437,14 @@ impl OnlineEngine {
 
     /// Marks `server` up again; it re-enters every later argmin scan.
     pub fn set_up(&mut self, server: ServerId) -> Result<(), OnlineError> {
-        let i = server.index();
-        if i >= self.ledgers.len() {
+        if server.index() >= self.ledgers().len() {
             return Err(OnlineError::UnknownServer(server));
         }
         // A server still holding unsealed pieces rejoins the active set,
         // a sealed or emptied one standby; a redundant `set_up` of an
         // up server is a no-op.
-        self.index.set_up(server.0, self.ledgers[i].hosted_count() > 0);
+        self.fleet.set_up(server, self.clock);
         Ok(())
-    }
-
-    /// Re-places an evicted VM's remainder (single attempt): the arrival
-    /// argmin at the current clock, with the id already consumed.
-    /// Returns the chosen server, or `None` when no up server fits.
-    fn rehost(&mut self, vm: &Vm) -> Option<ServerId> {
-        let (_, winner) = self.scan(vm, false).best?;
-        let sid = ServerId(winner);
-        self.commit(vm, sid);
-        self.stats.repaired += 1;
-        Some(sid)
     }
 
     /// Runs the chaos-style bounded-backoff repair schedule for one
@@ -529,13 +471,17 @@ impl OnlineEngine {
             if start > vm.end() {
                 break;
             }
-            let remainder = Vm::new(vm.id().0, vm.demand(), Interval::new(start, vm.end()));
-            if let Some(server) = self.rehost(&remainder) {
+            let remainder = Vm::new(vm.id(), vm.demand(), Interval::new(start, vm.end()));
+            let scan = self.fleet.scan(&remainder, T::ENABLED);
+            let pruned = self.fleet.index().pruned();
+            if let Some((_, winner)) = scan.best {
+                let server = ServerId(winner);
+                self.commit(&remainder, server);
+                self.stats.repaired += 1;
                 if T::ENABLED {
                     tracer.explain(&ExplainRecord {
-                        winner: Some(server.index() as u64),
                         time: Some(start as u64),
-                        ..ExplainRecord::new(DecisionKind::Repair, vm.id().index() as u64)
+                        ..scan.explain(DecisionKind::Repair, vm.id().index() as u64, pruned)
                     });
                 }
                 return RepairOutcome::Rehosted {

@@ -52,6 +52,11 @@ pub mod report;
 pub mod runner;
 pub mod serve;
 
+/// The piece-schedule audit the fault tests share.
+#[cfg(test)]
+#[path = "../../../tests/support/pieces.rs"]
+mod pieces;
+
 pub use figure::{Figure, Series};
 pub use options::ExpOptions;
 pub use runner::{ComparisonPoint, MonteCarlo, RunError};

@@ -172,8 +172,7 @@ impl ServerLedger {
     /// Whether `vm` fits on this server **throughout its duration**
     /// (both CPU and memory, every time unit — constraints (9)–(10)).
     pub fn fits(&self, vm: &Vm) -> bool {
-        self.usage
-            .fits(vm.interval(), vm.demand(), self.spec.capacity())
+        self.fits_piece(vm.demand(), vm.interval())
     }
 
     /// Current total cost of this server (Eq. 17 + initial switch-on).
@@ -240,17 +239,12 @@ impl ServerLedger {
     ///
     /// Computed from a [`SegmentSet::insertion_delta`]: `O(log n +
     /// merged)` arithmetic with no clone and no allocation, against the
-    /// seed implementation's full copy-and-rescan per candidate.
+    /// seed implementation's full copy-and-rescan per candidate. It is
+    /// [`ServerLedger::incremental_piece_cost`] of the whole VM: its run
+    /// term `P¹ · (cpu · len)` is the product [`ServerSpec::run_cost`]
+    /// forms, so the two agree bit for bit.
     pub fn incremental_cost(&self, vm: &Vm) -> f64 {
-        let d = self
-            .segments
-            .insertion_delta(vm.interval(), |len| self.spec.gap_cost(len));
-        let switch_on = if d.first_segment {
-            self.spec.transition_cost()
-        } else {
-            0.0
-        };
-        self.spec.run_cost(vm) + self.spec.idle_cost(d.busy_added) + d.gap_cost_delta + switch_on
+        self.incremental_piece_cost(vm.demand(), vm.interval())
     }
 
     /// Reference implementation of [`ServerLedger::incremental_cost`]:

@@ -10,7 +10,8 @@
 //!   cost after *every* event, and the committed cost equals an
 //!   independent Eq. 7 audit of the piece schedule the test drove:
 //!   each placed piece, stopped at its eviction or drain clock, plus
-//!   each repaired tail;
+//!   each repaired tail; and the fault transition energy equals the
+//!   audited surcharge of the outages the test drove;
 //! * out-of-order arrivals and unknown departures are typed errors
 //!   that leave the engine usable;
 //! * the candidate index partitions the fleet into active (up, holding
@@ -20,69 +21,20 @@
 use std::collections::HashSet;
 
 use esvm::core::RepairOutcome;
-use esvm::simcore::TimeUnit;
 use esvm::{
     event_order, FaultEvent, FaultPlan, FaultPlanConfig, Interval, OnlineEngine, OnlineError,
-    Resources, ServerId, ServerLedger, ServerSpec, Vm, VmEvent, VmId, WorkloadConfig,
+    Resources, ServerId, Vm, VmEvent, VmId, WorkloadConfig,
 };
 use proptest::prelude::*;
 
-/// The piece schedule a test drives through an engine, kept apart from
-/// the engine: every piece placed, each stopped where the test stopped
-/// it.
-struct Pieces {
-    servers: Vec<ServerSpec>,
-    /// `(server, vm, demand, interval)`; `None` once a piece that had
-    /// not started was stopped.
-    pieces: Vec<Option<(ServerId, VmId, Resources, Interval)>>,
-}
+#[path = "support/pieces.rs"]
+mod pieces;
+use pieces::Pieces;
 
-impl Pieces {
-    fn new(servers: &[ServerSpec]) -> Self {
-        Self { servers: servers.to_vec(), pieces: Vec::new() }
-    }
-
-    fn place(&mut self, server: ServerId, vm: &Vm) {
-        self.pieces.push(Some((server, vm.id(), vm.demand(), vm.interval())));
-    }
-
-    /// Stops every piece on `server` (all servers when `None`) that
-    /// still runs at `clock`: `[start, clock − 1]` stays, a piece that
-    /// has not started goes. Returns the stopped VMs in id order.
-    fn stop(&mut self, server: Option<ServerId>, clock: TimeUnit) -> Vec<VmId> {
-        let mut stopped = Vec::new();
-        for slot in &mut self.pieces {
-            let Some((s, vm, demand, iv)) = *slot else { continue };
-            if iv.end() < clock || server.is_some_and(|want| want != s) {
-                continue;
-            }
-            stopped.push(vm);
-            *slot = (iv.start() < clock)
-                .then(|| (s, vm, demand, Interval::new(iv.start(), clock - 1)));
-        }
-        stopped.sort_unstable();
-        stopped
-    }
-
-    /// Eq. 7 energy of the schedule on fresh ledgers.
-    fn audit(&self) -> f64 {
-        let mut ledgers: Vec<ServerLedger> =
-            self.servers.iter().map(|s| ServerLedger::new(*s)).collect();
-        for &(server, _, demand, interval) in self.pieces.iter().flatten() {
-            ledgers[server.index()].host_piece(demand, interval);
-        }
-        ledgers.iter().map(|l| l.cost()).sum()
-    }
-}
-
-/// Asserts that the engine's committed cost is the piece schedule's
-/// audited energy.
+/// Asserts that the engine's committed cost and fault transition energy
+/// are the piece schedule's audited energy and outage surcharge.
 fn check_audit(engine: &OnlineEngine, pieces: &Pieces, ctx: &str) {
-    let (committed, audited) = (engine.committed_cost(), pieces.audit());
-    assert!(
-        (committed - audited).abs() <= 1e-9 * audited.abs().max(1.0),
-        "{ctx}: committed {committed} vs audited piece schedule {audited}"
-    );
+    pieces.check(engine.committed_cost(), engine.fault_transition_energy(), ctx);
 }
 
 /// Asserts the per-ledger Eq. 7 decomposition and that the committed
@@ -187,7 +139,7 @@ proptest! {
                     FaultEvent::ServerDown { server, .. } => {
                         let evicted = engine.set_down(*server).expect("known server");
                         down.insert(server.0);
-                        let stopped = pieces.stop(Some(*server), engine.clock());
+                        let stopped = pieces.down(*server, engine.clock());
                         let ids: Vec<VmId> = evicted.iter().map(|vm| vm.id()).collect();
                         prop_assert_eq!(&ids, &stopped, "evicted VMs are the running pieces");
                         for vm in &evicted {
@@ -205,6 +157,7 @@ proptest! {
                     FaultEvent::ServerUp { server, .. } => {
                         engine.set_up(*server).expect("known server");
                         down.remove(&server.0);
+                        pieces.up(*server, engine.clock());
                     }
                 }
                 check_energy(&engine, "after fault");
