@@ -26,12 +26,12 @@
 //!
 //! Evicting at `t` keeps the prefix `[s, t-1]` of a hosted piece
 //! `[s, e]`, so the ledger charges exactly the work performed before the
-//! crash. Outages inside gaps a ledger idles through forced switch-ons
-//! the ledgers do not show; the fleet prices them on the final ledgers
-//! ([`Fleet::fault_transitions`]) as `extra_transitions` and
-//! `fault_transition_energy`, reported apart from [`ChaosReport::cost`]
-//! so that the empty-plan replay stays bit-for-bit identical to the
-//! offline allocator.
+//! crash. Outages inside gaps shorter than `g*`, which a ledger idles
+//! through, forced switch-ons the ledgers do not show; the fleet prices
+//! them on the final ledgers ([`Fleet::fault_transitions`]) as
+//! `extra_transitions` and `fault_transition_energy`, reported apart
+//! from [`ChaosReport::cost`] so that the empty-plan replay stays
+//! bit-for-bit identical to the offline allocator.
 //!
 //! # The empty-plan guarantee
 //!
@@ -308,7 +308,7 @@ impl ChaosEngine {
                             && !replay.fleet.index().is_down(server)
                             && replay.fleet.ledgers()[server.index()].fits(&vm) =>
                     {
-                        replay.fleet.host(server, vm);
+                        replay.fleet.host(server, vm, t);
                         replay.report.placement[j] = Some(server);
                     }
                     // Intended server down or out of capacity: redirect
@@ -422,7 +422,7 @@ impl<T: Tracer> Replay<'_, T> {
                     ..scan.explain(DecisionKind::Repair, entry.vm as u64, pruned)
                 });
             }
-            self.fleet.host(server, piece);
+            self.fleet.host(server, piece, t);
             self.report.placement[entry.vm] = Some(server);
             let record = RepairRecord {
                 vm: VmId(entry.vm as u32),

@@ -21,9 +21,10 @@ pub struct FaultTransitions {
 /// cold rule (module docs of `candidates`), each server's hosted pieces
 /// and its outages, with one eviction, one Eq. 7 argmin and one
 /// forced-transition surcharge. No busy segment overlaps an outage of its
-/// server, but an outage `[c, r)` inside a gap a ledger idles through
-/// (Eq. 16) forced a switch-on the ledger does not charge: `α` minus the
-/// idle energy `P_idle · (r − c)` it did charge (DESIGN §9).
+/// server, but an outage `[c, r)` inside a gap shorter than `g*`, which a
+/// ledger idles through (Eq. 16), forced a switch-on the ledger does not
+/// charge: `α` minus the idle energy `P_idle · (r − c)` it did charge
+/// (DESIGN §9).
 #[derive(Debug, Clone)]
 pub struct Fleet {
     ledgers: Vec<ServerLedger>,
@@ -34,8 +35,6 @@ pub struct Fleet {
     /// and a list goes at an eviction or a seal, so a large fleet of
     /// idle servers costs nothing here.
     pieces: HashMap<u32, Vec<Vm>>,
-    /// The instant of the last [`Fleet::demote`] or [`Fleet::seal`].
-    clock: TimeUnit,
     /// When each down server went down.
     down_since: HashMap<u32, TimeUnit>,
     /// Resolved outages `(server, down, up)` of unsealed ledgers, in the
@@ -54,7 +53,6 @@ impl Fleet {
             cold: ColdRule::new(&index, servers.iter().copied()),
             index,
             pieces: HashMap::new(),
-            clock: 0,
             down_since: HashMap::new(),
             outages: Vec::new(),
             sealed: FaultTransitions::default(),
@@ -89,15 +87,16 @@ impl Fleet {
         })
     }
 
-    /// Hosts `piece` on the up server `server`.
-    pub fn host(&mut self, server: ServerId, piece: Vm) {
+    /// Hosts `piece` on the up server `server` at `clock`, the caller's
+    /// decision clock, which never decreases: pieces that ended before
+    /// it can no longer be stopped.
+    pub fn host(&mut self, server: ServerId, piece: Vm, clock: TimeUnit) {
         let s = server.index();
         self.ledgers[s].host(&piece);
         self.index.activate(server.0);
         self.cold.reschedule(&self.index, server.0, &self.ledgers[s]);
         let list = self.pieces.entry(server.0).or_default();
         if list.len() == list.capacity() {
-            let clock = self.clock;
             list.retain(|p| p.end() >= clock);
         }
         list.push(piece);
@@ -174,7 +173,6 @@ impl Fleet {
 
     /// Moves every server cold at `t` to standby, keeping its history.
     pub fn demote(&mut self, t: TimeUnit) {
-        self.clock = t;
         self.cold.demote_until(t, &mut self.index, |_| {});
     }
 
@@ -182,7 +180,6 @@ impl Fleet {
     /// seals it: its cost is added to `retired`, its outages are booked,
     /// and its ledger and pieces start afresh.
     pub fn seal(&mut self, t: TimeUnit, retired: &mut f64) {
-        self.clock = t;
         let (ledgers, pieces) = (&mut self.ledgers, &mut self.pieces);
         let (outages, sealed) = (&mut self.outages, &mut self.sealed);
         self.cold.demote_until(t, &mut self.index, |i| {
@@ -211,10 +208,12 @@ impl Fleet {
 }
 
 /// Adds the forced transition of the outage `[down, up)` on `ledger` if
-/// it falls inside a gap the ledger idles through. Before the first or
-/// after the last busy segment the ledger's own switch-on tells the
-/// story; in a gap priced as off and restart, the recovery is the
-/// planned switch-on.
+/// it falls inside a gap whose idling costs less than `α`. Before the
+/// first or after the last busy segment the ledger's own switch-on tells
+/// the story; in a gap priced `α`, the recovery is the planned
+/// switch-on. A gap of exactly `g*`, where idling costs `α` too, counts
+/// as off, as the cold rule counts it (the online engine has sealed the
+/// server by then).
 fn charge(ledger: &ServerLedger, down: TimeUnit, up: TimeUnit, total: &mut FaultTransitions) {
     let (spec, segments) = (ledger.spec(), ledger.segments());
     let prev = segments.iter().filter(|iv| iv.end() < down).last();
@@ -223,7 +222,8 @@ fn charge(ledger: &ServerLedger, down: TimeUnit, up: TimeUnit, total: &mut Fault
         return;
     };
     debug_assert!(next.start() >= up, "busy segment overlaps an outage");
-    if !spec.switches_off_for_gap(u64::from(next.start() - prev.end()) - 1) {
+    let gap = u64::from(next.start() - prev.end()) - 1;
+    if spec.idle_cost(gap) < spec.transition_cost() {
         total.count += 1;
         total.energy += spec.transition_cost() - spec.idle_cost(u64::from(up - down));
     }
@@ -256,13 +256,13 @@ mod tests {
     fn an_outage_in_a_kept_on_gap_costs_one_switch_on_before_and_after_the_seal() {
         let mut fleet = Fleet::new(&specs(1));
         let s0 = ServerId(0);
-        fleet.host(s0, vm(0, 1, 5));
+        fleet.host(s0, vm(0, 1, 5), 1);
         assert!(fleet.set_down(s0, 7) && !fleet.set_down(s0, 8));
         assert!(fleet.set_up(s0, 9) && !fleet.set_up(s0, 10));
         // Outages before the first or after the last busy segment cost
         // nothing: the gap is not closed yet.
         assert_eq!(fleet.fault_transitions(), FaultTransitions::default());
-        fleet.host(s0, vm(1, 12, 15));
+        fleet.host(s0, vm(1, 12, 15), 12);
         // The gap [6, 11] idles (600 < 5000), but the server was off for
         // [7, 9): α − 2 · P_idle.
         let want = FaultTransitions {
@@ -280,7 +280,7 @@ mod tests {
         // A zero-length outage is no outage.
         fleet.set_down(s0, 70);
         fleet.set_up(s0, 70);
-        fleet.host(s0, vm(2, 71, 72));
+        fleet.host(s0, vm(2, 71, 72), 71);
         assert_eq!(fleet.fault_transitions(), want);
     }
 
@@ -289,7 +289,7 @@ mod tests {
         for seals in [false, true] {
             let mut fleet = Fleet::new(&specs(2));
             let s0 = ServerId(0);
-            fleet.host(s0, vm(0, 1, 5));
+            fleet.host(s0, vm(0, 1, 5), 1);
             fleet.set_down(s0, 6);
             // Cold at 5 + 1 + 50 while down: the slot stays down.
             let mut retired = 0.0;
@@ -323,9 +323,9 @@ mod tests {
     fn stopping_keeps_the_prefix_and_drops_an_unstarted_piece() {
         let mut fleet = Fleet::new(&specs(2));
         let s0 = ServerId(0);
-        fleet.host(s0, vm(0, 1, 10));
-        fleet.host(s0, vm(1, 4, 20));
-        fleet.host(s0, vm(2, 6, 30));
+        fleet.host(s0, vm(0, 1, 10), 1);
+        fleet.host(s0, vm(1, 4, 20), 4);
+        fleet.host(s0, vm(2, 6, 30), 6);
         assert_eq!(fleet.stop(s0, VmId(1), 21), None, "ended pieces do not run");
         let stopped = fleet.evict(s0, 6, Vm::id);
         assert_eq!(
@@ -342,7 +342,7 @@ mod tests {
         // A piece stopped before it starts leaves an empty ledger, which
         // goes back to standby.
         let s1 = ServerId(1);
-        fleet.host(s1, vm(3, 8, 9));
+        fleet.host(s1, vm(3, 8, 9), 8);
         assert_eq!(fleet.stop(s1, VmId(3), 7), Some(vm(3, 8, 9)));
         assert_eq!(fleet.ledgers()[1].hosted_count(), 0);
         assert!(fleet.index().is_standby(s1));

@@ -38,9 +38,9 @@
 //! the chaos replay does. [`committed_cost`] is `retired + Σ
 //! ledger.cost()`, the Eq. 7 energy of the pieces the session has run or
 //! committed to run. Sealing moves energy between the two terms without
-//! changing the pieces. An outage inside a gap a ledger idles through
-//! forces a switch-on the ledger does not charge;
-//! [`fault_transition_energy`] reports it beside [`committed_cost`]. For
+//! changing the pieces. An outage inside a gap shorter than `g*`, which
+//! a ledger idles through, forces a switch-on the ledger does not charge;
+//! [`fault_transitions`] reports it beside [`committed_cost`]. For
 //! the placement view, decisions are exported as a placement vector and
 //! re-audited by [`Assignment::from_placement`].
 //!
@@ -55,7 +55,7 @@
 //! [`cost`]: esvm_simcore::ServerLedger::cost
 //! [`retired_cost`]: OnlineEngine::retired_cost
 //! [`committed_cost`]: OnlineEngine::committed_cost
-//! [`fault_transition_energy`]: OnlineEngine::fault_transition_energy
+//! [`fault_transitions`]: OnlineEngine::fault_transitions
 //! [`set_down`]: OnlineEngine::set_down
 //! [`depart`]: OnlineEngine::depart
 //! [`drain`]: OnlineEngine::drain
@@ -71,7 +71,7 @@ use esvm_simcore::{
 };
 
 use crate::candidates::CandidateIndex;
-use crate::fleet::Fleet;
+use crate::fleet::{FaultTransitions, Fleet};
 
 /// Typed rejection reasons of the online event loop. Every variant is a
 /// *protocol* error: the event was malformed relative to the session
@@ -261,15 +261,11 @@ impl OnlineEngine {
         self.retired_cost + self.ledgers().iter().map(|l| l.cost()).sum::<f64>()
     }
 
-    /// Net energy of the switch-ons outages forced inside gaps the
-    /// ledgers idle through (see [`Fleet`]), apart from the committed cost.
-    pub fn fault_transition_energy(&self) -> f64 {
-        self.fleet.fault_transitions().energy
-    }
-
-    /// Number of those forced switch-ons.
-    pub fn extra_transitions(&self) -> u64 {
-        self.fleet.fault_transitions().count
+    /// The switch-ons outages forced inside gaps shorter than `g*`,
+    /// which the ledgers idle through (see [`Fleet`]): their count and
+    /// net energy, apart from the committed cost.
+    pub fn fault_transitions(&self) -> FaultTransitions {
+        self.fleet.fault_transitions()
     }
 
     /// Energy of the sealed ledgers: servers whose pieces can no longer
@@ -306,7 +302,7 @@ impl OnlineEngine {
 
     /// Commits `vm` to `sid` and schedules its departure.
     fn commit(&mut self, vm: &Vm, sid: ServerId) {
-        self.fleet.host(sid, *vm);
+        self.fleet.host(sid, *vm, self.clock);
         self.live.insert(vm.id(), sid);
         self.placements.push((vm.id(), sid));
         self.pending.push(Reverse((departure_time(vm), vm.id())));

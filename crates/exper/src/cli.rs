@@ -1043,7 +1043,7 @@ fn run_chaos_live(
         .map_err(|e| CliError::Usage(format!("journal checkpoint failed: {e}")))?;
 
     let engine = session.engine();
-    let (committed, surcharge) = (engine.committed_cost(), engine.fault_transition_energy());
+    let (committed, surcharge) = (engine.committed_cost(), engine.fault_transitions().energy);
     let stats = engine.stats();
     let config = session.config();
     let mut table = Table::new(vec!["metric", "value"]);
@@ -2568,19 +2568,19 @@ mod tests {
             &records,
             |id| problem.vms()[id.index()],
         );
-        let (forced, surcharge) = audit.surcharge();
+        let surcharge = audit.surcharge();
         let energy = audit.energy();
         let engine = session.engine();
-        assert!(forced > 0 && engine.stats().repaired > 0, "{out}");
+        assert!(surcharge.count > 0 && engine.stats().repaired > 0, "{out}");
         audit.check(
             engine.committed_cost(),
-            engine.fault_transition_energy(),
+            engine.fault_transitions(),
             "chaos --live",
         );
         for (row, value) in [
             ("committed cost", energy),
-            ("fault transition energy", surcharge),
-            ("adjusted cost", energy + surcharge),
+            ("fault transition energy", surcharge.energy),
+            ("adjusted cost", energy + surcharge.energy),
         ] {
             let printed = out
                 .lines()

@@ -1280,13 +1280,22 @@ mod tests {
         );
         let engine = session.engine();
         assert!(
-            engine.stats().repaired > 0 && audit.surcharge().0 > 0,
+            engine.stats().repaired > 0 && audit.surcharge().count > 0,
             "nothing to audit"
         );
         audit.check(
             engine.committed_cost(),
-            engine.fault_transition_energy(),
+            engine.fault_transitions(),
             "live drill",
         );
+        // Every ledger's decomposition matches its cost.
+        for ledger in engine.ledgers() {
+            let cost = ledger.cost();
+            let breakdown = ledger.energy_breakdown().total();
+            assert!(
+                (cost - breakdown).abs() <= 1e-6 * cost.abs().max(1.0),
+                "{cost} vs {breakdown}"
+            );
+        }
     }
 }

@@ -240,7 +240,7 @@ proptest! {
             let engine = session.engine();
             pieces.check(
                 engine.committed_cost(),
-                engine.fault_transition_energy(),
+                engine.fault_transitions(),
                 &format!("after {request:?}"),
             );
         }

@@ -9,13 +9,16 @@
 //!   units beats `α` 5000), but the server was off for two of those
 //!   units and had to switch back on: both engines report one extra
 //!   transition worth `α − 2 · P_idle` = 4800 next to the unchanged
-//!   Eq. 7 cost 6725;
+//!   Eq. 7 cost 6725. With the second VM on [56, 59] the gap is `g*` =
+//!   50 units, which costs `α` either way: the server is cold (the
+//!   online engine has sealed it) and neither engine adds anything;
 //! * every repair decision of either engine is an argmin over the
 //!   candidate index whose tallies account for every up server:
 //!   `candidates + unfit + pruned` = up servers at that instant.
 
 use std::collections::BTreeSet;
 
+use esvm::core::FaultTransitions;
 use esvm::obs::{CollectingTracer, DecisionKind, ExplainRecord, MetricsRegistry};
 use esvm::{
     event_order, AllocatorKind, ChaosEngine, FaultCause, FaultEvent, FaultPlan, FaultPlanConfig,
@@ -25,8 +28,10 @@ use esvm::{
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-#[test]
-fn an_outage_inside_a_kept_on_gap_forces_one_switch_on_on_both_engines() {
+/// The one-server case: a VM on [1, 5], down at 7, up at 9, then a VM
+/// on `second`, on the chaos replay and on the online engine. Returns
+/// each engine's Eq. 7 cost and forced transitions.
+fn one_server_outage(second: Interval) -> [(&'static str, f64, FaultTransitions); 2] {
     let problem = ProblemBuilder::new()
         .server(
             Resources::new(8.0, 16.0),
@@ -34,7 +39,7 @@ fn an_outage_inside_a_kept_on_gap_forces_one_switch_on_on_both_engines() {
             5000.0,
         )
         .vm(Resources::new(2.0, 2.0), Interval::new(1, 5))
-        .vm(Resources::new(2.0, 2.0), Interval::new(12, 15))
+        .vm(Resources::new(2.0, 2.0), second)
         .build()
         .expect("valid problem");
     let s0 = ServerId(0);
@@ -50,9 +55,10 @@ fn an_outage_inside_a_kept_on_gap_forces_one_switch_on_on_both_engines() {
         .run(&problem, &Miec::new(), &mut StdRng::seed_from_u64(0))
         .expect("replay");
     assert_eq!(replay.placement, vec![Some(s0), Some(s0)]);
-    assert_eq!(replay.cost.to_bits(), 6725f64.to_bits());
-    assert_eq!(replay.extra_transitions, 1);
-    assert_eq!(replay.fault_transition_energy.to_bits(), 4800f64.to_bits());
+    let replay_faults = FaultTransitions {
+        count: replay.extra_transitions,
+        energy: replay.fault_transition_energy,
+    };
 
     let mut online = OnlineEngine::new(problem.servers());
     let vms = problem.vms();
@@ -62,11 +68,42 @@ fn an_outage_inside_a_kept_on_gap_forces_one_switch_on_on_both_engines() {
     online.advance_to(9);
     online.set_up(s0).expect("known server");
     assert_eq!(online.arrive(vms[1]), Ok(OnlineDecision::Placed(s0)));
-    assert_eq!(online.committed_cost().to_bits(), 6725f64.to_bits());
-    assert_eq!(online.extra_transitions(), 1);
-    assert_eq!(
-        online.fault_transition_energy().to_bits(),
-        4800f64.to_bits()
+    [
+        ("replay", replay.cost, replay_faults),
+        ("online", online.committed_cost(), online.fault_transitions()),
+    ]
+}
+
+/// Asserts that both engines report `cost` bit for bit and `faults`.
+fn check_both(second: Interval, cost: f64, faults: FaultTransitions) {
+    for (engine, got_cost, got_faults) in one_server_outage(second) {
+        assert_eq!(got_cost.to_bits(), cost.to_bits(), "{engine}: {got_cost}");
+        assert_eq!(got_faults.count, faults.count, "{engine}: forced switch-ons");
+        assert_eq!(
+            got_faults.energy.to_bits(),
+            faults.energy.to_bits(),
+            "{engine}: {}",
+            got_faults.energy
+        );
+    }
+}
+
+#[test]
+fn an_outage_inside_a_kept_on_gap_forces_one_switch_on_on_both_engines() {
+    let forced = FaultTransitions {
+        count: 1,
+        energy: 4800.0,
+    };
+    check_both(Interval::new(12, 15), 6725.0, forced);
+}
+
+#[test]
+fn an_outage_inside_a_break_even_gap_forces_none_on_both_engines() {
+    // Idling through [6, 55] costs 100 · 50 = α: priced α either way.
+    check_both(
+        Interval::new(56, 59),
+        125.0 + 100.0 + 900.0 + 5000.0 + 5000.0,
+        FaultTransitions::default(),
     );
 }
 

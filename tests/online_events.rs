@@ -34,7 +34,7 @@ use pieces::Pieces;
 /// Asserts that the engine's committed cost and fault transition energy
 /// are the piece schedule's audited energy and outage surcharge.
 fn check_audit(engine: &OnlineEngine, pieces: &Pieces, ctx: &str) {
-    pieces.check(engine.committed_cost(), engine.fault_transition_energy(), ctx);
+    pieces.check(engine.committed_cost(), engine.fault_transitions(), ctx);
 }
 
 /// Asserts the per-ledger Eq. 7 decomposition and that the committed

@@ -11,6 +11,7 @@
 
 #![allow(dead_code)]
 
+use esvm_core::FaultTransitions;
 use esvm_obs::{DecisionKind, ExplainRecord};
 use esvm_simcore::{Interval, ServerId, ServerLedger, ServerSpec, TimeUnit, Vm, VmId};
 
@@ -171,11 +172,11 @@ impl Pieces {
     }
 
     /// The switch-ons the outages forced, priced from the pieces: an
-    /// outage inside an idle gap that Eq. 16 idles through (idling costs
-    /// no more than `α`) costs `α` minus the idle energy of the down
-    /// span. Returns `(count, energy)`.
-    pub fn surcharge(&self) -> (u64, f64) {
-        let (mut count, mut energy) = (0, 0.0);
+    /// outage inside an idle gap that costs less than `α` to idle
+    /// through costs `α` minus the idle energy of the down span. A gap
+    /// that costs exactly `α` counts as off, as the cold rule counts it.
+    pub fn surcharge(&self) -> FaultTransitions {
+        let mut total = FaultTransitions::default();
         for &(server, down, up) in &self.outages {
             let on = || self.pieces.iter().flatten().filter(|(s, _)| *s == server);
             assert!(
@@ -194,26 +195,32 @@ impl Pieces {
                 continue;
             };
             let spec = &self.servers[server.index()];
-            if spec.idle_cost(u64::from(after - before - 1)) <= spec.transition_cost() {
-                count += 1;
-                energy += spec.transition_cost() - spec.idle_cost(u64::from(up - down));
+            if spec.idle_cost(u64::from(after - before - 1)) < spec.transition_cost() {
+                total.count += 1;
+                total.energy += spec.transition_cost() - spec.idle_cost(u64::from(up - down));
             }
         }
-        (count, energy)
+        total
     }
 
-    /// Asserts that an engine's committed energy and forced-transition
-    /// surcharge are the audited schedule's.
-    pub fn check(&self, committed: f64, surcharge: f64, ctx: &str) {
+    /// Asserts that an engine's committed energy and forced transitions
+    /// are the audited schedule's.
+    pub fn check(&self, committed: f64, faults: FaultTransitions, ctx: &str) {
         let energy = self.energy();
         assert!(
             (committed - energy).abs() <= 1e-9 * energy.abs().max(1.0),
             "{ctx}: committed {committed} vs audited piece schedule {energy}"
         );
-        let (_, audited) = self.surcharge();
+        let audited = self.surcharge();
+        assert_eq!(
+            faults.count, audited.count,
+            "{ctx}: forced switch-ons vs audited outages"
+        );
         assert!(
-            (surcharge - audited).abs() <= 1e-9 * audited.abs().max(1.0),
-            "{ctx}: fault transition energy {surcharge} vs audited outages {audited}"
+            (faults.energy - audited.energy).abs() <= 1e-9 * audited.energy.abs().max(1.0),
+            "{ctx}: fault transition energy {} vs audited outages {}",
+            faults.energy,
+            audited.energy
         );
     }
 }
