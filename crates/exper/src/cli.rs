@@ -1406,22 +1406,34 @@ fn serve_summary<T: esvm_obs::Tracer>(
     format!("online serving session — {source}\n\n{table}")
 }
 
-/// Accepts one connection on a Unix socket and serves it to EOF.
+/// Accepts one connection on a Unix socket and serves it to EOF. A
+/// socket file already at `path` is replaced; any other file there is a
+/// usage error and stays as it was.
 #[cfg(unix)]
 fn serve_socket<T: esvm_obs::Tracer>(
     path: &str,
     session: &mut crate::serve::ServeSession<'_, T>,
 ) -> Result<(), CliError> {
+    use std::os::unix::fs::FileTypeExt;
     use std::os::unix::net::UnixListener;
     let io_err = |e: std::io::Error| CliError::Usage(format!("socket {path:?}: {e}"));
     // A stale socket file from a previous run would make bind fail.
-    let _ = std::fs::remove_file(path);
+    match std::fs::symlink_metadata(path) {
+        Ok(meta) if meta.file_type().is_socket() => std::fs::remove_file(path).map_err(io_err)?,
+        Ok(_) => {
+            return Err(CliError::Usage(format!(
+                "refusing to replace {path:?} with a socket: it exists and is not one"
+            )))
+        }
+        // Nothing there, or nothing bind could use either: bind says why.
+        Err(_) => {}
+    }
     let listener = UnixListener::bind(path).map_err(io_err)?;
-    let (stream, _) = listener.accept().map_err(io_err)?;
-    let reader = std::io::BufReader::new(stream.try_clone().map_err(io_err)?);
-    crate::serve::serve_lines(reader, stream, session).map_err(io_err)?;
+    let served = listener
+        .accept()
+        .and_then(|(stream, _)| crate::serve::serve_lines(&stream, &stream, session));
     let _ = std::fs::remove_file(path);
-    Ok(())
+    served.map_err(io_err)
 }
 
 #[cfg(not(unix))]

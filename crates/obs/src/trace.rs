@@ -99,8 +99,8 @@ impl DecisionKind {
 /// MODEL.md): `candidates` is the number of servers actually scored,
 /// `pruned` the asleep twins the spec-class prune skipped, `unfit` the
 /// capacity failures, `winner`/`delta_cost` the argmin itself, and
-/// `fp_tie` whether the optimised score tied the reference within
-/// floating-point noise. Construct with struct-update syntax over
+/// `fp_tie` whether a scored delta exactly equalled the best one so
+/// far, a tie the lowest id wins. Construct with struct-update syntax over
 /// [`ExplainRecord::new`]. The chaos fields (`from`, `attempt`,
 /// `time`) default to absent/zero outside replay.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -120,8 +120,8 @@ pub struct ExplainRecord {
     pub winner: Option<u64>,
     /// Incremental Eq. 7 cost delta of the winning placement.
     pub delta_cost: f64,
-    /// Whether the optimised score tied within FP noise (certified
-    /// divergence from the reference oracle).
+    /// Whether a scored delta exactly equalled the running best during
+    /// the scan, so the lowest server id decided between them.
     pub fp_tie: bool,
     /// Server the VM was displaced from (chaos repair attribution).
     pub from: Option<u64>,
