@@ -1,5 +1,6 @@
 //! Plain-text and CSV table rendering.
 
+use std::borrow::Cow;
 use std::fmt;
 
 /// A simple column-aligned table for CLI output and EXPERIMENTS.md.
@@ -77,18 +78,34 @@ impl Table {
     ///
     /// Panics if any cell contains a comma or newline.
     pub fn to_csv(&self) -> String {
+        self.csv(|cell| {
+            assert!(
+                !cell.contains(',') && !cell.contains('\n'),
+                "cell {cell:?} needs quoting, which this emitter does not support"
+            );
+            Cow::Borrowed(cell)
+        })
+    }
+
+    /// CSV rendering that quotes, as RFC 4180 does, each cell holding a
+    /// comma, a double quote or a newline, doubling its quotes. Every
+    /// table [`Table::to_csv`] renders without a quote in a cell
+    /// renders the same here.
+    pub fn to_quoted_csv(&self) -> String {
+        self.csv(|cell| {
+            if cell.contains([',', '"', '\n']) {
+                Cow::Owned(format!("\"{}\"", cell.replace('"', "\"\"")))
+            } else {
+                Cow::Borrowed(cell)
+            }
+        })
+    }
+
+    fn csv<'a>(&'a self, render: impl Fn(&'a str) -> Cow<'a, str>) -> String {
         let mut out = String::new();
         for row in std::iter::once(&self.header).chain(&self.rows) {
-            for (i, cell) in row.iter().enumerate() {
-                assert!(
-                    !cell.contains(',') && !cell.contains('\n'),
-                    "cell {cell:?} needs quoting, which this emitter does not support"
-                );
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(cell);
-            }
+            let cells: Vec<Cow<'a, str>> = row.iter().map(|cell| render(cell)).collect();
+            out.push_str(&cells.join(","));
             out.push('\n');
         }
         out
@@ -185,6 +202,18 @@ mod tests {
         let mut t = Table::new(vec!["a"]);
         t.row(vec!["x,y".into()]);
         let _ = t.to_csv();
+    }
+
+    #[test]
+    fn quoted_csv_quotes_only_cells_that_need_it() {
+        let mut t = Table::new(vec!["name", "x"]);
+        t.row(vec!["diurnal (A=0.8, day=240)".into(), "1".into()]);
+        t.row(vec!["say \"hi\"".into(), "2".into()]);
+        assert_eq!(
+            t.to_quoted_csv(),
+            "name,x\n\"diurnal (A=0.8, day=240)\",1\n\"say \"\"hi\"\"\",2\n"
+        );
+        assert_eq!(sample().to_quoted_csv(), sample().to_csv());
     }
 
     #[test]

@@ -1,16 +1,12 @@
 //! The `esvm` command-line front end.
 //!
-//! ```text
-//! esvm table1 | table2                  # reproduce Tables I / II
-//! esvm fig2 … fig9 [--seeds N] [--quick] [--csv]
-//! esvm all [--seeds N] [--quick]        # every artefact in order
-//! esvm compare --vms N --servers N [--interarrival F] [--duration F]
-//!              [--transition F] [--algos a,b,…] [--seed N]
-//! esvm exact [--vms N] [--servers N] [--seed N]
-//! esvm timeline [--vms N] [--servers N] [--seed N] [--algos a,b,…]
-//! esvm chaos [--fault-rate F] [--seed N] [--retries N] [--backoff N]
-//!            [--shed-policy P] [--plan FILE | --plan-out FILE]
-//! ```
+//! `esvm` with no arguments prints the usage text: every command, the
+//! flags each one reads, and every flag's help. Each flag is declared
+//! once, in the `FLAGS` table: its name, its value parser (with the
+//! checks and messages a bad value meets), its help and the commands
+//! that read it. Parsing, the usage text and the refusal of a flag the
+//! command never reads all come from that table, so no command accepts
+//! a flag and then drops it.
 //!
 //! Parsing is deliberately dependency-free; [`run`] returns the rendered
 //! output so it is fully testable.
@@ -21,8 +17,12 @@ use crate::{experiments, Figure};
 use esvm_analysis::Table;
 use esvm_core::AllocatorKind;
 use esvm_ilp::Formulation;
+use esvm_obs::MetricsRegistry;
 use esvm_workload::WorkloadConfig;
+use std::any::Any;
+use std::collections::BTreeMap;
 use std::fmt;
+use std::str::FromStr;
 
 /// CLI errors.
 #[derive(Debug)]
@@ -60,7 +60,15 @@ impl From<RunError> for CliError {
     }
 }
 
-const USAGE: &str = "\
+impl From<esvm_workload::GenerateError> for CliError {
+    fn from(e: esvm_workload::GenerateError) -> Self {
+        CliError::Run(e.into())
+    }
+}
+
+/// The commands part of the usage text; the flag parts come from
+/// `FLAGS`.
+const COMMANDS_HELP: &str = "\
 usage: esvm <command> [options]
 
 commands:
@@ -76,7 +84,6 @@ commands:
   timeline          replay one instance and chart power / active servers
                     (horizons over 1000000 time units are refused)
   gen               generate a workload and write it as a trace file
-                    (--out x.esvt streams the binary columnar format)
   solve             load a trace file (text or ESVT) and compare
                     allocators on it
   query             run a piped query plan over a trace or a flat
@@ -87,331 +94,267 @@ commands:
                             | agg count,sum:C,mean:C,min:C,max:C [by:C]
                             | head N
   plan              capacity planning: admission/energy frontier over
-                    fleet sizes (--target F, --sizes a,b,c)
+                    fleet sizes
   report            standalone HTML report with SVG plots of every
-                    artefact (use --out report.html)
+                    artefact
   chaos             fault-injection run: replay allocations under a
                     seeded plan of server outages with repair + shedding
+  chaos --live      the fault plan drilled against a live serve session
   serve             long-running online allocation loop: REQ lines in,
-                    irrevocable PLACED/REJECTED decisions out
-                    (stdin by default; --socket PATH for a Unix socket;
-                    --trace FILE replays a text or ESVT trace as the
-                    event stream)
+                    irrevocable PLACED/REJECTED decisions out, from
+                    stdin, a Unix socket or a trace file
+                    protocol: REQ id start dur cpu mem | DOWN s | UP s
+                    | STATS | DRAIN; replies PLACED id server | REJECTED
+                    id | DOWNED s evicted=… repaired=… shed=… | UPPED s
+                    | ERR code detail
   gap               online/offline optimality gap: per-seed empirical
                     competitive ratio of MIEC (online) vs MIEC refined
                     by offline local search
-                    (--adversary break-even|sawtooth for the
-                    Albers-Quedenfeld lower-bound traces)
-
-options (figures):
-  --seeds N         Monte-Carlo seeds per point (default 50)
-  --threads N       worker threads fanning seeds out (default:
-                    ESVM_THREADS; unset or 0 = all cores); results are
-                    identical for every value
-  --quick           scaled-down VM counts and 6 seeds
-  --csv             emit CSV instead of aligned tables
-
-options (compare):
-  --vms N --servers N --interarrival F --duration F --transition F
-  --algos a,b,…     default: miec,ffps (--algo is an alias)
-  --seed N          base seed (default 0)
-  --standard-vms    restrict VM catalog to the four standard types
-  --small-servers   restrict server catalog to types 1-3
-
-options (exact):
-  --vms N (default 4) --servers N (default 2) --seed N (default 0)
-
-options (chaos):
-  --fault-rate F    per-server crash probability over the horizon
-                    (default 0.1; drains and rack outages scale with it)
-  --rack-size N     servers per rack for correlated outages (default 8)
-  --mean-outage F   mean outage length in time units (default 10)
-  --retries N       repair retries before a displaced VM is shed
-                    (default 3)
-  --backoff N       base retry backoff in time units, doubling per
-                    attempt (default 2)
-  --shed-policy P   smallest-remaining-first | largest-remaining-first |
-                    arrival-order (default smallest-remaining-first)
-  --plan FILE       replay a serialized fault plan instead of
-                    generating one from --fault-rate/--seed
-  --plan-out FILE   write the fault plan used, for later replay
-  --live            drill the plan against a *live* serve session: the
-                    DOWN/UP events interleave with the arrival stream
-                    through the serve fault verbs (evict + bounded
-                    backoff repair); --journal/--queue apply
-  (--vms/--servers/--seed/--algos and the telemetry flags also apply)
-
-options (serve):
-  --trace FILE      replay a trace file instead of reading stdin (ESVT
-                    streams through TraceReader::records; text traces
-                    are materialised and fed in arrival order)
-  --socket PATH     accept one connection on a Unix socket and serve
-                    it to EOF (unix only)
-  --servers N       fleet size for the stdin/socket fleet (default 50)
-  --seed N          seed of the generated fleet specs (default 0)
-  --journal FILE    write-ahead journal: every accepted event is
-                    appended (checksummed) before its reply; pass the
-                    same path as --recover to resume a crashed journal
-  --fsync-every N   group-commit cadence: fsync after every N journal
-                    appends (default 4096, a ~10ms durability window
-                    at full throughput; 0 = only at checkpoints)
-  --recover FILE    replay a journal before serving: the fleet comes
-                    from the journal header, a torn tail is truncated,
-                    and the engine state is rebuilt bit-exactly
-  --queue N         bounded admission queue: at most N simultaneous
-                    arrivals admitted per burst, the rest answered
-                    ERR overloaded (trace feeds; default unbounded)
-  --retries N / --backoff N   repair policy for DOWN evictions
-  (protocol: REQ id start dur cpu mem | DOWN s | UP s | STATS | DRAIN;
-   replies PLACED id server | REJECTED id | DOWNED s evicted=…
-   repaired=… shed=… | UPPED s | ERR code detail)
-
-options (gap):
-  --seeds N         seeds to measure (default 10), starting at --seed
-  --adversary P     break-even | sawtooth adversarial preset instead
-                    of the paper workload model
-  (--vms/--servers and the workload flags shape the instances)
-
-options (telemetry, compare/solve/chaos/serve only; other commands
-refuse them, and chaos --live refuses --trace-out):
-  --metrics-out F   run one instrumented pass per algorithm and write
-                    its decision metrics as CSV (histogram rows carry
-                    exact p50/p95/p99; a summary table is also
-                    appended to the output)
-  --trace-out F     write the decision-provenance trace of that pass:
-                    hierarchical spans, one explain record per
-                    decision (placement, move, eviction, repair, shed)
-                    and span-latency percentiles. A .json extension
-                    selects Chrome trace_event JSON (load in Perfetto
-                    / chrome://tracing); anything else is flat JSONL
-                    that `esvm query` can load
-  --force           allow --metrics-out / --trace-out to overwrite an
-                    existing file (refused by default)
 ";
 
-/// The commands that write `--metrics-out` / `--trace-out`.
-const TELEMETRY_COMMANDS: [&str; 4] = ["compare", "solve", "chaos", "serve"];
+/// A set of commands, one bit per class of commands that read the same
+/// flags.
+type Commands = u16;
 
-/// Flag accumulator.
-#[derive(Debug, Default, Clone)]
-struct Flags {
-    seeds: Option<u64>,
-    threads: Option<usize>,
-    quick: bool,
-    csv: bool,
-    vms: Option<usize>,
-    servers: Option<usize>,
-    interarrival: Option<f64>,
-    duration: Option<f64>,
-    transition: Option<f64>,
-    algos: Option<Vec<AllocatorKind>>,
-    seed: Option<u64>,
-    standard_vms: bool,
-    small_servers: bool,
-    out: Option<String>,
-    trace: Option<String>,
-    target: Option<f64>,
-    sizes: Option<Vec<usize>>,
-    metrics_out: Option<String>,
-    trace_out: Option<String>,
-    force: bool,
-    fault_rate: Option<f64>,
-    rack_size: Option<u32>,
-    mean_outage: Option<f64>,
-    retries: Option<u32>,
-    backoff: Option<u32>,
-    shed_policy: Option<esvm_chaos::ShedPolicy>,
-    plan: Option<String>,
-    plan_out: Option<String>,
-    socket: Option<String>,
-    adversary: Option<esvm_workload::AdversaryPreset>,
-    journal: Option<String>,
-    fsync_every: Option<u32>,
-    recover: Option<String>,
-    queue: Option<usize>,
-    live: bool,
+/// `table1`, `table2`, `fig2`–`fig9`, `ext-*` and `all`.
+const ARTEFACT: Commands = 1 << 0;
+const COMPARE: Commands = 1 << 1;
+const EXACT: Commands = 1 << 2;
+const TIMELINE: Commands = 1 << 3;
+const GEN: Commands = 1 << 4;
+const SOLVE: Commands = 1 << 5;
+const PLAN: Commands = 1 << 6;
+const REPORT: Commands = 1 << 7;
+/// `chaos`: the offline fault replay.
+const CHAOS: Commands = 1 << 8;
+/// `chaos --live`: the fault plan drilled against a serve session.
+const LIVE: Commands = 1 << 9;
+const LIVE_NAME: &str = "chaos --live";
+const SERVE: Commands = 1 << 10;
+const GAP: Commands = 1 << 11;
+/// The number of classes above.
+const CLASSES: u32 = 12;
+const EVERY: Commands = (1 << CLASSES) - 1;
+/// The commands that fan seeds out over worker threads.
+const FAN_OUT: Commands = ARTEFACT | COMPARE | PLAN | REPORT;
+/// The commands that generate instances from the workload flags.
+const WORKLOAD: Commands = COMPARE | TIMELINE | GEN | PLAN | CHAOS | LIVE | GAP;
+/// The commands that run a fault plan.
+const FAULTS: Commands = CHAOS | LIVE;
+/// The commands that run a serve session.
+const SESSION: Commands = LIVE | SERVE;
+/// The commands that write `--metrics-out`.
+const TELEMETRY: Commands = COMPARE | SOLVE | FAULTS | SERVE;
+
+/// A parsed flag value, or the message a bad one gets.
+type Parsed = Result<Box<dyn Any>, String>;
+
+/// A value parser, given the flag's name for its messages.
+type Parse = fn(&str, &str) -> Parsed;
+
+/// One row of the flag table.
+struct Flag {
+    name: &'static str,
+    /// A second spelling (only `--algo`).
+    alias: Option<&'static str>,
+    /// The value's placeholder in the usage text and its parser; `None`
+    /// for a switch.
+    value: Option<(&'static str, Parse)>,
+    /// A file the command creates: before any work runs, an existing
+    /// one is refused unless `--force` is given, and so is a path in a
+    /// missing directory.
+    creates: bool,
+    /// The commands that read the flag.
+    commands: Commands,
+    /// The help in the usage text; `\n` starts another line.
+    help: &'static str,
 }
 
-fn parse_flags(args: &[String]) -> Result<Flags, CliError> {
-    let mut flags = Flags::default();
-    let mut it = args.iter();
-    let usage = |msg: String| CliError::Usage(format!("{msg}\n\n{USAGE}"));
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| usage(format!("flag {name} needs a value")))
-        };
-        match arg.as_str() {
-            "--seeds" => {
-                let seeds: u64 = value("--seeds")?
-                    .parse()
-                    .map_err(|_| usage("--seeds must be an integer".into()))?;
-                if seeds == 0 {
-                    return Err(usage("--seeds must be at least 1".into()));
-                }
-                flags.seeds = Some(seeds);
-            }
-            "--threads" => {
-                flags.threads = Some(
-                    value("--threads")?
-                        .parse()
-                        .map_err(|_| usage("--threads must be an integer".into()))?,
-                )
-            }
-            "--quick" => flags.quick = true,
-            "--csv" => flags.csv = true,
-            "--force" => flags.force = true,
-            "--standard-vms" => flags.standard_vms = true,
-            "--small-servers" => flags.small_servers = true,
-            "--vms" => {
-                flags.vms = Some(
-                    value("--vms")?
-                        .parse()
-                        .map_err(|_| usage("--vms must be an integer".into()))?,
-                )
-            }
-            "--servers" => {
-                flags.servers = Some(
-                    value("--servers")?
-                        .parse()
-                        .map_err(|_| usage("--servers must be an integer".into()))?,
-                )
-            }
-            "--interarrival" => {
-                let raw = value(arg)?;
-                flags.interarrival = Some(workload_number(arg, &raw, false).map_err(usage)?);
-            }
-            "--duration" => {
-                let raw = value(arg)?;
-                flags.duration = Some(workload_number(arg, &raw, false).map_err(usage)?);
-            }
-            "--transition" => {
-                let raw = value(arg)?;
-                flags.transition = Some(workload_number(arg, &raw, true).map_err(usage)?);
-            }
-            "--out" => flags.out = Some(value("--out")?),
-            "--metrics-out" => flags.metrics_out = Some(value("--metrics-out")?),
-            "--trace-out" => flags.trace_out = Some(value("--trace-out")?),
-            "--target" => {
-                flags.target = Some(
-                    value("--target")?
-                        .parse()
-                        .map_err(|_| usage("--target must be a number in (0, 1]".into()))?,
-                )
-            }
-            "--sizes" => {
-                let list = value("--sizes")?;
-                let mut sizes = Vec::new();
-                for item in list.split(',') {
-                    sizes.push(item.parse::<usize>().map_err(|_| {
-                        usage("--sizes must be a comma-separated list of integers".into())
-                    })?);
-                }
-                flags.sizes = Some(sizes);
-            }
-            "--trace" => flags.trace = Some(value("--trace")?),
-            "--fault-rate" => {
-                let rate: f64 = value("--fault-rate")?
-                    .parse()
-                    .map_err(|_| usage("--fault-rate must be a number in [0, 1]".into()))?;
-                if !(0.0..=1.0).contains(&rate) {
-                    return Err(usage("--fault-rate must be a number in [0, 1]".into()));
-                }
-                flags.fault_rate = Some(rate);
-            }
-            "--rack-size" => {
-                flags.rack_size = Some(
-                    value("--rack-size")?
-                        .parse()
-                        .map_err(|_| usage("--rack-size must be an integer".into()))?,
-                )
-            }
-            "--mean-outage" => {
-                flags.mean_outage = Some(
-                    value("--mean-outage")?
-                        .parse()
-                        .map_err(|_| usage("--mean-outage must be a number".into()))?,
-                )
-            }
-            "--retries" => {
-                flags.retries = Some(
-                    value("--retries")?
-                        .parse()
-                        .map_err(|_| usage("--retries must be an integer".into()))?,
-                )
-            }
-            "--backoff" => {
-                flags.backoff = Some(
-                    value("--backoff")?
-                        .parse()
-                        .map_err(|_| usage("--backoff must be an integer".into()))?,
-                )
-            }
-            "--shed-policy" => {
-                flags.shed_policy = Some(
-                    value("--shed-policy")?
-                        .parse::<esvm_chaos::ShedPolicy>()
-                        .map_err(usage)?,
-                )
-            }
-            "--plan" => flags.plan = Some(value("--plan")?),
-            "--plan-out" => flags.plan_out = Some(value("--plan-out")?),
-            "--socket" => flags.socket = Some(value("--socket")?),
-            "--journal" => flags.journal = Some(value("--journal")?),
-            "--recover" => flags.recover = Some(value("--recover")?),
-            "--live" => flags.live = true,
-            "--fsync-every" => {
-                flags.fsync_every = Some(
-                    value("--fsync-every")?
-                        .parse()
-                        .map_err(|_| usage("--fsync-every must be an integer".into()))?,
-                )
-            }
-            "--queue" => {
-                flags.queue = Some(
-                    value("--queue")?
-                        .parse()
-                        .map_err(|_| usage("--queue must be an integer".into()))?,
-                )
-            }
-            "--adversary" => {
-                flags.adversary = Some(
-                    value("--adversary")?
-                        .parse::<esvm_workload::AdversaryPreset>()
-                        .map_err(|e| usage(e.to_string()))?,
-                )
-            }
-            "--seed" => {
-                flags.seed = Some(
-                    value("--seed")?
-                        .parse()
-                        .map_err(|_| usage("--seed must be an integer".into()))?,
-                )
-            }
-            "--algos" | "--algo" => {
-                let list = value(arg)?;
-                let mut kinds = Vec::new();
-                for name in list.split(',') {
-                    kinds.push(
-                        name.parse::<AllocatorKind>()
-                            .map_err(|e| usage(e.to_string()))?,
-                    );
-                }
-                flags.algos = Some(kinds);
-            }
-            other => return Err(usage(format!("unknown flag {other:?}"))),
-        }
+impl Flag {
+    const fn switch(name: &'static str, commands: Commands, help: &'static str) -> Self {
+        Self { name, alias: None, value: None, creates: false, commands, help }
     }
-    Ok(flags)
+
+    const fn value(
+        name: &'static str,
+        placeholder: &'static str,
+        parse: Parse,
+        commands: Commands,
+        help: &'static str,
+    ) -> Self {
+        Self { value: Some((placeholder, parse)), ..Self::switch(name, commands, help) }
+    }
+
+    const fn new_file(name: &'static str, commands: Commands, help: &'static str) -> Self {
+        Self { creates: true, ..Self::value(name, "FILE", text, commands, help) }
+    }
+
+    fn reads(&self, class: Commands) -> bool {
+        self.commands & class != 0
+    }
+}
+
+/// Every flag, once.
+const FLAGS: &[Flag] = &[
+    Flag::value("--seeds", "N", seeds, FAN_OUT | GAP,
+        "Monte-Carlo seeds per point (default 50, 6 with --quick);\n\
+         gap: seeds to measure, from --seed on (default 10)"),
+    Flag::value("--threads", "N", int::<usize>, FAN_OUT,
+        "worker threads fanning seeds out (default: ESVM_THREADS;\n\
+         unset or 0 = all cores); every value gives the same results"),
+    Flag::switch("--quick", FAN_OUT, "scaled-down VM counts and 6 seeds"),
+    Flag::switch("--csv", ARTEFACT, "emit CSV instead of aligned tables"),
+    Flag::value("--out", "FILE", text, EVERY,
+        "write the output to FILE instead of stdout; gen writes its\n\
+         trace there, and an .esvt path streams the binary format"),
+    Flag::value("--vms", "N", int::<usize>, WORKLOAD | EXACT,
+        "VMs per instance (default 100; exact 4)"),
+    Flag::value("--servers", "N", int::<usize>, WORKLOAD | EXACT | SERVE,
+        "servers per instance (default: half the VMs; exact 2);\n\
+         serve: size of the generated fleet (default 50)"),
+    Flag::value("--interarrival", "F", |flag, raw| workload_number(flag, raw, false), WORKLOAD,
+        "mean inter-arrival time, finite and > 0 (default 4)"),
+    Flag::value("--duration", "F", |flag, raw| workload_number(flag, raw, false), WORKLOAD,
+        "mean VM duration, finite and > 0 (default 5)"),
+    Flag::value("--transition", "F", |flag, raw| workload_number(flag, raw, true),
+        WORKLOAD | SERVE, "server transition time, finite and >= 0 (default 1)"),
+    Flag::switch("--standard-vms", WORKLOAD, "restrict the VM catalog to the four standard types"),
+    Flag::switch("--small-servers", WORKLOAD, "restrict the server catalog to types 1-3"),
+    Flag::value("--seed", "N", int::<u64>, (WORKLOAD & !PLAN) | EXACT | SOLVE | SERVE,
+        "seed of the instance, fault plan, fleet or allocators\n\
+         (default 0); gap: the first seed"),
+    Flag {
+        alias: Some("--algo"),
+        ..Flag::value("--algos", "a,b,…", algos, COMPARE | TIMELINE | SOLVE | CHAOS,
+            "allocators to run (default miec,ffps; --algo is an alias)")
+    },
+    Flag::value("--target", "F", target, PLAN, "admission target in (0, 1] (default 0.95)"),
+    Flag::value("--sizes", "a,b,…", sizes, PLAN,
+        "fleet sizes to evaluate (default: the VM count / 16, 8, 4\n\
+         and 2)"),
+    Flag::value("--trace", "FILE", text, SOLVE | SERVE,
+        "a text or ESVT trace: the instance to solve, or the event\n\
+         stream to serve instead of stdin (ESVT streams through\n\
+         TraceReader::records; a text trace is fed in arrival order)"),
+    Flag::new_file("--metrics-out", TELEMETRY,
+        "run one instrumented pass per algorithm and write its\n\
+         decision metrics as CSV (histogram rows carry exact\n\
+         p50/p95/p99; a summary table is also appended to the\n\
+         output); a serve session writes its own metrics"),
+    Flag::new_file("--trace-out", COMPARE | SOLVE | CHAOS | SERVE,
+        "write the decision-provenance trace of that pass:\n\
+         hierarchical spans, one explain record per decision\n\
+         (placement, move, eviction, repair, shed) and span-latency\n\
+         percentiles. A .json extension selects Chrome trace_event\n\
+         JSON (load in Perfetto / chrome://tracing); anything else\n\
+         is flat JSONL that `esvm query` can load"),
+    Flag::switch("--force", TELEMETRY,
+        "let --metrics-out, --trace-out, --plan-out and --journal\n\
+         overwrite an existing file (refused by default)"),
+    Flag::value("--fault-rate", "F", fault_rate, FAULTS,
+        "per-server crash probability over the horizon, in [0, 1]\n\
+         (default 0.1; drains and rack outages scale with it)"),
+    Flag::value("--rack-size", "N", int::<u32>, FAULTS,
+        "servers per rack for correlated outages (default 8)"),
+    Flag::value("--mean-outage", "F", number, FAULTS,
+        "mean outage length in time units (default 10)"),
+    Flag::value("--plan", "FILE", text, FAULTS,
+        "replay a serialized fault plan instead of generating one\n\
+         from --fault-rate/--seed"),
+    Flag::new_file("--plan-out", FAULTS, "write the fault plan used, for later replay"),
+    Flag::value("--retries", "N", int::<u32>, FAULTS | SERVE,
+        "repair retries before a displaced VM is shed (default 3)"),
+    Flag::value("--backoff", "N", int::<u32>, FAULTS | SERVE,
+        "base retry backoff in time units, doubling per attempt\n\
+         (default 2)"),
+    Flag::value("--shed-policy", "P", named::<esvm_chaos::ShedPolicy>, CHAOS,
+        "smallest-remaining-first | largest-remaining-first |\n\
+         arrival-order (default smallest-remaining-first)"),
+    Flag::switch("--live", FAULTS,
+        "drill the plan against a live serve session: the DOWN/UP\n\
+         events interleave with the arrival stream through the serve\n\
+         fault verbs (evict + bounded backoff repair)"),
+    Flag::value("--socket", "PATH", text, SERVE,
+        "accept one connection on a Unix socket and serve it to EOF\n\
+         (unix only); a PATH a live session holds is refused"),
+    Flag::value("--journal", "FILE", text, SESSION,
+        "write-ahead journal: every accepted event is appended\n\
+         (checksummed) before its reply; pass the same path as\n\
+         --recover to resume a crashed journal"),
+    Flag::value("--fsync-every", "N", int::<u32>, SESSION,
+        "group-commit cadence: fsync after every N journal appends\n\
+         (default 4096, a ~10ms durability window at full\n\
+         throughput; 0 = only at checkpoints)"),
+    Flag::value("--recover", "FILE", text, SERVE,
+        "replay a journal before serving: the fleet comes from the\n\
+         journal header, a torn tail is truncated, and the engine\n\
+         state is rebuilt bit-exactly"),
+    Flag::value("--queue", "N", int::<usize>, SESSION,
+        "bounded admission queue: at most N simultaneous arrivals\n\
+         admitted per burst, the rest answered ERR overloaded\n\
+         (trace feeds; default unbounded)"),
+    Flag::value("--adversary", "P", named::<esvm_workload::AdversaryPreset>, GAP,
+        "break-even | sawtooth adversarial preset instead of the\n\
+         paper workload model"),
+];
+
+/// Flag pairs a command refuses together.
+const CONFLICTS: &[(Commands, &str, &str)] = &[(SERVE, "--trace", "--socket")];
+
+fn text(_flag: &str, raw: &str) -> Parsed {
+    Ok(Box::new(raw.to_owned()))
+}
+
+fn int<T: FromStr + 'static>(flag: &str, raw: &str) -> Parsed {
+    Ok(Box::new(raw.parse::<T>().map_err(|_| format!("{flag} must be an integer"))?))
+}
+
+fn number(flag: &str, raw: &str) -> Parsed {
+    Ok(Box::new(raw.parse::<f64>().map_err(|_| format!("{flag} must be a number"))?))
+}
+
+/// A value whose type parses itself and words its own error.
+fn named<T: FromStr<Err: fmt::Display> + 'static>(_flag: &str, raw: &str) -> Parsed {
+    Ok(Box::new(raw.parse::<T>().map_err(|e| e.to_string())?))
+}
+
+fn seeds(flag: &str, raw: &str) -> Parsed {
+    match raw.parse::<u64>().map_err(|_| format!("{flag} must be an integer"))? {
+        0 => Err(format!("{flag} must be at least 1")),
+        seeds => Ok(Box::new(seeds)),
+    }
+}
+
+fn target(flag: &str, raw: &str) -> Parsed {
+    match raw.parse::<f64>().map_err(|_| format!("{flag} must be a number in (0, 1]"))? {
+        target if target > 0.0 && target <= 1.0 => Ok(Box::new(target)),
+        _ => Err(format!("{flag} must be in (0, 1]")),
+    }
+}
+
+fn fault_rate(flag: &str, raw: &str) -> Parsed {
+    match raw.parse::<f64>() {
+        Ok(rate) if (0.0..=1.0).contains(&rate) => Ok(Box::new(rate)),
+        _ => Err(format!("{flag} must be a number in [0, 1]")),
+    }
+}
+
+fn sizes(flag: &str, raw: &str) -> Parsed {
+    let sizes: Result<Vec<usize>, _> = raw.split(',').map(str::parse).collect();
+    Ok(Box::new(sizes.map_err(|_| format!("{flag} must be a comma-separated list of integers"))?))
+}
+
+fn algos(_flag: &str, raw: &str) -> Parsed {
+    let kinds: Result<Vec<AllocatorKind>, _> = raw.split(',').map(str::parse).collect();
+    Ok(Box::new(kinds.map_err(|e| e.to_string())?))
 }
 
 /// Parses the value of a workload time flag: a finite number, `> 0`, or
 /// `>= 0` when `zero_ok`. The workload generator asserts the same
 /// bounds, so checking here turns a panic into a usage error.
-fn workload_number(flag: &str, raw: &str, zero_ok: bool) -> Result<f64, String> {
+fn workload_number(flag: &str, raw: &str, zero_ok: bool) -> Parsed {
     match raw.parse::<f64>() {
-        Ok(x) if x.is_finite() && (x > 0.0 || (zero_ok && x == 0.0)) => Ok(x),
+        Ok(x) if x.is_finite() && (x > 0.0 || (zero_ok && x == 0.0)) => Ok(Box::new(x)),
         _ => Err(format!(
             "{flag} must be a finite number {}, got {raw:?}",
             if zero_ok { ">= 0" } else { "> 0" }
@@ -419,19 +362,219 @@ fn workload_number(flag: &str, raw: &str, zero_ok: bool) -> Result<f64, String> 
     }
 }
 
+/// The paper's algorithm and its baseline: the default of `--algos`,
+/// and the pair `exact` certifies.
+const PAPER_PAIR: [AllocatorKind; 2] = [AllocatorKind::Miec, AllocatorKind::Ffps];
+
+/// A command line checked against the flag table: the command as the
+/// usage text names it, its class, and the parsed value of each flag
+/// given (the last one wins).
+struct Flags {
+    command: String,
+    class: Commands,
+    values: BTreeMap<&'static str, Box<dyn Any>>,
+}
+
+impl Flags {
+    /// Parses `args` for `command`, refusing unknown flags, flags the
+    /// command does not read, bad values and conflicting pairs.
+    fn parse(command: &str, class: Commands, args: &[String]) -> Result<Self, CliError> {
+        let mut given = Vec::new();
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            let Some(flag) = FLAGS.iter().find(|f| f.name == arg || f.alias == Some(arg)) else {
+                return Err(usage_error(format!("unknown flag {arg:?}")));
+            };
+            let needs_value = || usage_error(format!("flag {arg} needs a value"));
+            let raw = flag.value.map(|_| it.next().ok_or_else(needs_value)).transpose()?;
+            given.push((flag, arg, raw));
+        }
+        // `--live` makes chaos a command of its own.
+        let class = match class {
+            CHAOS if given.iter().any(|(flag, ..)| flag.name == "--live") => LIVE,
+            class => class,
+        };
+        let command = if class == LIVE { LIVE_NAME } else { command };
+        let mut flags = Self { command: command.to_owned(), class, values: BTreeMap::new() };
+        for (flag, arg, raw) in given {
+            if !flag.reads(class) {
+                let reads = flags_read_by(class).join(" ");
+                return Err(usage_error(format!("{command} does not read {arg}; it reads {reads}")));
+            }
+            let value = match (flag.value, raw) {
+                (Some((_, parse)), Some(raw)) => parse(flag.name, raw).map_err(usage_error)?,
+                _ => Box::new(()),
+            };
+            flags.values.insert(flag.name, value);
+        }
+        for &(commands, a, b) in CONFLICTS {
+            if commands & class != 0 && flags.values.contains_key(a) && flags.values.contains_key(b)
+            {
+                return Err(usage_error(format!("{a} and {b} are mutually exclusive")));
+            }
+        }
+        Ok(flags)
+    }
+
+    /// The value given for `name`. Reading a flag the table does not
+    /// give this command is a bug, caught here in debug builds.
+    fn value<T: 'static>(&self, name: &str) -> Option<&T> {
+        debug_assert!(
+            FLAGS.iter().any(|f| f.name == name && f.reads(self.class)),
+            "{} reads {name}, which the flag table does not give it",
+            self.command
+        );
+        let value = self.values.get(name)?;
+        Some(value.downcast_ref().unwrap_or_else(|| panic!("{name} holds another type")))
+    }
+
+    fn get<T: Copy + 'static>(&self, name: &str) -> Option<T> {
+        self.value(name).copied()
+    }
+
+    fn path(&self, name: &str) -> Option<&str> {
+        self.value::<String>(name).map(String::as_str)
+    }
+
+    fn has(&self, name: &str) -> bool {
+        self.value::<()>(name).is_some()
+    }
+
+    /// `--algos`, or the paper's pair.
+    fn algos(&self) -> Vec<AllocatorKind> {
+        self.value::<Vec<AllocatorKind>>("--algos")
+            .map_or_else(|| PAPER_PAIR.to_vec(), Clone::clone)
+    }
+
+    /// Fails fast on a file the command would create: refuses to
+    /// overwrite an existing file without `--force` (a silently
+    /// overwritten metrics file is an easy way to compare an algorithm
+    /// against itself) and rejects a missing parent directory *before*
+    /// the possibly long run, not after it.
+    fn preflight(&self) -> Result<(), CliError> {
+        for flag in FLAGS.iter().filter(|f| f.creates && self.values.contains_key(f.name)) {
+            preflight_out_path(self.path(flag.name).unwrap_or_default(), self.has("--force"))?;
+        }
+        Ok(())
+    }
+}
+
+/// A usage error: `msg`, then the usage text.
+fn usage_error(msg: impl fmt::Display) -> CliError {
+    CliError::Usage(format!("{msg}\n\n{}", usage()))
+}
+
+/// The usage text: the commands, then, from the flag table, the flags
+/// each command reads and every flag's help.
+fn usage() -> String {
+    let mut text = format!("{COMMANDS_HELP}\nflags by command (a command refuses any other flag):\n");
+    for class in (0..CLASSES).map(|bit| 1 << bit) {
+        let names: Vec<&str> = if class == LIVE {
+            vec![LIVE_NAME]
+        } else {
+            COMMANDS.iter().filter(|c| c.1 == class).map(|c| c.0).collect()
+        };
+        wrap(&mut text, "  ", &names);
+        wrap(&mut text, "      ", &flags_read_by(class));
+    }
+    text.push_str("\nflags:\n");
+    for flag in FLAGS {
+        let head = match flag.value {
+            Some((placeholder, _)) => format!("  {} {placeholder}", flag.name),
+            None => format!("  {}", flag.name),
+        };
+        let mut lines = flag.help.lines();
+        if head.chars().count() < 20 {
+            text.push_str(&format!("{head:<20}{}\n", lines.next().unwrap_or_default()));
+        } else {
+            text.push_str(&format!("{head}\n"));
+        }
+        for line in lines {
+            text.push_str(&format!("{:20}{line}\n", ""));
+        }
+    }
+    text
+}
+
+fn flags_read_by(class: Commands) -> Vec<&'static str> {
+    FLAGS.iter().filter(|f| f.reads(class)).map(|f| f.name).collect()
+}
+
+/// Appends `words` to `text` as lines of at most 76 columns, each
+/// starting with `indent`.
+fn wrap(text: &mut String, indent: &str, words: &[&str]) {
+    let mut line = String::from(indent);
+    for word in words {
+        if line.len() > indent.len() && line.len() + 1 + word.len() > 76 {
+            text.push_str(&format!("{line}\n"));
+            line = String::from(indent);
+        }
+        if line.len() > indent.len() {
+            line.push(' ');
+        }
+        line.push_str(word);
+    }
+    text.push_str(&format!("{line}\n"));
+}
+
+/// A command's work, given its checked flags.
+type Command = fn(&Flags) -> Result<String, CliError>;
+
+/// Every command with flags, its class and its work.
+const COMMANDS: &[(&str, Commands, Command)] = &[
+    ("table1", ARTEFACT, |f| Ok(render_table(TABLE1, &experiments::table1(), f.has("--csv")))),
+    ("table2", ARTEFACT, |f| Ok(render_table(TABLE2, &experiments::table2(), f.has("--csv")))),
+    ("fig2", ARTEFACT, |f| figure(f, experiments::fig2)),
+    ("fig3", ARTEFACT, |f| figure(f, experiments::fig3)),
+    ("fig4", ARTEFACT, |f| figure(f, experiments::fig4)),
+    ("fig5", ARTEFACT, |f| figure(f, experiments::fig5)),
+    ("fig6", ARTEFACT, |f| figure(f, experiments::fig6)),
+    ("fig7", ARTEFACT, |f| figure(f, experiments::fig7)),
+    ("fig8", ARTEFACT, |f| figure(f, experiments::fig8)),
+    ("fig9", ARTEFACT, |f| figure(f, experiments::fig9)),
+    ("ext-migration", ARTEFACT, |f| extension(f, EXTENSIONS[0])),
+    ("ext-arrivals", ARTEFACT, |f| extension(f, EXTENSIONS[1])),
+    ("ext-overload", ARTEFACT, |f| extension(f, EXTENSIONS[2])),
+    ("all", ARTEFACT, run_all),
+    ("compare", COMPARE, run_compare),
+    ("exact", EXACT, run_exact),
+    ("timeline", TIMELINE, run_timeline),
+    ("gen", GEN, run_gen),
+    ("solve", SOLVE, run_solve),
+    ("plan", PLAN, run_plan),
+    ("report", REPORT, |f| crate::report::html_report(&options_from(f)?).map_err(CliError::Run)),
+    ("chaos", CHAOS, run_chaos),
+    ("serve", SERVE, run_serve),
+    ("gap", GAP, run_gap),
+];
+
+const TABLE1: &str = "Table I — the types of resource demands of VMs";
+const TABLE2: &str =
+    "Table II — the types of resource capacities and power consumption parameters of servers";
+
+/// An extension experiment: its title and its table.
+type Extension = (&'static str, fn(&ExpOptions) -> Result<Table, RunError>);
+
+/// The extension experiments, in the order `all` prints them.
+const EXTENSIONS: [Extension; 3] = [
+    ("E1 — extra saving from live-migration consolidation", experiments::ext_migration),
+    ("E2 — sensitivity to the arrival process", experiments::ext_arrivals),
+    ("E3 — overload behaviour with admission control", experiments::ext_overload),
+];
+
 /// Experiment options from the flags. `--threads` wins over
 /// `ESVM_THREADS`; a malformed `ESVM_THREADS` is a usage error rather
-/// than a silent fall-back to some other thread count.
+/// than a silent fall-back to some other thread count. Only the
+/// commands that fan seeds out call this, so only they read the
+/// variable.
 fn options_from(flags: &Flags) -> Result<ExpOptions, CliError> {
-    let mut opts = if flags.quick {
+    let mut opts = if flags.has("--quick") {
         ExpOptions::quick()
     } else {
         ExpOptions::paper()
     };
-    if let Some(s) = flags.seeds {
-        opts.seeds = s;
-    }
-    opts.threads = match flags.threads {
+    opts.seeds = flags.get("--seeds").unwrap_or(opts.seeds);
+    opts.threads = match flags.get("--threads") {
         Some(t) => t,
         None => threads_from_env()
             .map_err(|e| CliError::Usage(format!("{e} (or pass --threads N)")))?,
@@ -439,20 +582,48 @@ fn options_from(flags: &Flags) -> Result<ExpOptions, CliError> {
     Ok(opts)
 }
 
-fn render_figure(figure: &Figure, csv: bool) -> String {
-    if csv {
-        figure.to_csv()
-    } else {
-        figure.render()
-    }
-}
-
 fn render_table(title: &str, table: &Table, csv: bool) -> String {
     if csv {
-        table.to_csv()
+        table.to_quoted_csv()
     } else {
         format!("{title}\n\n{table}")
     }
+}
+
+fn figure(flags: &Flags, f: fn(&ExpOptions) -> Result<Figure, RunError>) -> Result<String, CliError> {
+    let figure = f(&options_from(flags)?)?;
+    Ok(if flags.has("--csv") { figure.to_csv() } else { figure.render() })
+}
+
+fn extension(flags: &Flags, (title, f): Extension) -> Result<String, CliError> {
+    let opts = options_from(flags)?;
+    let title = format!("{title} ({} seeds)", opts.seeds);
+    Ok(render_table(&title, &f(&opts)?, flags.has("--csv")))
+}
+
+fn run_all(flags: &Flags) -> Result<String, CliError> {
+    let opts = options_from(flags)?;
+    let csv = flags.has("--csv");
+    let mut parts = vec![
+        render_table(TABLE1, &experiments::table1(), csv),
+        render_table(TABLE2, &experiments::table2(), csv),
+    ];
+    for f in [
+        experiments::fig2,
+        experiments::fig3,
+        experiments::fig4,
+        experiments::fig5,
+        experiments::fig6,
+        experiments::fig7,
+        experiments::fig8,
+        experiments::fig9,
+    ] {
+        parts.push(figure(flags, f)?);
+    }
+    for (title, f) in EXTENSIONS {
+        parts.push(render_table(title, &f(&opts)?, csv));
+    }
+    Ok(parts.join("\n\n"))
 }
 
 /// Runs the CLI and returns the rendered output.
@@ -463,164 +634,37 @@ fn render_table(title: &str, table: &Table, csv: bool) -> String {
 /// underlying experiment error.
 pub fn run(args: &[String]) -> Result<String, CliError> {
     let Some((command, rest)) = args.split_first() else {
-        return Err(CliError::Usage(USAGE.into()));
+        return Err(CliError::Usage(usage()));
     };
     // `query` takes a free-form pipe expression, not flags.
     if command == "query" {
         let expr = rest.join(" ");
         if expr.trim().is_empty() {
-            return Err(CliError::Usage(format!(
-                "query needs a plan, e.g. `esvm query \"load trace.esvt | agg count\"`\n\n{USAGE}"
-            )));
+            return Err(usage_error(
+                "query needs a plan, e.g. `esvm query \"load trace.esvt | agg count\"`",
+            ));
         }
         return crate::query::run_query(&expr)
             .map_err(|e| CliError::Usage(e.to_string()));
     }
-    let flags = parse_flags(rest)?;
-    refuse_unwritten_telemetry(command, &flags)?;
-    let opts = options_from(&flags)?;
-
-    let output = dispatch(command, &flags, &opts)?;
+    let Some(&(_, class, work)) = COMMANDS.iter().find(|c| c.0 == command) else {
+        return Err(usage_error(format!("unknown command {command:?}")));
+    };
+    let flags = Flags::parse(command, class, rest)?;
+    flags.preflight()?;
+    let output = work(&flags)?;
     // `gen` manages --out itself (it writes the trace, not the message).
-    match (&flags.out, command.as_str()) {
-        (Some(path), cmd) if cmd != "gen" => {
-            std::fs::write(path, &output)
-                .map_err(|e| CliError::Usage(format!("cannot write {path:?}: {e}")))?;
+    match flags.path("--out") {
+        Some(path) if command != "gen" => {
+            write_file(path, &output)?;
             Ok(format!("wrote output to {path}"))
         }
         _ => Ok(output),
     }
 }
 
-/// Refuses a telemetry flag the command would accept and then never
-/// write: only the [`TELEMETRY_COMMANDS`] write them, and the live
-/// chaos drill records metrics but no provenance trace.
-fn refuse_unwritten_telemetry(command: &str, flags: &Flags) -> Result<(), CliError> {
-    let writes = TELEMETRY_COMMANDS.contains(&command);
-    let live = command == "chaos" && flags.live;
-    for (flag, set, written) in [
-        ("--metrics-out", flags.metrics_out.is_some(), writes),
-        ("--trace-out", flags.trace_out.is_some(), writes && !live),
-    ] {
-        if set && !written {
-            let what = if live { "chaos --live" } else { command };
-            return Err(CliError::Usage(format!(
-                "{what} writes no {flag} output; the telemetry flags apply to compare, \
-                 solve, chaos and serve (chaos --live takes --metrics-out only)\n\n{USAGE}"
-            )));
-        }
-    }
-    Ok(())
-}
-
-fn dispatch(command: &str, flags: &Flags, opts: &ExpOptions) -> Result<String, CliError> {
-    let flags = flags.clone();
-    let opts = *opts;
-
-    let figure = |f: fn(&ExpOptions) -> Result<Figure, RunError>| -> Result<String, CliError> {
-        Ok(render_figure(&f(&opts)?, flags.csv))
-    };
-
-    match command {
-        "table1" => Ok(render_table(
-            "Table I — the types of resource demands of VMs",
-            &experiments::table1(),
-            flags.csv,
-        )),
-        "table2" => Ok(render_table(
-            "Table II — the types of resource capacities and power consumption parameters of servers",
-            &experiments::table2(),
-            flags.csv,
-        )),
-        "fig2" => figure(experiments::fig2),
-        "fig3" => figure(experiments::fig3),
-        "fig4" => figure(experiments::fig4),
-        "fig5" => figure(experiments::fig5),
-        "fig6" => figure(experiments::fig6),
-        "fig7" => figure(experiments::fig7),
-        "fig8" => figure(experiments::fig8),
-        "fig9" => figure(experiments::fig9),
-        "all" => {
-            let mut out = String::new();
-            out.push_str(&render_table(
-                "Table I — the types of resource demands of VMs",
-                &experiments::table1(),
-                flags.csv,
-            ));
-            out.push_str("\n\n");
-            out.push_str(&render_table(
-                "Table II — the types of resource capacities and power consumption parameters of servers",
-                &experiments::table2(),
-                flags.csv,
-            ));
-            for f in [
-                experiments::fig2,
-                experiments::fig3,
-                experiments::fig4,
-                experiments::fig5,
-                experiments::fig6,
-                experiments::fig7,
-                experiments::fig8,
-                experiments::fig9,
-            ] {
-                out.push_str("\n\n");
-                out.push_str(&render_figure(&f(&opts)?, flags.csv));
-            }
-            for (title, table) in [
-                (
-                    "E1 — extra saving from live-migration consolidation",
-                    experiments::ext_migration(&opts)?,
-                ),
-                (
-                    "E2 — sensitivity to the arrival process",
-                    experiments::ext_arrivals(&opts)?,
-                ),
-                (
-                    "E3 — overload behaviour with admission control",
-                    experiments::ext_overload(&opts)?,
-                ),
-            ] {
-                out.push_str("\n\n");
-                out.push_str(&render_table(title, &table, flags.csv));
-            }
-            Ok(out)
-        }
-        "ext-overload" => Ok(format!(
-            "E3 — overload behaviour with admission control ({} seeds)\n\n{}",
-            opts.seeds,
-            experiments::ext_overload(&opts)?
-        )),
-        "ext-arrivals" => Ok(format!(
-            "E2 — sensitivity to the arrival process ({} seeds)\n\n{}",
-            opts.seeds,
-            experiments::ext_arrivals(&opts)?
-        )),
-        "ext-migration" => Ok(format!(
-            "E1 — extra saving from live-migration consolidation ({} seeds)\n\n{}",
-            opts.seeds,
-            experiments::ext_migration(&opts)?
-        )),
-        "compare" => run_compare(&flags, &opts),
-        "chaos" => run_chaos(&flags),
-        "exact" => run_exact(&flags),
-        "timeline" => run_timeline(&flags),
-        "gen" => run_gen(&flags),
-        "plan" => run_plan(&flags, &opts),
-        "report" => crate::report::html_report(&opts).map_err(CliError::Run),
-        "solve" => run_solve(&flags),
-        "serve" => run_serve(&flags),
-        "gap" => run_gap(&flags),
-        _ => Err(CliError::Usage(format!(
-            "unknown command {command:?}\n\n{USAGE}"
-        ))),
-    }
-}
-
-/// Fails fast when an output path cannot be written: refuses to
-/// overwrite an existing file without `--force` (a silently
-/// overwritten metrics file is an easy way to compare an algorithm
-/// against itself) and rejects a missing parent directory *before*
-/// the possibly long run, not after it.
+/// Refuses to overwrite `path` without `force`, and a path whose
+/// directory does not exist.
 fn preflight_out_path(path: &str, force: bool) -> Result<(), CliError> {
     let p = std::path::Path::new(path);
     if !force && p.exists() {
@@ -638,6 +682,45 @@ fn preflight_out_path(path: &str, force: bool) -> Result<(), CliError> {
     }
 }
 
+/// Writes `contents` to `path`; the error names the path.
+fn write_file(path: &str, contents: impl AsRef<[u8]>) -> Result<(), CliError> {
+    std::fs::write(path, contents)
+        .map_err(|e| CliError::Usage(format!("cannot write {path:?}: {e}")))
+}
+
+/// The `--metrics-out` table, with an algorithm column when the runs of
+/// several algorithms share it.
+fn metric_table(by_algorithm: bool) -> Table {
+    let header = ["algorithm", "metric", "kind", "value"];
+    Table::new(header[usize::from(!by_algorithm)..].to_vec())
+}
+
+/// Appends `metrics`' snapshot to `table`, led by `algo`'s name when
+/// the table has an algorithm column.
+fn snapshot_rows(table: &mut Table, algo: Option<AllocatorKind>, metrics: &MetricsRegistry) {
+    for (name, value) in metrics.snapshot() {
+        let lead = algo.map(|a| a.name().to_owned());
+        table.row(lead.into_iter().chain([name, value.kind().to_owned(), value.render()]).collect());
+    }
+}
+
+/// Writes `table` to `path` as CSV; returns the line saying so.
+fn write_metrics(path: &str, table: &Table) -> Result<String, CliError> {
+    write_file(path, table.to_csv())?;
+    Ok(format!("metrics written to {path}\n"))
+}
+
+/// Writes a serve session's metrics to `--metrics-out`, if given, and
+/// returns the line saying so.
+fn session_metrics(flags: &Flags, metrics: &MetricsRegistry) -> Result<String, CliError> {
+    let Some(path) = flags.path("--metrics-out") else {
+        return Ok(String::new());
+    };
+    let mut table = metric_table(false);
+    snapshot_rows(&mut table, None, metrics);
+    write_metrics(path, &table)
+}
+
 /// One instrumented run per algorithm on `problem`: decision metrics
 /// become rows of `table`, provenance spans and explain records land
 /// in `tracer` (each algorithm's run nested under a span named after
@@ -650,7 +733,6 @@ fn telemetry_rows<T: esvm_obs::Tracer>(
     tracer: &T,
     table: &mut Table,
 ) -> Result<(), CliError> {
-    use esvm_obs::MetricsRegistry;
     use rand::SeedableRng;
     for &algo in algos {
         let _algo_span = tracer.span(algo.name());
@@ -664,14 +746,7 @@ fn telemetry_rows<T: esvm_obs::Tracer>(
         metrics.set_gauge("energy.idle", report.breakdown.idle);
         metrics.set_gauge("energy.transition", report.breakdown.transition);
         metrics.set_gauge("energy.total", report.total_cost);
-        for (name, value) in metrics.snapshot() {
-            table.row(vec![
-                algo.name().to_owned(),
-                name,
-                value.kind().to_owned(),
-                value.render(),
-            ]);
-        }
+        snapshot_rows(table, Some(algo), &metrics);
     }
     Ok(())
 }
@@ -688,8 +763,7 @@ fn write_trace_output(
     } else {
         tracer.to_jsonl()
     };
-    std::fs::write(path, body)
-        .map_err(|e| CliError::Usage(format!("cannot write {path:?}: {e}")))?;
+    write_file(path, body)?;
     let mut out = String::new();
     let latencies = tracer.latencies();
     if !latencies.is_empty() {
@@ -714,6 +788,25 @@ fn write_trace_output(
     Ok(out)
 }
 
+/// Runs `$work`, a `Result`, with `$tracer` bound to the tracer
+/// `--trace-out` asks for: a collecting tracer, whose trace is then
+/// written to the flag's path, or else `$off`. Evaluates to the work's
+/// value beside the lines reporting the trace (empty without the flag).
+macro_rules! with_tracer {
+    ($flags:expr, $off:expr, |$tracer:ident| $work:expr) => {
+        match $flags.path("--trace-out") {
+            Some(path) => {
+                let $tracer = &esvm_obs::CollectingTracer::new();
+                $work.and_then(|value| Ok((value, write_trace_output(path, $tracer)?)))
+            }
+            None => {
+                let $tracer = &$off;
+                $work.map(|value| (value, String::new()))
+            }
+        }
+    };
+}
+
 /// Renders the `--metrics-out` / `--trace-out` telemetry section (an
 /// empty string when neither flag is set):
 /// a metric summary table for one instrumented run per algorithm, plus
@@ -724,57 +817,35 @@ fn telemetry_section(
     seed: u64,
     flags: &Flags,
 ) -> Result<String, CliError> {
-    if flags.metrics_out.is_none() && flags.trace_out.is_none() {
+    let metrics_out = flags.path("--metrics-out");
+    if metrics_out.is_none() && flags.path("--trace-out").is_none() {
         return Ok(String::new());
     }
-    for path in [&flags.metrics_out, &flags.trace_out].into_iter().flatten() {
-        preflight_out_path(path, flags.force)?;
-    }
-    let mut table = Table::new(vec!["algorithm", "metric", "kind", "value"]);
-    let trace_note = match &flags.trace_out {
-        Some(path) => {
-            let tracer = esvm_obs::CollectingTracer::new();
-            telemetry_rows(problem, algos, seed, &tracer, &mut table)?;
-            write_trace_output(path, &tracer)?
-        }
-        None => {
-            telemetry_rows(problem, algos, seed, &esvm_obs::DiscardTracer, &mut table)?;
-            String::new()
-        }
-    };
+    let mut table = metric_table(true);
+    let ((), trace_note) = with_tracer!(flags, esvm_obs::DiscardTracer, |tracer| {
+        telemetry_rows(problem, algos, seed, tracer, &mut table)
+    })?;
     let mut out = format!(
         "\n\ntelemetry — one instrumented run per algorithm (seed {seed})\n\n{table}"
     );
-    if let Some(path) = &flags.metrics_out {
-        std::fs::write(path, table.to_csv())
-            .map_err(|e| CliError::Usage(format!("cannot write {path:?}: {e}")))?;
-        out.push_str(&format!("metrics written to {path}\n"));
+    if let Some(path) = metrics_out {
+        out.push_str(&write_metrics(path, &table)?);
     }
     out.push_str(&trace_note);
     Ok(out)
 }
 
-fn run_compare(flags: &Flags, opts: &ExpOptions) -> Result<String, CliError> {
+fn run_compare(flags: &Flags) -> Result<String, CliError> {
+    let opts = options_from(flags)?;
     let config = workload_from(flags);
     let vms = config.vm_count_value();
     let servers = config.server_count_value();
-    let algos = flags
-        .algos
-        .clone()
-        .unwrap_or_else(|| vec![AllocatorKind::Miec, AllocatorKind::Ffps]);
+    let algos = flags.algos();
     let point = MonteCarlo::new(opts.seeds, opts.threads).compare(&config, &algos)?;
 
     let mut table = Table::new(vec![
-        "algorithm",
-        "mean cost",
-        "std dev",
-        "run",
-        "idle",
-        "transition",
-        "cpu util (%)",
-        "mem util (%)",
-        "vs ffps (%)",
-        "95% CI",
+        "algorithm", "mean cost", "std dev", "run", "idle", "transition", "cpu util (%)",
+        "mem util (%)", "vs ffps (%)", "95% CI",
     ]);
     for &algo in &algos {
         let s = point.cost_summary(algo);
@@ -821,11 +892,9 @@ fn run_compare(flags: &Flags, opts: &ExpOptions) -> Result<String, CliError> {
             ));
         }
     }
-    if flags.metrics_out.is_some() || flags.trace_out.is_some() {
-        let seed = flags.seed.unwrap_or(0);
-        let problem = config
-            .generate(seed)
-            .map_err(|e| CliError::Run(RunError::Generate(e)))?;
+    if flags.path("--metrics-out").is_some() || flags.path("--trace-out").is_some() {
+        let seed = flags.get("--seed").unwrap_or(0);
+        let problem = config.generate(seed)?;
         out.push_str(&telemetry_section(&problem, &algos, seed, flags)?);
     }
     Ok(out)
@@ -843,7 +912,6 @@ fn chaos_rows<T: esvm_obs::Tracer>(
     table: &mut Table,
     metric_table: &mut Table,
 ) -> Result<(), CliError> {
-    use esvm_obs::MetricsRegistry;
     use rand::SeedableRng;
     for &algo in algos {
         let _algo_span = tracer.span(algo.name());
@@ -869,14 +937,7 @@ fn chaos_rows<T: esvm_obs::Tracer>(
             report.refused.len().to_string(),
             report.extra_transitions.to_string(),
         ]);
-        for (name, value) in metrics.snapshot() {
-            metric_table.row(vec![
-                algo.name().to_owned(),
-                name,
-                value.kind().to_owned(),
-                value.render(),
-            ]);
-        }
+        snapshot_rows(metric_table, Some(algo), &metrics);
     }
     Ok(())
 }
@@ -884,13 +945,11 @@ fn chaos_rows<T: esvm_obs::Tracer>(
 fn run_chaos(flags: &Flags) -> Result<String, CliError> {
     use esvm_chaos::{ChaosEngine, FaultPlan, FaultPlanConfig, RepairPolicy};
 
-    let seed = flags.seed.unwrap_or(0);
+    let seed = flags.get("--seed").unwrap_or(0);
     let config = workload_from(flags);
-    let mut problem = config
-        .generate(seed)
-        .map_err(|e| CliError::Run(RunError::Generate(e)))?;
+    let mut problem = config.generate(seed)?;
 
-    let plan = match &flags.plan {
+    let plan = match flags.path("--plan") {
         Some(path) => {
             let text = std::fs::read_to_string(path).map_err(|e| {
                 CliError::Usage(format!("cannot read fault plan {path:?}: {e}"))
@@ -900,24 +959,12 @@ fn run_chaos(flags: &Flags) -> Result<String, CliError> {
         }
         None => {
             let mut plan_config =
-                FaultPlanConfig::with_fault_rate(flags.fault_rate.unwrap_or(0.1));
-            if let Some(r) = flags.rack_size {
-                plan_config.rack_size = r;
-            }
-            if let Some(m) = flags.mean_outage {
-                plan_config.mean_outage = m;
-            }
+                FaultPlanConfig::with_fault_rate(flags.get("--fault-rate").unwrap_or(0.1));
+            plan_config.rack_size = flags.get("--rack-size").unwrap_or(plan_config.rack_size);
+            plan_config.mean_outage = flags.get("--mean-outage").unwrap_or(plan_config.mean_outage);
             FaultPlan::generate(&plan_config, problem.server_count(), problem.horizon(), seed)
         }
     };
-
-    // Fail before the run, not after it, on unwritable outputs.
-    for path in [&flags.plan_out, &flags.metrics_out, &flags.trace_out]
-        .into_iter()
-        .flatten()
-    {
-        preflight_out_path(path, flags.force)?;
-    }
 
     // Input-level faults mutate the serialized trace and go through the
     // hardened parser; a trace the parser rejects ends the run with its
@@ -934,65 +981,25 @@ fn run_chaos(flags: &Flags) -> Result<String, CliError> {
         })?;
     }
 
-    if flags.live {
+    if flags.has("--live") {
         return run_chaos_live(flags, &problem, &plan, seed);
     }
 
     let mut policy = RepairPolicy::default();
-    if let Some(r) = flags.retries {
-        policy.max_retries = r;
-    }
-    if let Some(b) = flags.backoff {
-        policy.backoff = b;
-    }
-    if let Some(shed) = flags.shed_policy {
-        policy.shed = shed;
-    }
+    policy.max_retries = flags.get("--retries").unwrap_or(policy.max_retries);
+    policy.backoff = flags.get("--backoff").unwrap_or(policy.backoff);
+    policy.shed = flags.get("--shed-policy").unwrap_or(policy.shed);
     let engine = ChaosEngine::new(plan).with_policy(policy);
 
-    let algos = flags
-        .algos
-        .clone()
-        .unwrap_or_else(|| vec![AllocatorKind::Miec, AllocatorKind::Ffps]);
+    let algos = flags.algos();
     let mut table = Table::new(vec![
-        "algorithm",
-        "offline cost",
-        "replay cost",
-        "adjusted cost",
-        "displaced",
-        "repairs",
-        "shed",
-        "refused",
-        "extra transitions",
+        "algorithm", "offline cost", "replay cost", "adjusted cost", "displaced", "repairs",
+        "shed", "refused", "extra transitions",
     ]);
-    let mut metric_table = Table::new(vec!["algorithm", "metric", "kind", "value"]);
-    let trace_note = match &flags.trace_out {
-        Some(path) => {
-            let tracer = esvm_obs::CollectingTracer::new();
-            chaos_rows(
-                &engine,
-                &problem,
-                &algos,
-                seed,
-                &tracer,
-                &mut table,
-                &mut metric_table,
-            )?;
-            write_trace_output(path, &tracer)?
-        }
-        None => {
-            chaos_rows(
-                &engine,
-                &problem,
-                &algos,
-                seed,
-                &esvm_obs::DiscardTracer,
-                &mut table,
-                &mut metric_table,
-            )?;
-            String::new()
-        }
-    };
+    let mut metric_table = metric_table(true);
+    let ((), trace_note) = with_tracer!(flags, esvm_obs::DiscardTracer, |tracer| {
+        chaos_rows(&engine, &problem, &algos, seed, tracer, &mut table, &mut metric_table)
+    })?;
 
     let plan_ref = engine.plan();
     let mut out = format!(
@@ -1007,15 +1014,13 @@ fn run_chaos(flags: &Flags) -> Result<String, CliError> {
         policy.backoff,
         table
     );
-    if let Some(path) = &flags.plan_out {
-        std::fs::write(path, plan_ref.to_text())
-            .map_err(|e| CliError::Usage(format!("cannot write {path:?}: {e}")))?;
+    if let Some(path) = flags.path("--plan-out") {
+        write_file(path, plan_ref.to_text())?;
         out.push_str(&format!("\nfault plan written to {path}\n"));
     }
-    if let Some(path) = &flags.metrics_out {
-        std::fs::write(path, metric_table.to_csv())
-            .map_err(|e| CliError::Usage(format!("cannot write {path:?}: {e}")))?;
-        out.push_str(&format!("\nmetrics written to {path}\n"));
+    if let Some(path) = flags.path("--metrics-out") {
+        out.push('\n');
+        out.push_str(&write_metrics(path, &metric_table)?);
     }
     out.push_str(&trace_note);
     Ok(out)
@@ -1033,7 +1038,7 @@ fn run_chaos_live(
     seed: u64,
 ) -> Result<String, CliError> {
     use crate::serve::{feed_problem_with_faults, ServeSession};
-    let metrics = esvm_obs::MetricsRegistry::new();
+    let metrics = MetricsRegistry::new();
     let mut session = ServeSession::new(problem.servers(), &metrics, &esvm_obs::NoopTracer)
         .with_config(serve_config_from(flags));
     attach_journal(flags, problem.servers(), None, &mut session)?;
@@ -1073,23 +1078,14 @@ fn run_chaos_live(
         config.max_retries,
         config.backoff,
     );
-    if let Some(path) = &flags.plan_out {
-        std::fs::write(path, plan.to_text())
-            .map_err(|e| CliError::Usage(format!("cannot write {path:?}: {e}")))?;
+    if let Some(path) = flags.path("--plan-out") {
+        write_file(path, plan.to_text())?;
         out.push_str(&format!("fault plan written to {path}\n"));
     }
-    if let Some(path) = &flags.journal {
+    if let Some(path) = flags.path("--journal") {
         out.push_str(&format!("journal written to {path}\n"));
     }
-    if let Some(path) = &flags.metrics_out {
-        let mut t = Table::new(vec!["metric", "kind", "value"]);
-        for (name, value) in metrics.snapshot() {
-            t.row(vec![name, value.kind().to_owned(), value.render()]);
-        }
-        std::fs::write(path, t.to_csv())
-            .map_err(|e| CliError::Usage(format!("cannot write {path:?}: {e}")))?;
-        out.push_str(&format!("metrics written to {path}\n"));
-    }
+    out.push_str(&session_metrics(flags, &metrics)?);
     Ok(out)
 }
 
@@ -1102,32 +1098,26 @@ fn run_timeline(flags: &Flags) -> Result<String, CliError> {
     use esvm_analysis::chart::strip;
     use esvm_simcore::replay;
 
-    let seed = flags.seed.unwrap_or(0);
+    let seed = flags.get("--seed").unwrap_or(0);
     let config = workload_from(flags);
     let vms = config.vm_count_value();
     let servers = config.server_count_value();
-    let problem = config
-        .generate(seed)
-        .map_err(|e| CliError::Run(RunError::Generate(e)))?;
+    let problem = config.generate(seed)?;
     if problem.horizon() > TIMELINE_MAX_HORIZON {
-        return Err(CliError::Usage(format!(
+        return Err(usage_error(format!(
             "timeline: the instance's horizon is {} time units, over the \
              {TIMELINE_MAX_HORIZON}-unit limit of the per-unit replay; use fewer VMs \
-             or a shorter --interarrival / --duration\n\n{USAGE}",
+             or a shorter --interarrival / --duration",
             problem.horizon()
         )));
     }
-    let algos = flags
-        .algos
-        .clone()
-        .unwrap_or_else(|| vec![AllocatorKind::Miec, AllocatorKind::Ffps]);
 
     let width = 72;
     let mut out = format!(
         "power timeline: {vms} VMs on {servers} servers, seed {seed}, horizon {} units\n",
         problem.horizon()
     );
-    for kind in algos {
+    for kind in flags.algos() {
         use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let assignment = kind
@@ -1153,31 +1143,27 @@ fn run_timeline(flags: &Flags) -> Result<String, CliError> {
 }
 
 fn workload_from(flags: &Flags) -> WorkloadConfig {
-    let vms = flags.vms.unwrap_or(100);
-    let servers = flags.servers.unwrap_or_else(|| (vms / 2).max(1));
+    let vms = flags.get("--vms").unwrap_or(100);
+    let servers = flags.get("--servers").unwrap_or_else(|| (vms / 2).max(1));
     let mut config = WorkloadConfig::new(vms, servers)
-        .mean_interarrival(flags.interarrival.unwrap_or(4.0))
-        .mean_duration(flags.duration.unwrap_or(5.0))
-        .transition_time(flags.transition.unwrap_or(1.0));
-    if flags.standard_vms {
+        .mean_interarrival(flags.get("--interarrival").unwrap_or(4.0))
+        .mean_duration(flags.get("--duration").unwrap_or(5.0))
+        .transition_time(flags.get("--transition").unwrap_or(1.0));
+    if flags.has("--standard-vms") {
         config = config.vm_types(esvm_workload::catalog::standard_vm_types());
     }
-    if flags.small_servers {
+    if flags.has("--small-servers") {
         config = config.server_types(esvm_workload::catalog::server_types_1_3());
     }
     config
 }
 
-fn run_plan(flags: &Flags, opts: &ExpOptions) -> Result<String, CliError> {
-    let target = flags.target.unwrap_or(0.95);
-    if !(target > 0.0 && target <= 1.0) {
-        return Err(CliError::Usage(format!(
-            "--target must be in (0, 1]\n\n{USAGE}"
-        )));
-    }
+fn run_plan(flags: &Flags) -> Result<String, CliError> {
+    let opts = options_from(flags)?;
+    let target = flags.get("--target").unwrap_or(0.95);
     let template = workload_from(flags);
     let vms = template.vm_count_value();
-    let sizes = flags.sizes.clone().unwrap_or_else(|| {
+    let sizes = flags.value::<Vec<usize>>("--sizes").cloned().unwrap_or_else(|| {
         // Default sweep: powers-of-two fractions of the VM count.
         [16, 8, 4, 2]
             .iter()
@@ -1204,30 +1190,25 @@ fn run_plan(flags: &Flags, opts: &ExpOptions) -> Result<String, CliError> {
 }
 
 fn run_gen(flags: &Flags) -> Result<String, CliError> {
-    let seed = flags.seed.unwrap_or(0);
+    let seed = flags.get("--seed").unwrap_or(0);
     let config = workload_from(flags);
+    let out = flags.path("--out");
     // A `.esvt` output path selects the binary columnar format and the
     // streaming generator: the trace goes straight to disk block by
     // block, never materialising the VM list.
-    if let Some(path) = flags.out.as_deref().filter(|p| p.ends_with(".esvt")) {
-        config
-            .generate_esvt_file(seed, path)
-            .map_err(|e| CliError::Run(RunError::Generate(e)))?;
+    if let Some(path) = out.filter(|p| p.ends_with(".esvt")) {
+        config.generate_esvt_file(seed, path)?;
         return Ok(format!(
             "streamed {} VMs / {} servers (seed {seed}) to {path} (ESVT)",
             config.vm_count_value(),
             config.server_count_value(),
         ));
     }
-    let problem = config
-        .generate(seed)
-        .map_err(|e| CliError::Run(RunError::Generate(e)))?;
+    let problem = config.generate(seed)?;
     let text = esvm_workload::trace::to_text(&problem);
-    match &flags.out {
+    match out {
         Some(path) => {
-            std::fs::write(path, &text).map_err(|e| {
-                CliError::Usage(format!("cannot write {path:?}: {e}"))
-            })?;
+            write_file(path, &text)?;
             Ok(format!(
                 "wrote {} VMs / {} servers (seed {seed}) to {path}",
                 problem.vm_count(),
@@ -1238,17 +1219,19 @@ fn run_gen(flags: &Flags) -> Result<String, CliError> {
     }
 }
 
-/// Loads a trace for `solve`, accepting both formats: ESVT is detected
-/// by its magic bytes (not the extension, so renamed files still work),
-/// anything else goes through the text parser.
-fn load_trace(path: &str) -> Result<esvm_simcore::AllocationProblem, CliError> {
+/// Whether `path` holds an ESVT trace, told by its magic bytes rather
+/// than its extension, so renamed files still work.
+fn is_esvt(path: &str) -> bool {
     use std::io::Read as _;
     let mut magic = [0u8; 4];
-    let is_esvt = std::fs::File::open(path)
+    std::fs::File::open(path)
         .and_then(|mut f| f.read_exact(&mut magic))
-        .map(|()| magic == esvm_workload::esvt::MAGIC)
-        .unwrap_or(false);
-    if is_esvt {
+        .is_ok_and(|()| magic == esvm_workload::esvt::MAGIC)
+}
+
+/// Loads a trace in either format: ESVT, or the text format.
+fn load_trace(path: &str) -> Result<esvm_simcore::AllocationProblem, CliError> {
+    if is_esvt(path) {
         return esvm_workload::esvt::read_esvt_file(path)
             .map_err(|e| CliError::Usage(format!("bad trace {path:?}: {e}")));
     }
@@ -1262,28 +1245,15 @@ fn load_trace(path: &str) -> Result<esvm_simcore::AllocationProblem, CliError> {
 }
 
 fn run_solve(flags: &Flags) -> Result<String, CliError> {
-    let Some(path) = &flags.trace else {
-        return Err(CliError::Usage(format!(
-            "solve needs --trace FILE
-
-{USAGE}"
-        )));
+    let Some(path) = flags.path("--trace") else {
+        return Err(usage_error("solve needs --trace FILE"));
     };
     let problem = load_trace(path)?;
 
-    let algos = flags
-        .algos
-        .clone()
-        .unwrap_or_else(|| vec![AllocatorKind::Miec, AllocatorKind::Ffps]);
-    let seed = flags.seed.unwrap_or(0);
-    let mut table = Table::new(vec![
-        "algorithm",
-        "total cost",
-        "run",
-        "idle",
-        "transition",
-        "cpu util (%)",
-    ]);
+    let algos = flags.algos();
+    let seed = flags.get("--seed").unwrap_or(0);
+    let mut table =
+        Table::new(vec!["algorithm", "total cost", "run", "idle", "transition", "cpu util (%)"]);
     for &kind in &algos {
         use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -1302,9 +1272,7 @@ fn run_solve(flags: &Flags) -> Result<String, CliError> {
         ]);
     }
     let mut out = format!(
-        "trace {path}: {} VMs on {} servers, horizon {}
-
-{}",
+        "trace {path}: {} VMs on {} servers, horizon {}\n\n{}",
         problem.vm_count(),
         problem.server_count(),
         problem.horizon(),
@@ -1315,15 +1283,13 @@ fn run_solve(flags: &Flags) -> Result<String, CliError> {
 }
 
 fn run_exact(flags: &Flags) -> Result<String, CliError> {
-    let vms = flags.vms.unwrap_or(4);
-    let servers = flags.servers.unwrap_or(2);
-    let seed = flags.seed.unwrap_or(0);
+    let vms = flags.get("--vms").unwrap_or(4);
+    let servers = flags.get("--servers").unwrap_or(2);
+    let seed = flags.get("--seed").unwrap_or(0);
     let config = WorkloadConfig::new(vms, servers)
         .mean_interarrival(2.0)
         .mean_duration(3.0);
-    let problem = config
-        .generate(seed)
-        .map_err(|e| CliError::Run(RunError::Generate(e)))?;
+    let problem = config.generate(seed)?;
 
     let exact = Formulation::new(&problem)
         .solve()
@@ -1335,7 +1301,7 @@ fn run_exact(flags: &Flags) -> Result<String, CliError> {
         format!("{:.2}", exact.objective),
         "0.00".into(),
     ]);
-    for kind in [AllocatorKind::Miec, AllocatorKind::Ffps] {
+    for kind in PAPER_PAIR {
         let report = crate::runner::run_once(&config, kind, seed)?;
         let gap = (report.total_cost - exact.objective) / exact.objective * 100.0;
         table.row(vec![
@@ -1354,70 +1320,105 @@ fn run_exact(flags: &Flags) -> Result<String, CliError> {
 fn serve_summary<T: esvm_obs::Tracer>(
     source: &str,
     session: &crate::serve::ServeSession<'_, T>,
-    metrics: &esvm_obs::MetricsRegistry,
+    metrics: &MetricsRegistry,
 ) -> String {
     use esvm_obs::names::serve as names;
     let stats = session.engine().stats();
-    let mut table = Table::new(vec!["metric", "value"]);
-    table.row(vec!["requests".into(), stats.arrivals.to_string()]);
-    table.row(vec!["placed".into(), stats.placed.to_string()]);
-    table.row(vec!["rejected".into(), stats.rejected.to_string()]);
-    table.row(vec!["departed".into(), stats.departed.to_string()]);
-    table.row(vec!["evicted".into(), stats.evicted.to_string()]);
-    table.row(vec!["repaired".into(), stats.repaired.to_string()]);
-    table.row(vec![
-        "overloaded".into(),
-        metrics.counter(names::OVERLOADED).to_string(),
-    ]);
-    table.row(vec!["live at end".into(), session.engine().live_count().to_string()]);
-    table.row(vec![
-        "live peak".into(),
-        stats.live_peak.to_string(),
-    ]);
-    table.row(vec![
-        "protocol errors".into(),
-        metrics.counter(names::PROTOCOL_ERRORS).to_string(),
-    ]);
-    // Formatted like `solve`'s total cost: a trace served to its end is
-    // MIEC's schedule, so the two rows agree.
-    table.row(vec![
-        "energy (W·min)".into(),
-        format!("{:.0}", session.engine().committed_cost()),
-    ]);
+    let counter = |name| metrics.counter(name).to_string();
+    let mut rows = vec![
+        ("requests", stats.arrivals.to_string()),
+        ("placed", stats.placed.to_string()),
+        ("rejected", stats.rejected.to_string()),
+        ("departed", stats.departed.to_string()),
+        ("evicted", stats.evicted.to_string()),
+        ("repaired", stats.repaired.to_string()),
+        ("overloaded", counter(names::OVERLOADED)),
+        ("live at end", session.engine().live_count().to_string()),
+        ("live peak", stats.live_peak.to_string()),
+        ("protocol errors", counter(names::PROTOCOL_ERRORS)),
+        // Formatted like `solve`'s total cost: a trace served to its
+        // end is MIEC's schedule, so the two rows agree.
+        ("energy (W·min)", format!("{:.0}", session.engine().committed_cost())),
+    ];
     if metrics.counter(names::JOURNAL_APPENDS) > 0 {
-        table.row(vec![
-            "journal appends".into(),
-            metrics.counter(names::JOURNAL_APPENDS).to_string(),
-        ]);
-        table.row(vec![
-            "journal fsyncs".into(),
-            metrics.counter(names::JOURNAL_FSYNCS).to_string(),
-        ]);
+        rows.push(("journal appends", counter(names::JOURNAL_APPENDS)));
+        rows.push(("journal fsyncs", counter(names::JOURNAL_FSYNCS)));
     }
     if let Some(ms) = metrics.gauge(names::RECOVERY_MS) {
-        table.row(vec!["recovery (ms)".into(), format!("{ms:.2}")]);
+        rows.push(("recovery (ms)", format!("{ms:.2}")));
     }
     if let Some(h) = metrics.histogram(names::DECISION_US) {
-        table.row(vec!["decision mean (µs)".into(), format!("{:.2}", h.mean())]);
-        table.row(vec!["decision p50 (µs)".into(), format!("{:.2}", h.p50)]);
-        table.row(vec!["decision p95 (µs)".into(), format!("{:.2}", h.p95)]);
-        table.row(vec!["decision p99 (µs)".into(), format!("{:.2}", h.p99)]);
+        rows.push(("decision mean (µs)", format!("{:.2}", h.mean())));
+        rows.push(("decision p50 (µs)", format!("{:.2}", h.p50)));
+        rows.push(("decision p95 (µs)", format!("{:.2}", h.p95)));
+        rows.push(("decision p99 (µs)", format!("{:.2}", h.p99)));
+    }
+    let mut table = Table::new(vec!["metric", "value"]);
+    for (name, value) in rows {
+        table.row(vec![name.into(), value]);
     }
     format!("online serving session — {source}\n\n{table}")
 }
 
-/// Accepts one connection on a Unix socket and serves it to EOF. A
-/// socket file already at `path` is replaced; any other file there is a
-/// usage error and stays as it was.
+/// `--socket PATH`, held for the session's life by an exclusive lock on
+/// `PATH.lock`, so a second `esvm serve` on the path of a live session
+/// is refused instead of taking the path over. The claim is made before
+/// any journal is recovered or created; dropping it removes the lock
+/// file.
+struct SocketClaim {
+    path: String,
+    #[cfg(unix)]
+    lock_path: String,
+    #[cfg(unix)]
+    _lock: std::fs::File,
+}
+
 #[cfg(unix)]
-fn serve_socket<T: esvm_obs::Tracer>(
-    path: &str,
-    session: &mut crate::serve::ServeSession<'_, T>,
-) -> Result<(), CliError> {
-    use std::os::unix::fs::FileTypeExt;
-    use std::os::unix::net::UnixListener;
+impl Drop for SocketClaim {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.lock_path);
+    }
+}
+
+/// Claims `path` for a socket. A socket file already there is stale
+/// (its session has let go of the lock) and is replaced; any other file
+/// there is a usage error and stays as it was.
+#[cfg(unix)]
+fn claim_socket(path: &str) -> Result<SocketClaim, CliError> {
+    use std::fs::TryLockError;
+    use std::os::unix::fs::{FileTypeExt, MetadataExt};
     let io_err = |e: std::io::Error| CliError::Usage(format!("socket {path:?}: {e}"));
-    // A stale socket file from a previous run would make bind fail.
+    // Bind refuses a path too long for a socket address; so does this,
+    // before the journal.
+    std::os::unix::net::SocketAddr::from_pathname(path).map_err(io_err)?;
+    let lock_path = format!("{path}.lock");
+    let lock = loop {
+        let file = std::fs::File::options()
+            .write(true)
+            .create(true)
+            .truncate(false)
+            .open(&lock_path)
+            .map_err(io_err)?;
+        match file.try_lock() {
+            Ok(()) => {}
+            Err(TryLockError::WouldBlock) => {
+                return Err(CliError::Usage(format!(
+                    "socket {path:?} is held by a live esvm serve session"
+                )))
+            }
+            Err(TryLockError::Error(e)) => return Err(io_err(e)),
+        }
+        // A session removes its lock file before its lock goes: a lock
+        // on a file no longer at the path claims nothing.
+        let held = file.metadata().map_err(io_err)?;
+        match std::fs::metadata(&lock_path) {
+            Ok(named) if (named.dev(), named.ino()) == (held.dev(), held.ino()) => break file,
+            Ok(_) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+            Err(e) => return Err(io_err(e)),
+        }
+    };
+    let claim = SocketClaim { path: path.to_owned(), lock_path, _lock: lock };
     match std::fs::symlink_metadata(path) {
         Ok(meta) if meta.file_type().is_socket() => std::fs::remove_file(path).map_err(io_err)?,
         Ok(_) => {
@@ -1428,7 +1429,19 @@ fn serve_socket<T: esvm_obs::Tracer>(
         // Nothing there, or nothing bind could use either: bind says why.
         Err(_) => {}
     }
-    let listener = UnixListener::bind(path).map_err(io_err)?;
+    Ok(claim)
+}
+
+/// Accepts one connection on the claimed socket and serves it to EOF;
+/// the socket file goes when the session ends.
+#[cfg(unix)]
+fn serve_socket<T: esvm_obs::Tracer>(
+    claim: &SocketClaim,
+    session: &mut crate::serve::ServeSession<'_, T>,
+) -> Result<(), CliError> {
+    let path = &claim.path;
+    let io_err = |e: std::io::Error| CliError::Usage(format!("socket {path:?}: {e}"));
+    let listener = std::os::unix::net::UnixListener::bind(path).map_err(io_err)?;
     let served = listener
         .accept()
         .and_then(|(stream, _)| crate::serve::serve_lines(&stream, &stream, session));
@@ -1437,28 +1450,32 @@ fn serve_socket<T: esvm_obs::Tracer>(
 }
 
 #[cfg(not(unix))]
-fn serve_socket<T: esvm_obs::Tracer>(
-    _path: &str,
-    _session: &mut crate::serve::ServeSession<'_, T>,
-) -> Result<(), CliError> {
+fn claim_socket(_path: &str) -> Result<SocketClaim, CliError> {
     Err(CliError::Usage(
         "--socket needs a Unix platform; use stdin instead".into(),
     ))
 }
 
+#[cfg(not(unix))]
+fn serve_socket<T: esvm_obs::Tracer>(
+    _claim: &SocketClaim,
+    _session: &mut crate::serve::ServeSession<'_, T>,
+) -> Result<(), CliError> {
+    unreachable!("claim_socket never claims a socket here")
+}
+
 /// The [`ServeConfig`](crate::serve::ServeConfig) the flags describe.
 fn serve_config_from(flags: &Flags) -> crate::serve::ServeConfig {
     let mut config = crate::serve::ServeConfig::default();
-    if let Some(q) = flags.queue {
-        config.queue_cap = q;
-    }
-    if let Some(r) = flags.retries {
-        config.max_retries = r;
-    }
-    if let Some(b) = flags.backoff {
-        config.backoff = b;
-    }
+    config.queue_cap = flags.get("--queue").unwrap_or(config.queue_cap);
+    config.max_retries = flags.get("--retries").unwrap_or(config.max_retries);
+    config.backoff = flags.get("--backoff").unwrap_or(config.backoff);
     config
+}
+
+fn recover_file(path: &str) -> Result<crate::journal::Recovered, CliError> {
+    crate::journal::recover_file(path)
+        .map_err(|e| CliError::Usage(format!("cannot recover journal {path:?}: {e}")))
 }
 
 /// Recovers a journal into `session`: replay (timed into the
@@ -1467,11 +1484,10 @@ fn serve_config_from(flags: &Flags) -> crate::serve::ServeConfig {
 fn recover_into<T: esvm_obs::Tracer>(
     path: &str,
     session: &mut crate::serve::ServeSession<'_, T>,
-    metrics: &esvm_obs::MetricsRegistry,
+    metrics: &MetricsRegistry,
 ) -> Result<crate::journal::Recovered, CliError> {
     let t0 = std::time::Instant::now();
-    let rec = crate::journal::recover_file(path)
-        .map_err(|e| CliError::Usage(format!("cannot recover journal {path:?}: {e}")))?;
+    let rec = recover_file(path)?;
     session
         .replay(&rec.records)
         .map_err(|e| CliError::Usage(format!("journal {path:?} does not replay: {e}")))?;
@@ -1490,22 +1506,22 @@ fn recover_into<T: esvm_obs::Tracer>(
 fn attach_journal<T: esvm_obs::Tracer>(
     flags: &Flags,
     fleet: &[esvm_simcore::ServerSpec],
-    recovered: Option<&(String, crate::journal::Recovered)>,
+    recovered: Option<&(&str, crate::journal::Recovered)>,
     session: &mut crate::serve::ServeSession<'_, T>,
 ) -> Result<(), CliError> {
-    let Some(path) = &flags.journal else {
+    let Some(path) = flags.path("--journal") else {
         return Ok(());
     };
-    let fsync_every = flags.fsync_every.unwrap_or(4096);
+    let fsync_every = flags.get("--fsync-every").unwrap_or(4096);
     let io_err = |e: std::io::Error| CliError::Usage(format!("journal {path:?}: {e}"));
     let writer = match recovered {
-        Some((rec_path, rec)) if rec_path == path => {
+        Some((rec_path, rec)) if *rec_path == path => {
             crate::journal::truncate_torn_tail(path, rec)
                 .map_err(|e| CliError::Usage(format!("journal {path:?}: {e}")))?;
             crate::journal::JournalWriter::open_append(path, fsync_every).map_err(io_err)?
         }
         _ => {
-            preflight_out_path(path, flags.force)?;
+            preflight_out_path(path, flags.has("--force"))?;
             let mut w = crate::journal::JournalWriter::create(path, fleet, fsync_every)
                 .map_err(io_err)?;
             if let Some((_, rec)) = recovered {
@@ -1524,45 +1540,36 @@ fn attach_journal<T: esvm_obs::Tracer>(
 /// The serving loop proper, generic over the tracer choice.
 fn serve_with<T: esvm_obs::Tracer>(
     flags: &Flags,
-    metrics: &esvm_obs::MetricsRegistry,
+    socket: Option<&SocketClaim>,
+    metrics: &MetricsRegistry,
     tracer: &T,
 ) -> Result<String, CliError> {
     use crate::serve::{feed_problem_with_faults, feed_records, serve_lines, ServeSession};
-    use std::io::Read as _;
 
     // Open the trace feed first so the fleet can come from it. ESVT is
-    // detected by magic bytes and streamed through
-    // `TraceReader::records` without materialising the VM list.
+    // streamed through `TraceReader::records` without materialising the
+    // VM list.
     let mut esvt_reader = None;
     let mut text_problem = None;
-    if let Some(path) = &flags.trace {
-        let mut magic = [0u8; 4];
-        let is_esvt = std::fs::File::open(path)
-            .and_then(|mut f| f.read_exact(&mut magic))
-            .map(|()| magic == esvm_workload::esvt::MAGIC)
-            .unwrap_or(false);
-        if is_esvt {
+    if let Some(path) = flags.path("--trace") {
+        if is_esvt(path) {
             let reader = esvm_workload::TraceReader::open(path)
                 .map_err(|e| CliError::Usage(format!("bad trace {path:?}: {e}")))?;
-            esvt_reader = Some((path.clone(), reader));
+            esvt_reader = Some((path, reader));
         } else {
-            text_problem = Some((path.clone(), load_trace(path)?));
+            text_problem = Some((path, load_trace(path)?));
         }
     }
 
     // A recovered journal's header is the authoritative fleet;
     // otherwise the trace's, otherwise one generated from
     // --servers/--seed.
-    let recovered_header = match &flags.recover {
-        Some(path) => {
-            let rec = crate::journal::recover_file(path)
-                .map_err(|e| CliError::Usage(format!("cannot recover journal {path:?}: {e}")))?;
-            Some((path.clone(), rec))
-        }
+    let recovered_header = match flags.path("--recover") {
+        Some(path) => Some((path, recover_file(path)?)),
         None => None,
     };
-    let servers = flags.servers.unwrap_or(50);
-    let seed = flags.seed.unwrap_or(0);
+    let servers = flags.get("--servers").unwrap_or(50);
+    let seed = flags.get("--seed").unwrap_or(0);
     let fleet: Vec<esvm_simcore::ServerSpec> = if let Some((_, rec)) = &recovered_header {
         rec.servers.clone()
     } else if let Some((_, reader)) = &esvt_reader {
@@ -1571,9 +1578,8 @@ fn serve_with<T: esvm_obs::Tracer>(
         problem.servers().to_vec()
     } else {
         WorkloadConfig::new(1, servers)
-            .transition_time(flags.transition.unwrap_or(1.0))
-            .generate(seed)
-            .map_err(|e| CliError::Run(RunError::Generate(e)))?
+            .transition_time(flags.get("--transition").unwrap_or(1.0))
+            .generate(seed)?
             .servers()
             .to_vec()
     };
@@ -1585,7 +1591,7 @@ fn serve_with<T: esvm_obs::Tracer>(
         Some((path, _)) => {
             // Re-read inside the timed path so `serve.recovery_ms`
             // covers decode + replay, as a restart would pay it.
-            let rec = recover_into(&path, &mut session, metrics)?;
+            let rec = recover_into(path, &mut session, metrics)?;
             source_notes.push(format!(
                 "recovered {} records from {path}{}",
                 rec.records.len(),
@@ -1600,7 +1606,7 @@ fn serve_with<T: esvm_obs::Tracer>(
         None => None,
     };
     attach_journal(flags, &fleet, recovered.as_ref(), &mut session)?;
-    if let Some(path) = &flags.journal {
+    if let Some(path) = flags.path("--journal") {
         source_notes.push(format!("journaling to {path}"));
     }
 
@@ -1611,24 +1617,19 @@ fn serve_with<T: esvm_obs::Tracer>(
     } else if let Some((path, problem)) = text_problem {
         feed_problem_with_faults(&problem, &esvm_chaos::FaultPlan::empty(), &mut session);
         format!("replayed trace {path}")
+    } else if let Some(claim) = socket {
+        serve_socket(claim, &mut session)?;
+        format!("socket {}, {} servers (seed {seed})", claim.path, fleet.len())
     } else {
-        match &flags.socket {
-            Some(path) => {
-                serve_socket(path, &mut session)?;
-                format!("socket {path}, {} servers (seed {seed})", fleet.len())
-            }
-            None => {
-                // Unit tests never read the test runner's stdin: there a
-                // `serve --recover J` serves an empty stream.
-                #[cfg(test)]
-                let input = std::io::empty();
-                #[cfg(not(test))]
-                let input = std::io::stdin().lock();
-                serve_lines(input, std::io::stdout().lock(), &mut session)
-                    .map_err(|e| CliError::Usage(format!("serve I/O failed: {e}")))?;
-                format!("stdin, {} servers (seed {seed})", fleet.len())
-            }
-        }
+        // Unit tests never read the test runner's stdin: there a
+        // `serve --recover J` serves an empty stream.
+        #[cfg(test)]
+        let input = std::io::empty();
+        #[cfg(not(test))]
+        let input = std::io::stdin().lock();
+        serve_lines(input, std::io::stdout().lock(), &mut session)
+            .map_err(|e| CliError::Usage(format!("serve I/O failed: {e}")))?;
+        format!("stdin, {} servers (seed {seed})", fleet.len())
     };
     // Graceful shutdown: a final verified checkpoint in the journal.
     session
@@ -1642,57 +1643,31 @@ fn serve_with<T: esvm_obs::Tracer>(
 }
 
 fn run_serve(flags: &Flags) -> Result<String, CliError> {
-    if flags.trace.is_some() && flags.socket.is_some() {
-        return Err(CliError::Usage(format!(
-            "--trace and --socket are mutually exclusive\n\n{USAGE}"
-        )));
-    }
-    for path in [&flags.metrics_out, &flags.trace_out].into_iter().flatten() {
-        preflight_out_path(path, flags.force)?;
-    }
-    let metrics = esvm_obs::MetricsRegistry::new();
-    let mut out = match &flags.trace_out {
-        Some(path) => {
-            let tracer = esvm_obs::CollectingTracer::new();
-            let summary = serve_with(flags, &metrics, &tracer)?;
-            format!("{summary}{}", write_trace_output(path, &tracer)?)
-        }
-        None => serve_with(flags, &metrics, &esvm_obs::NoopTracer)?,
-    };
-    if let Some(path) = &flags.metrics_out {
-        let mut table = Table::new(vec!["metric", "kind", "value"]);
-        for (name, value) in metrics.snapshot() {
-            table.row(vec![name, value.kind().to_owned(), value.render()]);
-        }
-        std::fs::write(path, table.to_csv())
-            .map_err(|e| CliError::Usage(format!("cannot write {path:?}: {e}")))?;
-        out.push_str(&format!("metrics written to {path}\n"));
-    }
-    Ok(out)
+    let socket = flags.path("--socket").map(claim_socket).transpose()?;
+    let metrics = MetricsRegistry::new();
+    let (summary, trace_note) = with_tracer!(flags, esvm_obs::NoopTracer, |tracer| {
+        serve_with(flags, socket.as_ref(), &metrics, tracer)
+    })?;
+    Ok(format!("{summary}{trace_note}{}", session_metrics(flags, &metrics)?))
 }
 
 fn run_gap(flags: &Flags) -> Result<String, CliError> {
-    let seeds = flags.seeds.unwrap_or(10);
-    let base = flags.seed.unwrap_or(0);
-    let vms = flags.vms.unwrap_or(100);
+    let seeds = flags.get("--seeds").unwrap_or(10);
+    let base = flags.get("--seed").unwrap_or(0);
+    let vms = flags.get("--vms").unwrap_or(100);
     if vms == 0 {
         // No VM, no cost: the competitive ratio would be 0/0.
-        return Err(CliError::Usage(format!(
-            "gap: --vms must be at least 1\n\n{USAGE}"
-        )));
+        return Err(usage_error("gap: --vms must be at least 1"));
     }
-    let servers = flags.servers.unwrap_or_else(|| (vms / 2).max(1));
+    let servers = flags.get("--servers").unwrap_or_else(|| (vms / 2).max(1));
+    let adversary: Option<esvm_workload::AdversaryPreset> = flags.get("--adversary");
     let mut table = Table::new(vec!["seed", "online", "refined online", "ratio"]);
     let mut ratios: Vec<f64> = Vec::new();
     let mut infeasible = 0usize;
     for seed in base..base + seeds {
-        let problem = match flags.adversary {
-            Some(preset) => preset
-                .problem(vms, servers, seed)
-                .map_err(CliError::Sim)?,
-            None => workload_from(flags)
-                .generate(seed)
-                .map_err(|e| CliError::Run(RunError::Generate(e)))?,
+        let problem = match adversary {
+            Some(preset) => preset.problem(vms, servers, seed).map_err(CliError::Sim)?,
+            None => workload_from(flags).generate(seed)?,
         };
         match crate::gap::gap_row(&problem, seed) {
             Ok(row) => {
@@ -1717,7 +1692,7 @@ fn run_gap(flags: &Flags) -> Result<String, CliError> {
             }
         }
     }
-    let source = match flags.adversary {
+    let source = match adversary {
         Some(preset) => format!("adversary {preset}"),
         None => "paper workload model".to_owned(),
     };
@@ -2560,7 +2535,7 @@ mod tests {
         ]);
         let out = run(&argv).unwrap();
         // The inputs `run_chaos` builds for these flags.
-        let flags = parse_flags(&argv[1..]).unwrap();
+        let flags = Flags::parse("chaos", CHAOS, &argv[1..]).unwrap();
         let problem = workload_from(&flags).generate(3).unwrap();
         let plan = FaultPlan::generate(
             &FaultPlanConfig::with_fault_rate(0.8),
@@ -2669,5 +2644,124 @@ mod tests {
         std::fs::remove_file(&trace_path).ok();
         std::fs::remove_file(&metrics_path).ok();
         std::fs::remove_file(&spans_path).ok();
+    }
+
+    /// A value `flag` accepts: every numeric flag takes 1, and paths
+    /// point at `path`.
+    fn sample(flag: &Flag, path: &str) -> Option<String> {
+        let (placeholder, _) = flag.value?;
+        Some(match (flag.name, placeholder) {
+            ("--algos", _) => "miec".into(),
+            ("--sizes", _) => "2,4".into(),
+            ("--shed-policy", _) => "arrival-order".into(),
+            ("--adversary", _) => "break-even".into(),
+            (_, "FILE" | "PATH") => path.into(),
+            _ => "1".into(),
+        })
+    }
+
+    /// Every command × every flag (and its alias): `run` refuses the
+    /// flag, naming it and the command and writing nothing, exactly
+    /// when the table does not give it to the command. `run` checks all
+    /// flags before any work, so an accepted flag is followed by a
+    /// probe flag the command refuses: the run then stops at the probe,
+    /// and its error names the probe rather than the flag.
+    #[test]
+    fn every_command_reads_exactly_the_flags_the_table_gives_it() {
+        let path = std::env::temp_dir().join("esvm_cli_flag_table_test.out");
+        let path_str = path.to_str().unwrap().to_owned();
+        std::fs::remove_file(&path).ok();
+        let commands = COMMANDS
+            .iter()
+            .map(|&(name, class, _)| (vec![name], class))
+            .chain([(vec!["chaos", "--live"], LIVE)]);
+        for (command, class) in commands {
+            // `--live` turns chaos into the drill: refused by both.
+            let refusing = if class == CHAOS { CHAOS | LIVE } else { class };
+            let probe = FLAGS
+                .iter()
+                .find(|f| f.value.is_none() && !f.reads(refusing))
+                .unwrap();
+            for flag in FLAGS {
+                for spelling in std::iter::once(flag.name).chain(flag.alias) {
+                    let mut argv = command.clone();
+                    argv.push(spelling);
+                    let value = sample(flag, &path_str);
+                    argv.extend(value.as_deref());
+                    let accepted = flag.reads(class);
+                    let refused = if accepted { probe.name } else { spelling };
+                    if accepted {
+                        argv.push(probe.name);
+                    }
+                    let err = run(&args(&argv)).unwrap_err();
+                    let CliError::Usage(msg) = &err else {
+                        panic!("{argv:?}: {err}");
+                    };
+                    let first = msg.lines().next().unwrap();
+                    assert!(
+                        first.starts_with(command[0]) && first.contains(&format!("does not read {refused};")),
+                        "{argv:?}: {first}"
+                    );
+                    assert!(!path.exists(), "{argv:?} wrote {path_str}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn usage_names_every_flag_and_the_flags_of_every_command() {
+        let text = usage();
+        for flag in FLAGS {
+            for spelling in std::iter::once(flag.name).chain(flag.alias) {
+                assert!(text.contains(spelling), "{spelling} is missing from\n{text}");
+            }
+        }
+        for &(name, ..) in COMMANDS {
+            let shown = if name.starts_with("fig") { "fig2 .. fig9" } else { name };
+            assert!(text.contains(&format!("\n  {shown} ")), "{name} is missing from\n{text}");
+        }
+        assert!(text.contains("\n  chaos --live\n"), "{text}");
+        // `esvm` with no arguments prints it.
+        assert!(matches!(run(&[]), Err(CliError::Usage(msg)) if msg == text));
+    }
+
+    /// A flag the command does not read — the exact certification has a
+    /// fixed workload, serve a fixed MIEC engine, compare no journal —
+    /// is refused before any work runs.
+    #[test]
+    fn flags_a_command_never_reads_are_refused() {
+        let path = std::env::temp_dir().join("esvm_cli_unread_flag_test.esvj");
+        std::fs::remove_file(&path).ok();
+        let journal = path.to_str().unwrap();
+        for (argv, command, flag) in [
+            (vec!["serve", "--algos", "ffps"], "serve", "--algos"),
+            (vec!["exact", "--interarrival", "3"], "exact", "--interarrival"),
+            (vec!["compare", "--journal", journal], "compare", "--journal"),
+            (vec!["compare", "--live"], "compare", "--live"),
+            (vec!["chaos", "--live", "--algos", "miec"], "chaos --live", "--algos"),
+            (vec!["chaos", "--journal", journal], "chaos", "--journal"),
+            (vec!["gap", "--threads", "2"], "gap", "--threads"),
+        ] {
+            let err = run(&args(&argv)).unwrap_err();
+            assert!(
+                matches!(&err, CliError::Usage(msg)
+                    if msg.starts_with(&format!("{command} does not read {flag};"))),
+                "{argv:?}: {err}"
+            );
+            assert!(!path.exists(), "{argv:?} wrote {journal}");
+        }
+    }
+
+    #[test]
+    fn extension_commands_honour_csv() {
+        let argv = ["ext-overload", "--quick", "--seeds", "2", "--threads", "2"];
+        let table = run(&args(&argv)).unwrap();
+        assert!(table.starts_with("E3 — overload behaviour with admission control (2 seeds)\n\n"));
+        let csv = run(&args(&[&argv[..], &["--csv"]].concat())).unwrap();
+        let header = csv.lines().next().unwrap();
+        assert!(header.contains(',') && !csv.contains("E3 —"), "{csv}");
+        // The table `all --csv` renders.
+        let opts = ExpOptions { seeds: 2, threads: 2, quick: true };
+        assert_eq!(csv, experiments::ext_overload(&opts).unwrap().to_quoted_csv());
     }
 }
