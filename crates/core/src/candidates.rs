@@ -19,11 +19,13 @@
 //! A decision visits `active ∪ {lowest standby id per class}` in
 //! ascending id order through [`argmin`], the one Eq. 7 argmin kernel.
 //! Because the visit order is the full scan's order restricted to the
-//! visited set, the winner and the `candidates`/`unfit`/`fp_ties`
-//! tallies are those of the full left-to-right scan restricted to that
-//! set, and the skipped twins are counted as `pruned` — so
-//! `candidates + pruned + unfit` is the number of up servers, as it is
-//! for the unpruned scan.
+//! visited set, the winner is that of the full left-to-right scan, and
+//! the skipped twins are counted as `pruned`. The kernel also passes
+//! over a visited server whose floor (a bound its delta cannot round
+//! below, [`ServerLedger::insertion_floor`]) already meets the running
+//! best, counting it as `floored` — so `candidates + unfit + floored +
+//! pruned` is the number of up servers, as `candidates + unfit` is for
+//! the unpruned, unfloored scan.
 //!
 //! ## The cold rule
 //!
@@ -307,6 +309,9 @@ pub struct Argmin {
     pub candidates: u64,
     /// Servers visited that do not fit.
     pub unfit: u64,
+    /// Servers passed over before their fit check because their floor
+    /// already met the running best.
+    pub floored: u64,
     /// Scored servers whose delta exactly tied the running best.
     pub fp_ties: u64,
 }
@@ -319,6 +324,7 @@ impl Argmin {
             candidates: self.candidates,
             pruned,
             unfit: self.unfit,
+            floored: self.floored,
             winner: self.best.map(|(_, s)| u64::from(s)),
             delta_cost: self.best.map_or(0.0, |(delta, _)| delta),
             fp_tie: self.fp_ties > 0,
@@ -332,23 +338,38 @@ impl Argmin {
 /// so the lowest id wins exact ties. The tallies are kept only when
 /// `counting` (a compile-time constant at every call site).
 ///
+/// Once a best exists, a server whose `floor` is `Some(f)` with `f >=`
+/// the running best is passed over before `score`. `f` must be a lower
+/// bound on the server's score as an `f64` comparison: then its score
+/// is at least the best, and under ascending ids and the strict `<` a
+/// score equal to the best loses to the lower id already held, so the
+/// winner is the unfloored scan's. Only the `candidates`, `unfit` and
+/// `fp_ties` tallies move, into `floored`.
+///
 /// Offline MIEC and the [`Fleet`](crate::Fleet) under both fault engines
-/// feed it a [`CandidateIndex`]'s candidates, and the consolidator every
-/// server but the one it would empty.
+/// feed it a [`CandidateIndex`]'s candidates with
+/// [`ServerLedger::insertion_floor`]; the unpruned MIEC oracles and the
+/// consolidator, which scans every server but the one it would empty,
+/// pass no floor.
 ///
 /// # Example
 ///
 /// ```
 /// use esvm_core::argmin;
-/// let scores = [Some(3.0), None, Some(1.0), Some(1.0)];
-/// let out = argmin(0..4, true, |i| scores[i as usize]);
+/// let scores = [Some(3.0), None, Some(1.0), Some(1.0), Some(4.0)];
+/// let out = argmin(0..5, true, |_| None, |i| scores[i as usize]);
 /// assert_eq!(out.best, Some((1.0, 2))); // the lowest id wins the tie
-/// assert_eq!((out.candidates, out.unfit, out.fp_ties), (3, 1, 1));
+/// assert_eq!((out.candidates, out.unfit, out.fp_ties), (4, 1, 1));
+/// // A floor of 1.0 under servers 3 and 4: neither can beat server 2.
+/// let out = argmin(0..5, true, |i| (i >= 3).then_some(1.0), |i| scores[i as usize]);
+/// assert_eq!(out.best, Some((1.0, 2)));
+/// assert_eq!((out.candidates, out.unfit, out.floored, out.fp_ties), (2, 1, 2, 0));
 /// ```
 #[inline]
 pub fn argmin(
     ids: impl Iterator<Item = u32>,
     counting: bool,
+    mut floor: impl FnMut(u32) -> Option<f64>,
     mut score: impl FnMut(u32) -> Option<f64>,
 ) -> Argmin {
     let mut out = Argmin::default();
@@ -356,6 +377,14 @@ pub fn argmin(
     // chained id ranges runs its own fold rather than a nested `next()`
     // loop.
     ids.for_each(|i| {
+        if let Some((best, _)) = out.best {
+            if floor(i).is_some_and(|f| f >= best) {
+                if counting {
+                    out.floored += 1;
+                }
+                return;
+            }
+        }
         let Some(delta) = score(i) else {
             if counting {
                 out.unfit += 1;
@@ -558,13 +587,43 @@ mod tests {
     #[test]
     fn argmin_keeps_the_lowest_id_on_ties_and_counts_the_visit() {
         let scores = [Some(3.0), None, Some(2.0), Some(2.0), None, Some(5.0)];
-        let out = argmin(0..6, true, |i| scores[i as usize]);
+        let out = argmin(0..6, true, |_| None, |i| scores[i as usize]);
         assert_eq!(out.best, Some((2.0, 2)));
-        assert_eq!((out.candidates, out.unfit, out.fp_ties), (4, 2, 1));
-        let quiet = argmin(0..6, false, |i| scores[i as usize]);
+        assert_eq!(
+            (out.candidates, out.unfit, out.floored, out.fp_ties),
+            (4, 2, 0, 1)
+        );
+        let quiet = argmin(0..6, false, |_| None, |i| scores[i as usize]);
         assert_eq!(quiet.best, out.best);
         assert_eq!((quiet.candidates, quiet.unfit), (0, 0));
-        assert!(argmin(0..2, true, |_| None).best.is_none());
+        assert!(argmin(0..2, true, |_| None, |_| None).best.is_none());
+    }
+
+    #[test]
+    fn a_floor_that_meets_the_best_skips_the_fit_check() {
+        // Every server floors at 2.0: the first is scored (no best yet),
+        // the second too (2.0 < 3.0), and the rest, the unfit one
+        // included, meet the best of 2.0 and are passed over unscored.
+        let scores = [Some(3.0), Some(2.0), None, Some(2.0), Some(9.0)];
+        let mut scored = Vec::new();
+        let mut score = |i: u32| {
+            scored.push(i);
+            scores[i as usize]
+        };
+        let out = argmin(0..5, true, |_| Some(2.0), &mut score);
+        assert_eq!(out.best, Some((2.0, 1)));
+        assert_eq!(scored, [0, 1]);
+        assert_eq!(
+            (out.candidates, out.unfit, out.floored, out.fp_ties),
+            (2, 0, 3, 0)
+        );
+        // A floor below the best leaves the scan as it was.
+        let low = argmin(0..5, true, |_| Some(1.0), |i| scores[i as usize]);
+        assert_eq!(low.best, out.best);
+        assert_eq!(
+            (low.candidates, low.unfit, low.floored, low.fp_ties),
+            (4, 1, 0, 1)
+        );
     }
 
     #[test]

@@ -76,15 +76,22 @@ impl Fleet {
     }
 
     /// The Eq. 7 argmin for `piece` over the candidate index, deciding
-    /// as a scan of every up server would. With `counting`, its tallies
-    /// and [`CandidateIndex::pruned`] sum to the up servers.
+    /// as a scan of every up server would: a server whose
+    /// [`insertion_floor`](ServerLedger::insertion_floor) meets the
+    /// running best is passed over unscored. With `counting`, its
+    /// tallies and [`CandidateIndex::pruned`] sum to the up servers.
     #[inline]
     pub fn scan(&self, piece: &Vm, counting: bool) -> Argmin {
         let ledgers = &self.ledgers;
-        argmin(self.index.candidates(), counting, |i| {
-            let ledger = &ledgers[i as usize];
-            ledger.fits(piece).then(|| ledger.incremental_cost(piece))
-        })
+        argmin(
+            self.index.candidates(),
+            counting,
+            |i| ledgers[i as usize].insertion_floor(piece.demand(), piece.interval()),
+            |i| {
+                let ledger = &ledgers[i as usize];
+                ledger.fits(piece).then(|| ledger.incremental_cost(piece))
+            },
+        )
     }
 
     /// Hosts `piece` on the up server `server` at `clock`, the caller's
@@ -317,6 +324,46 @@ mod tests {
                 (1, 0, 1)
             );
         }
+    }
+
+    #[test]
+    fn a_gap_filling_server_behind_a_later_tail_is_scored_not_floored() {
+        // Server 0 is busy across the piece on [6, 9], so it prices the
+        // piece at its run cost exactly. Server 1, of the same class, is
+        // busy on [1, 5] and holds a tail on [10, 20], hosted at clock 3
+        // as a backoff-delayed repair is. The piece closes the gap
+        // between them, and `(run + idle) − gap` rounds one ulp below the
+        // run cost: server 1 wins. Its run cost meets server 0's delta,
+        // so only the guard, which gives no floor under a segment that
+        // starts after the piece, keeps server 1 in the scan.
+        let mut fleet = Fleet::new(&specs(2));
+        let (s0, s1) = (ServerId(0), ServerId(1));
+        fleet.host(s0, vm(0, 1, 20), 1);
+        fleet.host(s1, vm(1, 1, 5), 1);
+        fleet.host(s1, vm(2, 10, 20), 3);
+        let piece = Vm::new(3, Resources::new(1.1, 1.0), Interval::new(6, 9));
+        let ledgers = fleet.ledgers();
+        let run = ledgers[1].spec().run_cost(&piece);
+        let priced: Vec<f64> = ledgers.iter().map(|l| l.incremental_cost(&piece)).collect();
+        assert_eq!(priced[0].to_bits(), run.to_bits());
+        assert!(priced[1] < run, "{} vs run {run}", priced[1]);
+        let scan = fleet.scan(&piece, true);
+        assert_eq!(scan.best, Some((priced[1], 1)));
+        assert_eq!((scan.candidates, scan.unfit, scan.floored), (2, 0, 0));
+        let floor = ledgers[1].insertion_floor(piece.demand(), piece.interval());
+        assert_eq!(floor, None);
+    }
+
+    #[test]
+    fn a_server_whose_run_cost_meets_the_best_is_floored() {
+        // Both servers are busy across the piece and price it at its run
+        // cost; the second is passed over before its fit check.
+        let mut fleet = Fleet::new(&specs(2));
+        fleet.host(ServerId(0), vm(0, 1, 20), 1);
+        fleet.host(ServerId(1), vm(1, 1, 20), 1);
+        let scan = fleet.scan(&vm(2, 6, 9), true);
+        assert_eq!(scan.best.map(|(_, s)| s), Some(0));
+        assert_eq!((scan.candidates, scan.unfit, scan.floored), (1, 0, 1));
     }
 
     #[test]

@@ -170,6 +170,7 @@ impl Miec {
         let mut candidates_total = 0u64;
         let mut pruned_total = 0u64;
         let mut unfit_total = 0u64;
+        let mut floored_total = 0u64;
         let mut fp_ties_total = 0u64;
 
         // Shadow ledgers with α = 0 for the ablation variant's scoring.
@@ -208,18 +209,20 @@ impl Miec {
             let _decision_span = tracer.lap_span("miec.decision");
             let vm = &problem.vms()[j];
             let scoring = self.scoring_vm(vm);
+            // The ledger that prices `scoring`: the α = 0 shadow for the
+            // ablation variant, the real one otherwise.
+            let scorer = |i: u32| match &shadow {
+                Some(ledgers) => &ledgers[i as usize],
+                None => assignment.ledger(ServerId(i)),
+            };
             let score = |i: u32| {
-                let real = assignment.ledger(ServerId(i));
-                if !real.fits(vm) {
+                if !assignment.ledger(ServerId(i)).fits(vm) {
                     return None;
                 }
-                Some(match &shadow {
-                    Some(ledgers) if self.reference => {
-                        ledgers[i as usize].reference_incremental_cost(&scoring)
-                    }
-                    Some(ledgers) => ledgers[i as usize].incremental_cost(&scoring),
-                    None if self.reference => real.reference_incremental_cost(&scoring),
-                    None => real.incremental_cost(&scoring),
+                Some(if self.reference {
+                    scorer(i).reference_incremental_cost(&scoring)
+                } else {
+                    scorer(i).incremental_cost(&scoring)
                 })
             };
             let (scan, pruned) = match pruning.as_mut() {
@@ -227,14 +230,18 @@ impl Miec {
                     // Arrivals come in start order, so the clock only
                     // grows and a cold server stays cold.
                     cold.demote_until(vm.start(), index, |_| {});
-                    (argmin(index.candidates(), T::ENABLED, score), index.pruned())
+                    let floor =
+                        |i: u32| scorer(i).insertion_floor(scoring.demand(), scoring.interval());
+                    let scan = argmin(index.candidates(), T::ENABLED, floor, score);
+                    (scan, index.pruned())
                 }
-                None => (argmin(0..n_servers, T::ENABLED, score), 0),
+                None => (argmin(0..n_servers, T::ENABLED, |_| None, score), 0),
             };
             if T::ENABLED {
                 candidates_total += scan.candidates;
                 pruned_total += pruned;
                 unfit_total += scan.unfit;
+                floored_total += scan.floored;
                 fp_ties_total += scan.fp_ties;
             }
             let explain = |kind| scan.explain(kind, vm.id().index() as u64, pruned);
@@ -270,6 +277,7 @@ impl Miec {
             metrics.add("miec.candidates_considered", candidates_total);
             metrics.add("miec.spec_class_pruned", pruned_total);
             metrics.add("miec.unfit_skipped", unfit_total);
+            metrics.add("miec.floored", floored_total);
             metrics.add("miec.fp_ties", fp_ties_total);
         }
         Ok((assignment, rejected))
@@ -565,10 +573,17 @@ mod tests {
         assert!(metrics.counter("miec.candidates_considered") >= 3);
         assert!(metrics.counter("miec.spec_class_pruned") >= 2);
         assert_eq!(metrics.histogram("miec.placement_delta").unwrap().count, 3);
-        // One place explain record per VM, in placement order.
+        // One place explain record per VM, in placement order, whose
+        // tallies sum to the counters.
         let explains = tracer.explains();
         assert_eq!(explains.len(), 3);
         assert!(explains.iter().all(|e| e.record.kind == DecisionKind::Place));
+        let sum = |field: fn(&esvm_obs::ExplainRecord) -> u64| {
+            explains.iter().map(|e| field(&e.record)).sum::<u64>()
+        };
+        assert_eq!(metrics.counter("miec.candidates_considered"), sum(|r| r.candidates));
+        assert_eq!(metrics.counter("miec.unfit_skipped"), sum(|r| r.unfit));
+        assert_eq!(metrics.counter("miec.floored"), sum(|r| r.floored));
     }
 
     /// A fleet of `n` servers in three spec classes, interleaved by id.
@@ -670,7 +685,8 @@ mod tests {
             miec.allocate_traced(&p, &metrics, &tracer).unwrap();
             for e in tracer.explains() {
                 let r = &e.record;
-                assert_eq!(r.candidates + r.pruned + r.unfit, 9, "{} {r:?}", miec.name());
+                let visited = r.candidates + r.unfit + r.floored;
+                assert_eq!(visited + r.pruned, 9, "{} {r:?}", miec.name());
             }
         }
     }

@@ -297,14 +297,16 @@ impl Consolidator {
                     // source, in ascending id: strict `<`, so the
                     // lowest id wins exact ties. Two chained ranges, not
                     // a `filter`: the filtered scan measured ~1.8× slower.
+                    // No floor: tails are not placed in start order.
                     let (below, above) = (0..source as u32, source as u32 + 1..n_servers);
                     let others = below.chain(above);
-                    let scan = argmin(others, false, |i| {
+                    let score = |i: u32| {
                         let ledger = &ledgers[i as usize];
                         ledger
                             .fits_piece(demand, tail)
                             .then(|| ledger.incremental_piece_cost(demand, tail))
-                    });
+                    };
+                    let scan = argmin(others, false, |_| None, score);
                     let Some((delta, target)) = scan.best else {
                         feasible = false;
                         break;

@@ -298,8 +298,20 @@ const FLAGS: &[Flag] = &[
          paper workload model"),
 ];
 
-/// Flag pairs a command refuses together.
-const CONFLICTS: &[(Commands, &str, &str)] = &[(SERVE, "--trace", "--socket")];
+/// Flag pairs a command refuses together: the second flag would be
+/// silently dropped. A replayed `--plan` is not generated, and an
+/// `--adversary` preset builds its own instances.
+const CONFLICTS: &[(Commands, &str, &str)] = &[
+    (SERVE, "--trace", "--socket"),
+    (FAULTS, "--plan", "--fault-rate"),
+    (FAULTS, "--plan", "--rack-size"),
+    (FAULTS, "--plan", "--mean-outage"),
+    (GAP, "--adversary", "--interarrival"),
+    (GAP, "--adversary", "--duration"),
+    (GAP, "--adversary", "--transition"),
+    (GAP, "--adversary", "--standard-vms"),
+    (GAP, "--adversary", "--small-servers"),
+];
 
 fn text(_flag: &str, raw: &str) -> Parsed {
     Ok(Box::new(raw.to_owned()))
@@ -2236,17 +2248,15 @@ mod tests {
     fn chaos_plan_round_trips_through_files() {
         let path = std::env::temp_dir().join("esvm_cli_chaos_plan_test.txt");
         std::fs::remove_file(&path).ok();
-        let base = [
-            "chaos", "--vms", "16", "--servers", "8", "--seed", "3", "--fault-rate", "0.5",
-            "--algos", "miec",
-        ];
+        let base = ["chaos", "--vms", "16", "--servers", "8", "--seed", "3", "--algos", "miec"];
         let mut first: Vec<&str> = base.to_vec();
-        first.extend(["--plan-out", path.to_str().unwrap()]);
+        first.extend(["--fault-rate", "0.5", "--plan-out", path.to_str().unwrap()]);
         let out1 = run(&args(&first)).unwrap();
         assert!(out1.contains("fault plan written"), "{out1}");
         let plan_text = std::fs::read_to_string(&path).unwrap();
         assert!(plan_text.starts_with("# esvm faultplan v1"), "{plan_text}");
 
+        // A replayed plan takes no generator flag such as --fault-rate.
         let mut second: Vec<&str> = base.to_vec();
         second.extend(["--plan", path.to_str().unwrap()]);
         let out2 = run(&args(&second)).unwrap();
@@ -2605,6 +2615,35 @@ mod tests {
             matches!(&err, CliError::Usage(msg) if msg.contains("mutually exclusive")),
             "{err}"
         );
+    }
+
+    /// A flag the other one makes the command drop is a usage error
+    /// before any work: a replayed plan is not generated, and an
+    /// adversary preset builds its own instances. The plan file does
+    /// not exist, so a run that got past the check would fail reading
+    /// it with another message.
+    #[test]
+    fn flags_a_mode_would_drop_are_refused() {
+        let refused = |argv: &[&str], a: &str, b: &str| {
+            let err = run(&args(argv)).unwrap_err();
+            let want = format!("{a} and {b} are mutually exclusive");
+            assert!(matches!(&err, CliError::Usage(msg) if msg.contains(&want)), "{argv:?}: {err}");
+        };
+        let generator = [("--fault-rate", "0.5"), ("--rack-size", "4"), ("--mean-outage", "5")];
+        for command in [&["chaos"][..], &["chaos", "--live"]] {
+            for (flag, value) in generator {
+                let mut argv = command.to_vec();
+                argv.extend(["--plan", "/definitely/not/here.txt", flag, value]);
+                refused(&argv, "--plan", flag);
+            }
+        }
+        let workload =
+            [&["--interarrival", "2"][..], &["--duration", "3"], &["--transition", "0"]];
+        for extra in workload.into_iter().chain([&["--standard-vms"][..], &["--small-servers"]]) {
+            let mut argv = vec!["gap", "--vms", "4", "--adversary", "break-even"];
+            argv.extend(extra);
+            refused(&argv, "--adversary", extra[0]);
+        }
     }
 
     #[test]

@@ -98,7 +98,8 @@ impl DecisionKind {
 /// Every field maps to a term of the paper's Eq. 7 argmin loop (see
 /// MODEL.md): `candidates` is the number of servers actually scored,
 /// `pruned` the asleep twins the spec-class prune skipped, `unfit` the
-/// capacity failures, `winner`/`delta_cost` the argmin itself, and
+/// capacity failures, `floored` the servers whose run-cost floor already
+/// met the running best, `winner`/`delta_cost` the argmin itself, and
 /// `fp_tie` whether a scored delta exactly equalled the best one so
 /// far, a tie the lowest id wins. Construct with struct-update syntax over
 /// [`ExplainRecord::new`]. The chaos fields (`from`, `attempt`,
@@ -116,6 +117,9 @@ pub struct ExplainRecord {
     pub pruned: u64,
     /// Servers that failed the capacity check.
     pub unfit: u64,
+    /// Servers passed over before their capacity check because their
+    /// run-cost floor already met the running best.
+    pub floored: u64,
     /// Winning server, when the decision placed somewhere.
     pub winner: Option<u64>,
     /// Incremental Eq. 7 cost delta of the winning placement.
@@ -142,6 +146,7 @@ impl ExplainRecord {
             candidates: 0,
             pruned: 0,
             unfit: 0,
+            floored: 0,
             winner: None,
             delta_cost: 0.0,
             fp_tie: false,
@@ -594,12 +599,13 @@ fn push_explain_fields(out: &mut String, e: &ExplainEntry) {
     let _ = write!(
         out,
         "\"kind\":\"{}\",\"vm\":{},\"candidates\":{},\"pruned\":{},\"unfit\":{},\
-         \"winner\":{},\"delta\":{},\"fp_tie\":{}",
+         \"floored\":{},\"winner\":{},\"delta\":{},\"fp_tie\":{}",
         r.kind.as_str(),
         r.vm,
         r.candidates,
         r.pruned,
         r.unfit,
+        r.floored,
         r.winner.map_or("null".to_owned(), |w| w.to_string()),
         json_f64(r.delta_cost),
         r.fp_tie,

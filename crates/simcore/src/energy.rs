@@ -509,6 +509,26 @@ impl ServerLedger {
             + switch_on
     }
 
+    /// A floor under [`ServerLedger::incremental_piece_cost`] that holds
+    /// as an `f64` comparison: the piece's run cost `P¹ · (cpu · len)`,
+    /// the first term of that sum, when no busy segment starts after
+    /// `interval` does; `None` otherwise.
+    ///
+    /// With every segment starting at or before the piece, the insertion
+    /// extends the last segment or opens a gap after it, so each term
+    /// added to the run cost (idle `P_idle · Δbusy`, the new gap's price,
+    /// the switch-on `α`) is ≥ 0, and a rounded sum of a float and a
+    /// non-negative float is never below the float. A segment that starts
+    /// later (a backoff-delayed repair tail) can have its gap closed by
+    /// the piece; that negative gap delta can round the sum below the run
+    /// cost, so no floor is given.
+    pub fn insertion_floor(&self, demand: Resources, interval: Interval) -> Option<f64> {
+        match self.segments.last_start() {
+            Some(start) if start > interval.start() => None,
+            _ => Some(self.piece_run_cost(demand, interval)),
+        }
+    }
+
     /// Whether a constant `demand` over `interval` fits throughout.
     pub fn fits_piece(&self, demand: Resources, interval: Interval) -> bool {
         self.usage.fits(interval, demand, self.spec.capacity())

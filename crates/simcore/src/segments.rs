@@ -203,6 +203,11 @@ impl SegmentSet {
         Some(Interval::new(first, last))
     }
 
+    /// The start of the latest busy segment, or `None` when empty.
+    pub(crate) fn last_start(&self) -> Option<TimeUnit> {
+        self.segments.last().map(|&(start, _)| start)
+    }
+
     /// Whether `t` falls inside a busy segment.
     pub fn contains(&self, t: TimeUnit) -> bool {
         let idx = self.segments.partition_point(|&(s, _)| s <= t);

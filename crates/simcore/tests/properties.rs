@@ -703,3 +703,42 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The run-cost floor holds as an `f64` comparison: wherever
+    /// `insertion_floor` gives one, `incremental_piece_cost` is at least
+    /// it, and it is the piece's run cost bit for bit. It gives one
+    /// exactly when no busy segment starts after the piece. Half the
+    /// probes start at or just after the last segment's start, as an
+    /// online scan's insertions do; the rest start anywhere. Checked at
+    /// the paper's magnitudes and scaled by 10^6.
+    #[test]
+    fn the_insertion_floor_is_never_above_the_incremental_cost(
+        server in (0usize..5, 0u32..13),
+        history in proptest::collection::vec((arb_scaled_vm(), 0u32..4), 0..16),
+        probe in arb_scaled_vm(),
+        ordered in proptest::bool::ANY,
+    ) {
+        for scale in [1, 1_000_000] {
+            let spec = paper_spec(server.0, server.1, scale);
+            let (ledger, _) = grow(spec, &history, scale);
+            let last = ledger.segments().iter().last().map(|s| s.start());
+            let mut probe = scaled_vm(99, probe, scale);
+            if ordered {
+                let start = last.unwrap_or(0) + probe.start() % (3 * scale);
+                let interval = Interval::with_len(start, probe.interval().len() as u32);
+                probe = Vm::new(99, probe.demand(), interval);
+            }
+            let floor = ledger.insertion_floor(probe.demand(), probe.interval());
+            let later = ledger.segments().iter().any(|s| s.start() > probe.start());
+            prop_assert_eq!(floor.is_some(), !later);
+            if let Some(floor) = floor {
+                prop_assert_eq!(floor.to_bits(), spec.run_cost(&probe).to_bits());
+                let delta = ledger.incremental_piece_cost(probe.demand(), probe.interval());
+                prop_assert!(delta >= floor, "scale {}: delta {} below the floor {}", scale, delta, floor);
+            }
+        }
+    }
+}

@@ -154,7 +154,8 @@ fn a_sparse_fleet_visits_only_warm_servers_and_class_representatives() {
         let r = &e.record;
         let vm = &problem.vms()[r.vm as usize];
         let t = u64::from(vm.start());
-        assert_eq!(r.candidates + r.pruned + r.unfit, n as u64, "vm {}: tally", r.vm);
+        let visits = r.candidates + r.unfit + r.floored;
+        assert_eq!(visits + r.pruned, n as u64, "vm {}: tally", r.vm);
         let used = last_end.iter().filter(|e| e.is_some()).count();
         let warm = last_end
             .iter()
@@ -167,12 +168,11 @@ fn a_sparse_fleet_visits_only_warm_servers_and_class_representatives() {
             .count();
         cold_seen |= warm < used;
         assert!(
-            r.candidates + r.unfit <= (warm + classes) as u64,
-            "vm {}: visited {} > {warm} warm + {classes} classes",
+            visits <= (warm + classes) as u64,
+            "vm {}: visited {visits} > {warm} warm + {classes} classes",
             r.vm,
-            r.candidates + r.unfit
         );
-        visited += r.candidates + r.unfit;
+        visited += visits;
         let server = r.winner.expect("every VM is placed") as usize;
         let end = last_end[server].map_or(vm.end(), |e| e.max(vm.end()));
         last_end[server] = Some(end);

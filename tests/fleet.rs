@@ -14,7 +14,8 @@
 //!   online engine has sealed it) and neither engine adds anything;
 //! * every repair decision of either engine is an argmin over the
 //!   candidate index whose tallies account for every up server:
-//!   `candidates + unfit + pruned` = up servers at that instant.
+//!   `candidates + unfit + floored + pruned` = up servers at that
+//!   instant.
 
 use std::collections::BTreeSet;
 
@@ -112,11 +113,12 @@ fn check_tallies(r: &ExplainRecord, up: usize, ctx: &str) {
     assert_eq!(r.kind, DecisionKind::Repair, "{ctx}");
     assert!(r.candidates >= 1, "{ctx}: a repair scores its winner");
     assert_eq!(
-        (r.candidates + r.unfit + r.pruned) as usize,
+        (r.candidates + r.unfit + r.floored + r.pruned) as usize,
         up,
-        "{ctx}: candidates {} + unfit {} + pruned {} vs up servers",
+        "{ctx}: candidates {} + unfit {} + floored {} + pruned {} vs up servers",
         r.candidates,
         r.unfit,
+        r.floored,
         r.pruned
     );
 }

@@ -16,20 +16,65 @@
 //!   that leave the engine usable;
 //! * the candidate index partitions the fleet into active (up, holding
 //!   unsealed pieces), per-class standby (up, sealed or never used) and
-//!   down servers after every event.
+//!   down servers after every event;
+//! * every arrival and every repair attempt lands where a scan of every
+//!   up server puts it — `fits`, then `incremental_cost`, ascending id,
+//!   strict `<` — with no candidate index and no run-cost floor, so the
+//!   floor's guard against later-starting repair tails is checked on
+//!   every decision.
 
 use std::collections::HashSet;
 
-use esvm::core::RepairOutcome;
+use esvm::core::{repair_delay, RepairOutcome};
 use esvm::{
-    event_order, FaultEvent, FaultPlan, FaultPlanConfig, Interval, OnlineEngine, OnlineError,
-    Resources, ServerId, Vm, VmEvent, VmId, WorkloadConfig,
+    event_order, FaultEvent, FaultPlan, FaultPlanConfig, Interval, OnlineDecision, OnlineEngine,
+    OnlineError, Resources, ServerId, Vm, VmEvent, VmId, WorkloadConfig,
 };
 use proptest::prelude::*;
 
 #[path = "support/pieces.rs"]
 mod pieces;
 use pieces::Pieces;
+
+/// The Eq. 7 argmin of `piece` by a scan of every up server: `fits`,
+/// then `incremental_cost`, ascending id, strict `<`.
+fn full_scan(engine: &OnlineEngine, piece: &Vm) -> Option<ServerId> {
+    let mut best: Option<(f64, ServerId)> = None;
+    for (i, ledger) in engine.ledgers().iter().enumerate() {
+        let server = ServerId(i as u32);
+        if engine.is_down(server) || !ledger.fits(piece) {
+            continue;
+        }
+        let delta = ledger.incremental_cost(piece);
+        if best.is_none_or(|(cost, _)| delta < cost) {
+            best = Some((delta, server));
+        }
+    }
+    best.map(|(_, server)| server)
+}
+
+/// What `repair(vm, retries, backoff)` should do: the first restart of
+/// its backoff schedule at which the full scan finds a server.
+fn full_scan_repair(engine: &OnlineEngine, vm: &Vm, retries: u32, backoff: u32) -> RepairOutcome {
+    let mut start = vm.start().max(engine.clock());
+    for attempt in 0..=retries {
+        if attempt > 0 {
+            start = start.saturating_add(repair_delay(backoff, attempt));
+        }
+        if start > vm.end() {
+            break;
+        }
+        let tail = Vm::new(vm.id().0, vm.demand(), Interval::new(start, vm.end()));
+        if let Some(server) = full_scan(engine, &tail) {
+            return RepairOutcome::Rehosted {
+                server,
+                start,
+                attempt,
+            };
+        }
+    }
+    RepairOutcome::Shed
+}
 
 /// Asserts that the engine's committed cost and fault transition energy
 /// are the piece schedule's audited energy and outage surcharge.
@@ -145,7 +190,9 @@ proptest! {
                         for vm in &evicted {
                             // Evicted ids stay consumed: irrevocability.
                             prop_assert!(placed_ids.contains(&vm.id()));
+                            let expected = full_scan_repair(&engine, vm, 3, 2);
                             let outcome = engine.repair(*vm, 3, 2);
+                            prop_assert_eq!(outcome, expected, "repair of {:?}", vm.id());
                             if let RepairOutcome::Rehosted { server, start, .. } = outcome {
                                 prop_assert!(!down.contains(&server.0), "repaired onto a down server");
                                 let tail = Interval::new(start, vm.end());
@@ -170,9 +217,17 @@ proptest! {
                 VmEvent::Arrive(vm) => Some(vm),
                 _ => None,
             };
+            // The arrival fires departures and seals up to its start
+            // before it decides; advancing first lets the full scan see
+            // the state the engine decides on.
+            let expected = arrival.map(|vm| {
+                engine.advance_to(vm.start());
+                full_scan(&engine, &vm).map_or(OnlineDecision::Rejected, OnlineDecision::Placed)
+            });
             let vm_id = event.vm();
             match engine.apply(event) {
                 Ok(Some(decision)) => {
+                    prop_assert_eq!(Some(decision), expected, "arrival of {:?}", vm_id);
                     if let Some(server) = decision.server() {
                         prop_assert!(
                             !down.contains(&server.0),
