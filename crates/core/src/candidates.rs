@@ -27,6 +27,19 @@
 //! pruned` is the number of up servers, as `candidates + unfit` is for
 //! the unpruned, unfloored scan.
 //!
+//! ## Fit rows
+//!
+//! Each active server carries a [`FitRow`] beside its id: the usage its
+//! profile holds over the breakpoint window around the last start a
+//! [`Fleet`](crate::Fleet) scan asked about. While the window holds the
+//! next start and the profile is unchanged, the row's usage is the very
+//! value [`UsageProfile::fits`](esvm_simcore::UsageProfile::fits) tests
+//! first, so a row that rejects turns the server away without a search
+//! of its profile, exactly where `fits` would. A row is born stale when
+//! a server becomes active, goes stale when an active server hosts or
+//! loses a piece, and goes with the server's active slot (a seal, a
+//! demotion, an outage). Class representatives have no row.
+//!
 //! ## The cold rule
 //!
 //! Every engine that scans the index — offline MIEC and, through the
@@ -51,11 +64,12 @@
 //!
 //! [`ServerSpec::switches_off_for_gap`]: esvm_simcore::ServerSpec::switches_off_for_gap
 
+use std::cell::Cell;
 use std::cmp::Reverse;
-use std::collections::{btree_set, BTreeSet, BinaryHeap};
+use std::collections::{btree_map, BTreeMap, BTreeSet, BinaryHeap};
 
 use esvm_obs::{DecisionKind, ExplainRecord};
-use esvm_simcore::{ServerId, ServerLedger, ServerSpec};
+use esvm_simcore::{Resources, ServerId, ServerLedger, ServerSpec, TimeUnit, Vm};
 
 /// Where one server sits in a [`CandidateIndex`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,6 +77,41 @@ enum Slot {
     Active,
     Standby,
     Down,
+}
+
+/// An active server's cached usage window (see the [module
+/// docs](self#fit-rows)): `usage` is what its profile holds over
+/// `[from, until)`. An empty window is stale.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct FitRow {
+    from: TimeUnit,
+    until: TimeUnit,
+    usage: Resources,
+}
+
+impl FitRow {
+    /// A row whose window holds no start.
+    const STALE: Self = Self {
+        from: 1,
+        until: 0,
+        usage: Resources::ZERO,
+    };
+
+    /// Whether `piece` does not fit on `ledger` at its start, the first
+    /// test of [`ServerLedger::fits`]: read from the row when its window
+    /// holds the start, else from a window refreshed with one search of
+    /// the profile.
+    #[inline]
+    pub(crate) fn rejects(row: &Cell<Self>, ledger: &ServerLedger, piece: &Vm) -> bool {
+        let t = piece.start();
+        let mut cached = row.get();
+        if !(cached.from <= t && t < cached.until) {
+            let (from, until, usage) = ledger.usage().piece_at(t);
+            cached = Self { from, until, usage };
+            row.set(cached);
+        }
+        !(cached.usage + piece.demand()).fits_within(ledger.spec().capacity())
+    }
 }
 
 /// The active / per-class standby / down partition of a fleet that
@@ -73,8 +122,8 @@ pub struct CandidateIndex {
     class_of: Vec<usize>,
     slot: Vec<Slot>,
     /// Servers that may price differently from a pristine twin,
-    /// ascending id.
-    active: BTreeSet<u32>,
+    /// ascending id, each with its fit row.
+    active: BTreeMap<u32, Cell<FitRow>>,
     /// Standby servers per spec class, ascending id.
     standby: Vec<BTreeSet<u32>>,
     /// The lowest standby id of every class with a standby member, in
@@ -103,7 +152,7 @@ impl CandidateIndex {
         Self {
             class_of: classes.class_of,
             slot: vec![Slot::Standby; servers.len()],
-            active: BTreeSet::new(),
+            active: BTreeMap::new(),
             standby: members.into_iter().map(BTreeSet::from_iter).collect(),
             reps,
             pruned: (servers.len() - classes.count) as u64,
@@ -136,7 +185,7 @@ impl CandidateIndex {
 
     /// Active servers, ascending id.
     pub fn active(&self) -> impl Iterator<Item = ServerId> + '_ {
-        self.active.iter().map(|&i| ServerId(i))
+        self.active.keys().map(|&i| ServerId(i))
     }
 
     /// Standby servers of `class`, ascending id; the first one is the
@@ -166,29 +215,44 @@ impl CandidateIndex {
         self.pruned
     }
 
-    /// The servers a decision visits — active servers and the class
-    /// representatives — in ascending id order. Allocation-free.
+    /// The servers a decision visits — active servers with their fit
+    /// rows and the class representatives without — in ascending id
+    /// order. Allocation-free.
     pub(crate) fn candidates(&self) -> Candidates<'_> {
         let (mut active, mut reps) = (self.active.iter(), self.reps.iter());
         Candidates {
-            next_active: head(&mut active),
+            next_active: head_row(&mut active),
             next_rep: head(&mut reps),
             active,
             reps,
         }
     }
 
-    /// Moves an up server to the active set (no-op when already active).
+    /// Moves a standby server to the active set with a stale fit row.
+    /// An active server is about to host: its row goes stale. No-op for
+    /// a down server.
     pub(crate) fn activate(&mut self, i: u32) {
-        if self.slot[i as usize] == Slot::Standby {
-            self.remove_standby(i);
-            self.active.insert(i);
-            self.slot[i as usize] = Slot::Active;
+        match self.slot[i as usize] {
+            Slot::Standby => {
+                self.remove_standby(i);
+                self.active.insert(i, Cell::new(FitRow::STALE));
+                self.slot[i as usize] = Slot::Active;
+            }
+            Slot::Active => self.invalidate(i),
+            Slot::Down => {}
         }
     }
 
-    /// Moves an active server to its class's standby set (no-op
-    /// otherwise).
+    /// Marks the fit row of an active server stale (no-op otherwise).
+    /// Needed wherever its usage falls and it stays active.
+    pub(crate) fn invalidate(&self, i: u32) {
+        if let Some(row) = self.active.get(&i) {
+            row.set(FitRow::STALE);
+        }
+    }
+
+    /// Moves an active server to its class's standby set, dropping its
+    /// fit row (no-op otherwise).
     pub(crate) fn deactivate(&mut self, i: u32) {
         if self.slot[i as usize] == Slot::Active {
             self.active.remove(&i);
@@ -208,14 +272,15 @@ impl CandidateIndex {
         self.slot[i as usize] = Slot::Down;
     }
 
-    /// Returns a down server to the scans: active when it still hosts
-    /// pieces, standby otherwise. No-op for an up server.
+    /// Returns a down server to the scans: active with a stale fit row
+    /// when it still hosts pieces, standby otherwise. No-op for an up
+    /// server.
     pub(crate) fn set_up(&mut self, i: u32, hosting: bool) {
         if self.slot[i as usize] != Slot::Down {
             return;
         }
         if hosting {
-            self.active.insert(i);
+            self.active.insert(i, Cell::new(FitRow::STALE));
             self.slot[i as usize] = Slot::Active;
         } else {
             self.insert_standby(i);
@@ -264,14 +329,29 @@ fn remove_sorted(ids: &mut Vec<u32>, i: u32) {
     ids.remove(at);
 }
 
+/// One server a decision visits: its id, and its fit row when it is
+/// active.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Candidate<'a> {
+    pub(crate) id: u32,
+    pub(crate) row: Option<&'a Cell<FitRow>>,
+}
+
+impl From<Candidate<'_>> for u32 {
+    #[inline]
+    fn from(c: Candidate<'_>) -> u32 {
+        c.id
+    }
+}
+
 /// Ascending merge of the active set and the class representatives
 /// (disjoint, since active and standby are). The next id of each side
 /// is cached, widened so that `u64::MAX` marks an exhausted side; a
 /// step is then one comparison.
 pub(crate) struct Candidates<'a> {
-    active: btree_set::Iter<'a, u32>,
+    active: btree_map::Iter<'a, u32, Cell<FitRow>>,
     reps: std::slice::Iter<'a, u32>,
-    next_active: u64,
+    next_active: (u64, Option<&'a Cell<FitRow>>),
     next_rep: u64,
 }
 
@@ -281,19 +361,29 @@ fn head<'a>(mut ids: impl Iterator<Item = &'a u32>) -> u64 {
     ids.next().map_or(u64::MAX, |&i| u64::from(i))
 }
 
-impl Iterator for Candidates<'_> {
-    type Item = u32;
+/// [`head`] of the active set, with the id's fit row.
+#[inline]
+fn head_row<'a>(
+    active: &mut btree_map::Iter<'a, u32, Cell<FitRow>>,
+) -> (u64, Option<&'a Cell<FitRow>>) {
+    active
+        .next()
+        .map_or((u64::MAX, None), |(&i, row)| (u64::from(i), Some(row)))
+}
+
+impl<'a> Iterator for Candidates<'a> {
+    type Item = Candidate<'a>;
 
     #[inline]
-    fn next(&mut self) -> Option<u32> {
-        if self.next_rep < self.next_active {
-            let rep = self.next_rep as u32;
+    fn next(&mut self) -> Option<Candidate<'a>> {
+        if self.next_rep < self.next_active.0 {
+            let id = self.next_rep as u32;
             self.next_rep = head(&mut self.reps);
-            Some(rep)
-        } else if self.next_active < u64::MAX {
-            let id = self.next_active as u32;
-            self.next_active = head(&mut self.active);
-            Some(id)
+            Some(Candidate { id, row: None })
+        } else if self.next_active.0 < u64::MAX {
+            let (id, row) = self.next_active;
+            self.next_active = head_row(&mut self.active);
+            Some(Candidate { id: id as u32, row })
         } else {
             None
         }
@@ -333,9 +423,11 @@ impl Argmin {
     }
 }
 
-/// The Eq. 7 argmin kernel: visits `ids` (ascending), scores each with
-/// `score` (`None` = does not fit), and keeps the strict-`<` minimum,
-/// so the lowest id wins exact ties. The tallies are kept only when
+/// The Eq. 7 argmin kernel: visits `items` (ascending id), scores each
+/// with `score` (`None` = does not fit), and keeps the strict-`<`
+/// minimum, so the lowest id wins exact ties. An item is a server id,
+/// or anything that converts to one: the [`Fleet`](crate::Fleet) visits
+/// its candidates with their fit rows. The tallies are kept only when
 /// `counting` (a compile-time constant at every call site).
 ///
 /// Once a best exists, a server whose `floor` is `Some(f)` with `f >=`
@@ -350,33 +442,33 @@ impl Argmin {
 /// feed it a [`CandidateIndex`]'s candidates with
 /// [`ServerLedger::insertion_floor`]; the unpruned MIEC oracles and the
 /// consolidator, which scans every server but the one it would empty,
-/// pass no floor.
+/// pass no floor. Offline MIEC and the consolidator pass plain ids.
 ///
 /// # Example
 ///
 /// ```
 /// use esvm_core::argmin;
 /// let scores = [Some(3.0), None, Some(1.0), Some(1.0), Some(4.0)];
-/// let out = argmin(0..5, true, |_| None, |i| scores[i as usize]);
+/// let out = argmin(0u32..5, true, |_| None, |i| scores[i as usize]);
 /// assert_eq!(out.best, Some((1.0, 2))); // the lowest id wins the tie
 /// assert_eq!((out.candidates, out.unfit, out.fp_ties), (4, 1, 1));
 /// // A floor of 1.0 under servers 3 and 4: neither can beat server 2.
-/// let out = argmin(0..5, true, |i| (i >= 3).then_some(1.0), |i| scores[i as usize]);
+/// let out = argmin(0u32..5, true, |i| (i >= 3).then_some(1.0), |i| scores[i as usize]);
 /// assert_eq!(out.best, Some((1.0, 2)));
 /// assert_eq!((out.candidates, out.unfit, out.floored, out.fp_ties), (2, 1, 2, 0));
 /// ```
 #[inline]
-pub fn argmin(
-    ids: impl Iterator<Item = u32>,
+pub fn argmin<I: Copy + Into<u32>>(
+    items: impl Iterator<Item = I>,
     counting: bool,
-    mut floor: impl FnMut(u32) -> Option<f64>,
-    mut score: impl FnMut(u32) -> Option<f64>,
+    mut floor: impl FnMut(I) -> Option<f64>,
+    mut score: impl FnMut(I) -> Option<f64>,
 ) -> Argmin {
     let mut out = Argmin::default();
     // Internal iteration, so an adapter such as the consolidator's
     // chained id ranges runs its own fold rather than a nested `next()`
     // loop.
-    ids.for_each(|i| {
+    items.for_each(|i| {
         if let Some((best, _)) = out.best {
             if floor(i).is_some_and(|f| f >= best) {
                 if counting {
@@ -398,7 +490,7 @@ pub fn argmin(
             }
         }
         if out.best.is_none_or(|(cost, _)| delta < cost) {
-            out.best = Some((delta, i));
+            out.best = Some((delta, i.into()));
         }
     });
     out
@@ -525,6 +617,11 @@ mod tests {
         )
     }
 
+    /// The ids a decision visits, in order.
+    fn visited(index: &CandidateIndex) -> Vec<u32> {
+        index.candidates().map(u32::from).collect()
+    }
+
     /// Checks the partition and the running `pruned` count against a
     /// recount.
     fn check(index: &CandidateIndex) {
@@ -542,10 +639,14 @@ mod tests {
         assert_eq!(index.active().count() + standby + down, index.len());
         assert!(index.active().all(|s| index.is_active(s)));
         assert_eq!(index.pruned(), pruned);
-        let visited: Vec<u32> = index.candidates().collect();
-        assert!(visited.windows(2).all(|w| w[0] < w[1]), "{visited:?}");
+        let ids = visited(index);
+        assert!(ids.windows(2).all(|w| w[0] < w[1]), "{ids:?}");
+        // Active servers carry a fit row, class representatives none.
+        assert!(index
+            .candidates()
+            .all(|c| c.row.is_some() == index.is_active(ServerId(c.id))));
         assert_eq!(
-            visited.len(),
+            ids.len(),
             index.active().count()
                 + (0..index.class_count())
                     .filter(|&c| index.standby(c).next().is_some())
@@ -561,22 +662,22 @@ mod tests {
             .collect();
         let mut index = CandidateIndex::new(&fleet);
         check(&index);
-        assert_eq!(index.candidates().collect::<Vec<_>>(), vec![0, 1]);
+        assert_eq!(visited(&index), vec![0, 1]);
         assert_eq!(index.pruned(), 6);
         index.activate(0);
         check(&index);
-        assert_eq!(index.candidates().collect::<Vec<_>>(), vec![0, 1, 2]);
+        assert_eq!(visited(&index), vec![0, 1, 2]);
         index.set_down(2);
         index.set_down(1);
         check(&index);
-        assert_eq!(index.candidates().collect::<Vec<_>>(), vec![0, 3, 4]);
+        assert_eq!(visited(&index), vec![0, 3, 4]);
         index.deactivate(0);
         check(&index);
-        assert_eq!(index.candidates().collect::<Vec<_>>(), vec![0, 3]);
+        assert_eq!(visited(&index), vec![0, 3]);
         index.set_up(2, false);
         index.set_up(1, true);
         check(&index);
-        assert_eq!(index.candidates().collect::<Vec<_>>(), vec![0, 1, 3]);
+        assert_eq!(visited(&index), vec![0, 1, 3]);
         // Redundant transitions are no-ops.
         index.set_up(1, false);
         index.deactivate(3);
@@ -587,16 +688,16 @@ mod tests {
     #[test]
     fn argmin_keeps_the_lowest_id_on_ties_and_counts_the_visit() {
         let scores = [Some(3.0), None, Some(2.0), Some(2.0), None, Some(5.0)];
-        let out = argmin(0..6, true, |_| None, |i| scores[i as usize]);
+        let out = argmin(0u32..6, true, |_| None, |i| scores[i as usize]);
         assert_eq!(out.best, Some((2.0, 2)));
         assert_eq!(
             (out.candidates, out.unfit, out.floored, out.fp_ties),
             (4, 2, 0, 1)
         );
-        let quiet = argmin(0..6, false, |_| None, |i| scores[i as usize]);
+        let quiet = argmin(0u32..6, false, |_| None, |i| scores[i as usize]);
         assert_eq!(quiet.best, out.best);
         assert_eq!((quiet.candidates, quiet.unfit), (0, 0));
-        assert!(argmin(0..2, true, |_| None, |_| None).best.is_none());
+        assert!(argmin(0u32..2, true, |_| None, |_| None).best.is_none());
     }
 
     #[test]
@@ -610,7 +711,7 @@ mod tests {
             scored.push(i);
             scores[i as usize]
         };
-        let out = argmin(0..5, true, |_| Some(2.0), &mut score);
+        let out = argmin(0u32..5, true, |_| Some(2.0), &mut score);
         assert_eq!(out.best, Some((2.0, 1)));
         assert_eq!(scored, [0, 1]);
         assert_eq!(
@@ -618,7 +719,7 @@ mod tests {
             (2, 0, 3, 0)
         );
         // A floor below the best leaves the scan as it was.
-        let low = argmin(0..5, true, |_| Some(1.0), |i| scores[i as usize]);
+        let low = argmin(0u32..5, true, |_| Some(1.0), |i| scores[i as usize]);
         assert_eq!(low.best, out.best);
         assert_eq!(
             (low.candidates, low.unfit, low.floored, low.fp_ties),

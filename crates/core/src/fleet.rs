@@ -4,7 +4,7 @@ use std::collections::HashMap;
 
 use esvm_simcore::{Interval, ServerId, ServerLedger, ServerSpec, TimeUnit, Vm, VmId};
 
-use crate::candidates::{argmin, Argmin, CandidateIndex, ColdRule};
+use crate::candidates::{argmin, Argmin, CandidateIndex, ColdRule, FitRow};
 
 /// The forced Eq. 7 transitions of a fleet's outages.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -78,17 +78,22 @@ impl Fleet {
     /// The Eq. 7 argmin for `piece` over the candidate index, deciding
     /// as a scan of every up server would: a server whose
     /// [`insertion_floor`](ServerLedger::insertion_floor) meets the
-    /// running best is passed over unscored. With `counting`, its
-    /// tallies and [`CandidateIndex::pruned`] sum to the up servers.
+    /// running best is passed over unscored, and an active server whose
+    /// fit row shows the piece over capacity at its start is unfit
+    /// without a search of its profile. With `counting`, its tallies and
+    /// [`CandidateIndex::pruned`] sum to the up servers.
     #[inline]
     pub fn scan(&self, piece: &Vm, counting: bool) -> Argmin {
         let ledgers = &self.ledgers;
         argmin(
             self.index.candidates(),
             counting,
-            |i| ledgers[i as usize].insertion_floor(piece.demand(), piece.interval()),
-            |i| {
-                let ledger = &ledgers[i as usize];
+            |c| ledgers[c.id as usize].insertion_floor(piece.demand(), piece.interval()),
+            |c| {
+                let ledger = &ledgers[c.id as usize];
+                if c.row.is_some_and(|row| FitRow::rejects(row, ledger, piece)) {
+                    return None;
+                }
                 ledger.fits(piece).then(|| ledger.incremental_cost(piece))
             },
         )
@@ -146,6 +151,9 @@ impl Fleet {
         if ledger.hosted_count() == 0 {
             self.index.deactivate(server.0);
         } else {
+            // Its usage fell: a row left as it was could turn away a
+            // piece that fits.
+            self.index.invalidate(server.0);
             self.cold.reschedule(&self.index, server.0, ledger);
         }
     }
@@ -364,6 +372,31 @@ mod tests {
         let scan = fleet.scan(&vm(2, 6, 9), true);
         assert_eq!(scan.best.map(|(_, s)| s), Some(0));
         assert_eq!((scan.candidates, scan.unfit, scan.floored), (1, 0, 1));
+    }
+
+    #[test]
+    fn a_stop_refreshes_the_fit_row_of_a_server_it_frees() {
+        // Server 0 is full over [1, 100]. The first scan turns it away
+        // at clock 5 and leaves its fit row holding that full window.
+        let mut fleet = Fleet::new(&specs(2));
+        let s0 = ServerId(0);
+        for id in 0..4 {
+            fleet.host(s0, vm(id, 1, 100), 1);
+        }
+        let piece = vm(9, 5, 9);
+        let winner = |fleet: &Fleet| {
+            let scan = fleet.scan(&piece, true);
+            (scan.best.map(|(_, s)| s), scan.unfit)
+        };
+        assert_eq!(winner(&fleet), (Some(1), 1));
+        // A stop at clock 5 frees 2 CPU from then on: the row must not
+        // turn server 0 away from its old window.
+        assert!(fleet.stop(s0, VmId(0), 5).is_some());
+        assert!(fleet.index().is_active(s0));
+        assert_eq!(winner(&fleet), (Some(0), 0));
+        // Hosting fills it again.
+        fleet.host(s0, piece, 5);
+        assert_eq!(winner(&fleet), (Some(1), 1));
     }
 
     #[test]

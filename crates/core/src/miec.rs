@@ -232,7 +232,8 @@ impl Miec {
                     cold.demote_until(vm.start(), index, |_| {});
                     let floor =
                         |i: u32| scorer(i).insertion_floor(scoring.demand(), scoring.interval());
-                    let scan = argmin(index.candidates(), T::ENABLED, floor, score);
+                    let ids = index.candidates().map(u32::from);
+                    let scan = argmin(ids, T::ENABLED, floor, score);
                     (scan, index.pruned())
                 }
                 None => (argmin(0..n_servers, T::ENABLED, |_| None, score), 0),

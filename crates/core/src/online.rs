@@ -621,6 +621,19 @@ mod tests {
     }
 
     #[test]
+    fn a_departure_frees_its_server_for_an_arrival_at_the_same_clock() {
+        let mut engine = OnlineEngine::new(&fleet(3));
+        let placed = |s| Ok(OnlineDecision::Placed(ServerId(s)));
+        assert_eq!(engine.arrive(vm(0, 1, 100, 8.0)), placed(0));
+        // Server 0 is full at clock 5: the arrival goes to server 1.
+        assert_eq!(engine.arrive(vm(1, 5, 20, 8.0)), placed(1));
+        // VM 0 departs at 5, so server 0 is free from 5 on and the
+        // cheapest host: it already runs up to 4.
+        engine.depart(VmId(0)).unwrap();
+        assert_eq!(engine.arrive(vm(2, 5, 30, 8.0)), placed(0));
+    }
+
+    #[test]
     fn eviction_frees_capacity_and_counts() {
         let mut engine = OnlineEngine::new(&fleet(2));
         engine.arrive(vm(0, 1, 10, 8.0)).unwrap();

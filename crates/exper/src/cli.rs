@@ -222,7 +222,7 @@ const FLAGS: &[Flag] = &[
     Flag::switch("--small-servers", WORKLOAD, "restrict the server catalog to types 1-3"),
     Flag::value("--seed", "N", int::<u64>, (WORKLOAD & !PLAN) | EXACT | SOLVE | SERVE,
         "seed of the instance, fault plan, fleet or allocators\n\
-         (default 0); gap: the first seed"),
+         (default 0); compare, gap: the first seed"),
     Flag {
         alias: Some("--algo"),
         ..Flag::value("--algos", "a,b,…", algos, COMPARE | TIMELINE | SOLVE | CHAOS,
@@ -853,7 +853,12 @@ fn run_compare(flags: &Flags) -> Result<String, CliError> {
     let vms = config.vm_count_value();
     let servers = config.server_count_value();
     let algos = flags.algos();
-    let point = MonteCarlo::new(opts.seeds, opts.threads).compare(&config, &algos)?;
+    let first = flags.get("--seed").unwrap_or(0);
+    let monte_carlo = MonteCarlo {
+        first_seed: first,
+        ..MonteCarlo::new(opts.seeds, opts.threads)
+    };
+    let point = monte_carlo.compare(&config, &algos)?;
 
     let mut table = Table::new(vec![
         "algorithm", "mean cost", "std dev", "run", "idle", "transition", "cpu util (%)",
@@ -885,8 +890,9 @@ fn run_compare(flags: &Flags) -> Result<String, CliError> {
             ci,
         ]);
     }
+    let from = if first == 0 { String::new() } else { format!(" from {first}") };
     let mut out = format!(
-        "{} VMs on {} servers, {} seeds\n\n{}",
+        "{} VMs on {} servers, {} seeds{from}\n\n{}",
         vms, servers, opts.seeds, table
     );
     // Significance of the headline saving, when both contenders ran.
@@ -905,9 +911,8 @@ fn run_compare(flags: &Flags) -> Result<String, CliError> {
         }
     }
     if flags.path("--metrics-out").is_some() || flags.path("--trace-out").is_some() {
-        let seed = flags.get("--seed").unwrap_or(0);
-        let problem = config.generate(seed)?;
-        out.push_str(&telemetry_section(&problem, &algos, seed, flags)?);
+        let problem = config.generate(first)?;
+        out.push_str(&telemetry_section(&problem, &algos, first, flags)?);
     }
     Ok(out)
 }
@@ -1812,6 +1817,22 @@ mod tests {
         .unwrap();
         assert!(out.contains("best-fit"), "{out}");
         assert!(out.contains("vs ffps"), "{out}");
+    }
+
+    #[test]
+    fn compare_seed_is_the_first_monte_carlo_seed() {
+        let base = [
+            "compare", "--vms", "12", "--servers", "6", "--seeds", "2", "--algos", "miec,ffps",
+        ];
+        let with = |seed: &str| run(&args(&[&base[..], &["--seed", seed]].concat())).unwrap();
+        let plain = run(&args(&base)).unwrap();
+        assert_eq!(with("0"), plain);
+        // Seeds 7 and 8 run, not 0 and 1: the header says so and the
+        // table's figures move.
+        let seven = with("7");
+        let (head, table) = seven.split_once('\n').unwrap();
+        assert_eq!(head, "12 VMs on 6 servers, 2 seeds from 7");
+        assert_ne!(table, plain.split_once('\n').unwrap().1, "{seven}");
     }
 
     #[test]

@@ -228,16 +228,20 @@ struct AlgoRun {
 /// The Monte-Carlo executor.
 #[derive(Debug, Clone, Copy)]
 pub struct MonteCarlo {
-    /// Seeds `0..seeds` are run.
+    /// The first seed run.
+    pub first_seed: u64,
+    /// Seeds `first_seed..first_seed + seeds` are run (wrapping past
+    /// `u64::MAX`).
     pub seeds: u64,
     /// Worker threads fanning seeds out.
     pub threads: usize,
 }
 
 impl MonteCarlo {
-    /// Creates an executor with the given seed count and threads.
+    /// Creates an executor running seeds `0..seeds` on `threads`.
     pub fn new(seeds: u64, threads: usize) -> Self {
         Self {
+            first_seed: 0,
             seeds,
             threads: threads.max(1),
         }
@@ -270,7 +274,9 @@ impl MonteCarlo {
             Failed(RunError),
         }
 
-        let seeds: Vec<u64> = (0..self.seeds).collect();
+        let seeds: Vec<u64> = (0..self.seeds)
+            .map(|k| self.first_seed.wrapping_add(k))
+            .collect();
         let outcomes = par_map(self.threads, &seeds, |_i, &seed| {
             match Self::run_seed(config, algos, seed) {
                 Ok(row) => SeedOutcome::Done(row),

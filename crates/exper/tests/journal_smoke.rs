@@ -4,37 +4,14 @@
 //! fault plan against a live session with `chaos --live --journal` and
 //! recover that journal, and run `gap`.
 
-use std::path::{Path, PathBuf};
-use std::process::{Command, Stdio};
+#[path = "support/spawn.rs"]
+mod spawn;
 
-/// Runs `esvm` in `dir` with no stdin; returns its stdout, or panics
-/// with its stderr if it fails.
-fn esvm(dir: &Path, args: &[&str]) -> String {
-    let out = Command::new(env!("CARGO_BIN_EXE_esvm"))
-        .args(args)
-        .current_dir(dir)
-        .stdin(Stdio::null())
-        .output()
-        .expect("esvm runs to its end");
-    assert!(
-        out.status.success(),
-        "esvm {args:?}: exit {:?}: {}",
-        out.status,
-        String::from_utf8_lossy(&out.stderr)
-    );
-    String::from_utf8(out.stdout).expect("UTF-8 output")
-}
-
-fn scratch_dir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("esvm_journal_smoke_{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
+use spawn::{esvm, scratch_dir};
 
 #[test]
 fn a_torn_journal_recovers_resumes_and_recovers_clean() {
-    let dir = scratch_dir();
+    let dir = scratch_dir("journal_smoke_torn");
     esvm(
         &dir,
         &["gen", "--vms", "2000", "--servers", "200", "--interarrival", "0.2", "--out", "resilience.esvt"],
@@ -57,8 +34,7 @@ fn a_torn_journal_recovers_resumes_and_recovers_clean() {
 
 #[test]
 fn a_live_chaos_drill_journal_recovers() {
-    let dir = scratch_dir().join("drill");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = scratch_dir("journal_smoke_drill");
     let drill = esvm(
         &dir,
         &[

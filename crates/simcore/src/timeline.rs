@@ -29,6 +29,9 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(p.usage_at(3), Resources::new(2.0, 4.0));
 /// assert_eq!(p.usage_at(7), Resources::new(3.0, 5.0));
 /// assert_eq!(p.usage_at(15), Resources::new(1.0, 1.0));
+/// // The window of breakpoints around a time, and the usage over it.
+/// assert_eq!(p.piece_at(7), (5, 11, Resources::new(3.0, 5.0)));
+/// assert_eq!(p.piece_at(30), (21, u32::MAX, Resources::ZERO));
 /// assert_eq!(p.peak_over(Interval::new(1, 20)), Resources::new(3.0, 5.0));
 /// assert!(p.fits(Interval::new(1, 20), Resources::new(1.0, 1.0), Resources::new(4.0, 6.0)));
 /// ```
@@ -64,6 +67,30 @@ impl UsageProfile {
             0 => Resources::ZERO,
             i => self.breakpoints[i - 1].1,
         }
+    }
+
+    /// The breakpoint window that holds `t`, as `(from, until, usage)`:
+    /// `usage` is in force over every time unit of `[from, until)`. The
+    /// index arithmetic is [`UsageProfile::usage_at`]'s, so while the
+    /// profile is unchanged `usage_at(s)` returns this very `usage` for
+    /// every `s` in the window. Before the first breakpoint `from` is 0;
+    /// after the last one `until` is `TimeUnit::MAX`, so that one unit
+    /// lies in no window.
+    ///
+    /// A cached window rejects a start in it exactly where
+    /// [`UsageProfile::fits`] does, since `fits` first tests the usage in
+    /// force at the start (see there for when a cache goes stale).
+    pub fn piece_at(&self, t: TimeUnit) -> (TimeUnit, TimeUnit, Resources) {
+        let i = self.upper_bound(t);
+        let (from, usage) = match i {
+            0 => (0, Resources::ZERO),
+            i => self.breakpoints[i - 1],
+        };
+        let until = self
+            .breakpoints
+            .get(i)
+            .map_or(TimeUnit::MAX, |&(next, _)| next);
+        (from, until, usage)
     }
 
     /// Ensures a breakpoint exists exactly at `t`, carrying the value that
@@ -129,6 +156,16 @@ impl UsageProfile {
 
     /// Whether adding `demand` throughout `interval` keeps usage within
     /// `capacity` in **every** time unit (constraints (9)–(10)).
+    ///
+    /// The first test is the usage in force at the start: when
+    /// `usage_at(start) + demand` does not fit, the answer is `false`. A
+    /// [`UsageProfile::piece_at`] window cached while the profile is
+    /// unchanged holds that very usage for any start inside it, so it
+    /// rejects exactly where this does. After an [`add`](Self::add) it
+    /// can only under-reject: usage only rose, and rounded addition of a
+    /// non-negative demand is monotone. After a
+    /// [`remove`](Self::remove) it could reject a demand that fits, so a
+    /// cache must be dropped or refreshed whenever usage falls.
     pub fn fits(&self, interval: Interval, demand: Resources, capacity: Resources) -> bool {
         // Check the piece in force at interval start, then every
         // breakpoint inside the interval.

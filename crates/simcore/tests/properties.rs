@@ -467,6 +467,25 @@ fn fractional(cpu: u32, mem: u32) -> Resources {
     Resources::new(f64::from(cpu) * 0.35, f64::from(mem) * 0.85)
 }
 
+/// A profile grown by `entries`: each adds its interval and fractional
+/// demand, except that an action of 0 removes the latest piece still
+/// in place.
+fn history(entries: Vec<(Interval, u32, u32, u32)>) -> UsageProfile {
+    let mut profile = UsageProfile::new();
+    let mut added: Vec<(Interval, Resources)> = Vec::new();
+    for (iv, cpu, mem, action) in entries {
+        if action == 0 {
+            if let Some((iv, demand)) = added.pop() {
+                profile.remove(iv, demand);
+            }
+        } else {
+            profile.add(iv, fractional(cpu, mem));
+            added.push((iv, fractional(cpu, mem)));
+        }
+    }
+    profile
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -482,18 +501,7 @@ proptest! {
         cap in (4u32..24, 4u32..24),
     ) {
         let capacity = Resources::new(f64::from(cap.0), f64::from(cap.1));
-        let mut profile = UsageProfile::new();
-        let mut added: Vec<(Interval, Resources)> = Vec::new();
-        for (iv, cpu, mem, action) in entries {
-            if action == 0 {
-                if let Some((iv, demand)) = added.pop() {
-                    profile.remove(iv, demand);
-                }
-            } else {
-                profile.add(iv, fractional(cpu, mem));
-                added.push((iv, fractional(cpu, mem)));
-            }
-        }
+        let mut profile = history(entries);
         let (ia, a_cpu, a_mem) = leaving;
         let da = fractional(a_cpu, a_mem);
         profile.add(ia, da);
@@ -739,6 +747,48 @@ proptest! {
                 let delta = ledger.incremental_piece_cost(probe.demand(), probe.interval());
                 prop_assert!(delta >= floor, "scale {}: delta {} below the floor {}", scale, delta, floor);
             }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The fit row of the candidate index is exact: after any history of
+    /// adds and removes, the `piece_at` window around a time holds
+    /// `usage_at` at every unit of it, so a row read from the window
+    /// rejects a start in it exactly where `fits` rejects at its first
+    /// test, and a row that rejects implies `fits` rejects. Left in
+    /// place while later adds raise the usage (a host), such a row still
+    /// implies it: it can only under-reject.
+    #[test]
+    fn a_fit_row_rejects_only_where_fits_rejects(
+        entries in proptest::collection::vec((arb_interval(), 1u32..8, 1u32..8, 0u32..4), 0..16),
+        later in proptest::collection::vec((arb_interval(), 1u32..8, 1u32..8), 0..4),
+        at in 0u32..240,
+        probe in (0u32..40, 1u32..30, 1u32..8, 1u32..8),
+        cap in (4u32..24, 4u32..24),
+    ) {
+        let capacity = Resources::new(f64::from(cap.0), f64::from(cap.1));
+        let mut profile = history(entries);
+        let (from, until, usage) = profile.piece_at(at);
+        prop_assert!(from <= at && at < until, "[{}, {}) misses {}", from, until, at);
+        for s in from..until.min(300) {
+            prop_assert_eq!(profile.usage_at(s), usage, "s={} in [{}, {})", s, from, until);
+        }
+        // A start anywhere in the window.
+        let (offset, len, cpu, mem) = probe;
+        let start = from + offset % (until.min(300) - from);
+        let (interval, demand) = (Interval::with_len(start, len), fractional(cpu, mem));
+        let rejects = |row: Resources| !(row + demand).fits_within(capacity);
+        if rejects(usage) {
+            prop_assert!(!profile.fits(interval, demand, capacity));
+        }
+        for (iv, cpu, mem) in later {
+            profile.add(iv, fractional(cpu, mem));
+        }
+        if rejects(usage) {
+            prop_assert!(!profile.fits(interval, demand, capacity));
         }
     }
 }
