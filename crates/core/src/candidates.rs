@@ -29,16 +29,22 @@
 //!
 //! ## Fit rows
 //!
-//! Each active server carries a [`FitRow`] beside its id: the usage its
-//! profile holds over the breakpoint window around the last start a
-//! [`Fleet`](crate::Fleet) scan asked about. While the window holds the
-//! next start and the profile is unchanged, the row's usage is the very
-//! value [`UsageProfile::fits`](esvm_simcore::UsageProfile::fits) tests
-//! first, so a row that rejects turns the server away without a search
-//! of its profile, exactly where `fits` would. A row is born stale when
-//! a server becomes active, goes stale when an active server hosts or
-//! loses a piece, and goes with the server's active slot (a seal, a
-//! demotion, an outage). Class representatives have no row.
+//! The active set is one id-sorted array of compact entries: each active
+//! server's id, its spec class and its [`FitRow`]. A row holds the usage
+//! the server's profile holds over the breakpoint window around the last
+//! start a [`Fleet`](crate::Fleet) scan asked about, and `tail`, the
+//! start of its last busy segment, read at the same refresh. With the
+//! class's `P¹` and capacity, built once per index, a row decides both
+//! skips of a scan without touching the ledger: the run-cost floor is
+//! `P¹ · (cpu · len)` unless `tail` lies after the start, exactly
+//! [`ServerLedger::insertion_floor`]; and `row.usage + demand` over the
+//! class capacity turns the server away exactly where
+//! [`UsageProfile::fits`](esvm_simcore::UsageProfile::fits) would,
+//! since that is the first test `fits` makes. A row is born stale when a
+//! server becomes active, goes stale when an active server hosts or
+//! loses a piece, which are the only points its usage or its tail moves,
+//! and goes with the server's entry (a seal, a demotion, an outage).
+//! Class representatives have no row.
 //!
 //! ## The cold rule
 //!
@@ -66,10 +72,10 @@
 
 use std::cell::Cell;
 use std::cmp::Reverse;
-use std::collections::{btree_map, BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::{BTreeSet, BinaryHeap};
 
 use esvm_obs::{DecisionKind, ExplainRecord};
-use esvm_simcore::{Resources, ServerId, ServerLedger, ServerSpec, TimeUnit, Vm};
+use esvm_simcore::{Resources, ServerId, ServerLedger, ServerSpec, TimeUnit};
 
 /// Where one server sits in a [`CandidateIndex`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,14 +85,17 @@ enum Slot {
     Down,
 }
 
-/// An active server's cached usage window (see the [module
-/// docs](self#fit-rows)): `usage` is what its profile holds over
-/// `[from, until)`. An empty window is stale.
+/// An active server's cached usage window and busy tail (see the
+/// [module docs](self#fit-rows)): `usage` is what its profile holds over
+/// `[from, until)`, and `tail` the start of its last busy segment, or 0
+/// for an empty ledger, which starts after no piece, as in
+/// [`ServerLedger::insertion_floor`]. An empty window is stale.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct FitRow {
+struct FitRow {
     from: TimeUnit,
     until: TimeUnit,
     usage: Resources,
+    tail: TimeUnit,
 }
 
 impl FitRow {
@@ -95,22 +104,40 @@ impl FitRow {
         from: 1,
         until: 0,
         usage: Resources::ZERO,
+        tail: 0,
     };
+}
 
-    /// Whether `piece` does not fit on `ledger` at its start, the first
-    /// test of [`ServerLedger::fits`]: read from the row when its window
-    /// holds the start, else from a window refreshed with one search of
-    /// the profile.
+/// One active server of a [`CandidateIndex`]: its id, its spec class and
+/// its fit row.
+#[derive(Debug, Clone)]
+pub(crate) struct Entry {
+    id: u32,
+    class: u32,
+    row: Cell<FitRow>,
+}
+
+impl Entry {
+    /// The row for a piece that starts at `t`: the cached one while its
+    /// window holds `t`, else one refreshed from the server's ledger with
+    /// one search of its usage profile.
     #[inline]
-    pub(crate) fn rejects(row: &Cell<Self>, ledger: &ServerLedger, piece: &Vm) -> bool {
-        let t = piece.start();
-        let mut cached = row.get();
-        if !(cached.from <= t && t < cached.until) {
-            let (from, until, usage) = ledger.usage().piece_at(t);
-            cached = Self { from, until, usage };
-            row.set(cached);
+    fn row(&self, ledgers: &[ServerLedger], t: TimeUnit) -> FitRow {
+        let row = self.row.get();
+        if row.from <= t && t < row.until {
+            return row;
         }
-        !(cached.usage + piece.demand()).fits_within(ledger.spec().capacity())
+        let ledger = &ledgers[self.id as usize];
+        let (from, until, usage) = ledger.usage().piece_at(t);
+        let tail = ledger.segments().iter().last().map_or(0, |s| s.start());
+        let row = FitRow {
+            from,
+            until,
+            usage,
+            tail,
+        };
+        self.row.set(row);
+        row
     }
 }
 
@@ -120,10 +147,14 @@ impl FitRow {
 pub struct CandidateIndex {
     /// Spec class of each server (see [`crate::classes`]).
     class_of: Vec<usize>,
+    /// `P¹` and the capacity of each spec class. A class's members
+    /// compare equal in both (module docs of `classes`), so these are
+    /// every member's bits.
+    class_terms: Vec<(f64, Resources)>,
     slot: Vec<Slot>,
-    /// Servers that may price differently from a pristine twin,
-    /// ascending id, each with its fit row.
-    active: BTreeMap<u32, Cell<FitRow>>,
+    /// Servers that may price differently from a pristine twin, one
+    /// entry each, ascending id.
+    active: Vec<Entry>,
     /// Standby servers per spec class, ascending id.
     standby: Vec<BTreeSet<u32>>,
     /// The lowest standby id of every class with a standby member, in
@@ -149,10 +180,18 @@ impl CandidateIndex {
             .filter_map(|ids| ids.first().copied())
             .collect();
         reps.sort_unstable();
+        let class_terms = members
+            .iter()
+            .map(|ids| {
+                let spec = &servers[ids[0] as usize];
+                (spec.power_per_cpu_unit(), spec.capacity())
+            })
+            .collect();
         Self {
             class_of: classes.class_of,
+            class_terms,
             slot: vec![Slot::Standby; servers.len()],
-            active: BTreeMap::new(),
+            active: Vec::new(),
             standby: members.into_iter().map(BTreeSet::from_iter).collect(),
             reps,
             pruned: (servers.len() - classes.count) as u64,
@@ -185,7 +224,7 @@ impl CandidateIndex {
 
     /// Active servers, ascending id.
     pub fn active(&self) -> impl Iterator<Item = ServerId> + '_ {
-        self.active.keys().map(|&i| ServerId(i))
+        self.active.iter().map(|e| ServerId(e.id))
     }
 
     /// Standby servers of `class`, ascending id; the first one is the
@@ -215,17 +254,47 @@ impl CandidateIndex {
         self.pruned
     }
 
-    /// The servers a decision visits — active servers with their fit
-    /// rows and the class representatives without — in ascending id
-    /// order. Allocation-free.
+    /// The servers a decision visits — active servers with their entries
+    /// and the class representatives without — in ascending id order.
+    /// Allocation-free.
     pub(crate) fn candidates(&self) -> Candidates<'_> {
         let (mut active, mut reps) = (self.active.iter(), self.reps.iter());
         Candidates {
-            next_active: head_row(&mut active),
+            next_active: head_entry(&mut active),
             next_rep: head(&mut reps),
             active,
             reps,
         }
+    }
+
+    /// The run-cost floor of a piece that starts at `t` on the active
+    /// server `e`, `cpu_len` being the piece's `cpu · len`: the product
+    /// and the guard of [`ServerLedger::insertion_floor`], read from
+    /// `e`'s class and row.
+    #[inline]
+    pub(crate) fn floor(
+        &self,
+        e: &Entry,
+        ledgers: &[ServerLedger],
+        t: TimeUnit,
+        cpu_len: f64,
+    ) -> Option<f64> {
+        (e.row(ledgers, t).tail <= t).then(|| self.class_terms[e.class as usize].0 * cpu_len)
+    }
+
+    /// Whether `demand` from `t` on is over the active server `e`'s
+    /// capacity at `t`, the first test of [`ServerLedger::fits`], read
+    /// from `e`'s class and row.
+    #[inline]
+    pub(crate) fn rejects(
+        &self,
+        e: &Entry,
+        ledgers: &[ServerLedger],
+        t: TimeUnit,
+        demand: Resources,
+    ) -> bool {
+        let capacity = self.class_terms[e.class as usize].1;
+        !(e.row(ledgers, t).usage + demand).fits_within(capacity)
     }
 
     /// Moves a standby server to the active set with a stale fit row.
@@ -235,8 +304,7 @@ impl CandidateIndex {
         match self.slot[i as usize] {
             Slot::Standby => {
                 self.remove_standby(i);
-                self.active.insert(i, Cell::new(FitRow::STALE));
-                self.slot[i as usize] = Slot::Active;
+                self.insert_active(i);
             }
             Slot::Active => self.invalidate(i),
             Slot::Down => {}
@@ -246,16 +314,15 @@ impl CandidateIndex {
     /// Marks the fit row of an active server stale (no-op otherwise).
     /// Needed wherever its usage falls and it stays active.
     pub(crate) fn invalidate(&self, i: u32) {
-        if let Some(row) = self.active.get(&i) {
-            row.set(FitRow::STALE);
+        if let Ok(at) = self.position(i) {
+            self.active[at].row.set(FitRow::STALE);
         }
     }
 
     /// Moves an active server to its class's standby set, dropping its
-    /// fit row (no-op otherwise).
+    /// entry (no-op otherwise).
     pub(crate) fn deactivate(&mut self, i: u32) {
-        if self.slot[i as usize] == Slot::Active {
-            self.active.remove(&i);
+        if self.remove_active(i) {
             self.insert_standby(i);
         }
     }
@@ -264,7 +331,7 @@ impl CandidateIndex {
     pub(crate) fn set_down(&mut self, i: u32) {
         match self.slot[i as usize] {
             Slot::Active => {
-                self.active.remove(&i);
+                self.remove_active(i);
             }
             Slot::Standby => self.remove_standby(i),
             Slot::Down => return,
@@ -280,11 +347,38 @@ impl CandidateIndex {
             return;
         }
         if hosting {
-            self.active.insert(i, Cell::new(FitRow::STALE));
-            self.slot[i as usize] = Slot::Active;
+            self.insert_active(i);
         } else {
             self.insert_standby(i);
         }
+    }
+
+    /// Where `i`'s entry is, or would go, in the active array.
+    fn position(&self, i: u32) -> Result<usize, usize> {
+        self.active.binary_search_by_key(&i, |e| e.id)
+    }
+
+    /// Inserts a stale entry for the server `i`, which has none, moving
+    /// the entries above it up.
+    fn insert_active(&mut self, i: u32) {
+        let at = self.active.partition_point(|e| e.id < i);
+        let entry = Entry {
+            id: i,
+            class: self.class_of[i as usize] as u32,
+            row: Cell::new(FitRow::STALE),
+        };
+        self.active.insert(at, entry);
+        self.slot[i as usize] = Slot::Active;
+    }
+
+    /// Drops `i`'s entry, moving the entries above it down; `false` when
+    /// it has none.
+    fn remove_active(&mut self, i: u32) -> bool {
+        let found = self.position(i);
+        if let Ok(at) = found {
+            self.active.remove(at);
+        }
+        found.is_ok()
     }
 
     fn insert_standby(&mut self, i: u32) {
@@ -319,6 +413,17 @@ impl CandidateIndex {
     }
 }
 
+#[cfg(test)]
+impl CandidateIndex {
+    /// The busy tail in the row of the active server `i` for a piece
+    /// that starts at `t`, refreshed as a scan would refresh it; `None`
+    /// when `i` is not active.
+    pub(crate) fn tail(&self, i: u32, ledgers: &[ServerLedger], t: TimeUnit) -> Option<TimeUnit> {
+        let at = self.position(i).ok()?;
+        Some(self.active[at].row(ledgers, t).tail)
+    }
+}
+
 fn insert_sorted(ids: &mut Vec<u32>, i: u32) {
     let at = ids.partition_point(|&x| x < i);
     ids.insert(at, i);
@@ -329,12 +434,12 @@ fn remove_sorted(ids: &mut Vec<u32>, i: u32) {
     ids.remove(at);
 }
 
-/// One server a decision visits: its id, and its fit row when it is
+/// One server a decision visits: its id, and its entry when it is
 /// active.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Candidate<'a> {
     pub(crate) id: u32,
-    pub(crate) row: Option<&'a Cell<FitRow>>,
+    pub(crate) entry: Option<&'a Entry>,
 }
 
 impl From<Candidate<'_>> for u32 {
@@ -344,14 +449,14 @@ impl From<Candidate<'_>> for u32 {
     }
 }
 
-/// Ascending merge of the active set and the class representatives
+/// Ascending merge of the active entries and the class representatives
 /// (disjoint, since active and standby are). The next id of each side
 /// is cached, widened so that `u64::MAX` marks an exhausted side; a
 /// step is then one comparison.
 pub(crate) struct Candidates<'a> {
-    active: btree_map::Iter<'a, u32, Cell<FitRow>>,
+    active: std::slice::Iter<'a, Entry>,
     reps: std::slice::Iter<'a, u32>,
-    next_active: (u64, Option<&'a Cell<FitRow>>),
+    next_active: (u64, Option<&'a Entry>),
     next_rep: u64,
 }
 
@@ -361,14 +466,12 @@ fn head<'a>(mut ids: impl Iterator<Item = &'a u32>) -> u64 {
     ids.next().map_or(u64::MAX, |&i| u64::from(i))
 }
 
-/// [`head`] of the active set, with the id's fit row.
+/// [`head`] of the active entries, with the entry.
 #[inline]
-fn head_row<'a>(
-    active: &mut btree_map::Iter<'a, u32, Cell<FitRow>>,
-) -> (u64, Option<&'a Cell<FitRow>>) {
+fn head_entry<'a>(active: &mut std::slice::Iter<'a, Entry>) -> (u64, Option<&'a Entry>) {
     active
         .next()
-        .map_or((u64::MAX, None), |(&i, row)| (u64::from(i), Some(row)))
+        .map_or((u64::MAX, None), |e| (u64::from(e.id), Some(e)))
 }
 
 impl<'a> Iterator for Candidates<'a> {
@@ -379,11 +482,14 @@ impl<'a> Iterator for Candidates<'a> {
         if self.next_rep < self.next_active.0 {
             let id = self.next_rep as u32;
             self.next_rep = head(&mut self.reps);
-            Some(Candidate { id, row: None })
+            Some(Candidate { id, entry: None })
         } else if self.next_active.0 < u64::MAX {
-            let (id, row) = self.next_active;
-            self.next_active = head_row(&mut self.active);
-            Some(Candidate { id: id as u32, row })
+            let (id, entry) = self.next_active;
+            self.next_active = head_entry(&mut self.active);
+            Some(Candidate {
+                id: id as u32,
+                entry,
+            })
         } else {
             None
         }
@@ -427,7 +533,7 @@ impl Argmin {
 /// with `score` (`None` = does not fit), and keeps the strict-`<`
 /// minimum, so the lowest id wins exact ties. An item is a server id,
 /// or anything that converts to one: the [`Fleet`](crate::Fleet) visits
-/// its candidates with their fit rows. The tallies are kept only when
+/// its candidates with their entries. The tallies are kept only when
 /// `counting` (a compile-time constant at every call site).
 ///
 /// Once a best exists, a server whose `floor` is `Some(f)` with `f >=`
@@ -440,7 +546,8 @@ impl Argmin {
 ///
 /// Offline MIEC and the [`Fleet`](crate::Fleet) under both fault engines
 /// feed it a [`CandidateIndex`]'s candidates with
-/// [`ServerLedger::insertion_floor`]; the unpruned MIEC oracles and the
+/// [`ServerLedger::insertion_floor`], which the fleet reads from each
+/// active server's entry; the unpruned MIEC oracles and the
 /// consolidator, which scans every server but the one it would empty,
 /// pass no floor. Offline MIEC and the consolidator pass plain ids.
 ///
@@ -607,6 +714,8 @@ impl ColdRule {
 mod tests {
     use super::*;
     use esvm_simcore::{Interval, PowerModel, Resources, Vm};
+    use proptest::prelude::*;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
 
     fn spec(id: u32, p_idle: f64, alpha: f64) -> ServerSpec {
         ServerSpec::new(
@@ -641,10 +750,14 @@ mod tests {
         assert_eq!(index.pruned(), pruned);
         let ids = visited(index);
         assert!(ids.windows(2).all(|w| w[0] < w[1]), "{ids:?}");
-        // Active servers carry a fit row, class representatives none.
-        assert!(index
-            .candidates()
-            .all(|c| c.row.is_some() == index.is_active(ServerId(c.id))));
+        // Active servers carry an entry of their class, class
+        // representatives none.
+        assert!(index.candidates().all(|c| {
+            c.entry.is_some() == index.is_active(ServerId(c.id))
+                && c.entry.is_none_or(|e| {
+                    e.id == c.id && e.class as usize == index.class_of(ServerId(c.id))
+                })
+        }));
         assert_eq!(
             ids.len(),
             index.active().count()
@@ -683,6 +796,100 @@ mod tests {
         index.deactivate(3);
         index.activate(1);
         check(&index);
+    }
+
+    /// Whether `e`'s row holds no start.
+    fn stale(e: &Entry) -> bool {
+        let row = e.row.get();
+        row.from >= row.until
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random `activate`, `invalidate`, `deactivate`, `set_down` and
+        /// `set_up` sequences against a model: a sorted id set plus
+        /// per-class standby sets. Before each step every row is made
+        /// fresh, so a row found stale after it was marked by that step.
+        #[test]
+        fn the_active_array_matches_a_model(seed in 0u64..1_000_000) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = rng.gen_range(1u32..=24);
+            let kinds: Vec<usize> = (0..n).map(|_| rng.gen_range(0usize..3)).collect();
+            let fleet: Vec<ServerSpec> = (0..n)
+                .map(|i| spec(i, [100.0, 50.0, 25.0][kinds[i as usize]], 10.0))
+                .collect();
+            let mut index = CandidateIndex::new(&fleet);
+            let mut active: BTreeSet<u32> = BTreeSet::new();
+            let mut standby: Vec<BTreeSet<u32>> = vec![BTreeSet::new(); 3];
+            for i in 0..n {
+                standby[kinds[i as usize]].insert(i);
+            }
+            let mut down: BTreeSet<u32> = BTreeSet::new();
+            for _ in 0..rng.gen_range(1usize..=60) {
+                let fresh = FitRow { from: 0, until: TimeUnit::MAX, ..FitRow::STALE };
+                index.candidates().filter_map(|c| c.entry).for_each(|e| e.row.set(fresh));
+                let i = rng.gen_range(0..n);
+                let kind = kinds[i as usize];
+                // The server whose row the step must leave stale.
+                let mut marked = None;
+                match rng.gen_range(0u32..5) {
+                    0 => {
+                        index.activate(i);
+                        if standby[kind].remove(&i) {
+                            active.insert(i);
+                        }
+                        marked = active.contains(&i).then_some(i);
+                    }
+                    1 => {
+                        index.invalidate(i);
+                        marked = active.contains(&i).then_some(i);
+                    }
+                    2 => {
+                        index.deactivate(i);
+                        if active.remove(&i) {
+                            standby[kind].insert(i);
+                        }
+                    }
+                    3 => {
+                        index.set_down(i);
+                        if active.remove(&i) || standby[kind].remove(&i) {
+                            down.insert(i);
+                        }
+                    }
+                    _ => {
+                        let hosting = rng.gen_bool(0.5);
+                        index.set_up(i, hosting);
+                        if down.remove(&i) {
+                            if hosting {
+                                active.insert(i);
+                                marked = Some(i);
+                            } else {
+                                standby[kind].insert(i);
+                            }
+                        }
+                    }
+                }
+                check(&index);
+                let mut want: Vec<u32> = active.iter().copied().collect();
+                want.extend(standby.iter().filter_map(|ids| ids.first().copied()));
+                want.sort_unstable();
+                prop_assert_eq!(visited(&index), want);
+                for c in index.candidates() {
+                    prop_assert_eq!(c.entry.is_some(), active.contains(&c.id));
+                    if let Some(e) = c.entry {
+                        prop_assert_eq!(e.id, c.id);
+                        prop_assert_eq!(e.class as usize, index.class_of(ServerId(c.id)));
+                        prop_assert_eq!(stale(e), marked == Some(c.id), "row of {}", c.id);
+                    }
+                }
+                for class in 0..index.class_count() {
+                    for s in index.standby(class) {
+                        prop_assert!(standby[kinds[s.index()]].contains(&s.0));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@ use std::collections::HashMap;
 
 use esvm_simcore::{Interval, ServerId, ServerLedger, ServerSpec, TimeUnit, Vm, VmId};
 
-use crate::candidates::{argmin, Argmin, CandidateIndex, ColdRule, FitRow};
+use crate::candidates::{argmin, Argmin, CandidateIndex, ColdRule};
 
 /// The forced Eq. 7 transitions of a fleet's outages.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -79,21 +79,29 @@ impl Fleet {
     /// as a scan of every up server would: a server whose
     /// [`insertion_floor`](ServerLedger::insertion_floor) meets the
     /// running best is passed over unscored, and an active server whose
-    /// fit row shows the piece over capacity at its start is unfit
-    /// without a search of its profile. With `counting`, its tallies and
-    /// [`CandidateIndex::pruned`] sum to the up servers.
+    /// fit row shows the piece over capacity at its start is unfit. An
+    /// active server takes both tests from its entry in the index, so
+    /// its ledger is read only to refresh its row or to score it. With
+    /// `counting`, its tallies and [`CandidateIndex::pruned`] sum to the
+    /// up servers.
     #[inline]
     pub fn scan(&self, piece: &Vm, counting: bool) -> Argmin {
-        let ledgers = &self.ledgers;
+        let (ledgers, index) = (&self.ledgers, &self.index);
+        let (t, demand) = (piece.start(), piece.demand());
+        // The second factor of every server's run cost.
+        let cpu_len = demand.cpu * piece.interval().len() as f64;
         argmin(
-            self.index.candidates(),
+            index.candidates(),
             counting,
-            |c| ledgers[c.id as usize].insertion_floor(piece.demand(), piece.interval()),
+            |c| match c.entry {
+                Some(e) => index.floor(e, ledgers, t, cpu_len),
+                None => ledgers[c.id as usize].insertion_floor(demand, piece.interval()),
+            },
             |c| {
-                let ledger = &ledgers[c.id as usize];
-                if c.row.is_some_and(|row| FitRow::rejects(row, ledger, piece)) {
+                if c.entry.is_some_and(|e| index.rejects(e, ledgers, t, demand)) {
                     return None;
                 }
+                let ledger = &ledgers[c.id as usize];
                 ledger.fits(piece).then(|| ledger.incremental_cost(piece))
             },
         )
@@ -397,6 +405,35 @@ mod tests {
         // Hosting fills it again.
         fleet.host(s0, piece, 5);
         assert_eq!(winner(&fleet), (Some(1), 1));
+    }
+
+    #[test]
+    fn a_refreshed_row_holds_the_start_of_the_last_segment() {
+        // Each step reads the row at start 4 again, whose window a row
+        // left unmarked would still hold.
+        let mut fleet = Fleet::new(&specs(2));
+        let s0 = ServerId(0);
+        let rows = |fleet: &Fleet| {
+            let last = fleet.ledgers[0].segments().iter().last().map(|s| s.start());
+            (fleet.index.tail(0, &fleet.ledgers, 4), last)
+        };
+        fleet.host(s0, vm(0, 1, 5), 1);
+        assert_eq!(rows(&fleet), (Some(1), Some(1)));
+        // A backoff-delayed tail lies after the start.
+        fleet.host(s0, vm(1, 12, 20), 3);
+        assert_eq!(rows(&fleet), (Some(12), Some(12)));
+        // Stopped before it starts, it goes, and so does its segment.
+        assert!(fleet.stop(s0, VmId(1), 4).is_some());
+        assert_eq!(rows(&fleet), (Some(1), Some(1)));
+        fleet.host(s0, vm(2, 9, 30), 4);
+        assert_eq!(rows(&fleet), (Some(9), Some(9)));
+        // Down at 6, an eviction drops [9, 30], which has not started,
+        // while the server has no entry; up, it gets a fresh one.
+        assert!(fleet.set_down(s0, 6));
+        assert_eq!(fleet.index.tail(0, &fleet.ledgers, 4), None);
+        assert_eq!(fleet.evict(s0, 6, Vm::id), [vm(2, 9, 30)]);
+        assert!(fleet.set_up(s0, 7));
+        assert_eq!(rows(&fleet), (Some(1), Some(1)));
     }
 
     #[test]

@@ -15,19 +15,25 @@
 //! * every repair decision of either engine is an argmin over the
 //!   candidate index whose tallies account for every up server:
 //!   `candidates + unfit + floored + pruned` = up servers at that
-//!   instant.
+//!   instant;
+//! * under random fleet histories (hosts at the clock and after it,
+//!   stops, outages with eviction, demotions or seals at an advancing
+//!   clock) every `Fleet::scan` decides as a scan of every up server,
+//!   so the run-cost floor's guard against a later-starting tail and
+//!   the fit rows' stale marks are checked on every scan.
 
 use std::collections::BTreeSet;
 
-use esvm::core::FaultTransitions;
+use esvm::core::{FaultTransitions, Fleet};
 use esvm::obs::{CollectingTracer, DecisionKind, ExplainRecord, MetricsRegistry};
 use esvm::{
     event_order, AllocatorKind, ChaosEngine, FaultCause, FaultEvent, FaultPlan, FaultPlanConfig,
     Interval, Miec, OnlineDecision, OnlineEngine, PowerModel, ProblemBuilder, Resources, ServerId,
-    WorkloadConfig,
+    ServerSpec, Vm, VmId, WorkloadConfig,
 };
+use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// The one-server case: a VM on [1, 5], down at 7, up at 9, then a VM
 /// on `second`, on the chaos replay and on the online engine. Returns
@@ -239,4 +245,126 @@ fn online_repairs_account_for_every_up_server() {
         repairs > 20,
         "only {repairs} repairs: the check is not exercised"
     );
+}
+
+/// Three spec classes: `P¹` 12.5, 11.69 and 9.46 W/CU, with `g*` 50,
+/// 30 and 30, so short gaps idle and fractional run costs round when
+/// the idle energy is added.
+fn class_spec(id: u32, class: usize) -> ServerSpec {
+    let (cpu, mem, idle, peak, alpha) = [
+        (8.0, 16.0, 100.0, 200.0, 5000.0),
+        (6.5, 17.1, 86.0, 162.0, 2580.0),
+        (13.0, 34.2, 151.0, 274.0, 4530.0),
+    ][class];
+    ServerSpec::new(
+        id,
+        Resources::new(cpu, mem),
+        PowerModel::new(idle, peak),
+        alpha,
+    )
+}
+
+/// A piece of `vm` on `[start, start + len − 1]` with a fractional demand.
+fn random_piece(rng: &mut StdRng, vm: u32, start: u32) -> Vm {
+    let len = rng.gen_range(1u32..=8);
+    let demand = Resources::new(rng.gen_range(0.1..4.0), rng.gen_range(0.1..8.0));
+    Vm::new(vm, demand, Interval::new(start, start + len - 1))
+}
+
+/// The Eq. 7 argmin of `piece` by a scan of every up server: `fits`,
+/// then `incremental_cost`, ascending id, strict `<`.
+fn full_scan(fleet: &Fleet, piece: &Vm) -> Option<(u64, u32)> {
+    let mut best: Option<(f64, u32)> = None;
+    for (i, ledger) in fleet.ledgers().iter().enumerate() {
+        if fleet.index().is_down(ServerId(i as u32)) || !ledger.fits(piece) {
+            continue;
+        }
+        let delta = ledger.incremental_cost(piece);
+        if best.is_none_or(|(cost, _)| delta < cost) {
+            best = Some((delta, i as u32));
+        }
+    }
+    best.map(|(delta, i)| (delta.to_bits(), i))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A fleet of 4–8 servers in two or three spec classes driven
+    /// through random steps; after each, scans of random pieces that
+    /// start at or after the clock pick the full scan's winner with its
+    /// delta bits, and their tallies account for every up server.
+    #[test]
+    fn every_scan_decides_as_a_scan_of_every_up_server(seed in 0u64..1_000_000) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = rng.gen_range(4u32..=8);
+        let classes = rng.gen_range(2usize..=3);
+        let specs: Vec<ServerSpec> = (0..n)
+            .map(|i| class_spec(i, rng.gen_range(0..classes)))
+            .collect();
+        let seals = rng.gen_bool(0.5);
+        let mut fleet = Fleet::new(&specs);
+        let (mut clock, mut retired, mut next_vm) = (0u32, 0.0, 0u32);
+        // Hosted pieces a step may try to stop.
+        let mut hosted: Vec<(ServerId, VmId)> = Vec::new();
+        for step in 0..40 {
+            let server = ServerId(rng.gen_range(0..n));
+            match rng.gen_range(0u32..10) {
+                // Host at the clock, or as a backoff-delayed tail after it.
+                0..=4 => {
+                    let delay = if rng.gen_bool(0.3) { rng.gen_range(1u32..=12) } else { 0 };
+                    let piece = random_piece(&mut rng, next_vm, clock + delay);
+                    next_vm += 1;
+                    let up = !fleet.index().is_down(server);
+                    if up && fleet.ledgers()[server.index()].fits(&piece) {
+                        fleet.host(server, piece, clock);
+                        hosted.push((server, piece.id()));
+                    }
+                }
+                5 | 6 => {
+                    if !hosted.is_empty() {
+                        let (s, vm) = hosted.swap_remove(rng.gen_range(0..hosted.len()));
+                        fleet.stop(s, vm, clock);
+                    }
+                }
+                7 => {
+                    if fleet.set_down(server, clock) {
+                        fleet.evict(server, clock, Vm::id);
+                    } else {
+                        fleet.set_up(server, clock);
+                    }
+                }
+                _ => {
+                    clock += rng.gen_range(0u32..=20);
+                    if seals {
+                        fleet.seal(clock, &mut retired);
+                    } else {
+                        fleet.demote(clock);
+                    }
+                }
+            }
+            let up = (0..n).filter(|&i| !fleet.index().is_down(ServerId(i))).count() as u64;
+            for _ in 0..3 {
+                let start = clock + rng.gen_range(0u32..=12);
+                let piece = random_piece(&mut rng, next_vm, start);
+                let scan = fleet.scan(&piece, true);
+                let best = scan.best.map(|(delta, i)| (delta.to_bits(), i));
+                prop_assert_eq!(
+                    best,
+                    full_scan(&fleet, &piece),
+                    "seed {} step {} {:?}",
+                    seed,
+                    step,
+                    piece
+                );
+                prop_assert_eq!(
+                    scan.candidates + scan.unfit + scan.floored + fleet.index().pruned(),
+                    up,
+                    "seed {} step {}: tallies",
+                    seed,
+                    step
+                );
+            }
+        }
+    }
 }

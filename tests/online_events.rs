@@ -21,9 +21,16 @@
 //!   up server puts it — `fits`, then `incremental_cost`, ascending id,
 //!   strict `<` — with no candidate index and no run-cost floor, so the
 //!   floor's guard against later-starting repair tails is checked on
-//!   every decision.
+//!   every decision;
+//! * seeded early departures and a mid-stream drain stop pieces on up
+//!   servers: a VM departs exactly when the audit still runs a piece of
+//!   it, and every later decision still matches the full scan, so a fit
+//!   row a stop leaves stale would show.
 
 use std::collections::HashSet;
+
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 use esvm::core::{repair_delay, RepairOutcome};
 use esvm::{
@@ -155,6 +162,7 @@ proptest! {
         seed in 0u64..200,
         fault_seed in 0u64..200,
         fault_rate in 0.0f64..0.9,
+        stop_seed in 0u64..200,
     ) {
         let problem = WorkloadConfig::new(24, 6)
             .mean_interarrival(2.0)
@@ -173,8 +181,13 @@ proptest! {
         let mut faults = plan.events().iter().peekable();
         let mut down: HashSet<u32> = HashSet::new();
         let mut placed_ids: HashSet<VmId> = HashSet::new();
+        // Early departures and the mid-stream drain.
+        let mut stops = StdRng::seed_from_u64(stop_seed);
+        let mut placed_order: Vec<VmId> = Vec::new();
+        let events = event_order(problem.vms());
+        let drain_at = stops.gen_range(0..events.len());
 
-        for event in event_order(problem.vms()) {
+        for (n, event) in events.into_iter().enumerate() {
             // Faults strike as soon as the clock would reach them.
             while let Some(f) = faults.peek() {
                 if f.at() > event.at() {
@@ -242,6 +255,7 @@ proptest! {
                             "id {vm_id:?} placed twice"
                         );
                         pieces.place(server, &arrival.expect("a decision answers an arrival"));
+                        placed_order.push(vm_id);
                     }
                 }
                 Ok(None) => {}
@@ -253,6 +267,25 @@ proptest! {
             check_energy(&engine, "after event");
             check_index(&engine, "after event");
             check_audit(&engine, &pieces, "after event");
+
+            // An early departure of a placed VM at the clock: its piece
+            // stops on an up server, which keeps what ran before.
+            if !placed_order.is_empty() && stops.gen_bool(0.4) {
+                let vm = placed_order[stops.gen_range(0..placed_order.len())];
+                let clock = engine.clock();
+                let departed = engine.depart(vm).is_ok();
+                prop_assert_eq!(departed, pieces.depart(vm, clock), "early departure of {:?}", vm);
+                check_energy(&engine, "after departure");
+                check_index(&engine, "after departure");
+                check_audit(&engine, &pieces, "after departure");
+            }
+            if n == drain_at {
+                let clock = engine.clock();
+                prop_assert_eq!(engine.drain(), pieces.stop(None, clock).len());
+                check_energy(&engine, "after mid-stream drain");
+                check_index(&engine, "after mid-stream drain");
+                check_audit(&engine, &pieces, "after mid-stream drain");
+            }
         }
 
         // Each id appears at most once in the decision log.

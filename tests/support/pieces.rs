@@ -3,11 +3,12 @@
 //! Shared by the tests of the online engine and the serve session
 //! (include it with `#[path]`). A test records every piece it sees
 //! placed and every outage it drives, stopping running pieces where the
-//! engine must stop them. [`Pieces::check`] then rescans that schedule
-//! on fresh ledgers and compares the engine's energy figures with it:
-//! the Eq. 7 energy of the pieces and the surcharge of the switch-ons
-//! the outages forced. The audit keeps every piece on one ledger per
-//! server, as if no server were ever sealed.
+//! engine must stop them (an outage, a drain, an early departure).
+//! [`Pieces::check`] then rescans that schedule on fresh ledgers and
+//! compares the engine's energy figures with it: the Eq. 7 energy of
+//! the pieces and the surcharge of the switch-ons the outages forced.
+//! The audit keeps every piece on one ledger per server, as if no
+//! server were ever sealed.
 
 #![allow(dead_code)]
 
@@ -122,10 +123,26 @@ impl Pieces {
     /// still runs at `clock`: `[start, clock − 1]` stays, a piece that
     /// has not started goes. Returns the stopped VMs in id order.
     pub fn stop(&mut self, server: Option<ServerId>, clock: TimeUnit) -> Vec<VmId> {
+        self.stop_where(clock, |s, _| server.is_none_or(|want| want == s))
+    }
+
+    /// Stops the piece of `vm` that still runs at `clock`, as
+    /// [`Pieces::stop`] does; `false` when none runs.
+    pub fn depart(&mut self, vm: VmId, clock: TimeUnit) -> bool {
+        !self.stop_where(clock, |_, id| id == vm).is_empty()
+    }
+
+    /// Stops every piece still running at `clock` whose server and VM
+    /// `which` accepts. Returns the stopped VMs in id order.
+    fn stop_where(
+        &mut self,
+        clock: TimeUnit,
+        which: impl Fn(ServerId, VmId) -> bool,
+    ) -> Vec<VmId> {
         let mut stopped = Vec::new();
         for slot in &mut self.pieces {
             let Some((s, vm)) = *slot else { continue };
-            if vm.end() < clock || server.is_some_and(|want| want != s) {
+            if vm.end() < clock || !which(s, vm.id()) {
                 continue;
             }
             stopped.push(vm.id());
