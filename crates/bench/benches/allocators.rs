@@ -1,13 +1,15 @@
 //! Micro-benchmarks of every allocation algorithm on the paper's
 //! flagship instance (100 VMs on 50 servers, all catalogs), plus a
-//! production-scale MIEC point (2000 VMs on 500 servers) that records
-//! the optimised-vs-reference speedup in `BENCH_miec.json` at the repo
-//! root, and the candidate-index-vs-full-scan scale points.
+//! production-scale MIEC point (2000 VMs on 500 servers) that gates the
+//! optimised-vs-reference speedup against the committed
+//! `BENCH_miec.json` at the repo root, and the candidate-index-vs-full-
+//! scan scale points. A run writes its fresh record under
+//! `target/`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use esvm_bench::{
     assert_no_regression, committed_bench_field, miec_scale_point, time_best, time_pair_best,
-    ScalePoint,
+    write_fresh_record, ScalePoint,
 };
 use esvm_core::{Allocator, AllocatorKind, Miec};
 use esvm_obs::{DiscardTracer, MetricsRegistry, NoopTracer};
@@ -124,8 +126,8 @@ fn scale_fields(
 /// Production-scale point: 2000 VMs on 500 servers. Times the optimised
 /// MIEC (delta scoring + candidate index) against the reference
 /// implementation (full scan, clone-and-rescan scoring), checks
-/// placement equivalence, and writes the measurements to
-/// `BENCH_miec.json` at the repository root.
+/// placement equivalence, gates against the committed `BENCH_miec.json`
+/// and writes the fresh measurements under `target/`.
 ///
 /// Equivalence is asserted in two layers, because they have different
 /// strength guarantees:
@@ -143,7 +145,6 @@ fn bench_miec_at_scale(c: &mut Criterion) {
     const VMS: usize = 2000;
     const SERVERS: usize = 500;
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_miec.json");
-    // Read the committed baseline before this run overwrites the record.
     // The gate compares the reference-normalized ratio, so machine-speed
     // drift between the recording and the checking run cancels out.
     let committed_ratio = committed_bench_field(path, "optimised_seconds")
@@ -400,9 +401,7 @@ fn bench_miec_at_scale(c: &mut Criterion) {
         "{{\n  \"benchmark\": \"miec_allocation\",\n  \"vms\": {VMS},\n  \"servers\": {SERVERS},\n  \"workload_seed\": 1,\n  \"mean_interarrival\": 4.0,\n  \"optimised_seconds\": {optimised_s:.6},\n  \"instrumented_seconds\": {instrumented_s:.6},\n  \"instrumentation_overhead\": {instrumentation_overhead:.4},\n  \"trace_noop_seconds\": {trace_noop_s:.6},\n  \"trace_noop_overhead\": {trace_noop_overhead:.4},\n  \"trace_seconds\": {trace_enabled_s:.6},\n  \"trace_overhead\": {trace_overhead:.4},\n  \"reference_seconds\": {reference_s:.6},\n  \"speedup\": {speedup:.2},\n  \"host_parallelism\": {host_parallelism},\n  \"unpruned_seconds\": {unpruned_s:.6},\n  \"index_speedup\": {index_speedup:.2},\n  \"candidates_considered\": {candidates_considered},\n  \"spec_class_pruned\": {spec_class_pruned},\n  \"fp_ties\": {fp_ties},\n  \"index_placement_exact\": true,\n  \"placements_identical\": {placements_identical},\n  \"divergences_certified_fp_ties\": true{scale_json}\n}}\n",
         index_speedup = unpruned_s / optimised_s,
     );
-    if let Err(e) = std::fs::write(path, json) {
-        eprintln!("could not write {path}: {e}");
-    }
+    write_fresh_record("BENCH_miec.json", &json);
 }
 
 criterion_group!(benches, bench_allocators, bench_scaling, bench_miec_at_scale);

@@ -1,11 +1,12 @@
 //! Offline-refinement benchmark: delta-scored local search and
 //! consolidation vs their retained clone-and-rescan reference
-//! implementations, at a 500-VM / 100-server scale point. Records the
-//! measured speedups and equivalence flags in `BENCH_localsearch.json`
-//! at the repository root.
+//! implementations, at a 500-VM / 100-server scale point. Gates the
+//! measured speedups against the committed `BENCH_localsearch.json` at
+//! the repository root, and writes the fresh record, with its
+//! equivalence flags, under `target/`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use esvm_bench::{assert_no_regression, committed_bench_field, time_pair_best};
+use esvm_bench::{assert_no_regression, committed_bench_field, time_pair_best, write_fresh_record};
 use esvm_core::{Allocator, Consolidator, Ffps, LocalSearch, SearchMove};
 use esvm_obs::{DiscardTracer, MetricsRegistry, NoopTracer};
 use esvm_simcore::VmId;
@@ -33,13 +34,13 @@ fn same_decision(a: &SearchMove, b: &SearchMove) -> bool {
 /// 500 VMs on 100 servers: refine an FFPS allocation with the
 /// delta-scored search (criterion timing), then compare against the
 /// clone-and-rescan reference for both time and trajectory, run the same
-/// comparison for the consolidation pass, and write the measurements to
-/// `BENCH_localsearch.json`.
+/// comparison for the consolidation pass, gate both against the
+/// committed `BENCH_localsearch.json`, and write the fresh record under
+/// `target/`.
 fn bench_local_search_at_scale(c: &mut Criterion) {
     const VMS: usize = 500;
     const SERVERS: usize = 100;
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_localsearch.json");
-    // Read the committed baselines before this run overwrites the record.
     // The gates compare reference-normalized ratios, so machine-speed
     // drift between the recording and the checking run cancels out.
     let committed_ratio = committed_bench_field(path, "optimised_seconds")
@@ -235,9 +236,7 @@ fn bench_local_search_at_scale(c: &mut Criterion) {
         "{{\n  \"benchmark\": \"local_search_refinement\",\n  \"vms\": {VMS},\n  \"servers\": {SERVERS},\n  \"workload_seed\": 1,\n  \"mean_interarrival\": 4.0,\n  \"optimised_seconds\": {optimised_s:.6},\n  \"instrumented_seconds\": {instrumented_s:.6},\n  \"instrumentation_overhead\": {instrumentation_overhead:.4},\n  \"reference_seconds\": {reference_s:.6},\n  \"speedup\": {speedup:.2},\n  \"moves_accepted\": {moves},\n  \"relocates_considered\": {relocates_considered},\n  \"swaps_considered\": {swaps_considered},\n  \"spec_class_pruned\": {spec_class_pruned},\n  \"swap_fastpath_hits\": {swap_fastpath_hits},\n  \"relocates_reused\": {relocates_reused},\n  \"swaps_reused\": {swaps_reused},\n  \"relocates_bounded\": {relocates_bounded},\n  \"swaps_bounded\": {swaps_bounded},\n  \"fit_checks\": {fit_checks},\n  \"refinement_improvement\": {improvement:.6},\n  \"trajectory_equivalent\": {trajectory_equivalent},\n  \"placements_identical\": {placements_identical},\n  \"consolidation_optimised_seconds\": {consolidation_optimised_s:.6},\n  \"consolidation_reference_seconds\": {consolidation_reference_s:.6},\n  \"consolidation_speedup\": {consolidation_speedup:.2},\n  \"consolidator_evictions_committed\": {evictions_committed},\n  \"consolidator_migrations\": {consolidator_migrations},\n  \"consolidation_schedules_identical\": {schedules_identical},\n  \"consolidation_cost_rel_diff\": {consolidation_rel:.3e}\n}}\n",
         moves = fast_moves.len(),
     );
-    if let Err(e) = std::fs::write(path, json) {
-        eprintln!("could not write {path}: {e}");
-    }
+    write_fresh_record("BENCH_localsearch.json", &json);
 }
 
 criterion_group!(benches, bench_local_search_at_scale);

@@ -1,6 +1,7 @@
 //! Online serving benchmark: per-decision latency of the `esvm serve`
-//! engine at 100k streamed events, recorded in `BENCH_serve.json` at
-//! the repo root (the PR-3 regression-gate pattern).
+//! engine at 100k streamed events, gated against the committed
+//! `BENCH_serve.json` at the repo root; a run writes its fresh record
+//! under `target/`.
 //!
 //! The headline claim is **sub-10µs mean decision latency**: each
 //! arrival runs the full O(log K)-scored MIEC scan (spec-class pruning
@@ -12,7 +13,7 @@
 //! measures exactly what a `--metrics-out` run reports.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use esvm_bench::{assert_no_regression, committed_bench_field};
+use esvm_bench::{assert_no_regression, committed_bench_field, write_fresh_record};
 use esvm_chaos::FaultPlan;
 use esvm_exper::serve::{feed_problem_with_faults, ServeSession};
 use esvm_obs::{names::serve as names, MetricsRegistry, NoopTracer};
@@ -156,11 +157,7 @@ fn bench_serve(c: &mut Criterion) {
         "{{\n  \"benchmark\": \"serve\",\n  \"events\": {EVENTS},\n  \"servers\": {SERVERS},\n  \"workload_seed\": {SEED},\n  \"placed\": {placed},\n  \"rejected\": {rejected},\n  \"decision_mean_us\": {mean_us:.4},\n  \"decision_p50_us\": {:.4},\n  \"decision_p95_us\": {:.4},\n  \"decision_p99_us\": {:.4},\n  \"decision_max_us\": {:.4},\n  \"total_seconds\": {total_s:.6},\n  \"throughput_events_per_second\": {throughput:.0},\n  \"journal_fsync_every\": {FSYNC_EVERY},\n  \"journal_total_seconds\": {j_total_s:.6},\n  \"journal_overhead_ratio\": {overhead:.4}\n}}\n",
         hist.p50, hist.p95, hist.p99, hist.max,
     );
-    if let Err(e) = std::fs::write(path, json) {
-        eprintln!("could not write {path}: {e}");
-    } else {
-        println!("wrote {path}");
-    }
+    write_fresh_record("BENCH_serve.json", &json);
 }
 
 criterion_group!(benches, bench_serve);

@@ -1,6 +1,6 @@
 //! Trace-pipeline benchmark: columnar ESVT ingestion against the text
-//! parser, with the measurements recorded in `BENCH_trace.json` at the
-//! repo root (the PR-3 regression-gate pattern).
+//! parser, gated against the committed `BENCH_trace.json` at the repo
+//! root; a run writes its fresh record under `target/`.
 //!
 //! Three claims are measured and pinned:
 //!
@@ -21,7 +21,7 @@
 //! forward so the record never loses its scale columns.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use esvm_bench::{assert_no_regression, committed_bench_field, time_pair_best};
+use esvm_bench::{assert_no_regression, committed_bench_field, time_pair_best, write_fresh_record};
 use esvm_workload::{esvt, trace, WorkloadConfig};
 use std::hint::black_box;
 use std::path::PathBuf;
@@ -119,7 +119,6 @@ fn measure(staged: &Staged, rounds: usize) -> (f64, f64, f64, f64, usize) {
 
 fn bench_trace_pipeline(c: &mut Criterion) {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_trace.json");
-    // Baselines are read before this run overwrites the record.
     let committed_ratio = committed_bench_field(path, "esvt_stream_seconds")
         .zip(committed_bench_field(path, "text_parse_seconds"))
         .map(|(e, t)| e / t);
@@ -236,11 +235,7 @@ fn bench_trace_pipeline(c: &mut Criterion) {
         staged.esvt_bytes,
         esvt::DEFAULT_BLOCK_LEN,
     );
-    if let Err(e) = std::fs::write(path, json) {
-        eprintln!("could not write {path}: {e}");
-    } else {
-        println!("wrote {path}");
-    }
+    write_fresh_record("BENCH_trace.json", &json);
     std::fs::remove_file(&staged.text_path).ok();
     std::fs::remove_file(&staged.esvt_path).ok();
 }

@@ -186,6 +186,18 @@ where
     PairTiming { best_f, best_g, ratio_noise }
 }
 
+/// Writes a freshly measured record `name` (`BENCH_*.json`) to the
+/// workspace's `target/` directory, so a run never rewrites the
+/// committed record at the repository root that its gates compare
+/// against. To move a baseline, copy the fresh record over the
+/// committed one.
+pub fn write_fresh_record(name: &str, json: &str) {
+    let path = format!("{}/../../target/{name}", env!("CARGO_MANIFEST_DIR"));
+    if let Err(e) = std::fs::write(&path, json) {
+        eprintln!("could not write {path}: {e}");
+    }
+}
+
 /// Reads one numeric field from a committed `BENCH_*.json` record.
 ///
 /// The records are flat JSON objects written by the benches themselves,

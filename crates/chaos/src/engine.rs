@@ -410,7 +410,7 @@ impl<T: Tracer> Replay<'_, T> {
             return;
         };
         let piece = Vm::new(entry.vm as u32, self.vms[entry.vm].demand(), interval);
-        let scan = self.fleet.scan(&piece, T::ENABLED);
+        let scan = self.fleet.scan(&piece, &piece, T::ENABLED);
         if let Some((_, s)) = scan.best {
             let server = ServerId(s);
             if T::ENABLED {

@@ -1,6 +1,6 @@
 //! The candidate index behind every Eq. 7 argmin.
 //!
-//! MIEC and the online engine place each VM on the feasible server with
+//! MIEC, offline or online, places each VM on the feasible server with
 //! the least incremental Eq. 17 cost, scanning servers in ascending id
 //! order with a strict `<` (lowest id wins exact ties). Most of a large
 //! fleet cannot win that scan on its own merits: a server that prices
@@ -27,6 +27,10 @@
 //! pruned` is the number of up servers, as `candidates + unfit` is for
 //! the unpruned, unfloored scan.
 //!
+//! Every engine owns its index through a [`Fleet`](crate::Fleet), whose
+//! one scan, [`Fleet::scan`](crate::Fleet::scan), wires the index, the
+//! floor, the fit rows below and the cold rule.
+//!
 //! ## Fit rows
 //!
 //! The active set is one id-sorted array of compact entries: each active
@@ -48,11 +52,10 @@
 //!
 //! ## The cold rule
 //!
-//! Every engine that scans the index — offline MIEC and, through the
-//! [`Fleet`](crate::Fleet), the chaos replay and the online engine —
-//! moves a server to standby by one rule. Each engine's decision clock
-//! `t` never decreases. Let `e` be the last busy
-//! end of a used server. When `t − e − 1 ≥ g*`, where `g*` is the
+//! The [`Fleet`](crate::Fleet) of every engine — offline MIEC, the
+//! chaos replay and the online engine — moves a server to standby by one
+//! rule. Each engine's decision clock `t` never decreases. Let `e` be
+//! the last busy end of a used server. When `t − e − 1 ≥ g*`, where `g*` is the
 //! smallest gap with `P_idle · g* ≥ α` (the break-even time `α/P_idle`
 //! of Albers & Quedenfeld), the interior gap a new arrival opens costs
 //! `min(P_idle · g, α) = α`, so the server's
@@ -64,9 +67,11 @@
 //! interchangeable with its twins until it hosts again. MIEC and the
 //! chaos replay keep the cold server's history; the online engine
 //! *seals* it (moves its cost into a retired total and resets the
-//! ledger), which prices every later arrival the same way. (The strict `<` of
-//! [`ServerSpec::switches_off_for_gap`] would miss the exact break-even
-//! gap, so `g*` is found with `>=` by binary search.)
+//! ledger), which prices every later arrival the same way. `g*` is a
+//! spec class's, found once per class when the index is built; a fleet
+//! priced with `α = 0` (the `miec-noalpha` ablation) has `g* = 1`. (The
+//! strict `<` of [`ServerSpec::switches_off_for_gap`] would miss the
+//! exact break-even gap, so `g*` is found with `>=` by binary search.)
 //!
 //! [`ServerSpec::switches_off_for_gap`]: esvm_simcore::ServerSpec::switches_off_for_gap
 
@@ -129,7 +134,7 @@ impl Entry {
         }
         let ledger = &ledgers[self.id as usize];
         let (from, until, usage) = ledger.usage().piece_at(t);
-        let tail = ledger.segments().iter().last().map_or(0, |s| s.start());
+        let tail = ledger.segments().last_start().unwrap_or(0);
         let row = FitRow {
             from,
             until,
@@ -147,10 +152,10 @@ impl Entry {
 pub struct CandidateIndex {
     /// Spec class of each server (see [`crate::classes`]).
     class_of: Vec<usize>,
-    /// `P¹` and the capacity of each spec class. A class's members
-    /// compare equal in both (module docs of `classes`), so these are
-    /// every member's bits.
-    class_terms: Vec<(f64, Resources)>,
+    /// `P¹`, the capacity and `g*` ([`break_even_gap`]) of each spec
+    /// class. A class's members compare equal in all three (module docs
+    /// of `classes`), so these are every member's bits.
+    class_terms: Vec<(f64, Resources, Option<u32>)>,
     slot: Vec<Slot>,
     /// Servers that may price differently from a pristine twin, one
     /// entry each, ascending id.
@@ -184,7 +189,7 @@ impl CandidateIndex {
             .iter()
             .map(|ids| {
                 let spec = &servers[ids[0] as usize];
-                (spec.power_per_cpu_unit(), spec.capacity())
+                (spec.power_per_cpu_unit(), spec.capacity(), break_even_gap(spec))
             })
             .collect();
         Self {
@@ -544,12 +549,13 @@ impl Argmin {
 /// winner is the unfloored scan's. Only the `candidates`, `unfit` and
 /// `fp_ties` tallies move, into `floored`.
 ///
-/// Offline MIEC and the [`Fleet`](crate::Fleet) under both fault engines
-/// feed it a [`CandidateIndex`]'s candidates with
-/// [`ServerLedger::insertion_floor`], which the fleet reads from each
-/// active server's entry; the unpruned MIEC oracles and the
-/// consolidator, which scans every server but the one it would empty,
-/// pass no floor. Offline MIEC and the consolidator pass plain ids.
+/// [`Fleet::scan`](crate::Fleet::scan), which every engine decides
+/// through (offline MIEC, the online engine, the chaos replay), feeds it
+/// a [`CandidateIndex`]'s candidates with
+/// [`ServerLedger::insertion_floor`], read from each active server's
+/// entry. The unpruned MIEC oracles and the consolidator, which scans
+/// every server but the one it would empty, pass plain ids and no
+/// floor.
 ///
 /// # Example
 ///
@@ -626,13 +632,11 @@ pub(crate) fn break_even_gap(spec: &ServerSpec) -> Option<u32> {
     Some(lo)
 }
 
-/// The cold rule of every engine that scans the index (see the [module
+/// The cold rule of the [`Fleet`](crate::Fleet) (see the [module
 /// docs](self)): a min-heap of the times at which used servers turn
 /// cold.
 #[derive(Debug, Clone)]
 pub(crate) struct ColdRule {
-    /// `g*` per spec class of the *scoring* specs.
-    break_even: Vec<Option<u32>>,
     /// The time `e + 1 + g*` each server turns cold at; `u64::MAX` when
     /// it has no pending demotion.
     due: Vec<u64>,
@@ -641,25 +645,10 @@ pub(crate) struct ColdRule {
 }
 
 impl ColdRule {
-    /// Break-even gaps from `scoring`, the specs the decisions price
-    /// with (the α = 0 shadow specs for the ablation variant), grouped
-    /// by the index's spec classes.
-    pub(crate) fn new(index: &CandidateIndex, scoring: impl Iterator<Item = ServerSpec>) -> Self {
-        let mut break_even = vec![None; index.class_count()];
-        let mut seen = vec![false; index.class_count()];
-        let mut unseen = index.class_count();
-        for (i, spec) in scoring.enumerate() {
-            if unseen == 0 {
-                break;
-            }
-            let class = index.class_of[i];
-            if !std::mem::replace(&mut seen[class], true) {
-                break_even[class] = break_even_gap(&spec);
-                unseen -= 1;
-            }
-        }
+    /// A rule over `index`'s servers with no demotion pending. Each
+    /// server's `g*` is its spec class's, from the index.
+    pub(crate) fn new(index: &CandidateIndex) -> Self {
         Self {
-            break_even,
             due: vec![u64::MAX; index.len()],
             heap: BinaryHeap::new(),
         }
@@ -676,7 +665,7 @@ impl ColdRule {
         ledger: &ServerLedger,
     ) {
         let (Some(gap), Some(span)) = (
-            self.break_even[index.class_of[server as usize]],
+            index.class_terms[index.class_of[server as usize]].2,
             ledger.segments().span(),
         ) else {
             return;
@@ -959,7 +948,7 @@ mod tests {
         let fleet = vec![spec(0, 10.0, 40.0), spec(1, 10.0, 40.0)];
         let gap = break_even_gap(&fleet[0]).unwrap();
         let mut index = CandidateIndex::new(&fleet);
-        let mut cold = ColdRule::new(&index, fleet.iter().copied());
+        let mut cold = ColdRule::new(&index);
         let mut ledger = ServerLedger::new(fleet[0]);
         let vm = Vm::new(0, Resources::new(1.0, 1.0), Interval::new(1, 10));
         ledger.host(&vm);
@@ -990,7 +979,7 @@ mod tests {
     fn servers_that_never_break_even_are_never_demoted() {
         let fleet = vec![spec(0, 0.0, 5.0), spec(1, 1e-9, 1e3)];
         let mut index = CandidateIndex::new(&fleet);
-        let mut cold = ColdRule::new(&index, fleet.iter().copied());
+        let mut cold = ColdRule::new(&index);
         for i in 0..2u32 {
             let mut ledger = ServerLedger::new(fleet[i as usize]);
             ledger.host(&Vm::new(i, Resources::new(1.0, 1.0), Interval::new(1, 2)));

@@ -1,4 +1,4 @@
-//! The fleet both fault engines run on; see [`Fleet`].
+//! The fleet every MIEC engine runs on; see [`Fleet`].
 
 use std::collections::HashMap;
 
@@ -15,12 +15,15 @@ pub struct FaultTransitions {
     pub energy: f64,
 }
 
-/// The state the chaos replay (`esvm_chaos::ChaosEngine`) and the
+/// The state offline [`Miec`](crate::Miec), the chaos replay
+/// (`esvm_chaos::ChaosEngine`) and the
 /// [`OnlineEngine`](crate::OnlineEngine) keep about the servers: a
 /// [`ServerLedger`] each, the [`CandidateIndex`] with its down mask, the
 /// cold rule (module docs of `candidates`), each server's hosted pieces
-/// and its outages, with one eviction, one Eq. 7 argmin and one
-/// forced-transition surcharge. No busy segment overlaps an outage of its
+/// and its outages, with one eviction, one Eq. 7 argmin
+/// ([`Fleet::scan`]) and one forced-transition surcharge. Offline MIEC
+/// only hosts and demotes; the fault engines also stop and evict, and
+/// the online engine seals. No busy segment overlaps an outage of its
 /// server, but an outage `[c, r)` inside a gap shorter than `g*`, which a
 /// ledger idles through (Eq. 16), forced a switch-on the ledger does not
 /// charge: `α` minus the idle energy `P_idle · (r − c)` it did charge
@@ -50,7 +53,7 @@ impl Fleet {
         let index = CandidateIndex::new(servers);
         Self {
             ledgers: servers.iter().map(|s| ServerLedger::new(*s)).collect(),
-            cold: ColdRule::new(&index, servers.iter().copied()),
+            cold: ColdRule::new(&index),
             index,
             pieces: HashMap::new(),
             down_since: HashMap::new(),
@@ -76,33 +79,37 @@ impl Fleet {
     }
 
     /// The Eq. 7 argmin for `piece` over the candidate index, deciding
-    /// as a scan of every up server would: a server whose
-    /// [`insertion_floor`](ServerLedger::insertion_floor) meets the
-    /// running best is passed over unscored, and an active server whose
-    /// fit row shows the piece over capacity at its start is unfit. An
-    /// active server takes both tests from its entry in the index, so
-    /// its ledger is read only to refresh its row or to score it. With
-    /// `counting`, its tallies and [`CandidateIndex::pruned`] sum to the
-    /// up servers.
+    /// as a scan of every up server would: each server that fits `piece`
+    /// is scored by the incremental cost of `priced`, a piece of the same
+    /// start and demand. Every engine passes `piece` twice but
+    /// `miec-blind`, which prices an assumed duration. A server whose
+    /// [`insertion_floor`](ServerLedger::insertion_floor) for `priced`
+    /// meets the running best is passed over unscored, and an active
+    /// server whose fit row shows `piece` over capacity at its start is
+    /// unfit. An active server takes both tests from its entry in the
+    /// index, so its ledger is read only to refresh its row or to score
+    /// it. With `counting`, its tallies and [`CandidateIndex::pruned`]
+    /// sum to the up servers.
     #[inline]
-    pub fn scan(&self, piece: &Vm, counting: bool) -> Argmin {
+    pub fn scan(&self, piece: &Vm, priced: &Vm, counting: bool) -> Argmin {
+        debug_assert_eq!((piece.start(), piece.demand()), (priced.start(), priced.demand()));
         let (ledgers, index) = (&self.ledgers, &self.index);
         let (t, demand) = (piece.start(), piece.demand());
         // The second factor of every server's run cost.
-        let cpu_len = demand.cpu * piece.interval().len() as f64;
+        let cpu_len = demand.cpu * priced.interval().len() as f64;
         argmin(
             index.candidates(),
             counting,
             |c| match c.entry {
                 Some(e) => index.floor(e, ledgers, t, cpu_len),
-                None => ledgers[c.id as usize].insertion_floor(demand, piece.interval()),
+                None => ledgers[c.id as usize].insertion_floor(demand, priced.interval()),
             },
             |c| {
                 if c.entry.is_some_and(|e| index.rejects(e, ledgers, t, demand)) {
                     return None;
                 }
                 let ledger = &ledgers[c.id as usize];
-                ledger.fits(piece).then(|| ledger.incremental_cost(piece))
+                ledger.fits(piece).then(|| ledger.incremental_cost(priced))
             },
         )
     }
@@ -333,7 +340,7 @@ mod tests {
             assert!(fleet.index().is_standby(s0), "seals = {seals}");
             assert_eq!(fleet.ledgers()[0].hosted_count(), u32::from(!seals));
             // Server 0 stands in for its twin: one server visited.
-            let scan = fleet.scan(&vm(1, 60, 61), true);
+            let scan = fleet.scan(&vm(1, 60, 61), &vm(1, 60, 61), true);
             assert_eq!(scan.best.map(|(_, s)| s), Some(0));
             assert_eq!(
                 (scan.candidates, scan.unfit, fleet.index().pruned()),
@@ -363,7 +370,7 @@ mod tests {
         let priced: Vec<f64> = ledgers.iter().map(|l| l.incremental_cost(&piece)).collect();
         assert_eq!(priced[0].to_bits(), run.to_bits());
         assert!(priced[1] < run, "{} vs run {run}", priced[1]);
-        let scan = fleet.scan(&piece, true);
+        let scan = fleet.scan(&piece, &piece, true);
         assert_eq!(scan.best, Some((priced[1], 1)));
         assert_eq!((scan.candidates, scan.unfit, scan.floored), (2, 0, 0));
         let floor = ledgers[1].insertion_floor(piece.demand(), piece.interval());
@@ -377,7 +384,7 @@ mod tests {
         let mut fleet = Fleet::new(&specs(2));
         fleet.host(ServerId(0), vm(0, 1, 20), 1);
         fleet.host(ServerId(1), vm(1, 1, 20), 1);
-        let scan = fleet.scan(&vm(2, 6, 9), true);
+        let scan = fleet.scan(&vm(2, 6, 9), &vm(2, 6, 9), true);
         assert_eq!(scan.best.map(|(_, s)| s), Some(0));
         assert_eq!((scan.candidates, scan.unfit, scan.floored), (1, 0, 1));
     }
@@ -393,7 +400,7 @@ mod tests {
         }
         let piece = vm(9, 5, 9);
         let winner = |fleet: &Fleet| {
-            let scan = fleet.scan(&piece, true);
+            let scan = fleet.scan(&piece, &piece, true);
             (scan.best.map(|(_, s)| s), scan.unfit)
         };
         assert_eq!(winner(&fleet), (Some(1), 1));

@@ -1,9 +1,8 @@
 //! The paper's heuristic: Minimum Incremental Energy Cost (MIEC).
 
-use crate::candidates::{argmin, CandidateIndex, ColdRule};
-use crate::{AllocError, AllocResult, Allocator};
+use crate::{argmin, AllocError, AllocResult, Allocator, Argmin, Fleet};
 use esvm_obs::{DecisionKind, MetricsRegistry, NoopTracer, Tracer};
-use esvm_simcore::{AllocationProblem, Assignment, ServerId, ServerLedger};
+use esvm_simcore::{AllocationProblem, Assignment, ServerId, ServerSpec, Vm, VmId, MAX_TIME};
 use rand::RngCore;
 
 /// The heuristic of Section III.
@@ -122,17 +121,15 @@ impl Miec {
         }
     }
 
-    /// The interval used for *scoring* `vm` (the true one, unless a
-    /// duration assumption is configured).
-    fn scoring_vm(&self, vm: &esvm_simcore::Vm) -> esvm_simcore::Vm {
-        match self.assumed_duration {
-            None => *vm,
-            Some(units) => esvm_simcore::Vm::new(
-                vm.id(),
-                vm.demand(),
-                esvm_simcore::Interval::with_len(vm.start(), units),
-            ),
-        }
+    /// The piece that prices `vm`: `vm` itself, unless a duration
+    /// assumption is configured. An assumed end past [`MAX_TIME`] is
+    /// clamped to it.
+    fn priced(&self, vm: &Vm) -> Vm {
+        let Some(units) = self.assumed_duration else {
+            return *vm;
+        };
+        let end = vm.start().saturating_add(units - 1).min(MAX_TIME);
+        Vm::new(vm.id(), vm.demand(), esvm_simcore::Interval::new(vm.start(), end))
     }
 }
 
@@ -140,12 +137,16 @@ impl Miec {
     /// The shared placement loop. In admission mode an unplaceable VM is
     /// rejected and the run continues; otherwise it aborts.
     ///
-    /// Each decision is one [`argmin`] pass. The standard scan visits
-    /// the [`CandidateIndex`] — servers that may price differently from
-    /// a pristine twin plus the lowest-id standby server of each spec
-    /// class — after demoting the servers the [`ColdRule`] finds cold;
-    /// the unpruned oracles visit every server. Both visit in ascending
-    /// id order with strict `<`, so placements are bit-identical.
+    /// The decisions run on one [`Fleet`] over the specs they price
+    /// with: the problem's, or copies with `α = 0` for the ablation
+    /// variant. Each VM, in start order, demotes the servers the fleet's
+    /// cold rule finds cold at its start, takes one [`Fleet::scan`] and
+    /// is hosted on the winner; the unpruned oracles replace the scan by
+    /// an unfloored [`argmin`] over every server's ledger. Both visit in
+    /// ascending id order with strict `<`, so placements are
+    /// bit-identical. The assignment adopts the fleet's ledgers; the
+    /// ablation variant's, priced with `α = 0`, cannot be adopted, so
+    /// its assignment hosts the decisions again in decision order.
     ///
     /// Generic over the tracer: with the default [`NoopTracer`]
     /// (`ENABLED == false`) every instrumentation block is a
@@ -157,106 +158,65 @@ impl Miec {
         admit: bool,
         metrics: &MetricsRegistry,
         tracer: &T,
-    ) -> AllocResult<(Assignment<'p>, Vec<esvm_simcore::VmId>)> {
+    ) -> AllocResult<(Assignment<'p>, Vec<VmId>)> {
         let _run_span = tracer.span("miec.run");
         // The prepare span makes setup cost visible and, by closing
         // right before the loop, anchors the first decision's
         // `lap_span` to the loop entry rather than the run start.
         let prepare_span = tracer.span("miec.prepare");
-        let mut assignment = Assignment::new(problem);
+        let mut fleet = if self.ignore_transition_costs {
+            let zeroed = |s: &ServerSpec| ServerSpec::new(s.id(), s.capacity(), *s.power(), 0.0);
+            Fleet::new(&problem.servers().iter().map(zeroed).collect::<Vec<_>>())
+        } else {
+            Fleet::new(problem.servers())
+        };
+        let mut placement = vec![None; problem.vm_count()];
         let mut rejected = Vec::new();
-        // Hot-loop tallies stay in registers; flushed to `metrics` once
-        // after the placement loop.
-        let mut candidates_total = 0u64;
-        let mut pruned_total = 0u64;
-        let mut unfit_total = 0u64;
-        let mut floored_total = 0u64;
-        let mut fp_ties_total = 0u64;
-
-        // Shadow ledgers with α = 0 for the ablation variant's scoring.
-        let mut shadow: Option<Vec<ServerLedger>> = self.ignore_transition_costs.then(|| {
-            problem
-                .servers()
-                .iter()
-                .map(|s| {
-                    ServerLedger::new(esvm_simcore::ServerSpec::new(
-                        s.id(),
-                        s.capacity(),
-                        *s.power(),
-                        0.0,
-                    ))
-                })
-                .collect()
-        });
-        // The candidate index and the cold rule, whose break-even gaps
-        // come from the specs the decisions price with.
-        let mut pruning = (!self.unpruned).then(|| {
-            let index = CandidateIndex::new(problem.servers());
-            let cold = match &shadow {
-                Some(ledgers) => ColdRule::new(&index, ledgers.iter().map(|l| *l.spec())),
-                None => ColdRule::new(&index, problem.servers().iter().copied()),
-            };
-            (index, cold)
-        });
-        let n_servers = problem.server_count() as u32;
+        // The scans' tallies, summed in the hot loop and flushed to
+        // `metrics` once after it.
+        let (mut total, mut pruned_total) = (Argmin::default(), 0u64);
         let ordered_vms = problem.vms_by_start_time();
         drop(prepare_span);
 
-        for j in ordered_vms {
+        for &j in &ordered_vms {
             // Decisions run back to back: each span starts where the
             // previous one (or the setup above) ended, so the hot loop
             // pays one clock read per decision instead of two.
             let _decision_span = tracer.lap_span("miec.decision");
             let vm = &problem.vms()[j];
-            let scoring = self.scoring_vm(vm);
-            // The ledger that prices `scoring`: the α = 0 shadow for the
-            // ablation variant, the real one otherwise.
-            let scorer = |i: u32| match &shadow {
-                Some(ledgers) => &ledgers[i as usize],
-                None => assignment.ledger(ServerId(i)),
-            };
-            let score = |i: u32| {
-                if !assignment.ledger(ServerId(i)).fits(vm) {
-                    return None;
-                }
-                Some(if self.reference {
-                    scorer(i).reference_incremental_cost(&scoring)
-                } else {
-                    scorer(i).incremental_cost(&scoring)
-                })
-            };
-            let (scan, pruned) = match pruning.as_mut() {
-                Some((index, cold)) => {
-                    // Arrivals come in start order, so the clock only
-                    // grows and a cold server stays cold.
-                    cold.demote_until(vm.start(), index, |_| {});
-                    let floor =
-                        |i: u32| scorer(i).insertion_floor(scoring.demand(), scoring.interval());
-                    let ids = index.candidates().map(u32::from);
-                    let scan = argmin(ids, T::ENABLED, floor, score);
-                    (scan, index.pruned())
-                }
-                None => (argmin(0..n_servers, T::ENABLED, |_| None, score), 0),
+            let priced = self.priced(vm);
+            // Arrivals come in start order, so the clock only grows and
+            // a cold server stays cold.
+            fleet.demote(vm.start());
+            let (scan, pruned) = if self.unpruned {
+                let ledgers = fleet.ledgers();
+                let score = |i: u32| {
+                    let ledger = &ledgers[i as usize];
+                    ledger.fits(vm).then(|| {
+                        if self.reference {
+                            ledger.reference_incremental_cost(&priced)
+                        } else {
+                            ledger.incremental_cost(&priced)
+                        }
+                    })
+                };
+                (argmin(0..problem.server_count() as u32, T::ENABLED, |_| None, score), 0)
+            } else {
+                (fleet.scan(vm, &priced, T::ENABLED), fleet.index().pruned())
             };
             if T::ENABLED {
-                candidates_total += scan.candidates;
+                total.candidates += scan.candidates;
                 pruned_total += pruned;
-                unfit_total += scan.unfit;
-                floored_total += scan.floored;
-                fp_ties_total += scan.fp_ties;
+                total.unfit += scan.unfit;
+                total.floored += scan.floored;
+                total.fp_ties += scan.fp_ties;
             }
             let explain = |kind| scan.explain(kind, vm.id().index() as u64, pruned);
             match scan.best {
                 Some((delta, winner)) => {
                     let sid = ServerId(winner);
-                    assignment.place(vm.id(), sid)?;
-                    if let Some(ledgers) = shadow.as_mut() {
-                        ledgers[sid.index()].host(vm);
-                    }
-                    if let Some((index, cold)) = pruning.as_mut() {
-                        index.activate(winner);
-                        cold.reschedule(index, winner, assignment.ledger(sid));
-                    }
+                    fleet.host(sid, *vm, vm.start());
+                    placement[j] = Some(sid);
                     if T::ENABLED {
                         metrics.observe("miec.placement_delta", delta);
                         tracer.explain(&explain(DecisionKind::Place));
@@ -272,14 +232,23 @@ impl Miec {
             }
         }
         if T::ENABLED {
-            let placed = problem.vm_count() as u64 - rejected.len() as u64;
-            metrics.add("miec.vms_placed", placed);
+            metrics.add("miec.vms_placed", (problem.vm_count() - rejected.len()) as u64);
             metrics.add("miec.vms_rejected", rejected.len() as u64);
-            metrics.add("miec.candidates_considered", candidates_total);
+            metrics.add("miec.candidates_considered", total.candidates);
             metrics.add("miec.spec_class_pruned", pruned_total);
-            metrics.add("miec.unfit_skipped", unfit_total);
-            metrics.add("miec.floored", floored_total);
-            metrics.add("miec.fp_ties", fp_ties_total);
+            metrics.add("miec.unfit_skipped", total.unfit);
+            metrics.add("miec.floored", total.floored);
+            metrics.add("miec.fp_ties", total.fp_ties);
+        }
+        if !self.ignore_transition_costs {
+            let assignment = Assignment::from_ledgers(problem, placement, fleet.into_ledgers())?;
+            return Ok((assignment, rejected));
+        }
+        let mut assignment = Assignment::new(problem);
+        for &j in &ordered_vms {
+            if let Some(server) = placement[j] {
+                assignment.place(VmId(j as u32), server)?;
+            }
         }
         Ok((assignment, rejected))
     }
@@ -316,7 +285,7 @@ impl Miec {
     pub fn allocate_with_admission<'p>(
         &self,
         problem: &'p AllocationProblem,
-    ) -> AllocResult<(Assignment<'p>, Vec<esvm_simcore::VmId>)> {
+    ) -> AllocResult<(Assignment<'p>, Vec<VmId>)> {
         self.run(problem, true, &MetricsRegistry::new(), &NoopTracer)
     }
 }

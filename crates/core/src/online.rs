@@ -387,7 +387,7 @@ impl OnlineEngine {
         let _decision_span = tracer.lap_span("online.decision");
         // Down servers are in neither the active nor the standby set,
         // so a down twin never stands in for an up one.
-        let scan = self.fleet.scan(&vm, T::ENABLED);
+        let scan = self.fleet.scan(&vm, &vm, T::ENABLED);
         let pruned = self.fleet.index().pruned();
         let (decision, kind) = match scan.best {
             Some((_, winner)) => {
@@ -468,7 +468,7 @@ impl OnlineEngine {
                 break;
             }
             let remainder = Vm::new(vm.id(), vm.demand(), Interval::new(start, vm.end()));
-            let scan = self.fleet.scan(&remainder, T::ENABLED);
+            let scan = self.fleet.scan(&remainder, &remainder, T::ENABLED);
             let pruned = self.fleet.index().pruned();
             if let Some((_, winner)) = scan.best {
                 let server = ServerId(winner);

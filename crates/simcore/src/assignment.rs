@@ -11,9 +11,10 @@ use serde::{Deserialize, Serialize};
 /// and the running total cost is available in `O(1)` per query.
 ///
 /// Construction sites: allocation heuristics (`esvm-core`) build
-/// assignments VM by VM via [`Assignment::place`]; the exact solver
-/// (`esvm-ilp`) decodes its solution through
-/// [`Assignment::from_placement`].
+/// assignments VM by VM via [`Assignment::place`], or, as MIEC does,
+/// hand over the ledgers they decided on through
+/// [`Assignment::from_ledgers`]; the exact solver (`esvm-ilp`) decodes
+/// its solution through [`Assignment::from_placement`].
 #[derive(Debug, Clone)]
 pub struct Assignment<'p> {
     problem: &'p AllocationProblem,
@@ -51,6 +52,54 @@ impl<'p> Assignment<'p> {
             }
         }
         Ok(assignment)
+    }
+
+    /// Adopts `ledgers`, one per server in id order, that already host
+    /// the VMs `placement` puts on each server, instead of hosting every
+    /// VM again. An allocator that decides on its own ledgers hands its
+    /// result back this way. Each ledger must carry its server's spec,
+    /// host as many VMs as the placement puts there, and stay within
+    /// capacity at every time unit; which VMs it hosts is not rechecked
+    /// ([`Assignment::audit`] rebuilds everything from the placement).
+    /// `placement` is cut or padded to the VM list: VMs past its end are
+    /// unplaced, and an entry past the VM list is dropped, so the ledger
+    /// that hosts it fails the hosted count.
+    ///
+    /// # Errors
+    ///
+    /// * [`Error::LedgerCount`] unless there is one ledger per server;
+    /// * [`Error::UnknownServer`] for a placement onto a server the
+    ///   problem lacks;
+    /// * [`Error::LedgerSpec`] for a ledger of another spec;
+    /// * [`Error::HostedCount`] for a ledger whose hosted count is not
+    ///   the placement's;
+    /// * [`Error::OverCapacity`] for a ledger over its capacity.
+    pub fn from_ledgers(
+        problem: &'p AllocationProblem,
+        mut placement: Vec<Option<ServerId>>,
+        ledgers: Vec<ServerLedger>,
+    ) -> Result<Self> {
+        if ledgers.len() != problem.server_count() {
+            return Err(Error::LedgerCount(ledgers.len()));
+        }
+        placement.resize(problem.vm_count(), None);
+        let mut placed = vec![0u32; ledgers.len()];
+        for &server in placement.iter().flatten() {
+            *placed.get_mut(server.index()).ok_or(Error::UnknownServer(server))? += 1;
+        }
+        for ((ledger, spec), placed) in ledgers.iter().zip(problem.servers()).zip(placed) {
+            let over = |span| !ledger.peak_over(span).fits_within(spec.capacity());
+            if ledger.spec() != spec {
+                return Err(Error::LedgerSpec(spec.id()));
+            }
+            if ledger.hosted_count() != placed {
+                return Err(Error::HostedCount(spec.id()));
+            }
+            if ledger.segments().span().is_some_and(over) {
+                return Err(Error::OverCapacity(spec.id()));
+            }
+        }
+        Ok(Self { problem, placement, ledgers })
     }
 
     /// The problem this assignment belongs to.
@@ -435,6 +484,69 @@ mod tests {
         let b = Assignment::from_placement(&p, a.placement()).unwrap();
         assert_eq!(a.placement(), b.placement());
         assert!((a.total_cost() - b.total_cost()).abs() < 1e-9);
+    }
+
+    /// The ledgers of `placement` on `p`'s servers, hosted in VM order
+    /// without a capacity check.
+    fn hosted(p: &AllocationProblem, placement: &[Option<ServerId>]) -> Vec<ServerLedger> {
+        let mut ledgers: Vec<ServerLedger> =
+            p.servers().iter().map(|s| ServerLedger::new(*s)).collect();
+        for (vm, server) in p.vms().iter().zip(placement) {
+            if let Some(server) = server {
+                ledgers[server.index()].host_piece(vm.demand(), vm.interval());
+            }
+        }
+        ledgers
+    }
+
+    #[test]
+    fn from_ledgers_adopts_what_from_placement_rebuilds() {
+        let p = problem();
+        let placement = vec![Some(ServerId(1)), Some(ServerId(1)), Some(ServerId(0))];
+        let ledgers = hosted(&p, &placement);
+        let adopted = Assignment::from_ledgers(&p, placement.clone(), ledgers).unwrap();
+        let rebuilt = Assignment::from_placement(&p, &placement).unwrap();
+        assert_eq!(adopted.placement(), rebuilt.placement());
+        assert_eq!(adopted.total_cost().to_bits(), rebuilt.total_cost().to_bits());
+        assert_eq!(adopted.audit(), rebuilt.audit());
+        // A short placement leaves the rest unplaced.
+        let first = vec![Some(ServerId(0))];
+        let partial = Assignment::from_ledgers(&p, first.clone(), hosted(&p, &first)).unwrap();
+        assert_eq!(partial.unplaced().count(), 2);
+    }
+
+    #[test]
+    fn from_ledgers_refuses_ledgers_that_do_not_match_the_placement() {
+        let p = problem();
+        let placement = vec![Some(ServerId(1)), Some(ServerId(1)), Some(ServerId(0))];
+        let adopt = |placement: &[Option<ServerId>], ledgers| {
+            Assignment::from_ledgers(&p, placement.to_vec(), ledgers).unwrap_err()
+        };
+        // One ledger short.
+        let mut ledgers = hosted(&p, &placement);
+        ledgers.pop();
+        assert_eq!(adopt(&placement, ledgers), Error::LedgerCount(1));
+        // Server 0's ledger opened for server 1's spec.
+        let mut ledgers = hosted(&p, &placement);
+        ledgers.swap(0, 1);
+        assert_eq!(adopt(&placement, ledgers), Error::LedgerSpec(ServerId(0)));
+        // The placement moves VM 2 without its ledger.
+        let moved = [Some(ServerId(1)), Some(ServerId(1)), Some(ServerId(1))];
+        assert_eq!(
+            adopt(&moved, hosted(&p, &placement)),
+            Error::HostedCount(ServerId(0))
+        );
+        // VMs 0 and 1 need 5 CPU on [2, 4]; server 0 has 4.
+        let crowded = [Some(ServerId(0)), Some(ServerId(0)), None];
+        assert_eq!(adopt(&crowded, hosted(&p, &crowded)), Error::OverCapacity(ServerId(0)));
+        // A placement past the VM list is dropped, and the ledger that
+        // hosts it no longer matches; a placement past the fleet is refused.
+        let mut ledgers = hosted(&p, &placement);
+        ledgers[1].host(&Vm::new(3, Resources::new(1.0, 1.0), Interval::new(20, 21)));
+        let long = [placement.as_slice(), &[Some(ServerId(1))]].concat();
+        assert_eq!(adopt(&long, ledgers), Error::HostedCount(ServerId(1)));
+        let far = [Some(ServerId(7)), None, None];
+        assert_eq!(adopt(&far, hosted(&p, &[])), Error::UnknownServer(ServerId(7)));
     }
 
     #[test]

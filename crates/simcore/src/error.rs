@@ -39,6 +39,17 @@ pub enum Error {
         /// The server whose ledger refused the update.
         server: ServerId,
     },
+    /// Ledgers handed to an assignment, as many as this, do not number
+    /// one per server.
+    LedgerCount(usize),
+    /// A server's ledger was opened for another spec.
+    LedgerSpec(ServerId),
+    /// A server's ledger hosts a number of VMs other than the placement
+    /// puts there.
+    HostedCount(ServerId),
+    /// A server's ledger holds more CPU or memory than the server has at
+    /// some time unit.
+    OverCapacity(ServerId),
 }
 
 impl fmt::Display for Error {
@@ -59,6 +70,10 @@ impl fmt::Display for Error {
             Error::EnergyOverflow { server } => {
                 write!(f, "energy accounting on {server} would overflow")
             }
+            Error::LedgerCount(n) => write!(f, "got {n} ledgers, not one per server"),
+            Error::LedgerSpec(server) => write!(f, "the ledger of {server} has another spec"),
+            Error::HostedCount(s) => write!(f, "the ledger of {s} disagrees with the placement"),
+            Error::OverCapacity(server) => write!(f, "usage on {server} exceeds its capacity"),
         }
     }
 }
@@ -86,6 +101,10 @@ mod tests {
             Error::EnergyOverflow {
                 server: ServerId(2),
             },
+            Error::LedgerCount(3),
+            Error::LedgerSpec(ServerId(1)),
+            Error::HostedCount(ServerId(0)),
+            Error::OverCapacity(ServerId(0)),
         ];
         for e in samples {
             let s = e.to_string();

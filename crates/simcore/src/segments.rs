@@ -203,8 +203,8 @@ impl SegmentSet {
         Some(Interval::new(first, last))
     }
 
-    /// The start of the latest busy segment, or `None` when empty.
-    pub(crate) fn last_start(&self) -> Option<TimeUnit> {
+    /// The start of the latest busy segment, or `None` when empty. `O(1)`.
+    pub fn last_start(&self) -> Option<TimeUnit> {
         self.segments.last().map(|&(start, _)| start)
     }
 
@@ -757,6 +757,7 @@ mod tests {
         assert_eq!(s.len(), 2);
         assert_eq!(s.busy_time(), 6);
         assert_eq!(s.span(), Some(Interval::new(1, 9)));
+        assert_eq!(s.last_start(), Some(7));
     }
 
     #[test]
@@ -801,6 +802,7 @@ mod tests {
         assert_eq!(SegmentSet::new().gaps().count(), 0);
         assert_eq!(set(&[(1, 9)]).gaps().count(), 0);
         assert_eq!(SegmentSet::new().span(), None);
+        assert_eq!(SegmentSet::new().last_start(), None);
     }
 
     #[test]

@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
-# Tier-1 verification: build, run the whole test suite, then regenerate
-# the two machine-readable perf records (BENCH_miec.json and
-# BENCH_localsearch.json) at their production scale points. The bench
-# functions assert optimised-vs-reference equivalence as they run, so a
-# perf regression or a scoring divergence fails this script, not just
-# slows it down.
+# Tier-1 verification: build, run the whole test suite, then measure the
+# MIEC and local-search scale points and gate them against the committed
+# perf records (BENCH_miec.json and BENCH_localsearch.json). The fresh
+# records go to target/, so the tree stays clean; copy one
+# over its committed record to move a baseline. The bench functions
+# assert optimised-vs-reference equivalence as they run, so a perf
+# regression or a scoring divergence fails this script, not just slows
+# it down.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -3,13 +3,18 @@
 //! `Miec::new()` visits only the servers that may price an arrival
 //! differently from a pristine twin, plus the lowest-id standby server
 //! of each spec class; `Miec::without_pruning()` visits every server.
-//! The two must agree bit for bit on every variant, and on a sparse
-//! fleet the indexed scan must visit a small, bounded set.
+//! The two must agree bit for bit on every variant, also where
+//! `miec-noalpha`'s α-zeroed fleet merges spec classes that differ only
+//! in α, and on a sparse fleet the indexed scan must visit a small,
+//! bounded set.
 
-use esvm::obs::{CollectingTracer, MetricsRegistry};
-use esvm::{catalog, Allocator, AllocationProblem, Assignment, Miec, ServerSpec, WorkloadConfig};
+use esvm::obs::{CollectingTracer, ExplainRecord, MetricsRegistry};
+use esvm::{
+    catalog, Allocator, AllocationProblem, Assignment, Interval, Miec, PowerModel, ProblemBuilder,
+    Resources, ServerSpec, WorkloadConfig,
+};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 const SEEDS: u64 = 50;
 
@@ -105,6 +110,55 @@ fn admission_mode_matches_the_full_scan_bit_for_bit() {
         }
     }
     assert!(rejected > 0, "no VM was ever rejected: the admission check is vacuous");
+}
+
+/// A traced run: the assignment and one explain record per decision.
+fn traced(miec: Miec, problem: &AllocationProblem) -> (Assignment<'_>, Vec<ExplainRecord>) {
+    let tracer = CollectingTracer::new();
+    let assignment = miec
+        .allocate_traced(problem, &MetricsRegistry::new(), &tracer)
+        .expect("allocation succeeds");
+    let explains = tracer.explains().into_iter().map(|e| e.record).collect();
+    (assignment, explains)
+}
+
+/// Twelve servers that differ only in `α` (three values), so the real
+/// specs make three spec classes and `miec-noalpha`'s, priced with
+/// `α = 0`, one. The merged classes must decide as the full scan does,
+/// delta bits included.
+#[test]
+fn spec_classes_that_differ_only_in_alpha_merge_for_noalpha() {
+    const SERVERS: u32 = 12;
+    for seed in 0..SEEDS {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut b = ProblemBuilder::new();
+        for i in 0..SERVERS {
+            let alpha = [0.0, 150.0, 900.0][i as usize % 3];
+            b = b.server(Resources::new(8.0, 16.0), PowerModel::new(100.0, 200.0), alpha);
+        }
+        let mut start = 1;
+        for _ in 0..40 {
+            start += rng.gen_range(0u32..3);
+            let demand = Resources::new(rng.gen_range(0.5..4.0), rng.gen_range(0.5..8.0));
+            b = b.vm(demand, Interval::with_len(start, rng.gen_range(1u32..=12)));
+        }
+        let problem = b.build().expect("valid problem");
+        let noalpha = Miec::ignoring_transition_costs;
+        let (indexed, explains) = traced(noalpha(), &problem);
+        let (full, scanned) = traced(noalpha().without_pruning(), &problem);
+        let ctx = format!("miec-noalpha seed {seed}");
+        assert_bit_identical(&indexed, &full, &ctx);
+        assert_eq!(explains.len(), scanned.len(), "{ctx}");
+        for (e, f) in explains.iter().zip(&scanned) {
+            assert_eq!((e.vm, e.winner), (f.vm, f.winner), "{ctx}");
+            assert_eq!(e.delta_cost.to_bits(), f.delta_cost.to_bits(), "{ctx}: vm {}", e.vm);
+        }
+        // The first decision meets a pristine fleet: one class stands in
+        // for all twelve servers, against three under the real specs.
+        assert_eq!(explains[0].pruned, u64::from(SERVERS) - 1, "{ctx}");
+        let (_, real) = traced(Miec::new(), &problem);
+        assert_eq!(real[0].pruned, u64::from(SERVERS) - 3, "{ctx}");
+    }
 }
 
 /// The smallest gap `g ≥ 1` with `P_idle · g ≥ α`, found by a plain

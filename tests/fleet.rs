@@ -20,7 +20,9 @@
 //!   stops, outages with eviction, demotions or seals at an advancing
 //!   clock) every `Fleet::scan` decides as a scan of every up server,
 //!   so the run-cost floor's guard against a later-starting tail and
-//!   the fit rows' stale marks are checked on every scan.
+//!   the fit rows' stale marks are checked on every scan; some scans
+//!   price a piece of another length than the one they fit, as
+//!   `miec-blind` does.
 
 use std::collections::BTreeSet;
 
@@ -271,15 +273,16 @@ fn random_piece(rng: &mut StdRng, vm: u32, start: u32) -> Vm {
     Vm::new(vm, demand, Interval::new(start, start + len - 1))
 }
 
-/// The Eq. 7 argmin of `piece` by a scan of every up server: `fits`,
-/// then `incremental_cost`, ascending id, strict `<`.
-fn full_scan(fleet: &Fleet, piece: &Vm) -> Option<(u64, u32)> {
+/// The Eq. 7 argmin of `piece` by a scan of every up server: `fits`
+/// for `piece`, then `incremental_cost` of `priced`, ascending id,
+/// strict `<`.
+fn full_scan(fleet: &Fleet, piece: &Vm, priced: &Vm) -> Option<(u64, u32)> {
     let mut best: Option<(f64, u32)> = None;
     for (i, ledger) in fleet.ledgers().iter().enumerate() {
         if fleet.index().is_down(ServerId(i as u32)) || !ledger.fits(piece) {
             continue;
         }
-        let delta = ledger.incremental_cost(piece);
+        let delta = ledger.incremental_cost(priced);
         if best.is_none_or(|(cost, _)| delta < cost) {
             best = Some((delta, i as u32));
         }
@@ -293,7 +296,9 @@ proptest! {
     /// A fleet of 4–8 servers in two or three spec classes driven
     /// through random steps; after each, scans of random pieces that
     /// start at or after the clock pick the full scan's winner with its
-    /// delta bits, and their tallies account for every up server.
+    /// delta bits, and their tallies account for every up server. Some
+    /// scans price a piece of another length than the one they fit, as
+    /// `miec-blind` does.
     #[test]
     fn every_scan_decides_as_a_scan_of_every_up_server(seed in 0u64..1_000_000) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -347,15 +352,22 @@ proptest! {
             for _ in 0..3 {
                 let start = clock + rng.gen_range(0u32..=12);
                 let piece = random_piece(&mut rng, next_vm, start);
-                let scan = fleet.scan(&piece, true);
+                let priced = if rng.gen_bool(0.3) {
+                    let len = rng.gen_range(1u32..=8);
+                    Vm::new(piece.id(), piece.demand(), Interval::with_len(start, len))
+                } else {
+                    piece
+                };
+                let scan = fleet.scan(&piece, &priced, true);
                 let best = scan.best.map(|(delta, i)| (delta.to_bits(), i));
                 prop_assert_eq!(
                     best,
-                    full_scan(&fleet, &piece),
-                    "seed {} step {} {:?}",
+                    full_scan(&fleet, &piece, &priced),
+                    "seed {} step {} {:?} priced as {:?}",
                     seed,
                     step,
-                    piece
+                    piece,
+                    priced
                 );
                 prop_assert_eq!(
                     scan.candidates + scan.unfit + scan.floored + fleet.index().pruned(),
