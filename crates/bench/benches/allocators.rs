@@ -237,13 +237,27 @@ fn bench_miec_at_scale(c: &mut Criterion) {
         },
     );
     let (optimised_s, reference_s) = (pair.best_f, pair.best_g);
-    let instrumented_s = time_best(7, || {
-        let metrics = MetricsRegistry::new();
-        Miec::new()
-            .allocate_traced(&problem, &metrics, &DiscardTracer)
-            .unwrap()
-            .total_cost()
-    });
+    // The metrics-only path against the plain run, interleaved too: a
+    // best-of-N of each, timed minutes apart, would divide host drift.
+    let instrumented_pair = time_pair_best(
+        7,
+        || {
+            let mut rng = StdRng::seed_from_u64(7);
+            Miec::new()
+                .allocate(&problem, &mut rng)
+                .unwrap()
+                .total_cost()
+        },
+        || {
+            let metrics = MetricsRegistry::new();
+            Miec::new()
+                .allocate_traced(&problem, &metrics, &DiscardTracer)
+                .unwrap()
+                .total_cost()
+        },
+    );
+    let instrumented_s = instrumented_pair.best_g;
+    let instrumentation_overhead = instrumented_s / instrumented_pair.best_f - 1.0;
     // Provenance tracing at the same point: the statically disabled
     // NoopTracer entry point (the shipping default — must cost nothing
     // beyond the plain `allocate` it compiles to) and the enabled
@@ -376,7 +390,6 @@ fn bench_miec_at_scale(c: &mut Criterion) {
     }
 
     let speedup = reference_s / optimised_s;
-    let instrumentation_overhead = instrumented_s / optimised_s - 1.0;
     println!(
         "miec @ {VMS} VMs / {SERVERS} servers: optimised {optimised_s:.3} s, \
          instrumented {instrumented_s:.3} s ({:+.1}%), reference {reference_s:.3} s, \

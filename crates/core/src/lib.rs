@@ -69,6 +69,7 @@ pub use miec::Miec;
 pub use local_search::{LocalSearch, Refined, SearchMove};
 pub use migration::Consolidator;
 pub use online::{
-    repair_delay, OnlineDecision, OnlineEngine, OnlineError, OnlineStats, RepairOutcome,
+    repair_delay, OnlineDecision, OnlineEngine, OnlineError, OnlineStats, Recorded, RehostError,
+    RepairOutcome,
 };
 pub use registry::AllocatorKind;

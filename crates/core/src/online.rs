@@ -51,6 +51,14 @@
 //! sealed ones before the last seal, so neither can overlap an arrival,
 //! which starts at the clock or later.
 //!
+//! ## Recorded decisions
+//!
+//! [`rehost`] takes back a decision [`arrive`] or [`repair`] returned,
+//! without the scan: a journal of decisions recovers through it
+//! (`esvm serve --recover`). It hosts the same pieces by the same
+//! [`Fleet`] calls in the same order, so it reaches the deciding
+//! engine's state bit for bit.
+//!
 //! [`incremental_cost`]: esvm_simcore::ServerLedger::incremental_cost
 //! [`cost`]: esvm_simcore::ServerLedger::cost
 //! [`retired_cost`]: OnlineEngine::retired_cost
@@ -59,6 +67,9 @@
 //! [`set_down`]: OnlineEngine::set_down
 //! [`depart`]: OnlineEngine::depart
 //! [`drain`]: OnlineEngine::drain
+//! [`rehost`]: OnlineEngine::rehost
+//! [`arrive`]: OnlineEngine::arrive
+//! [`repair`]: OnlineEngine::repair
 //! [`Assignment::from_placement`]: esvm_simcore::Assignment::from_placement
 
 use std::cmp::Reverse;
@@ -178,6 +189,75 @@ pub enum RepairOutcome {
     /// remaining work is lost.
     Shed,
 }
+
+/// A decision an engine made, as [`OnlineEngine::rehost`] takes it
+/// back: what [`arrive`](OnlineEngine::arrive) or
+/// [`repair`](OnlineEngine::repair) returned.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Recorded {
+    /// What `arrive` returned for the VM.
+    Arrival(Result<OnlineDecision, OnlineError>),
+    /// What `repair` returned for the VM, a piece `set_down` evicted.
+    Repair(RepairOutcome),
+}
+
+/// Why [`OnlineEngine::rehost`] refused a recorded decision: the engine
+/// could not have made it in the state it is in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[non_exhaustive]
+pub enum RehostError {
+    /// `arrive`'s preconditions answer the arrival otherwise than
+    /// recorded; `now` is their answer.
+    Preconditions {
+        /// The arriving VM.
+        vm: VmId,
+        /// `Ok` when they admit it, else the refusal they give.
+        now: Result<(), OnlineError>,
+    },
+    /// The recorded server is outside the fleet.
+    UnknownServer(ServerId),
+    /// The recorded server is down.
+    ServerDown(ServerId),
+    /// The piece does not fit the recorded server.
+    Unfit {
+        /// The VM of the piece.
+        vm: VmId,
+        /// The recorded server.
+        server: ServerId,
+    },
+    /// A repair restart before the clock or the evicted piece's start,
+    /// or after its end.
+    Restart {
+        /// The evicted VM.
+        vm: VmId,
+        /// The recorded restart.
+        start: TimeUnit,
+    },
+}
+
+impl fmt::Display for RehostError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RehostError::Preconditions { vm, now: Ok(()) } => {
+                write!(f, "{vm} is recorded as refused, but arrive admits it")
+            }
+            RehostError::Preconditions { vm, now: Err(e) } => {
+                write!(f, "the recorded answer to {vm} is not arrive's: {e}")
+            }
+            RehostError::UnknownServer(s) => write!(f, "unknown server: {s}"),
+            RehostError::ServerDown(s) => write!(f, "{s} is down"),
+            RehostError::Unfit { vm, server } => write!(f, "{vm} does not fit {server}"),
+            RehostError::Restart { vm, start } => {
+                write!(
+                    f,
+                    "{vm} restarts at {start}, outside its remaining interval"
+                )
+            }
+        }
+    }
+}
+
+impl std::error::Error for RehostError {}
 
 /// The bounded-backoff delay before repair retry `attempt` (1-based):
 /// `backoff · 2^(attempt − 1)`, saturating at `u32::MAX`, never less
@@ -370,19 +450,8 @@ impl OnlineEngine {
         vm: Vm,
         tracer: &T,
     ) -> Result<OnlineDecision, OnlineError> {
-        if vm.start() < self.clock {
-            return Err(OnlineError::OutOfOrder {
-                vm: vm.id(),
-                start: vm.start(),
-                clock: self.clock,
-            });
-        }
-        if self.seen.contains(&vm.id()) {
-            return Err(OnlineError::DuplicateVm(vm.id()));
-        }
-        self.advance_to(vm.start());
-        self.seen.insert(vm.id());
-        self.stats.arrivals += 1;
+        self.check_arrival(&vm)?;
+        self.admit(&vm);
 
         let _decision_span = tracer.lap_span("online.decision");
         // Down servers are in neither the active nor the standby set,
@@ -408,6 +477,103 @@ impl OnlineEngine {
             });
         }
         Ok(decision)
+    }
+
+    /// `arrive`'s preconditions, which touch no state.
+    #[inline]
+    fn check_arrival(&self, vm: &Vm) -> Result<(), OnlineError> {
+        if vm.start() < self.clock {
+            return Err(OnlineError::OutOfOrder {
+                vm: vm.id(),
+                start: vm.start(),
+                clock: self.clock,
+            });
+        }
+        if self.seen.contains(&vm.id()) {
+            return Err(OnlineError::DuplicateVm(vm.id()));
+        }
+        Ok(())
+    }
+
+    /// Admits an arrival that passed [`check_arrival`](Self::check_arrival):
+    /// the clock moves to its start and its id is consumed.
+    #[inline]
+    fn admit(&mut self, vm: &Vm) {
+        self.advance_to(vm.start());
+        self.seen.insert(vm.id());
+        self.stats.arrivals += 1;
+    }
+
+    /// Takes back a decision an engine made from this state, without the
+    /// Eq. 7 scan: the recovery path of a journal of decisions. An
+    /// arrival runs `arrive`'s preconditions and moves the clock as
+    /// `arrive` does; a placed piece is hosted on its recorded server
+    /// after a [`fits`](ServerLedger::fits) check, by the same
+    /// [`Fleet::host`] call the decision made, so ledgers, costs and
+    /// tallies are bit for bit those of the decision. A rejection or a
+    /// shed is trusted as recorded: telling it from a feasible placement
+    /// would take the scan.
+    ///
+    /// # Errors
+    ///
+    /// A [`RehostError`] when the engine could not have made the
+    /// decision: preconditions that answer otherwise, a server outside
+    /// the fleet or down, a piece that does not fit it, or a repair
+    /// restart outside the evicted piece's remaining interval. The
+    /// checks come first, so a refused decision leaves the engine as it
+    /// was.
+    pub fn rehost(&mut self, vm: Vm, recorded: Recorded) -> Result<(), RehostError> {
+        match recorded {
+            Recorded::Arrival(answer) => {
+                let decision = match (answer, self.check_arrival(&vm)) {
+                    (Ok(decision), Ok(())) => decision,
+                    (Err(refusal), Err(now)) if refusal == now => return Ok(()),
+                    (_, now) => return Err(RehostError::Preconditions { vm: vm.id(), now }),
+                };
+                // Departures and seals free nothing `vm` overlaps, so the
+                // fit may be checked before the clock moves.
+                if let OnlineDecision::Placed(server) = decision {
+                    self.check_host(&vm, server)?;
+                }
+                self.admit(&vm);
+                match decision {
+                    OnlineDecision::Placed(server) => {
+                        self.commit(&vm, server);
+                        self.stats.placed += 1;
+                    }
+                    OnlineDecision::Rejected => self.stats.rejected += 1,
+                }
+            }
+            Recorded::Repair(RepairOutcome::Rehosted { server, start, .. }) => {
+                if start < vm.start().max(self.clock) || start > vm.end() {
+                    return Err(RehostError::Restart { vm: vm.id(), start });
+                }
+                let remainder = Vm::new(vm.id(), vm.demand(), Interval::new(start, vm.end()));
+                self.check_host(&remainder, server)?;
+                self.commit(&remainder, server);
+                self.stats.repaired += 1;
+            }
+            Recorded::Repair(RepairOutcome::Shed) => {}
+        }
+        Ok(())
+    }
+
+    /// Whether `piece` may be hosted on `server` now.
+    fn check_host(&self, piece: &Vm, server: ServerId) -> Result<(), RehostError> {
+        let ledger = self
+            .ledgers()
+            .get(server.index())
+            .ok_or(RehostError::UnknownServer(server))?;
+        if self.is_down(server) {
+            Err(RehostError::ServerDown(server))
+        } else if !ledger.fits(piece) {
+            Err(RehostError::Unfit {
+                vm: piece.id(),
+                server,
+            })
+        } else {
+            Ok(())
+        }
     }
 
     /// Marks `server` down, evicting its live VMs at the clock: each
@@ -829,6 +995,139 @@ mod tests {
         let recomputed =
             engine.retired_cost() + engine.ledgers().iter().map(|l| l.cost()).sum::<f64>();
         assert!((engine.committed_cost() - recomputed).abs() < 1e-9);
+    }
+
+    /// The state a recovery must reach, bit for bit.
+    fn state(engine: &OnlineEngine) -> (Vec<Option<ServerId>>, u64, u64, OnlineStats, TimeUnit) {
+        (
+            engine.placement(16),
+            engine.committed_cost().to_bits(),
+            engine.fault_transitions().energy.to_bits(),
+            engine.stats(),
+            engine.clock(),
+        )
+    }
+
+    #[test]
+    fn rehosting_what_an_engine_decided_reaches_its_state() {
+        let mut decider = OnlineEngine::new(&fleet(3));
+        let mut rehosted = OnlineEngine::new(&fleet(3));
+        for (id, start, end, cpu) in [(0, 1, 10, 3.0), (1, 2, 12, 4.0), (2, 3, 9, 8.0)] {
+            let v = vm(id, start, end, cpu);
+            let answer = decider.arrive(v);
+            rehosted.rehost(v, Recorded::Arrival(answer)).unwrap();
+        }
+        // A refusal is taken back as the same refusal.
+        let late = vm(3, 1, 5, 1.0);
+        let answer = decider.arrive(late);
+        assert!(answer.is_err());
+        rehosted.rehost(late, Recorded::Arrival(answer)).unwrap();
+        decider.advance_to(5);
+        rehosted.advance_to(5);
+        let victims = decider.set_down(ServerId(0)).unwrap();
+        assert_eq!(rehosted.set_down(ServerId(0)).unwrap(), victims);
+        for v in victims {
+            let outcome = decider.repair(v, 3, 2);
+            rehosted.rehost(v, Recorded::Repair(outcome)).unwrap();
+        }
+        decider.set_up(ServerId(0)).unwrap();
+        rehosted.set_up(ServerId(0)).unwrap();
+        let v = vm(4, 14, 30, 2.0);
+        let answer = decider.arrive(v);
+        rehosted.rehost(v, Recorded::Arrival(answer)).unwrap();
+        assert!(decider.stats().repaired > 0);
+        assert_eq!(state(&rehosted), state(&decider));
+        let breakdowns = |e: &OnlineEngine| -> Vec<u64> {
+            e.ledgers()
+                .iter()
+                .map(|l| l.energy_breakdown().total().to_bits())
+                .collect()
+        };
+        assert_eq!(breakdowns(&rehosted), breakdowns(&decider));
+    }
+
+    #[test]
+    fn a_feasible_placement_the_argmin_would_not_choose_is_rehosted() {
+        let mut engine = OnlineEngine::new(&fleet(3));
+        let placed = |s| Recorded::Arrival(Ok(OnlineDecision::Placed(ServerId(s))));
+        // MIEC would stack both on server 0.
+        engine.rehost(vm(0, 1, 10, 2.0), placed(2)).unwrap();
+        engine.rehost(vm(1, 1, 10, 2.0), placed(1)).unwrap();
+        assert_eq!(engine.placement(2), [Some(ServerId(2)), Some(ServerId(1))]);
+        // A recorded rejection is trusted: telling it from a feasible
+        // placement would take the scan.
+        engine
+            .rehost(
+                vm(2, 2, 4, 1.0),
+                Recorded::Arrival(Ok(OnlineDecision::Rejected)),
+            )
+            .unwrap();
+        assert_eq!((engine.stats().placed, engine.stats().rejected), (2, 1));
+    }
+
+    #[test]
+    fn a_decision_the_engine_could_not_have_made_is_refused_and_changes_nothing() {
+        let mut engine = OnlineEngine::new(&fleet(2));
+        engine.arrive(vm(0, 1, 10, 8.0)).unwrap();
+        engine.advance_to(2);
+        engine.set_down(ServerId(1)).unwrap();
+        let before = state(&engine);
+        let placed = |s| Recorded::Arrival(Ok(OnlineDecision::Placed(ServerId(s))));
+        let repaired = |server, start| {
+            Recorded::Repair(RepairOutcome::Rehosted {
+                server: ServerId(server),
+                start,
+                attempt: 0,
+            })
+        };
+        let fresh = vm(1, 3, 6, 1.0);
+        for (v, recorded, want) in [
+            (fresh, placed(7), RehostError::UnknownServer(ServerId(7))),
+            (fresh, placed(1), RehostError::ServerDown(ServerId(1))),
+            (
+                fresh,
+                placed(0),
+                RehostError::Unfit {
+                    vm: VmId(1),
+                    server: ServerId(0),
+                },
+            ),
+            (
+                vm(0, 3, 6, 1.0),
+                placed(0),
+                RehostError::Preconditions {
+                    vm: VmId(0),
+                    now: Err(OnlineError::DuplicateVm(VmId(0))),
+                },
+            ),
+            (
+                fresh,
+                Recorded::Arrival(Err(OnlineError::DuplicateVm(VmId(1)))),
+                RehostError::Preconditions {
+                    vm: VmId(1),
+                    now: Ok(()),
+                },
+            ),
+            (
+                fresh,
+                repaired(0, 1),
+                RehostError::Restart {
+                    vm: VmId(1),
+                    start: 1,
+                },
+            ),
+            (
+                fresh,
+                repaired(0, 7),
+                RehostError::Restart {
+                    vm: VmId(1),
+                    start: 7,
+                },
+            ),
+        ] {
+            assert_eq!(engine.rehost(v, recorded), Err(want), "{recorded:?}");
+            assert_eq!(state(&engine), before, "{recorded:?}");
+        }
     }
 
     #[test]

@@ -278,17 +278,17 @@ const FLAGS: &[Flag] = &[
         "accept one connection on a Unix socket and serve it to EOF\n\
          (unix only); a PATH a live session holds is refused"),
     Flag::value("--journal", "FILE", text, SESSION,
-        "write-ahead journal: every accepted event is appended\n\
-         (checksummed) before its reply; pass the same path as\n\
-         --recover to resume a crashed journal"),
+        "decision journal: every accepted event is appended\n\
+         (checksummed) with its outcome before its reply; pass the\n\
+         same path as --recover to resume a crashed journal"),
     Flag::value("--fsync-every", "N", int::<u32>, SESSION,
         "group-commit cadence: fsync after every N journal appends\n\
          (default 4096, a ~10ms durability window at full\n\
          throughput; 0 = only at checkpoints)"),
     Flag::value("--recover", "FILE", text, SERVE,
-        "replay a journal before serving: the fleet comes from the\n\
-         journal header, a torn tail is truncated, and the engine\n\
-         state is rebuilt bit-exactly"),
+        "recover a journal before serving: the fleet comes from the\n\
+         journal header, a torn tail is truncated, and each recorded\n\
+         decision is hosted again, rebuilding the state bit-exactly"),
     Flag::value("--queue", "N", int::<usize>, SESSION,
         "bounded admission queue: at most N simultaneous arrivals\n\
          admitted per burst, the rest answered ERR overloaded\n\
@@ -1542,9 +1542,7 @@ fn attach_journal<T: esvm_obs::Tracer>(
             let mut w = crate::journal::JournalWriter::create(path, fleet, fsync_every)
                 .map_err(io_err)?;
             if let Some((_, rec)) = recovered {
-                for record in &rec.records {
-                    w.append(record).map_err(io_err)?;
-                }
+                w.append_recovered(&rec.records).map_err(io_err)?;
                 w.sync().map_err(io_err)?;
             }
             w
@@ -2503,6 +2501,45 @@ mod tests {
         let again = run(&args(&["serve", "--recover", torn_path.to_str().unwrap()])).unwrap();
         assert!(!again.contains("torn bytes"), "{again}");
         for p in [&trace_path, &journal_path, &torn_path] {
+            std::fs::remove_file(p).ok();
+        }
+    }
+
+    #[test]
+    fn serve_recovers_into_a_new_journal_and_refuses_version_2() {
+        let paths = ["a.esvj", "b.esvj", "v2.esvj"]
+            .map(|name| std::env::temp_dir().join(format!("esvm_cli_serve_v3_{name}")));
+        for p in &paths {
+            std::fs::remove_file(p).ok();
+        }
+        let [first, moved, old] = paths.each_ref().map(|p| p.to_str().unwrap());
+        // A drill journals DOWN lines, each with its repairs.
+        run(&args(&[
+            "chaos", "--vms", "40", "--servers", "10", "--seed", "7", "--fault-rate", "0.6",
+            "--live", "--journal", first,
+        ]))
+        .unwrap();
+        let out = run(&args(&["serve", "--recover", first, "--journal", moved])).unwrap();
+        assert!(out.contains("journaling to"), "{out}");
+        // The new journal carries the recovered one forward frame for
+        // frame, then the session's own checkpoint.
+        let (a, b) = (std::fs::read(first).unwrap(), std::fs::read(moved).unwrap());
+        assert!(
+            b.len() > a.len() && b[..a.len()] == a[..],
+            "frames changed on the way"
+        );
+        let again = run(&args(&["serve", "--recover", moved])).unwrap();
+        assert!(again.contains("recovered"), "{again}");
+
+        let mut v2 = a;
+        v2[4..6].copy_from_slice(&2u16.to_le_bytes());
+        std::fs::write(old, v2).unwrap();
+        let err = run(&args(&["serve", "--recover", old])).unwrap_err();
+        assert!(
+            matches!(&err, CliError::Usage(msg) if msg.contains("unsupported ESVJ version 2")),
+            "{err}"
+        );
+        for p in &paths {
             std::fs::remove_file(p).ok();
         }
     }

@@ -1,15 +1,16 @@
-//! The `esvm serve` write-ahead journal (ESVJ v2).
+//! The `esvm serve` decision journal (ESVJ v3).
 //!
 //! A serve session is a long-lived process making irrevocable
 //! decisions; losing its state to a crash would strand every placement
-//! it acknowledged. The journal makes the session crash-recoverable
-//! with the standard write-ahead contract: every state-changing event
-//! is appended (and, on the batched [`fsync`](JournalWriter::sync)
-//! cadence, made durable) *before* the reply leaves the process, and
-//! recovery replays the log through a fresh [`OnlineEngine`] — which is
-//! deterministic, so the replayed state is bit-exact, checkable against
+//! it acknowledged. The journal makes the session crash-recoverable: it
+//! records each decision the engine made, after the engine made it and
+//! before the reply is queued, and recovery hosts the recorded
+//! decisions again ([`OnlineEngine::rehost`]) instead of deciding
+//! again. The recovered state is therefore what the clients were told,
+//! bit for bit, whichever build recovers it, and it is checked against
 //! the committed and retired costs snapshotted in
-//! [`JournalRecord::Checkpoint`] records.
+//! [`JournalRecord::Checkpoint`] records. Appends are made durable on a
+//! batched [`fsync`](JournalWriter::sync) cadence (group commit).
 //!
 //! ## On-disk format
 //!
@@ -18,20 +19,41 @@
 //!
 //! ```text
 //! magic    "ESVJ" (4 bytes)
-//! version  u16
+//! version  u16 = 3
 //! fleet    u32 server count, then per server:
 //!          id u32 · cpu f64 · mem f64 · p_idle f64 · p_peak f64 · alpha f64
 //! sum      u64 FNV-1a over version..fleet (a journal is self-contained:
 //!          recovery needs no side channel to rebuild the engine)
-//! records  each: len u32 · payload (len bytes) · u64 FNV-1a(payload)
+//! frames   each: len u32 · payload (len bytes) · u64 FNV-1a(payload)
 //! ```
 //!
-//! Record payloads are a tag byte plus fixed fields — see
-//! [`JournalRecord`]. The framing makes a torn tail (a crash mid-append
-//! or mid-sync) detectable: recovery accepts the longest prefix of
-//! valid records and reports the rest as
-//! [`torn_bytes`](Recovered::torn_bytes) for the caller to truncate
-//! before appending again. A header that fails validation is a typed
+//! A frame's payload is the records of one protocol line, each a tag
+//! byte plus fixed fields (see [`JournalRecord`]): a `DOWN` line's
+//! frame holds its [`Down`](JournalRecord::Down) record and one
+//! [`Repair`](JournalRecord::Repair) per evicted VM, so no torn tail
+//! can keep an eviction without its repairs. A session writes every
+//! record but `REQ`, the bare request version 2 journaled:
+//!
+//! ```text
+//! tag  record      fields after the tag
+//! 1    REQ         id u32 · start u32 · end u32 · cpu f64 · mem f64
+//! 7    ARRIVAL     the REQ fields · answer u8, then by answer:
+//!                  0 placed · server u32 | 1 rejected | 2 duplicate id
+//!                  | 3 out of order · clock u32
+//! 2    DRAIN       —
+//! 3    DOWN        server u32 · retries u32 · backoff u32
+//! 8    REPAIR      id u32 · outcome u8, then by outcome:
+//!                  0 rehosted · server u32 · start u32 · attempt u32 | 1 shed
+//! 4    UP          server u32
+//! 5    SHED        id u32
+//! 6    CHECKPOINT  clock u32 · live · placed · rejected · departed · evicted
+//!                  · repaired · committed bits · retired bits (u64 each)
+//! ```
+//!
+//! The framing makes a torn tail (a crash mid-append or mid-sync)
+//! detectable: recovery accepts the longest prefix of valid frames and
+//! reports the rest as [`torn_bytes`](Recovered::torn_bytes) for the
+//! caller to truncate before appending again. A header that fails validation is a typed
 //! error instead — there is no prefix state to fall back to (the
 //! header is synced before the first record is acknowledged, so a
 //! journal that ever acked anything has a durable header).
@@ -40,32 +62,31 @@
 //! quantity is validated before it reaches a constructor with
 //! invariants ([`Resources`], [`PowerModel`], [`Interval`]).
 //!
-//! [`OnlineEngine`]: esvm_core::OnlineEngine
+//! [`OnlineEngine::rehost`]: esvm_core::OnlineEngine::rehost
 
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write};
 use std::path::Path;
 
+use esvm_core::{OnlineDecision, OnlineError, RepairOutcome};
 use esvm_simcore::{PowerModel, Resources, ServerId, ServerSpec, TimeUnit, Vm, VmId, MAX_TIME};
 use esvm_workload::trace::fields;
 
 /// File magic: an ESVJ journal, not an ESVT trace.
 pub const MAGIC: [u8; 4] = *b"ESVJ";
-/// Format version this build writes and reads. Version 2 journals the
-/// session whose online engine keeps each server's history until it is
-/// cold (DESIGN §11); replaying a version-1 journal through it would
-/// reach different checkpoint costs, so version 1 is refused.
-pub const VERSION: u16 = 2;
-/// Sanity cap on one record's payload length; a larger declared length
-/// is treated as a torn/corrupt frame, bounding recovery allocations.
-pub const MAX_RECORD_LEN: u32 = 1024;
+/// Format version this build writes and reads. Version 3 journals
+/// decisions. Version 2 journaled requests, which recovery decided
+/// again, and version 1 predates the engine that keeps each server's
+/// history until it is cold (DESIGN §11): neither holds what a decision
+/// log holds, so both are refused.
+pub const VERSION: u16 = 3;
 
 /// Bytes per serialized server spec in the header.
 const SERVER_BYTES: usize = 4 + 5 * 8;
 
 /// Write-buffer size: large enough that a whole group-commit window
-/// (`--fsync-every` records at ~41 bytes each) coalesces into one
+/// (`--fsync-every` records at ~46 bytes each) coalesces into one
 /// `write(2)` at the sync barrier instead of dribbling out in 8 KiB
 /// default-BufWriter chunks between barriers.
 const WRITE_BUF_BYTES: usize = 64 * 1024;
@@ -76,6 +97,8 @@ const TAG_DOWN: u8 = 3;
 const TAG_UP: u8 = 4;
 const TAG_SHED: u8 = 5;
 const TAG_CHECKPOINT: u8 = 6;
+const TAG_ARRIVAL: u8 = 7;
+const TAG_REPAIR: u8 = 8;
 
 /// FNV-1a 64-bit, matching the ESVT codec's checksum.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -182,18 +205,68 @@ pub struct Checkpoint {
     pub retired_cost_bits: u64,
 }
 
+/// The session's answer to an admitted `REQ`, as its
+/// [`JournalRecord::Arrival`] keeps it: the engine's decision or the
+/// precondition that refused the request.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Answer {
+    /// `PLACED` on this server.
+    Placed(ServerId),
+    /// `REJECTED`: no up server could host it.
+    Rejected,
+    /// `ERR duplicate-id`: the id had arrived before.
+    Duplicate,
+    /// `ERR out-of-order`: it started before the clock, which stood at
+    /// this time.
+    OutOfOrder(TimeUnit),
+}
+
+impl Answer {
+    /// The answer for what [`OnlineEngine::arrive`] returned; `None`
+    /// for an error it never returns.
+    ///
+    /// [`OnlineEngine::arrive`]: esvm_core::OnlineEngine::arrive
+    pub fn of(arrival: &Result<OnlineDecision, OnlineError>) -> Option<Self> {
+        match arrival {
+            Ok(OnlineDecision::Placed(server)) => Some(Answer::Placed(*server)),
+            Ok(OnlineDecision::Rejected) => Some(Answer::Rejected),
+            Err(OnlineError::DuplicateVm(_)) => Some(Answer::Duplicate),
+            Err(OnlineError::OutOfOrder { clock, .. }) => Some(Answer::OutOfOrder(*clock)),
+            Err(_) => None,
+        }
+    }
+
+    /// What `arrive` returned for `vm`: the inverse of [`of`](Self::of).
+    pub fn arrival(self, vm: &Vm) -> Result<OnlineDecision, OnlineError> {
+        match self {
+            Answer::Placed(server) => Ok(OnlineDecision::Placed(server)),
+            Answer::Rejected => Ok(OnlineDecision::Rejected),
+            Answer::Duplicate => Err(OnlineError::DuplicateVm(vm.id())),
+            Answer::OutOfOrder(clock) => Err(OnlineError::OutOfOrder {
+                vm: vm.id(),
+                start: vm.start(),
+                clock,
+            }),
+        }
+    }
+}
+
 /// One journaled event, in the order it was applied to the engine.
+/// The session writes each as the engine's outcome, after the engine
+/// moved; recovery hosts the outcomes again
+/// ([`ServeSession::replay`](crate::serve::ServeSession::replay)).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum JournalRecord {
-    /// An admitted `REQ` — journaled before the engine decides, so a
-    /// request the engine then rejects (duplicate id, out-of-order)
-    /// replays to the identical rejection.
+    /// A bare request with no decision: the record version 2 journaled.
+    /// It stays encodable, but a session never writes one and replay
+    /// refuses it as [`JournalError::CorruptRecord`].
     Req(Vm),
+    /// An admitted `REQ` and the answer the session gave it.
+    Arrival(Vm, Answer),
     /// A `DRAIN` verb: every live VM departed.
     Drain,
     /// A `DOWN` verb with the repair policy in force when it was
-    /// applied, so replay repairs with the same retry schedule even if
-    /// the process restarts with different flags.
+    /// applied. The records after it in its frame are its repairs.
     Down {
         /// The downed server.
         server: ServerId,
@@ -202,6 +275,10 @@ pub enum JournalRecord {
         /// `--backoff` at the time of the fault.
         backoff: u32,
     },
+    /// What the repair of one VM a `DOWN` evicted did: the server and
+    /// restart of its remainder, or shed. A `DOWN`'s repairs follow it
+    /// in eviction order (ascending id).
+    Repair(VmId, RepairOutcome),
     /// An `UP` verb.
     Up(ServerId),
     /// A request shed by the bounded admission queue. The engine never
@@ -221,6 +298,14 @@ fn put_u64(buf: &mut Vec<u8>, v: u64) {
 
 fn put_f64(buf: &mut Vec<u8>, v: f64) {
     buf.extend_from_slice(&v.to_bits().to_le_bytes());
+}
+
+fn put_vm(buf: &mut Vec<u8>, vm: &Vm) {
+    put_u32(buf, vm.id().0);
+    put_u32(buf, vm.start());
+    put_u32(buf, vm.end());
+    put_f64(buf, vm.demand().cpu);
+    put_f64(buf, vm.demand().mem);
 }
 
 /// A little-endian cursor that can never read past its slice.
@@ -275,11 +360,40 @@ pub fn encode_record_into(record: &JournalRecord, buf: &mut Vec<u8>) {
     match record {
         JournalRecord::Req(vm) => {
             buf.push(TAG_REQ);
-            put_u32(buf, vm.id().0);
-            put_u32(buf, vm.start());
-            put_u32(buf, vm.end());
-            put_f64(buf, vm.demand().cpu);
-            put_f64(buf, vm.demand().mem);
+            put_vm(buf, vm);
+        }
+        JournalRecord::Arrival(vm, answer) => {
+            buf.push(TAG_ARRIVAL);
+            put_vm(buf, vm);
+            match answer {
+                Answer::Placed(server) => {
+                    buf.push(0);
+                    put_u32(buf, server.0);
+                }
+                Answer::Rejected => buf.push(1),
+                Answer::Duplicate => buf.push(2),
+                Answer::OutOfOrder(clock) => {
+                    buf.push(3);
+                    put_u32(buf, *clock);
+                }
+            }
+        }
+        JournalRecord::Repair(vm, outcome) => {
+            buf.push(TAG_REPAIR);
+            put_u32(buf, vm.0);
+            match outcome {
+                RepairOutcome::Rehosted {
+                    server,
+                    start,
+                    attempt,
+                } => {
+                    buf.push(0);
+                    put_u32(buf, server.0);
+                    put_u32(buf, *start);
+                    put_u32(buf, *attempt);
+                }
+                RepairOutcome::Shed => buf.push(1),
+            }
         }
         JournalRecord::Drain => buf.push(TAG_DRAIN),
         JournalRecord::Down {
@@ -315,27 +429,71 @@ pub fn encode_record_into(record: &JournalRecord, buf: &mut Vec<u8>) {
     }
 }
 
-/// Decodes one payload whose checksum already verified. Failure here
-/// means the bytes are *consistently* wrong (version drift), which is
-/// reported as a reason string for [`JournalError::CorruptRecord`].
+/// Decodes one record's payload whose checksum already verified.
+/// Failure here means the bytes are *consistently* wrong (version
+/// drift), which is reported as a reason string for
+/// [`JournalError::CorruptRecord`].
 pub fn decode_record(payload: &[u8]) -> Result<JournalRecord, String> {
     let mut c = Cursor::new(payload);
+    let record = next_record(&mut c)?;
+    if !c.done() {
+        return Err("trailing bytes after record payload".to_owned());
+    }
+    Ok(record)
+}
+
+/// Decodes the VM fields `REQ` and `ARRIVAL` records share.
+fn take_vm(c: &mut Cursor<'_>, what: &str) -> Result<Vm, String> {
+    let truncated = || format!("{what} truncated");
+    let id = c.u32().ok_or_else(truncated)?;
+    let start = c.u32().ok_or_else(truncated)?;
+    let end = c.u32().ok_or_else(truncated)?;
+    let cpu = c.f64_bits().ok_or_else(truncated)?;
+    let mem = c.f64_bits().ok_or_else(truncated)?;
+    if !(cpu.is_finite() && mem.is_finite() && cpu >= 0.0 && mem >= 0.0) {
+        return Err(format!(
+            "{what} {id} has impossible demand cpu={cpu} mem={mem}"
+        ));
+    }
+    if start > end || end > MAX_TIME {
+        return Err(format!(
+            "{what} {id} has impossible interval [{start}, {end}]"
+        ));
+    }
+    let interval = fields::checked_interval(start, end).map_err(|e| e.reason)?;
+    Ok(Vm::new(id, Resources::new(cpu, mem), interval))
+}
+
+/// Decodes the next record of a frame's payload.
+fn next_record(c: &mut Cursor<'_>) -> Result<JournalRecord, String> {
     let tag = c.u8().ok_or("empty payload")?;
     let record = match tag {
-        TAG_REQ => {
-            let id = c.u32().ok_or("REQ truncated")?;
-            let start = c.u32().ok_or("REQ truncated")?;
-            let end = c.u32().ok_or("REQ truncated")?;
-            let cpu = c.f64_bits().ok_or("REQ truncated")?;
-            let mem = c.f64_bits().ok_or("REQ truncated")?;
-            if !(cpu.is_finite() && mem.is_finite() && cpu >= 0.0 && mem >= 0.0) {
-                return Err(format!("REQ {id} has impossible demand cpu={cpu} mem={mem}"));
-            }
-            if start > end || end > MAX_TIME {
-                return Err(format!("REQ {id} has impossible interval [{start}, {end}]"));
-            }
-            let interval = fields::checked_interval(start, end).map_err(|e| e.reason)?;
-            JournalRecord::Req(Vm::new(id, Resources::new(cpu, mem), interval))
+        TAG_REQ => JournalRecord::Req(take_vm(c, "REQ")?),
+        TAG_ARRIVAL => {
+            let vm = take_vm(c, "ARRIVAL")?;
+            let truncated = "ARRIVAL truncated";
+            let answer = match c.u8().ok_or(truncated)? {
+                0 => Answer::Placed(ServerId(c.u32().ok_or(truncated)?)),
+                1 => Answer::Rejected,
+                2 => Answer::Duplicate,
+                3 => Answer::OutOfOrder(c.u32().ok_or(truncated)?),
+                other => return Err(format!("ARRIVAL {} has unknown answer {other}", vm.id().0)),
+            };
+            JournalRecord::Arrival(vm, answer)
+        }
+        TAG_REPAIR => {
+            let truncated = "REPAIR truncated";
+            let vm = VmId(c.u32().ok_or(truncated)?);
+            let outcome = match c.u8().ok_or(truncated)? {
+                0 => RepairOutcome::Rehosted {
+                    server: ServerId(c.u32().ok_or(truncated)?),
+                    start: c.u32().ok_or(truncated)?,
+                    attempt: c.u32().ok_or(truncated)?,
+                },
+                1 => RepairOutcome::Shed,
+                other => return Err(format!("REPAIR {} has unknown outcome {other}", vm.0)),
+            };
+            JournalRecord::Repair(vm, outcome)
         }
         TAG_DRAIN => JournalRecord::Drain,
         TAG_DOWN => {
@@ -367,9 +525,6 @@ pub fn decode_record(payload: &[u8]) -> Result<JournalRecord, String> {
         }
         other => return Err(format!("unknown record tag {other}")),
     };
-    if !c.done() {
-        return Err("trailing bytes after record payload".to_owned());
-    }
     Ok(record)
 }
 
@@ -463,9 +618,9 @@ fn decode_header(bytes: &[u8]) -> Result<(Vec<ServerSpec>, usize), JournalError>
 pub struct Recovered {
     /// The fleet the session ran over, from the self-contained header.
     pub servers: Vec<ServerSpec>,
-    /// Every record of the longest valid prefix, in append order.
+    /// Every record of the longest valid frame prefix, in append order.
     pub records: Vec<JournalRecord>,
-    /// Byte offset one past the last valid record — the length to
+    /// Byte offset one past the last valid frame — the length to
     /// truncate the file to before appending to it again.
     pub valid_len: u64,
     /// Bytes after `valid_len` discarded as a torn tail.
@@ -473,9 +628,10 @@ pub struct Recovered {
 }
 
 /// Parses journal bytes: header strictly, then the longest prefix of
-/// records whose framing and checksums verify. A record that frames
-/// and checksums correctly but decodes to an impossible value is
-/// [`JournalError::CorruptRecord`] — that is divergence, not tearing.
+/// frames whose framing and checksums verify, each frame's records in
+/// order. A record that frames and checksums correctly but decodes to
+/// an impossible value is [`JournalError::CorruptRecord`] — that is
+/// divergence, not tearing.
 ///
 /// # Errors
 ///
@@ -487,15 +643,11 @@ pub fn recover_bytes(bytes: &[u8]) -> Result<Recovered, JournalError> {
     let (servers, header_len) = decode_header(bytes)?;
     let mut records = Vec::new();
     let mut off = header_len;
-    loop {
-        let Some(len_bytes) = bytes.get(off..off + 4) else {
-            break;
-        };
-        let len = u32::from_le_bytes(len_bytes.try_into().expect("4 bytes"));
-        if len == 0 || len > MAX_RECORD_LEN {
+    while let Some(len_bytes) = bytes.get(off..off + 4) {
+        let len = u32::from_le_bytes(len_bytes.try_into().expect("4 bytes")) as usize;
+        if len == 0 {
             break;
         }
-        let len = len as usize;
         let Some(payload) = bytes.get(off + 4..off + 4 + len) else {
             break;
         };
@@ -506,14 +658,13 @@ pub fn recover_bytes(bytes: &[u8]) -> Result<Recovered, JournalError> {
         if fnv1a(payload) != stored {
             break;
         }
-        match decode_record(payload) {
-            Ok(record) => records.push(record),
-            Err(reason) => {
-                return Err(JournalError::CorruptRecord {
-                    index: records.len(),
-                    reason,
-                })
-            }
+        let mut c = Cursor::new(payload);
+        while !c.done() {
+            let record = next_record(&mut c).map_err(|reason| JournalError::CorruptRecord {
+                index: records.len(),
+                reason,
+            })?;
+            records.push(record);
         }
         off += 4 + len + 8;
     }
@@ -556,12 +707,14 @@ pub fn truncate_torn_tail(path: impl AsRef<Path>, recovered: &Recovered) -> Resu
 /// flush + `fsync` pair is batched — group commit, exactly like a
 /// database log. A crash inside the window loses at most the last
 /// `fsync_every` acknowledged events **as a torn tail**, which
-/// [`recover_bytes`] truncates to the longest valid record prefix; it
+/// [`recover_bytes`] truncates to the longest valid frame prefix; it
 /// can never corrupt the replayable prefix, because every frame
 /// carries its own checksum.
 #[derive(Debug)]
 pub struct JournalWriter {
     out: BufWriter<File>,
+    /// The file's length once every frame appended so far is written.
+    end: u64,
     fsync_every: u32,
     unsynced: u32,
     appends: u64,
@@ -584,11 +737,13 @@ impl JournalWriter {
     ) -> std::io::Result<Self> {
         let file = File::create(path)?;
         let mut out = BufWriter::with_capacity(WRITE_BUF_BYTES, file);
-        out.write_all(&encode_header(servers))?;
+        let header = encode_header(servers);
+        out.write_all(&header)?;
         out.flush()?;
         out.get_ref().sync_data()?;
         Ok(Self {
             out,
+            end: header.len() as u64,
             fsync_every,
             unsynced: 0,
             appends: 0,
@@ -607,6 +762,7 @@ impl JournalWriter {
     pub fn open_append(path: impl AsRef<Path>, fsync_every: u32) -> std::io::Result<Self> {
         let file = OpenOptions::new().append(true).open(path)?;
         Ok(Self {
+            end: file.metadata()?.len(),
             out: BufWriter::with_capacity(WRITE_BUF_BYTES, file),
             fsync_every,
             unsynced: 0,
@@ -616,28 +772,80 @@ impl JournalWriter {
         })
     }
 
-    /// Appends one record frame; every `fsync_every` appends the
-    /// buffer is flushed and made durable.
+    /// Appends one record as a frame of its own. See
+    /// [`append_line`](Self::append_line).
     ///
     /// # Errors
     ///
-    /// I/O errors from writing or syncing. On error the record must be
-    /// considered unjournaled and the event must not be applied.
+    /// As [`append_line`](Self::append_line).
     pub fn append(&mut self, record: &JournalRecord) -> std::io::Result<()> {
+        self.append_line(std::slice::from_ref(record))
+    }
+
+    /// Appends the records of one protocol line as one frame, so that a
+    /// torn tail keeps all of them or none; once `fsync_every` records
+    /// are appended since the last barrier, the buffer is flushed and
+    /// made durable.
+    ///
+    /// # Errors
+    ///
+    /// I/O errors from writing or syncing. The frame may then be
+    /// anywhere between the buffer and the disk, and the writer must be
+    /// [`abandon`](Self::abandon)ed.
+    pub fn append_line(&mut self, records: &[JournalRecord]) -> std::io::Result<()> {
+        // An empty frame would read as the end of the journal.
+        if records.is_empty() {
+            return Ok(());
+        }
         self.scratch.clear();
         self.scratch.extend_from_slice(&[0u8; 4]);
-        encode_record_into(record, &mut self.scratch);
-        let len = (self.scratch.len() - 4) as u32;
+        for record in records {
+            encode_record_into(record, &mut self.scratch);
+        }
+        let len = u32::try_from(self.scratch.len() - 4)
+            .map_err(|_| std::io::Error::other("a journal frame over 4 GiB"))?;
         self.scratch[..4].copy_from_slice(&len.to_le_bytes());
         let sum = fnv1a(&self.scratch[4..]);
         self.scratch.extend_from_slice(&sum.to_le_bytes());
         self.out.write_all(&self.scratch)?;
-        self.appends += 1;
-        self.unsynced += 1;
+        self.end += self.scratch.len() as u64;
+        let n = records.len() as u32;
+        self.appends += u64::from(n);
+        self.unsynced = self.unsynced.saturating_add(n);
         if self.fsync_every > 0 && self.unsynced >= self.fsync_every {
             self.sync()?;
         }
         Ok(())
+    }
+
+    /// Appends recovered records framed as a session writes them:
+    /// each `Repair` shares the frame of the `DOWN` before it.
+    ///
+    /// # Errors
+    ///
+    /// As [`append_line`](Self::append_line).
+    pub(crate) fn append_recovered(&mut self, records: &[JournalRecord]) -> std::io::Result<()> {
+        records
+            .chunk_by(|_, next| matches!(next, JournalRecord::Repair(..)))
+            .try_for_each(|line| self.append_line(line))
+    }
+
+    /// The journal's length once every frame appended so far is
+    /// written: where the next frame starts.
+    pub fn end(&self) -> u64 {
+        self.end
+    }
+
+    /// Gives the journal up after a failed append or sync: what is
+    /// still buffered is dropped unwritten, and the file is cut back to
+    /// `end` (an earlier [`end`](Self::end)) if it grew past it, so it
+    /// recovers to the state it held there. Best effort: a disk that
+    /// refuses the cut too leaves the file as it is.
+    pub fn abandon(self, end: u64) {
+        let (file, _unwritten) = self.out.into_parts();
+        if file.metadata().is_ok_and(|m| m.len() > end) && file.set_len(end).is_ok() {
+            let _ = file.sync_data();
+        }
     }
 
     /// Flushes and fsyncs pending appends (a durability barrier).
@@ -683,17 +891,27 @@ mod tests {
     }
 
     fn sample_records() -> Vec<JournalRecord> {
+        let vm = |id| Vm::new(id, Resources::new(2.0, 4.0), Interval::new(1, 10));
         vec![
-            JournalRecord::Req(Vm::new(
-                0,
-                Resources::new(2.0, 4.0),
-                Interval::new(1, 10),
-            )),
+            JournalRecord::Req(vm(0)),
+            JournalRecord::Arrival(vm(1), Answer::Placed(ServerId(2))),
+            JournalRecord::Arrival(vm(2), Answer::Rejected),
+            JournalRecord::Arrival(vm(1), Answer::Duplicate),
+            JournalRecord::Arrival(vm(3), Answer::OutOfOrder(4)),
             JournalRecord::Down {
                 server: ServerId(1),
                 retries: 3,
                 backoff: 2,
             },
+            JournalRecord::Repair(
+                VmId(1),
+                RepairOutcome::Rehosted {
+                    server: ServerId(0),
+                    start: 5,
+                    attempt: 1,
+                },
+            ),
+            JournalRecord::Repair(VmId(2), RepairOutcome::Shed),
             JournalRecord::Up(ServerId(1)),
             JournalRecord::Shed(VmId(9)),
             JournalRecord::Drain,
@@ -712,11 +930,61 @@ mod tests {
     }
 
     #[test]
+    fn a_decision_costs_recovery_no_more_memory_than_a_request() {
+        // Recovery holds every record; an arrival's answer fits beside
+        // its VM within the checkpoint-sized enum a `REQ` took.
+        assert!(std::mem::size_of::<JournalRecord>() <= 80);
+    }
+
+    #[test]
     fn records_round_trip() {
         for record in sample_records() {
             let payload = encode_record(&record);
             assert_eq!(decode_record(&payload), Ok(record), "{record:?}");
         }
+    }
+
+    #[test]
+    fn an_arrival_answer_is_what_arrive_returned() {
+        let vm = Vm::new(3, Resources::new(1.0, 1.0), Interval::new(2, 4));
+        for arrival in [
+            Ok(OnlineDecision::Placed(ServerId(1))),
+            Ok(OnlineDecision::Rejected),
+            Err(OnlineError::DuplicateVm(VmId(3))),
+            Err(OnlineError::OutOfOrder {
+                vm: VmId(3),
+                start: 2,
+                clock: 7,
+            }),
+        ] {
+            let answer = Answer::of(&arrival).expect("arrive's own answer");
+            assert_eq!(answer.arrival(&vm), arrival);
+        }
+        assert_eq!(Answer::of(&Err(OnlineError::UnknownVm(VmId(3)))), None);
+    }
+
+    #[test]
+    fn a_line_is_one_frame_and_an_abandoned_line_is_cut_off() {
+        let path = std::env::temp_dir().join(format!("esvj_line_{}.wal", std::process::id()));
+        let records = sample_records();
+        let mut w = JournalWriter::create(&path, &fleet(), 0).unwrap();
+        w.append_line(&records[5..8]).unwrap();
+        w.sync().unwrap();
+        let kept = w.end();
+        assert_eq!(kept, std::fs::metadata(&path).unwrap().len());
+        // A torn tail inside the frame loses the whole line.
+        let bytes = std::fs::read(&path).unwrap();
+        let torn = recover_bytes(&bytes[..bytes.len() - 1]).unwrap();
+        assert!(torn.records.is_empty());
+        // A line written to the file before its failure is cut off.
+        w.append_line(&records[..2]).unwrap();
+        w.sync().unwrap();
+        w.append(&records[2]).unwrap();
+        w.abandon(kept);
+        let rec = recover_file(&path).unwrap();
+        assert_eq!(rec.records, records[5..8]);
+        assert_eq!((rec.valid_len, rec.torn_bytes), (kept, 0));
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -778,13 +1046,13 @@ mod tests {
             recover_bytes(&wrong_version),
             Err(JournalError::BadVersion(9))
         );
-        // A journal written before the engine kept history until cold.
-        let mut version_one = bytes.clone();
-        version_one[4..6].copy_from_slice(&1u16.to_le_bytes());
-        assert_eq!(
-            recover_bytes(&version_one),
-            Err(JournalError::BadVersion(1))
-        );
+        // Journals written before the engine kept history until cold,
+        // and before the journal recorded decisions.
+        for old in [1u16, 2] {
+            let mut older = bytes.clone();
+            older[4..6].copy_from_slice(&old.to_le_bytes());
+            assert_eq!(recover_bytes(&older), Err(JournalError::BadVersion(old)));
+        }
         let mut flipped = bytes.clone();
         let last = flipped.len() - 20;
         flipped[last] ^= 0x10;

@@ -19,9 +19,10 @@
 //!   protocol over the irrevocable-at-arrival engine, fed from stdin,
 //!   a Unix socket, or streamed traces, with live `DOWN`/`UP` fault
 //!   verbs, bounded-queue overload shedding and crash recovery;
-//! * [`journal`] — the ESVJ write-ahead journal behind
+//! * [`journal`] — the ESVJ decision journal behind
 //!   `esvm serve --journal`/`--recover`: checksummed append-only
-//!   records, torn-tail tolerant replay, checkpoint verification;
+//!   records of each decision, torn-tail tolerant recovery that hosts
+//!   them again, checkpoint verification;
 //! * [`gap`] — the `esvm gap` online/offline optimality-gap report
 //!   (empirical competitive ratios per seed);
 //! * [`report`] — a standalone HTML reproduction report with embedded

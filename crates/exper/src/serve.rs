@@ -50,14 +50,18 @@
 //!
 //! ## Durability
 //!
-//! With a [`JournalWriter`] attached, every state-changing event
-//! (admitted `REQ`, `DOWN`, `UP`, `DRAIN`, overload shed) is appended
-//! to the write-ahead journal *before* it is applied and replied to;
-//! [`ServeSession::replay`] reconstructs a crashed session bit-exactly
-//! from the recovered records, verifying any
-//! [`Checkpoint`](crate::journal::Checkpoint) snapshots along the way.
-//! See the [`journal`](crate::journal) module for the format and
-//! recovery rules.
+//! With a [`JournalWriter`] attached, every state-changing line
+//! (admitted `REQ`, `DOWN`, `UP`, `DRAIN`, overload shed) is journaled
+//! as its outcome — the server, rejection or refusal of a `REQ`, the
+//! repair of each VM a `DOWN` evicted — after the engine decided and
+//! before the reply is queued. [`ServeSession::replay`] rebuilds a
+//! crashed session by hosting the recorded decisions again, without
+//! deciding, and verifies any [`Checkpoint`](crate::journal::Checkpoint)
+//! snapshots along the way. A failed append ends the session: the
+//! engine has already moved, so the line is answered `ERR journal-io`,
+//! nothing more is served, and the journal is cut back to the state
+//! before that line. See the [`journal`](crate::journal) module for the
+//! format and recovery rules.
 //!
 //! ## Reply batching
 //!
@@ -86,13 +90,13 @@ use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::time::{Duration, Instant};
 
 use esvm_chaos::{FaultEvent, FaultPlan};
-use esvm_core::{OnlineDecision, OnlineEngine, OnlineError, RepairOutcome};
+use esvm_core::{OnlineDecision, OnlineEngine, OnlineError, Recorded, RepairOutcome};
 use esvm_obs::names::serve as names;
 use esvm_obs::{MetricsRegistry, Tracer};
 use esvm_simcore::{Resources, ServerId, ServerSpec, Vm, MAX_TIME};
 use esvm_workload::trace::fields;
 
-use crate::journal::{Checkpoint, JournalError, JournalRecord, JournalWriter};
+use crate::journal::{Answer, Checkpoint, JournalError, JournalRecord, JournalWriter};
 
 /// A parsed protocol line.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -147,8 +151,8 @@ pub enum ProtocolError {
         /// The queue capacity in force.
         cap: usize,
     },
-    /// The write-ahead journal could not persist the event, so the
-    /// event was *not* applied (the write-ahead contract).
+    /// The journal could not record a line the engine had already
+    /// applied, so the session ends (see [`ServeSession`]).
     Journal(String),
     /// The engine refused the event (duplicate id, time travel, …).
     Online(OnlineError),
@@ -206,7 +210,7 @@ impl fmt::Display for ProtocolError {
             ProtocolError::Overloaded { id, cap } => {
                 write!(f, "admission queue full (cap {cap}); request {id} shed")
             }
-            ProtocolError::Journal(e) => write!(f, "event not journaled, not applied: {e}"),
+            ProtocolError::Journal(e) => write!(f, "journal append failed, the session ends: {e}"),
             ProtocolError::Online(e) => write!(f, "{e}"),
             ProtocolError::InvalidUtf8 => f.write_str("line is not valid UTF-8"),
             ProtocolError::LineTooLong => {
@@ -334,9 +338,9 @@ impl Default for ServeConfig {
 pub struct ReplayReport {
     /// Records applied in total.
     pub records: usize,
-    /// `REQ` records re-decided.
+    /// Arrival records re-hosted.
     pub requests: u64,
-    /// `DOWN`/`UP` records re-applied.
+    /// `DOWN`/`UP` records re-applied (a `DOWN` with its repairs).
     pub faults: u64,
     /// Overload sheds restored (counter only; the engine never saw
     /// them).
@@ -357,6 +361,11 @@ pub struct DrillReport {
 }
 
 /// One online serving session: engine + instrumentation + durability.
+///
+/// A session whose journal failed has ended: the line that failed was
+/// answered `ERR journal-io`, every later line gets the same answer
+/// without reaching the engine, [`finish`](Self::finish) fails, and
+/// [`serve_lines`] stops with an error.
 pub struct ServeSession<'a, T: Tracer> {
     engine: OnlineEngine,
     metrics: &'a MetricsRegistry,
@@ -365,6 +374,8 @@ pub struct ServeSession<'a, T: Tracer> {
     journal: Option<JournalWriter>,
     /// (appends, fsyncs) already mirrored into the metric counters.
     journal_counted: (u64, u64),
+    /// The journal failure that ended the session, once one has.
+    ended: Option<ProtocolError>,
 }
 
 impl<'a, T: Tracer> ServeSession<'a, T> {
@@ -378,6 +389,7 @@ impl<'a, T: Tracer> ServeSession<'a, T> {
             config: ServeConfig::default(),
             journal: None,
             journal_counted: (0, 0),
+            ended: None,
         }
     }
 
@@ -392,8 +404,8 @@ impl<'a, T: Tracer> ServeSession<'a, T> {
         self.config
     }
 
-    /// Attaches (or detaches) the write-ahead journal. Subsequent
-    /// state-changing events are journaled before they are applied.
+    /// Attaches (or detaches) the journal. Subsequent state-changing
+    /// lines are journaled once applied, before they are answered.
     pub fn set_journal(&mut self, journal: Option<JournalWriter>) {
         self.journal_counted = journal
             .as_ref()
@@ -407,18 +419,30 @@ impl<'a, T: Tracer> ServeSession<'a, T> {
         &self.engine
     }
 
-    /// Appends to the journal (no-op when none is attached). The
-    /// writer's append/fsync counters are mirrored into the metrics
+    /// Journals the records of one line as one frame, then makes them
+    /// durable when `sync` is set (no-op when no journal is attached).
+    /// The writer's append/fsync counters are mirrored into the metrics
     /// registry only when a durability barrier fires — per-append
     /// registry lookups would tax every decision; at group-commit
     /// boundaries (and at [`finish`](Self::finish)) the counters are
-    /// exact.
-    fn journal_append(&mut self, record: &JournalRecord) -> Result<(), ProtocolError> {
+    /// exact. A failure ends the session: the writer is
+    /// [`abandon`](JournalWriter::abandon)ed at the line's start.
+    fn journal_line(&mut self, records: &[JournalRecord], sync: bool) -> Result<(), ProtocolError> {
         let Some(w) = self.journal.as_mut() else {
             return Ok(());
         };
-        w.append(record)
-            .map_err(|e| ProtocolError::Journal(e.to_string()))?;
+        let start = w.end();
+        let written = w
+            .append_line(records)
+            .and_then(|()| if sync { w.sync() } else { Ok(()) });
+        if let Err(e) = written {
+            if let Some(w) = self.journal.take() {
+                w.abandon(start);
+            }
+            let e = ProtocolError::Journal(e.to_string());
+            self.ended = Some(e.clone());
+            return Err(e);
+        }
         if w.fsyncs() != self.journal_counted.1 {
             let counted = (w.appends(), w.fsyncs());
             self.metrics
@@ -428,6 +452,18 @@ impl<'a, T: Tracer> ServeSession<'a, T> {
             self.journal_counted = counted;
         }
         Ok(())
+    }
+
+    /// The journal failure that ended the session, if one has.
+    fn journal_failure(&self) -> Option<&ProtocolError> {
+        self.ended.as_ref()
+    }
+
+    /// The answer to any line once the session has ended.
+    fn ended_reply(&self) -> Option<String> {
+        let e = self.ended.as_ref()?;
+        self.metrics.add(names::PROTOCOL_ERRORS, 1);
+        Some(e.reply())
     }
 
     /// The engine-state snapshot a graceful shutdown journals.
@@ -452,41 +488,39 @@ impl<'a, T: Tracer> ServeSession<'a, T> {
     ///
     /// # Errors
     ///
-    /// I/O errors from the journal append or sync.
+    /// I/O errors from the journal append or sync, or the failure that
+    /// ended the session.
     pub fn finish(&mut self) -> std::io::Result<()> {
+        if let Some(e) = &self.ended {
+            return Err(std::io::Error::other(e.to_string()));
+        }
+        if self.journal.is_none() {
+            return Ok(());
+        }
         let record = JournalRecord::Checkpoint(self.checkpoint());
-        if let Some(w) = self.journal.as_mut() {
-            w.append(&record)?;
-            w.sync()?;
-            let counted = (w.appends(), w.fsyncs());
-            self.metrics
-                .add(names::JOURNAL_APPENDS, counted.0 - self.journal_counted.0);
-            self.metrics
-                .add(names::JOURNAL_FSYNCS, counted.1 - self.journal_counted.1);
-            self.journal_counted = counted;
-        }
-        Ok(())
+        self.journal_line(&[record], true)
+            .map_err(|e| std::io::Error::other(e.to_string()))
     }
 
-    /// Feeds one arrival through the journaled, timed decision path
-    /// and returns the wire reply.
+    /// Feeds one arrival through the timed decision path, journals the
+    /// decision and returns the wire reply.
     pub fn request(&mut self, vm: Vm) -> String {
-        if let Err(e) = self.journal_append(&JournalRecord::Req(vm)) {
-            self.metrics.add(names::PROTOCOL_ERRORS, 1);
-            return e.reply();
+        if let Some(reply) = self.ended_reply() {
+            return reply;
         }
-        self.request_inner(vm)
-    }
-
-    /// The decision path proper, shared by live requests (after the
-    /// journal append) and [`replay`](Self::replay) (which must not
-    /// re-journal).
-    fn request_inner(&mut self, vm: Vm) -> String {
         self.metrics.add(names::REQUESTS, 1);
         let t0 = Instant::now();
         let decision = self.engine.arrive_traced(vm, self.tracer);
         self.metrics
             .observe(names::DECISION_US, t0.elapsed().as_secs_f64() * 1e6);
+        // A session without a journal builds no record.
+        if self.journal.is_some() {
+            if let Some(answer) = Answer::of(&decision) {
+                if let Err(e) = self.journal_line(&[JournalRecord::Arrival(vm, answer)], false) {
+                    return self.reject(&e);
+                }
+            }
+        }
         match decision {
             Ok(OnlineDecision::Placed(sid)) => {
                 self.metrics.add(names::PLACED, 1);
@@ -496,10 +530,7 @@ impl<'a, T: Tracer> ServeSession<'a, T> {
                 self.metrics.add(names::REJECTED, 1);
                 format!("REJECTED {}", vm.id().0)
             }
-            Err(e) => {
-                self.metrics.add(names::PROTOCOL_ERRORS, 1);
-                ProtocolError::Online(e).reply()
-            }
+            Err(e) => self.reject(&ProtocolError::Online(e)),
         }
     }
 
@@ -507,9 +538,11 @@ impl<'a, T: Tracer> ServeSession<'a, T> {
     /// reply promises the engine never saw it, and recovery must keep
     /// that promise), counted, answered `ERR overloaded`.
     fn shed(&mut self, vm: Vm) -> String {
-        if let Err(e) = self.journal_append(&JournalRecord::Shed(vm.id())) {
-            self.metrics.add(names::PROTOCOL_ERRORS, 1);
-            return e.reply();
+        if let Some(reply) = self.ended_reply() {
+            return reply;
+        }
+        if let Err(e) = self.journal_line(&[JournalRecord::Shed(vm.id())], false) {
+            return self.reject(&e);
         }
         self.metrics.add(names::OVERLOADED, 1);
         ProtocolError::Overloaded {
@@ -537,70 +570,73 @@ impl<'a, T: Tracer> ServeSession<'a, T> {
             .collect()
     }
 
-    /// Applies a `DOWN` fault: journal, evict, repair each victim
-    /// through the bounded-backoff path, reply.
+    /// Applies a `DOWN` fault: evict, repair each victim through the
+    /// bounded-backoff path, journal the outcomes, reply.
     pub fn fault_down(&mut self, server: ServerId) -> String {
-        if server.index() >= self.engine.ledgers().len() {
-            self.metrics.add(names::PROTOCOL_ERRORS, 1);
-            return ProtocolError::Online(OnlineError::UnknownServer(server)).reply();
+        if let Some(reply) = self.ended_reply() {
+            return reply;
         }
         let (retries, backoff) = (self.config.max_retries, self.config.backoff);
-        if let Err(e) = self.journal_append(&JournalRecord::Down {
+        let victims = match self.engine.set_down(server) {
+            Ok(victims) => victims,
+            Err(e) => return self.reject(&ProtocolError::Online(e)),
+        };
+        self.metrics.add(names::EVICTED, victims.len() as u64);
+        let mut line = Vec::with_capacity(1 + victims.len());
+        line.push(JournalRecord::Down {
             server,
             retries,
             backoff,
-        }) {
-            self.metrics.add(names::PROTOCOL_ERRORS, 1);
-            return e.reply();
-        }
-        let (evicted, repaired, shed) = self.apply_down(server, retries, backoff);
-        format!(
-            "DOWNED {} evicted={evicted} repaired={repaired} shed={shed}",
-            server.0
-        )
-    }
-
-    /// Applies an `UP` recovery: journal, restore, reply.
-    pub fn fault_up(&mut self, server: ServerId) -> String {
-        if server.index() >= self.engine.ledgers().len() {
-            self.metrics.add(names::PROTOCOL_ERRORS, 1);
-            return ProtocolError::Online(OnlineError::UnknownServer(server)).reply();
-        }
-        if let Err(e) = self.journal_append(&JournalRecord::Up(server)) {
-            self.metrics.add(names::PROTOCOL_ERRORS, 1);
-            return e.reply();
-        }
-        let _ = self.engine.set_up(server);
-        format!("UPPED {}", server.0)
-    }
-
-    /// Eviction + repair, shared by the live verb (after journaling)
-    /// and replay. The recorded policy travels with the journal record
-    /// so replay repairs on the schedule in force at write time.
-    fn apply_down(&mut self, server: ServerId, retries: u32, backoff: u32) -> (u64, u64, u64) {
-        let victims = match self.engine.set_down(server) {
-            Ok(v) => v,
-            // Pre-validated by the caller; an unknown server here
-            // means a hand-edited journal — nothing to evict.
-            Err(_) => return (0, 0, 0),
-        };
-        self.metrics.add(names::EVICTED, victims.len() as u64);
+        });
         let (mut repaired, mut shed) = (0u64, 0u64);
         for vm in &victims {
-            match self.engine.repair_traced(*vm, retries, backoff, self.tracer) {
+            let outcome = self
+                .engine
+                .repair_traced(*vm, retries, backoff, self.tracer);
+            match outcome {
                 RepairOutcome::Rehosted { .. } => repaired += 1,
                 RepairOutcome::Shed => shed += 1,
             }
+            line.push(JournalRecord::Repair(vm.id(), outcome));
         }
-        (victims.len() as u64, repaired, shed)
+        if let Err(e) = self.journal_line(&line, false) {
+            return self.reject(&e);
+        }
+        format!(
+            "DOWNED {} evicted={} repaired={repaired} shed={shed}",
+            server.0,
+            victims.len()
+        )
     }
 
-    /// Replays recovered journal records through the engine,
-    /// reconstructing the crashed session's state bit-exactly (the
-    /// engine is deterministic, and every decision input is in the
-    /// log). Checkpoint records are verified field-by-field — costs by
-    /// `f64::to_bits` — against the replayed state; a mismatch is a
-    /// typed [`JournalError::CheckpointMismatch`].
+    /// Applies an `UP` recovery: restore, journal, reply.
+    pub fn fault_up(&mut self, server: ServerId) -> String {
+        if let Some(reply) = self.ended_reply() {
+            return reply;
+        }
+        if let Err(e) = self.engine.set_up(server) {
+            return self.reject(&ProtocolError::Online(e));
+        }
+        if let Err(e) = self.journal_line(&[JournalRecord::Up(server)], false) {
+            return self.reject(&e);
+        }
+        format!("UPPED {}", server.0)
+    }
+
+    /// Rebuilds a crashed session from its recovered journal records by
+    /// hosting each recorded decision again, without deciding: an
+    /// arrival passes `arrive`'s preconditions, moves the clock and is
+    /// hosted on its recorded server after a `fits` check, and each
+    /// repair a `DOWN` holds is hosted at its recorded restart
+    /// ([`OnlineEngine::rehost`]). These are the `Fleet::host` calls the
+    /// decisions made, in the same order, so ledgers, cost bits and
+    /// every checkpoint field equal the crashed session's by
+    /// construction. Checkpoint records are verified field-by-field —
+    /// costs by `f64::to_bits` — against the rebuilt state; a mismatch
+    /// is a typed [`JournalError::CheckpointMismatch`]. The counters of
+    /// requests, placements, rejections and refusals are restored; the
+    /// decision-latency histogram and the trace only see decisions this
+    /// process makes.
     ///
     /// An attached journal is suspended for the duration so replay
     /// never re-journals its own input.
@@ -608,8 +644,10 @@ impl<'a, T: Tracer> ServeSession<'a, T> {
     /// # Errors
     ///
     /// [`JournalError::CorruptRecord`] for a record the live session
-    /// could never have written (e.g. a fault verb naming a server
-    /// outside the fleet), or a checkpoint mismatch as above.
+    /// could never have written: a bare `REQ`, a decision naming a
+    /// server outside the fleet, a down server or one the piece does not
+    /// fit, a `DOWN` whose repairs do not follow it, or a repair
+    /// outside one. A checkpoint mismatch as above.
     pub fn replay(&mut self, records: &[JournalRecord]) -> Result<ReplayReport, JournalError> {
         let suspended = self.journal.take();
         let result = self.replay_inner(records);
@@ -618,42 +656,71 @@ impl<'a, T: Tracer> ServeSession<'a, T> {
     }
 
     fn replay_inner(&mut self, records: &[JournalRecord]) -> Result<ReplayReport, JournalError> {
+        let corrupt = |index, reason: String| JournalError::CorruptRecord { index, reason };
         let mut report = ReplayReport::default();
-        for (index, record) in records.iter().enumerate() {
-            report.records += 1;
+        let mut index = 0;
+        while let Some(record) = records.get(index) {
             match record {
-                JournalRecord::Req(vm) => {
-                    // Rejections (duplicate id, out-of-order) replay to
-                    // the identical rejection: the reply is dropped but
-                    // the state transition is the same.
-                    let _ = self.request_inner(*vm);
+                JournalRecord::Arrival(vm, answer) => {
+                    self.engine
+                        .rehost(*vm, Recorded::Arrival(answer.arrival(vm)))
+                        .map_err(|e| corrupt(index, e.to_string()))?;
+                    self.metrics.add(names::REQUESTS, 1);
+                    let outcome = match answer {
+                        Answer::Placed(_) => names::PLACED,
+                        Answer::Rejected => names::REJECTED,
+                        Answer::Duplicate | Answer::OutOfOrder(_) => names::PROTOCOL_ERRORS,
+                    };
+                    self.metrics.add(outcome, 1);
                     report.requests += 1;
+                }
+                JournalRecord::Req(vm) => {
+                    return Err(corrupt(
+                        index,
+                        format!("a bare REQ of {}: version 3 journals decisions", vm.id()),
+                    ))
                 }
                 JournalRecord::Drain => {
                     let n = self.engine.drain();
                     self.metrics.add(names::DEPARTED, n as u64);
                 }
-                JournalRecord::Down {
-                    server,
-                    retries,
-                    backoff,
-                } => {
-                    if server.index() >= self.engine.ledgers().len() {
-                        return Err(JournalError::CorruptRecord {
-                            index,
-                            reason: format!("DOWN names server {} outside the fleet", server.0),
-                        });
+                JournalRecord::Down { server, .. } => {
+                    let victims = self
+                        .engine
+                        .set_down(*server)
+                        .map_err(|e| corrupt(index, format!("DOWN: {e}")))?;
+                    self.metrics.add(names::EVICTED, victims.len() as u64);
+                    for vm in victims {
+                        index += 1;
+                        let outcome = match records.get(index) {
+                            Some(JournalRecord::Repair(id, outcome)) if *id == vm.id() => outcome,
+                            other => {
+                                return Err(corrupt(
+                                    index,
+                                    format!(
+                                        "DOWN {} evicted {}, but the record after is {other:?}",
+                                        server.0,
+                                        vm.id()
+                                    ),
+                                ))
+                            }
+                        };
+                        self.engine
+                            .rehost(vm, Recorded::Repair(*outcome))
+                            .map_err(|e| corrupt(index, e.to_string()))?;
                     }
-                    self.apply_down(*server, *retries, *backoff);
                     report.faults += 1;
                 }
+                JournalRecord::Repair(vm, _) => {
+                    return Err(corrupt(
+                        index,
+                        format!("a repair of {vm} that no DOWN evicted"),
+                    ))
+                }
                 JournalRecord::Up(server) => {
-                    self.engine.set_up(*server).map_err(|e| {
-                        JournalError::CorruptRecord {
-                            index,
-                            reason: e.to_string(),
-                        }
-                    })?;
+                    self.engine
+                        .set_up(*server)
+                        .map_err(|e| corrupt(index, format!("UP: {e}")))?;
                     report.faults += 1;
                 }
                 JournalRecord::Shed(_) => {
@@ -665,7 +732,9 @@ impl<'a, T: Tracer> ServeSession<'a, T> {
                     report.checkpoints += 1;
                 }
             }
+            index += 1;
         }
+        report.records = index;
         Ok(report)
     }
 
@@ -753,20 +822,23 @@ impl<'a, T: Tracer> ServeSession<'a, T> {
         e.reply()
     }
 
-    /// The `DRAIN` verb: journal, depart every live VM, then journal a
-    /// verified checkpoint and fsync — the graceful-shutdown barrier.
+    /// The `DRAIN` verb: depart every live VM, then journal the drain
+    /// with a verified checkpoint and fsync — the graceful-shutdown
+    /// barrier.
     pub fn drain(&mut self) -> String {
-        if let Err(e) = self.journal_append(&JournalRecord::Drain) {
-            self.metrics.add(names::PROTOCOL_ERRORS, 1);
-            return e.reply();
+        if let Some(reply) = self.ended_reply() {
+            return reply;
         }
         let n = self.engine.drain();
         self.metrics.add(names::DEPARTED, n as u64);
-        if self.finish().is_err() {
-            // The drain itself is applied and journaled; only the
-            // checkpoint barrier failed. Recovery still works from the
-            // Drain record, so reply with the count plus a warning.
-            return format!("DRAINED departed={n} journal=unsynced");
+        if self.journal.is_some() {
+            let line = [
+                JournalRecord::Drain,
+                JournalRecord::Checkpoint(self.checkpoint()),
+            ];
+            if let Err(e) = self.journal_line(&line, true) {
+                return self.reject(&e);
+            }
         }
         format!("DRAINED departed={n}")
     }
@@ -872,6 +944,10 @@ fn serve_batches<R: Read, W: Write, T: Tracer>(
             reply.push('\n');
             output.write_all(reply.as_bytes())?;
             held_since.get_or_insert(now);
+        }
+        if let Some(e) = session.journal_failure() {
+            output.flush()?;
+            return Err(std::io::Error::other(e.to_string()));
         }
         if let Some(since) = held_since {
             let line_waiting = input.buffer().contains(&b'\n');
@@ -1363,17 +1439,52 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_failed_append_ends_the_session() {
+        let metrics = MetricsRegistry::new();
+        let servers = fleet();
+        let mut session = ServeSession::new(&servers, &metrics, &NoopTracer);
+        // Every write to /dev/full fails; a barrier per record makes the
+        // first append reach the device.
+        session.set_journal(Some(JournalWriter::open_append("/dev/full", 1).unwrap()));
+        let input = b"REQ 0 1 10 2.0 4.0\nREQ 1 1 10 2.0 4.0\n".to_vec();
+        let mut out = Vec::new();
+        let served = serve_lines(&input[..], &mut out, &mut session);
+        assert!(served.is_err(), "the session went on past a failed append");
+        let text = String::from_utf8(out).unwrap();
+        assert_eq!(text.lines().count(), 1, "{text}");
+        assert!(text.starts_with("ERR journal-io "), "{text}");
+        // The engine decided the first line; nothing reaches it any more.
+        assert_eq!(session.engine().stats().arrivals, 1);
+        let reply = session.handle("REQ 2 2 5 1.0 1.0").unwrap();
+        assert!(reply.starts_with("ERR journal-io "), "{reply}");
+        assert!(session
+            .handle("DRAIN")
+            .unwrap()
+            .starts_with("ERR journal-io "));
+        assert_eq!(session.engine().stats().arrivals, 1);
+        assert_eq!(session.engine().live_count(), 1);
+        assert!(
+            session.finish().is_err(),
+            "a checkpoint after a failed append"
+        );
+    }
+
     #[test]
     fn tampered_checkpoint_is_a_typed_mismatch() {
         let metrics = MetricsRegistry::new();
         let servers = fleet();
         let mut session = ServeSession::new(&servers, &metrics, &NoopTracer);
         let records = [
-            JournalRecord::Req(Vm::new(
-                0,
-                Resources::new(1.0, 1.0),
-                esvm_simcore::Interval::new(1, 5),
-            )),
+            JournalRecord::Arrival(
+                Vm::new(
+                    0,
+                    Resources::new(1.0, 1.0),
+                    esvm_simcore::Interval::new(1, 5),
+                ),
+                Answer::Placed(ServerId(0)),
+            ),
             JournalRecord::Checkpoint(Checkpoint {
                 clock: 1,
                 live: 1,

@@ -1,14 +1,18 @@
 //! Crash–restart differential suite: a seeded event stream with live
 //! faults is killed at a randomized event index, recovered from the
-//! write-ahead journal, and resumed. The recovered session must match
+//! decision journal, and resumed. The recovered session must match
 //! the uninterrupted run **bit-exactly**: placements, committed cost,
-//! and the per-ledger Eq. 7 energy breakdown.
+//! and the per-ledger Eq. 7 energy breakdown. Recovery hosts the
+//! recorded decisions; deciding the recorded events again must give
+//! the same decisions, and a journal of decisions the argmin would not
+//! make recovers to those decisions.
 
 use esvm_chaos::{FaultEvent, FaultPlan, FaultPlanConfig};
-use esvm_exper::journal::{recover_bytes, recover_file, JournalWriter};
+use esvm_core::OnlineEngine;
+use esvm_exper::journal::{recover_bytes, recover_file, Answer, JournalRecord, JournalWriter};
 use esvm_exper::serve::{ServeConfig, ServeSession};
 use esvm_obs::{MetricsRegistry, NoopTracer};
-use esvm_simcore::{AllocationProblem, ServerId, Vm};
+use esvm_simcore::{AllocationProblem, Interval, PowerModel, Resources, ServerId, ServerSpec, Vm};
 use esvm_workload::WorkloadConfig;
 
 /// The interleaved event sequence of a live drill: faults with
@@ -245,4 +249,152 @@ fn torn_tail_recovery_is_a_prefix_and_resumable() {
         assert!(s.engine().committed_cost().is_finite());
     }
     std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn a_journal_of_placements_the_argmin_would_not_choose_recovers_to_them() {
+    let servers: Vec<ServerSpec> = (0..4u32)
+        .map(|i| {
+            ServerSpec::new(
+                i,
+                Resources::new(8.0, 16.0),
+                PowerModel::new(100.0, 200.0),
+                120.0,
+            )
+        })
+        .collect();
+    let vm = |id, start, end| Vm::new(id, Resources::new(2.0, 2.0), Interval::new(start, end));
+    // Feasible, but MIEC would stack all three on server 0.
+    let decided = [
+        (vm(0, 1, 10), Answer::Placed(ServerId(3))),
+        (vm(1, 2, 12), Answer::Placed(ServerId(1))),
+        (vm(2, 3, 8), Answer::Placed(ServerId(3))),
+        (vm(3, 4, 9), Answer::Rejected),
+    ];
+    let path = std::env::temp_dir().join(format!("esvj_chosen_{}.esvj", std::process::id()));
+    let mut w = JournalWriter::create(&path, &servers, 0).unwrap();
+    for (v, answer) in decided {
+        w.append(&JournalRecord::Arrival(v, answer)).unwrap();
+    }
+    w.sync().unwrap();
+    drop(w);
+
+    let rec = recover_file(&path).unwrap();
+    let metrics = MetricsRegistry::new();
+    let mut session = ServeSession::new(&rec.servers, &metrics, &NoopTracer);
+    let report = session.replay(&rec.records).unwrap();
+    assert_eq!(report.requests, 4);
+    let recorded = [
+        Some(ServerId(3)),
+        Some(ServerId(1)),
+        Some(ServerId(3)),
+        None,
+    ];
+    assert_eq!(session.engine().placement(4), recorded);
+    let stats = session.engine().stats();
+    assert_eq!((stats.placed, stats.rejected), (3, 1));
+    // The energy is that of the recorded pieces on their servers.
+    let mut ledgers: Vec<_> = servers
+        .iter()
+        .map(|s| esvm_simcore::ServerLedger::new(*s))
+        .collect();
+    for (v, answer) in &decided[..3] {
+        let Answer::Placed(s) = answer else {
+            unreachable!()
+        };
+        ledgers[s.index()].host(v);
+    }
+    let want: f64 = ledgers.iter().map(|l| l.cost()).sum();
+    let got = session.engine().committed_cost();
+    assert!((got - want).abs() <= 1e-9 * want, "{got} vs {want}");
+
+    // A recovery that decided again would reach other placements.
+    let mut redecided = OnlineEngine::new(&rec.servers);
+    for (v, _) in decided {
+        redecided.arrive(v).unwrap();
+    }
+    assert_ne!(redecided.placement(4), recorded);
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn deciding_a_faulted_sessions_events_again_reproduces_its_records() {
+    let mut repairs = 0;
+    let mut refusals = 0;
+    for seed in 0..6u64 {
+        let problem = WorkloadConfig::new(160, 24)
+            .mean_interarrival(1.0)
+            .mean_duration(6.0)
+            .generate(seed)
+            .expect("feasible workload");
+        let plan = FaultPlan::generate(
+            &FaultPlanConfig::with_fault_rate(0.3),
+            problem.server_count(),
+            problem.horizon(),
+            seed,
+        );
+        let path =
+            std::env::temp_dir().join(format!("esvj_redecide_{seed}_{}.esvj", std::process::id()));
+        let metrics = MetricsRegistry::new();
+        let mut session =
+            ServeSession::new(problem.servers(), &metrics, &NoopTracer).with_config(ServeConfig {
+                queue_cap: 3,
+                ..ServeConfig::default()
+            });
+        session.set_journal(Some(
+            JournalWriter::create(&path, problem.servers(), 0).unwrap(),
+        ));
+        apply(&mut session, &drill_events(&problem, &plan));
+        // An arrival from the past and a duplicate id are refused, and
+        // journaled as refused.
+        let clock = session.engine().clock();
+        session.handle(&format!("REQ 100000 {} 3 1.0 1.0", clock.saturating_sub(1)));
+        session.handle(&format!("REQ 0 {clock} 3 1.0 1.0"));
+        session.finish().unwrap();
+        let rec = recover_file(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+
+        let mut engine = OnlineEngine::new(&rec.servers);
+        let mut records = rec.records.iter().enumerate();
+        while let Some((i, record)) = records.next() {
+            let ctx = format!("seed {seed}, record {i}: {record:?}");
+            match record {
+                JournalRecord::Arrival(vm, answer) => {
+                    let arrival = engine.arrive(*vm);
+                    assert_eq!(Answer::of(&arrival), Some(*answer), "{ctx}");
+                    refusals += u64::from(arrival.is_err());
+                }
+                JournalRecord::Down {
+                    server,
+                    retries,
+                    backoff,
+                } => {
+                    for victim in engine.set_down(*server).unwrap() {
+                        let Some((_, JournalRecord::Repair(id, outcome))) = records.next() else {
+                            panic!("{ctx}: a repair of {} is missing", victim.id());
+                        };
+                        assert_eq!(*id, victim.id(), "{ctx}");
+                        assert_eq!(engine.repair(victim, *retries, *backoff), *outcome, "{ctx}");
+                        repairs += 1;
+                    }
+                }
+                JournalRecord::Up(server) => engine.set_up(*server).unwrap(),
+                JournalRecord::Drain => {
+                    engine.drain();
+                }
+                JournalRecord::Shed(_) => {}
+                JournalRecord::Checkpoint(c) => {
+                    assert_eq!(
+                        c.committed_cost_bits,
+                        engine.committed_cost().to_bits(),
+                        "{ctx}"
+                    );
+                    assert_eq!(c.placed, engine.stats().placed, "{ctx}");
+                }
+                other => panic!("{ctx}: a session never writes {other:?}"),
+            }
+        }
+    }
+    assert!(repairs > 0, "no repair was decided again");
+    assert_eq!(refusals, 12, "two refusals per seed");
 }

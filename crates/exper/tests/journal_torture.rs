@@ -4,8 +4,9 @@
 //! valid event-prefix state or fail with a typed [`JournalError`] —
 //! never panic, never silently diverge from the prefix property.
 
+use esvm_core::RepairOutcome;
 use esvm_exper::journal::{
-    recover_bytes, JournalError, JournalRecord, JournalWriter, Recovered,
+    recover_bytes, Answer, JournalError, JournalRecord, JournalWriter, Recovered,
 };
 use esvm_exper::serve::ServeSession;
 use esvm_obs::{MetricsRegistry, NoopTracer};
@@ -160,11 +161,10 @@ fn tampered_records_that_still_decode_are_caught_by_the_checkpoint() {
     std::fs::remove_file(&path).ok();
     let servers = fleet();
     let mut w = JournalWriter::create(&path, &servers, 0).unwrap();
-    w.append(&JournalRecord::Req(Vm::new(
-        0,
-        Resources::new(1.0, 1.0),
-        Interval::new(1, 5),
-    )))
+    w.append(&JournalRecord::Arrival(
+        Vm::new(0, Resources::new(1.0, 1.0), Interval::new(1, 5)),
+        Answer::Placed(ServerId(0)),
+    ))
     .unwrap();
     w.append(&JournalRecord::Checkpoint(esvm_exper::journal::Checkpoint {
         clock: 1,
@@ -229,7 +229,10 @@ fn shed_records_replay_without_touching_the_engine() {
     let metrics = MetricsRegistry::new();
     let mut session = ServeSession::new(&servers, &metrics, &NoopTracer);
     let records = [
-        JournalRecord::Req(Vm::new(0, Resources::new(1.0, 1.0), Interval::new(1, 4))),
+        JournalRecord::Arrival(
+            Vm::new(0, Resources::new(1.0, 1.0), Interval::new(1, 4)),
+            Answer::Placed(ServerId(0)),
+        ),
         JournalRecord::Shed(VmId(1)),
         JournalRecord::Shed(VmId(2)),
     ];
@@ -241,4 +244,101 @@ fn shed_records_replay_without_touching_the_engine() {
         2,
         "sheds restore the overload counter"
     );
+}
+
+#[test]
+fn decisions_the_engine_could_not_have_made_are_typed_corruption() {
+    let servers = fleet();
+    let vm = |id, cpu| Vm::new(id, Resources::new(cpu, cpu), Interval::new(1, 10));
+    let placed = |id, cpu, s| JournalRecord::Arrival(vm(id, cpu), Answer::Placed(ServerId(s)));
+    let down = |s| JournalRecord::Down {
+        server: ServerId(s),
+        retries: 3,
+        backoff: 2,
+    };
+    let repaired = |id, s| {
+        JournalRecord::Repair(
+            VmId(id),
+            RepairOutcome::Rehosted {
+                server: ServerId(s),
+                start: 1,
+                attempt: 0,
+            },
+        )
+    };
+    let path = std::env::temp_dir().join(format!(
+        "esvj_torture_decisions_{}.esvj",
+        std::process::id()
+    ));
+    for (records, what) in [
+        (vec![placed(0, 1.0, 9)], "a server outside the fleet"),
+        (vec![down(2), placed(0, 1.0, 2)], "a down server"),
+        (
+            vec![placed(0, 6.0, 1), placed(1, 6.0, 1)],
+            "a server it does not fit",
+        ),
+        (
+            vec![placed(0, 1.0, 0), down(0), repaired(0, 9)],
+            "a repair outside the fleet",
+        ),
+        (
+            vec![placed(0, 1.0, 0), down(0), repaired(0, 0)],
+            "a repair onto the down server",
+        ),
+        (
+            vec![
+                placed(0, 6.0, 0),
+                placed(1, 6.0, 1),
+                down(0),
+                repaired(0, 1),
+            ],
+            "a repair onto a server it does not fit",
+        ),
+        (
+            vec![placed(0, 1.0, 0), down(0)],
+            "a DOWN without its repair",
+        ),
+        (
+            vec![placed(0, 1.0, 0), down(0), repaired(5, 1)],
+            "a repair of another VM",
+        ),
+        (vec![repaired(0, 1)], "a repair no DOWN evicted"),
+        (vec![JournalRecord::Req(vm(0, 1.0))], "a bare request"),
+        (
+            vec![JournalRecord::Arrival(vm(0, 1.0), Answer::Duplicate)],
+            "a refusal that does not hold",
+        ),
+        (
+            vec![
+                placed(0, 1.0, 0),
+                JournalRecord::Arrival(vm(0, 1.0), Answer::Rejected),
+            ],
+            "a decision on a duplicate id",
+        ),
+    ] {
+        // Written and read back as recovery reads it, one line per frame.
+        let mut w = JournalWriter::create(&path, &servers, 0).unwrap();
+        w.append_line(&records).unwrap();
+        w.sync().unwrap();
+        drop(w);
+        let rec = esvm_exper::journal::recover_file(&path).unwrap();
+        assert_eq!(rec.records, records, "{what}");
+        let metrics = MetricsRegistry::new();
+        let mut session = ServeSession::new(&rec.servers, &metrics, &NoopTracer);
+        let err = session.replay(&rec.records).unwrap_err();
+        assert!(
+            matches!(err, JournalError::CorruptRecord { .. }),
+            "{what}: {err:?}"
+        );
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn a_version_2_journal_is_refused_typed() {
+    let path = std::env::temp_dir().join("esvj_torture_v2.esvj");
+    let mut bytes = build_journal(&path);
+    bytes[4..6].copy_from_slice(&2u16.to_le_bytes());
+    assert_eq!(recover_bytes(&bytes), Err(JournalError::BadVersion(2)));
+    std::fs::remove_file(&path).ok();
 }

@@ -6,9 +6,9 @@
 
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::Shutdown;
-use std::os::unix::net::{UnixListener, UnixStream};
+use std::os::unix::net::{UnixDatagram, UnixStream};
 use std::path::Path;
-use std::process::{Child, Command, Stdio};
+use std::process::{Child, Command, Output, Stdio};
 use std::time::{Duration, Instant};
 
 use esvm_exper::serve::ServeSession;
@@ -28,6 +28,34 @@ const REPLY_TIMEOUT: Duration = Duration::from_secs(10);
 fn requests(ids: std::ops::Range<usize>) -> Vec<String> {
     ids.map(|i| format!("REQ {i} {} {} 1.0 2.0\n", i / 10 + 1, 5 + i % 7))
         .collect()
+}
+
+/// A spawned `esvm serve`, killed and reaped if the test ends before it
+/// exits, so a failing run leaves no process behind.
+struct Server(Option<Child>);
+
+impl Server {
+    fn spawn(command: &mut Command) -> Self {
+        Self(Some(command.spawn().expect("esvm starts")))
+    }
+
+    fn child(&mut self) -> &mut Child {
+        self.0.as_mut().expect("the server is running")
+    }
+
+    fn wait_with_output(mut self) -> Output {
+        let child = self.0.take().expect("the server is running");
+        child.wait_with_output().expect("esvm runs to its end")
+    }
+}
+
+impl Drop for Server {
+    fn drop(&mut self) {
+        if let Some(mut child) = self.0.take() {
+            child.kill().ok();
+            child.wait().ok();
+        }
+    }
 }
 
 fn connect_when_listening(path: &Path, child: &mut Child) -> UnixStream {
@@ -61,17 +89,20 @@ fn read_reply(reader: &mut impl BufRead, i: usize) -> String {
 #[test]
 fn pipelined_and_closed_loop_clients_get_in_process_replies_in_order() {
     let path = std::env::temp_dir().join(format!("esvm_serve_socket_{}.sock", std::process::id()));
-    // A socket file left by an earlier session is replaced.
+    // A socket file left by an earlier session is replaced. A datagram
+    // socket makes it: a child another test forks inherits the socket
+    // until it execs, and a listener there would take the connection
+    // meant for the server, then reset it.
     std::fs::remove_file(&path).ok();
-    drop(UnixListener::bind(&path).expect("a stale socket file"));
-    let mut child = Command::new(env!("CARGO_BIN_EXE_esvm"))
-        .args(["serve", "--servers", &SERVERS.to_string(), "--socket"])
-        .arg(&path)
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("esvm starts");
-    let stream = connect_when_listening(&path, &mut child);
+    drop(UnixDatagram::bind(&path).expect("a stale socket file"));
+    let mut server = Server::spawn(
+        Command::new(env!("CARGO_BIN_EXE_esvm"))
+            .args(["serve", "--servers", &SERVERS.to_string(), "--socket"])
+            .arg(&path)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped()),
+    );
+    let stream = connect_when_listening(&path, server.child());
     stream.set_read_timeout(Some(REPLY_TIMEOUT)).unwrap();
     let mut reader = BufReader::new(&stream);
 
@@ -94,7 +125,7 @@ fn pipelined_and_closed_loop_clients_get_in_process_replies_in_order() {
         replies.push(read_reply(&mut reader, PIPELINED + i));
     }
     stream.shutdown(Shutdown::Write).unwrap();
-    let out = child.wait_with_output().expect("esvm runs to its end");
+    let out = server.wait_with_output();
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(out.status.success(), "exit {:?}: {stderr}", out.status);
     assert!(!path.exists(), "the socket file is removed at the end");
@@ -128,25 +159,29 @@ fn pipelined_and_closed_loop_clients_get_in_process_replies_in_order() {
 fn a_path_that_is_not_a_socket_is_refused_and_kept() {
     let path = std::env::temp_dir().join(format!("esvm_serve_socket_{}.txt", std::process::id()));
     std::fs::write(&path, "precious\n").unwrap();
-    let mut child = Command::new(env!("CARGO_BIN_EXE_esvm"))
-        .args(["serve", "--servers", "5", "--socket"])
-        .arg(&path)
-        .stdin(Stdio::null())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("esvm starts");
+    let mut server = Server::spawn(
+        Command::new(env!("CARGO_BIN_EXE_esvm"))
+            .args(["serve", "--servers", "5", "--socket"])
+            .arg(&path)
+            .stdin(Stdio::null())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped()),
+    );
     // A server that took the path would wait for a client forever.
     let start = Instant::now();
-    while child.try_wait().expect("the server's status").is_none() {
-        if start.elapsed() > Duration::from_secs(60) {
-            child.kill().ok();
-            child.wait().ok();
-            panic!("esvm serve replaced {path:?} and waited for a client");
-        }
+    while server
+        .child()
+        .try_wait()
+        .expect("the server's status")
+        .is_none()
+    {
+        assert!(
+            start.elapsed() < Duration::from_secs(60),
+            "esvm serve replaced {path:?} and waited for a client"
+        );
         std::thread::sleep(Duration::from_millis(5));
     }
-    let out = child.wait_with_output().expect("esvm runs to its end");
+    let out = server.wait_with_output();
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "{stderr}");
     assert!(

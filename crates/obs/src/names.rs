@@ -44,12 +44,12 @@ pub mod serve {
     pub const DEPARTED: &str = "serve.departed";
     /// Counter: lines answered with a typed `ERR` reply.
     pub const PROTOCOL_ERRORS: &str = "serve.protocol_errors";
-    /// Counter: records appended to the write-ahead journal.
+    /// Counter: records appended to the decision journal.
     pub const JOURNAL_APPENDS: &str = "serve.journal_appends";
     /// Counter: batched `fsync` barriers issued by the journal writer.
     pub const JOURNAL_FSYNCS: &str = "serve.journal_fsyncs";
-    /// Gauge: wall-clock milliseconds spent replaying a journal on
-    /// `--recover`.
+    /// Gauge: wall-clock milliseconds spent reading a journal and
+    /// hosting its decisions again on `--recover`.
     pub const RECOVERY_MS: &str = "serve.recovery_ms";
     /// Counter: VMs evicted by a live `DOWN` fault verb.
     pub const EVICTED: &str = "serve.evicted";
