@@ -1,5 +1,7 @@
 //! Micro-benchmarks of the `ServerLedger` hot path: capacity checks,
-//! commits, and candidate scoring at 10 / 100 / 1000 resident segments.
+//! commits, and candidate scoring at 10 / 100 / 1000 resident segments,
+//! probed mid-span, and one start-ordered step at the end of a 50k-segment
+//! history.
 //!
 //! `incremental_cost` (delta-based, no clone) is benchmarked against
 //! `reference_incremental_cost` (the original clone-and-rescan) at each
@@ -45,8 +47,11 @@ fn ledger_with(n: usize) -> ServerLedger {
 fn bench_ledger(c: &mut Criterion) {
     for n in [10usize, 100, 1000] {
         let ledger = ledger_with(n);
-        // Probe in the middle of the span, splitting one interior gap —
-        // the common shape during a MIEC scan.
+        // Probe in the middle of the span, splitting one interior gap:
+        // the shape of local search's and the consolidator's queries,
+        // which land anywhere in a history. The ledger's sorted arrays
+        // are searched from the tail first, so past the 15-entry tail
+        // these points time the fallback bisection.
         let mid = 4 * (n as u32 / 2) + 3;
         let probe = Vm::new(n as u32, Resources::new(1.0, 1.0), Interval::new(mid, mid));
 
@@ -89,5 +94,35 @@ fn bench_ledger(c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, bench_ledger);
+/// Offline MIEC decides in start order and keeps every ledger's whole
+/// history: the busiest server of a 100k-VM run holds tens of thousands
+/// of segments, and each decision scores and hosts the next VM after
+/// the last one. This point does that on a ledger of 50k segments;
+/// taking the VM off again keeps the ledger at 50k between iterations,
+/// so the unhost is timed too.
+fn bench_end_of_history(c: &mut Criterion) {
+    const N: usize = 50_000;
+    let mut ledger = ledger_with(N);
+    let next = Vm::new(N as u32, Resources::new(1.0, 1.0), Interval::with_len(4 * N as u32, 3));
+    let checkpoint = ledger.checkpoint();
+    let cost = ledger.cost().to_bits();
+    let mut group = c.benchmark_group(format!("ledger_{N}_segments_end"));
+    group.sample_size(20);
+    group.bench_function(BenchmarkId::from_parameter("score_and_host"), |b| {
+        b.iter(|| {
+            let next = black_box(&next);
+            assert!(ledger.fits(next));
+            let delta = ledger.incremental_cost(next);
+            ledger.host(next);
+            ledger.unhost(next);
+            ledger.restore_costs(checkpoint);
+            black_box(delta)
+        })
+    });
+    group.finish();
+    assert_eq!(ledger.segments().len(), N);
+    assert_eq!(ledger.cost().to_bits(), cost, "a host/unhost cycle moved the ledger's cost");
+}
+
+criterion_group!(benches, bench_ledger, bench_end_of_history);
 criterion_main!(benches);

@@ -99,7 +99,8 @@ impl ServerState {
 }
 
 /// The tails of VMs whose current piece runs on `source` strictly past
-/// `t`: the candidate evictions at departure instant `t`.
+/// `t`: the candidate evictions at departure instant `t`, as the
+/// reference pass finds them (the fast pass groups them per instant).
 fn tails_on(
     current: &[(ServerId, Interval)],
     source: ServerId,
@@ -265,13 +266,26 @@ impl Consolidator {
         let mut migrations = 0u64;
 
         let n_servers = problem.server_count() as u32;
+        let mut running: Vec<(ServerId, VmId, Interval)> = Vec::new();
+        let mut tails: Vec<(VmId, Interval)> = Vec::new();
         for &t in &Self::departures(problem) {
             departure_events += 1;
-            for source in 0..problem.server_count() {
-                let tails = tails_on(&current, ServerId(source as u32), t);
-                if tails.is_empty() {
-                    continue;
-                }
+            // The tails past `t` grouped by server in ascending id, each
+            // group in VM order: what `tails_on` finds server by server,
+            // from one pass over `current` per instant. A committed
+            // eviction moves tails to pieces that start at `t + 1`,
+            // which no group of this instant holds, so the groups stay
+            // exact while the servers are visited.
+            running.clear();
+            running.extend(current.iter().enumerate().filter_map(|(j, &(server, piece))| {
+                (piece.contains(t) && piece.end() > t)
+                    .then(|| (server, VmId(j as u32), Interval::new(t + 1, piece.end())))
+            }));
+            running.sort_by_key(|&(server, _, _)| server);
+            for group in running.chunk_by(|a, b| a.0 == b.0) {
+                let source = group[0].0.index();
+                tails.clear();
+                tails.extend(group.iter().map(|&(_, vm, tail)| (vm, tail)));
                 evictions_proposed += 1;
 
                 // Evict the tails transiently; the realized returns sum

@@ -1495,24 +1495,25 @@ fn recover_file(path: &str) -> Result<crate::journal::Recovered, CliError> {
         .map_err(|e| CliError::Usage(format!("cannot recover journal {path:?}: {e}")))
 }
 
-/// Recovers a journal into `session`: replay (timed into the
-/// `serve.recovery_ms` gauge) plus checkpoint verification. Returns the
-/// recovery, for journal resumption and the summary line.
-fn recover_into<T: esvm_obs::Tracer>(
+/// Replays a decoded journal into `session`, with checkpoint
+/// verification, and sets the `serve.recovery_ms` gauge to `decoded`
+/// (the time its read took) plus the replay's, as a restart pays both.
+fn replay_recovered<T: esvm_obs::Tracer>(
     path: &str,
+    rec: &crate::journal::Recovered,
+    decoded: std::time::Duration,
     session: &mut crate::serve::ServeSession<'_, T>,
     metrics: &MetricsRegistry,
-) -> Result<crate::journal::Recovered, CliError> {
+) -> Result<(), CliError> {
     let t0 = std::time::Instant::now();
-    let rec = recover_file(path)?;
     session
         .replay(&rec.records)
         .map_err(|e| CliError::Usage(format!("journal {path:?} does not replay: {e}")))?;
     metrics.set_gauge(
         esvm_obs::names::serve::RECOVERY_MS,
-        t0.elapsed().as_secs_f64() * 1e3,
+        (decoded + t0.elapsed()).as_secs_f64() * 1e3,
     );
-    Ok(rec)
+    Ok(())
 }
 
 /// Attaches the `--journal` writer to `session`. Resuming the same
@@ -1523,7 +1524,7 @@ fn recover_into<T: esvm_obs::Tracer>(
 fn attach_journal<T: esvm_obs::Tracer>(
     flags: &Flags,
     fleet: &[esvm_simcore::ServerSpec],
-    recovered: Option<&(&str, crate::journal::Recovered)>,
+    recovered: Option<(&str, &crate::journal::Recovered)>,
     session: &mut crate::serve::ServeSession<'_, T>,
 ) -> Result<(), CliError> {
     let Some(path) = flags.path("--journal") else {
@@ -1532,7 +1533,7 @@ fn attach_journal<T: esvm_obs::Tracer>(
     let fsync_every = flags.get("--fsync-every").unwrap_or(4096);
     let io_err = |e: std::io::Error| CliError::Usage(format!("journal {path:?}: {e}"));
     let writer = match recovered {
-        Some((rec_path, rec)) if *rec_path == path => {
+        Some((rec_path, rec)) if rec_path == path => {
             crate::journal::truncate_torn_tail(path, rec)
                 .map_err(|e| CliError::Usage(format!("journal {path:?}: {e}")))?;
             crate::journal::JournalWriter::open_append(path, fsync_every).map_err(io_err)?
@@ -1578,14 +1579,19 @@ fn serve_with<T: esvm_obs::Tracer>(
 
     // A recovered journal's header is the authoritative fleet;
     // otherwise the trace's, otherwise one generated from
-    // --servers/--seed.
-    let recovered_header = match flags.path("--recover") {
-        Some(path) => Some((path, recover_file(path)?)),
+    // --servers/--seed. The journal is read once: the fleet comes from
+    // that read, whose records are replayed and re-journaled below.
+    let recovered = match flags.path("--recover") {
+        Some(path) => {
+            let t0 = std::time::Instant::now();
+            let rec = recover_file(path)?;
+            Some((path, rec, t0.elapsed()))
+        }
         None => None,
     };
     let servers = flags.get("--servers").unwrap_or(50);
     let seed = flags.get("--seed").unwrap_or(0);
-    let fleet: Vec<esvm_simcore::ServerSpec> = if let Some((_, rec)) = &recovered_header {
+    let fleet: Vec<esvm_simcore::ServerSpec> = if let Some((_, rec, _)) = &recovered {
         rec.servers.clone()
     } else if let Some((_, reader)) = &esvt_reader {
         reader.servers().to_vec()
@@ -1602,25 +1608,27 @@ fn serve_with<T: esvm_obs::Tracer>(
     let mut session =
         ServeSession::new(&fleet, metrics, tracer).with_config(serve_config_from(flags));
     let mut source_notes: Vec<String> = Vec::new();
-    let recovered = match recovered_header {
-        Some((path, _)) => {
-            // Re-read inside the timed path so `serve.recovery_ms`
-            // covers decode + replay, as a restart would pay it.
-            let rec = recover_into(path, &mut session, metrics)?;
-            source_notes.push(format!(
-                "recovered {} records from {path}{}",
-                rec.records.len(),
-                if rec.torn_bytes > 0 {
-                    format!(" ({} torn bytes dropped)", rec.torn_bytes)
-                } else {
-                    String::new()
-                }
-            ));
-            Some((path, rec))
-        }
-        None => None,
-    };
-    attach_journal(flags, &fleet, recovered.as_ref(), &mut session)?;
+    if let Some((path, rec, decoded)) = &recovered {
+        replay_recovered(path, rec, *decoded, &mut session, metrics)?;
+        source_notes.push(format!(
+            "recovered {} records from {path}{}",
+            rec.records.len(),
+            if rec.torn_bytes > 0 {
+                format!(" ({} torn bytes dropped)", rec.torn_bytes)
+            } else {
+                String::new()
+            }
+        ));
+    }
+    attach_journal(
+        flags,
+        &fleet,
+        recovered.as_ref().map(|(path, rec, _)| (*path, rec)),
+        &mut session,
+    )?;
+    // The engine holds the replayed state and the journal its records:
+    // serving needs the decoded records no longer.
+    drop(recovered);
     if let Some(path) = flags.path("--journal") {
         source_notes.push(format!("journaling to {path}"));
     }

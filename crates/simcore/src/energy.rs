@@ -367,44 +367,6 @@ impl ServerLedger {
         );
     }
 
-    /// Checked [`ServerLedger::host`]: rejects demands and intervals
-    /// whose accounting would leave the representable range instead of
-    /// silently corrupting the accumulators.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::EnergyOverflow`](crate::Error::EnergyOverflow) when the
-    /// demand is non-finite or negative, the piece's run cost is not
-    /// finite, or the busy-time accumulator would overflow. The ledger
-    /// is unchanged on error.
-    pub fn try_host(&mut self, vm: &Vm) -> crate::Result<()> {
-        self.try_host_piece(vm.demand(), vm.interval())
-    }
-
-    /// Piece-level [`ServerLedger::try_host`].
-    ///
-    /// # Errors
-    ///
-    /// [`Error::EnergyOverflow`](crate::Error::EnergyOverflow) on
-    /// non-finite/negative demand, non-finite run cost, or busy-time
-    /// overflow; the ledger is unchanged on error.
-    pub fn try_host_piece(&mut self, demand: Resources, interval: Interval) -> crate::Result<()> {
-        let overflow = crate::Error::EnergyOverflow { server: self.spec.id() };
-        if !demand.cpu.is_finite() || !demand.mem.is_finite() || demand.cpu < 0.0 || demand.mem < 0.0
-        {
-            return Err(overflow);
-        }
-        let run = self.piece_run_cost(demand, interval);
-        if !run.is_finite() || !(self.run_cost + run).is_finite() {
-            return Err(overflow);
-        }
-        if self.busy_time.checked_add(interval.len()).is_none() {
-            return Err(overflow);
-        }
-        self.host_piece(demand, interval);
-        Ok(())
-    }
-
     /// Piece-level [`ServerLedger::unhost`]: removes a previously hosted
     /// piece and returns the realized cost decrease. `O(log n + touched)`
     /// — the busy time the piece covered exclusively leaves the segment
@@ -883,37 +845,6 @@ mod tests {
             after.transition.to_bits(),
             breakdown_before.transition.to_bits()
         );
-        assert_eq!(ledger.hosted_count(), 2);
-    }
-
-    #[test]
-    fn try_host_rejects_adversarial_demands() {
-        let mut ledger = ServerLedger::new(spec(50.0));
-        ledger.host(&vm(0, 1.0, 1.0, 1, 4));
-        let cost_before = ledger.cost().to_bits();
-        // The fields are public, so hostile code (or a bug upstream)
-        // can bypass the `Resources::new` validation — the checked host
-        // path must still catch it.
-        for demand in [
-            Resources { cpu: f64::NAN, mem: 1.0 },
-            Resources { cpu: 1.0, mem: f64::NAN },
-            Resources { cpu: f64::INFINITY, mem: 1.0 },
-            Resources { cpu: -1.0, mem: 1.0 },
-            Resources { cpu: 1.0, mem: -1.0 },
-        ] {
-            let err = ledger
-                .try_host_piece(demand, Interval::new(10, 12))
-                .unwrap_err();
-            assert!(
-                matches!(err, crate::Error::EnergyOverflow { .. }),
-                "{demand:?}: {err:?}"
-            );
-        }
-        assert_eq!(ledger.cost().to_bits(), cost_before, "ledger unchanged");
-        assert_eq!(ledger.hosted_count(), 1);
-        ledger
-            .try_host_piece(Resources::new(1.0, 1.0), Interval::new(10, 12))
-            .expect("well-formed piece is accepted");
         assert_eq!(ledger.hosted_count(), 2);
     }
 

@@ -33,12 +33,6 @@ pub enum Error {
     NonDenseIds,
     /// The problem contains no servers.
     NoServers,
-    /// An energy or time accumulator would leave the representable
-    /// range (non-finite demand/cost, or busy time past `u64::MAX`).
-    EnergyOverflow {
-        /// The server whose ledger refused the update.
-        server: ServerId,
-    },
     /// Ledgers handed to an assignment, as many as this, do not number
     /// one per server.
     LedgerCount(usize),
@@ -67,9 +61,6 @@ impl fmt::Display for Error {
             Error::Unplaced(id) => write!(f, "{id} is not placed on any server"),
             Error::NonDenseIds => write!(f, "vm/server ids must be dense 0..n indices"),
             Error::NoServers => write!(f, "problem contains no servers"),
-            Error::EnergyOverflow { server } => {
-                write!(f, "energy accounting on {server} would overflow")
-            }
             Error::LedgerCount(n) => write!(f, "got {n} ledgers, not one per server"),
             Error::LedgerSpec(server) => write!(f, "the ledger of {server} has another spec"),
             Error::HostedCount(s) => write!(f, "the ledger of {s} disagrees with the placement"),
@@ -98,9 +89,6 @@ mod tests {
             Error::Unplaced(VmId(4)),
             Error::NonDenseIds,
             Error::NoServers,
-            Error::EnergyOverflow {
-                server: ServerId(2),
-            },
             Error::LedgerCount(3),
             Error::LedgerSpec(ServerId(1)),
             Error::HostedCount(ServerId(0)),

@@ -58,6 +58,7 @@ mod error;
 mod problem;
 mod resources;
 mod schedule;
+mod search;
 mod segments;
 mod server;
 mod time;

@@ -13,6 +13,29 @@ fn arb_interval() -> impl Strategy<Value = Interval> {
     (0u32..200, 0u32..30).prop_map(|(s, len)| Interval::with_len(s, len + 1))
 }
 
+/// Model time units: every history below ends before this.
+const HORIZON: usize = 640;
+
+/// Histories longer than the 15-entry tail the ledgers' sorted-array
+/// searches probe first: up to `max` short intervals over a
+/// 600-unit horizon, in random order or sorted by start as offline
+/// MIEC hosts them, so both the tail probes and the fallback bisection
+/// answer the queries.
+fn arb_history<X: std::fmt::Debug + Clone>(
+    extra: impl Strategy<Value = X>,
+    max: usize,
+) -> impl Strategy<Value = Vec<(Interval, X)>> {
+    let short = (0u32..600, 0u32..12).prop_map(|(s, len)| Interval::with_len(s, len + 1));
+    (proptest::collection::vec((short, extra), 0..max), proptest::bool::ANY).prop_map(
+        |(mut entries, start_ordered)| {
+            if start_ordered {
+                entries.sort_by_key(|(iv, _)| iv.start());
+            }
+            entries
+        },
+    )
+}
+
 fn arb_spec() -> impl Strategy<Value = ServerSpec> {
     (1u32..20, 1u32..40, 0u32..30, 1u32..40, 0u32..120).prop_map(
         |(cpu, mem, idle, dynamic, alpha)| {
@@ -31,16 +54,16 @@ proptest! {
 
     /// SegmentSet agrees with a naive per-time-unit set model.
     #[test]
-    fn segment_set_matches_naive_model(intervals in proptest::collection::vec(arb_interval(), 0..20)) {
+    fn segment_set_matches_naive_model(intervals in arb_history(Just(()), 80)) {
         let mut set = SegmentSet::new();
         let mut model: BTreeSet<u32> = BTreeSet::new();
-        for iv in &intervals {
+        for (iv, ()) in &intervals {
             set.insert(*iv);
             model.extend(iv.iter());
         }
         // Same busy time and same membership.
         prop_assert_eq!(set.busy_time(), model.len() as u64);
-        for t in 0..260u32 {
+        for t in 0..HORIZON as u32 {
             prop_assert_eq!(set.contains(t), model.contains(&t), "t={}", t);
         }
         // Segments are disjoint, non-adjacent and sorted.
@@ -58,11 +81,11 @@ proptest! {
     /// UsageProfile agrees with a naive per-time-unit accumulation.
     #[test]
     fn usage_profile_matches_naive_model(
-        entries in proptest::collection::vec((arb_interval(), 1u32..8, 1u32..8), 0..15)
+        entries in arb_history((1u32..8, 1u32..8), 60)
     ) {
         let mut profile = UsageProfile::new();
-        let mut model = vec![(0.0f64, 0.0f64); 300];
-        for (iv, cpu, mem) in &entries {
+        let mut model = vec![(0.0f64, 0.0f64); HORIZON];
+        for (iv, (cpu, mem)) in &entries {
             let demand = Resources::new(f64::from(*cpu), f64::from(*mem));
             profile.add(*iv, demand);
             for t in iv.iter() {
@@ -86,14 +109,14 @@ proptest! {
     /// `fits` is exactly "no per-unit capacity violation".
     #[test]
     fn fits_matches_naive_check(
-        entries in proptest::collection::vec((arb_interval(), 1u32..8, 1u32..8), 0..10),
-        probe in (arb_interval(), 1u32..8, 1u32..8),
+        entries in arb_history((1u32..8, 1u32..8), 60),
+        probe in ((0u32..600, 0u32..30), 1u32..8, 1u32..8),
         cap in (8u32..24, 8u32..24),
     ) {
         let capacity = Resources::new(f64::from(cap.0), f64::from(cap.1));
         let mut profile = UsageProfile::new();
-        let mut model = vec![(0.0f64, 0.0f64); 300];
-        for (iv, cpu, mem) in &entries {
+        let mut model = vec![(0.0f64, 0.0f64); HORIZON];
+        for (iv, (cpu, mem)) in &entries {
             let demand = Resources::new(f64::from(*cpu), f64::from(*mem));
             profile.add(*iv, demand);
             for t in iv.iter() {
@@ -101,7 +124,8 @@ proptest! {
                 model[t as usize].1 += demand.mem;
             }
         }
-        let (iv, cpu, mem) = probe;
+        let ((start, len), cpu, mem) = probe;
+        let iv = Interval::with_len(start, len + 1);
         let demand = Resources::new(f64::from(cpu), f64::from(mem));
         let expected = iv.iter().all(|t| {
             model[t as usize].0 + demand.cpu <= capacity.cpu + 1e-9
@@ -324,18 +348,16 @@ proptest! {
     /// `exclusive_runs` returns exactly the maximal count-1 runs of an
     /// inserted interval: the busy time only that piece is holding up.
     #[test]
-    fn exclusive_runs_match_naive_counts(
-        intervals in proptest::collection::vec(arb_interval(), 1..10),
-    ) {
+    fn exclusive_runs_match_naive_counts(intervals in arb_history(Just(()), 60)) {
         let mut coverage = CoverageSet::new();
-        let mut counts = vec![0u32; 300];
-        for iv in &intervals {
+        let mut counts = vec![0u32; HORIZON];
+        for (iv, ()) in &intervals {
             coverage.insert(*iv);
             for t in iv.iter() {
                 counts[t as usize] += 1;
             }
         }
-        for iv in &intervals {
+        for (iv, ()) in &intervals {
             let mut exclusive: Vec<u32> =
                 iv.iter().filter(|&t| counts[t as usize] == 1).collect();
             for run in coverage.exclusive_runs(*iv) {
