@@ -6,8 +6,10 @@
 //! equivalence flags, under `target/`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use esvm_bench::{assert_no_regression, committed_bench_field, time_pair_best, write_fresh_record};
-use esvm_core::{Allocator, Consolidator, Ffps, LocalSearch, SearchMove};
+use esvm_bench::{
+    assert_no_regression, committed_bench_field, time_best, time_pair_best, write_fresh_record,
+};
+use esvm_core::{Allocator, Consolidator, Ffps, LocalSearch, Miec, SearchMove};
 use esvm_obs::{DiscardTracer, MetricsRegistry, NoopTracer};
 use esvm_simcore::VmId;
 use esvm_workload::WorkloadConfig;
@@ -232,8 +234,32 @@ fn bench_local_search_at_scale(c: &mut Criterion) {
         consolidator_metrics.counter("consolidator.evictions_committed");
     let consolidator_migrations = consolidator_metrics.counter("consolidator.migrations");
 
+    // Ungated point shaped like perfbench solve-refine (its first trace
+    // at job seed 1): refine MIEC on 500 VMs / 50 servers, interarrival
+    // 0.6, duration 20, generator seed 48. Recorded, never compared.
+    let refine_problem = WorkloadConfig::new(500, 50)
+        .mean_interarrival(0.6)
+        .mean_duration(20.0)
+        .generate(48)
+        .expect("instance");
+    let refine_base = Miec::new()
+        .allocate(&refine_problem, &mut StdRng::seed_from_u64(0))
+        .expect("base allocation");
+    let refine_s = time_best(7, || LocalSearch::new().refine(&refine_base).unwrap().total_cost());
+    let refine_metrics = MetricsRegistry::new();
+    LocalSearch::new()
+        .refine_traced(&refine_base, &refine_metrics, &DiscardTracer)
+        .unwrap();
+    let refine_counter = |name: &str| refine_metrics.counter(&format!("local_search.{name}"));
+    println!("miec refine @ 500 VMs / 50 servers (solve-refine shape, seed 48): {refine_s:.4} s");
+
     let json = format!(
-        "{{\n  \"benchmark\": \"local_search_refinement\",\n  \"vms\": {VMS},\n  \"servers\": {SERVERS},\n  \"workload_seed\": 1,\n  \"mean_interarrival\": 4.0,\n  \"optimised_seconds\": {optimised_s:.6},\n  \"instrumented_seconds\": {instrumented_s:.6},\n  \"instrumentation_overhead\": {instrumentation_overhead:.4},\n  \"reference_seconds\": {reference_s:.6},\n  \"speedup\": {speedup:.2},\n  \"moves_accepted\": {moves},\n  \"relocates_considered\": {relocates_considered},\n  \"swaps_considered\": {swaps_considered},\n  \"spec_class_pruned\": {spec_class_pruned},\n  \"swap_fastpath_hits\": {swap_fastpath_hits},\n  \"relocates_reused\": {relocates_reused},\n  \"swaps_reused\": {swaps_reused},\n  \"relocates_bounded\": {relocates_bounded},\n  \"swaps_bounded\": {swaps_bounded},\n  \"fit_checks\": {fit_checks},\n  \"refinement_improvement\": {improvement:.6},\n  \"trajectory_equivalent\": {trajectory_equivalent},\n  \"placements_identical\": {placements_identical},\n  \"consolidation_optimised_seconds\": {consolidation_optimised_s:.6},\n  \"consolidation_reference_seconds\": {consolidation_reference_s:.6},\n  \"consolidation_speedup\": {consolidation_speedup:.2},\n  \"consolidator_evictions_committed\": {evictions_committed},\n  \"consolidator_migrations\": {consolidator_migrations},\n  \"consolidation_schedules_identical\": {schedules_identical},\n  \"consolidation_cost_rel_diff\": {consolidation_rel:.3e}\n}}\n",
+        "{{\n  \"benchmark\": \"local_search_refinement\",\n  \"vms\": {VMS},\n  \"servers\": {SERVERS},\n  \"workload_seed\": 1,\n  \"mean_interarrival\": 4.0,\n  \"optimised_seconds\": {optimised_s:.6},\n  \"instrumented_seconds\": {instrumented_s:.6},\n  \"instrumentation_overhead\": {instrumentation_overhead:.4},\n  \"reference_seconds\": {reference_s:.6},\n  \"speedup\": {speedup:.2},\n  \"moves_accepted\": {moves},\n  \"relocates_considered\": {relocates_considered},\n  \"swaps_considered\": {swaps_considered},\n  \"spec_class_pruned\": {spec_class_pruned},\n  \"swap_fastpath_hits\": {swap_fastpath_hits},\n  \"relocates_reused\": {relocates_reused},\n  \"swaps_reused\": {swaps_reused},\n  \"relocates_bounded\": {relocates_bounded},\n  \"swaps_bounded\": {swaps_bounded},\n  \"fit_checks\": {fit_checks},\n  \"refinement_improvement\": {improvement:.6},\n  \"trajectory_equivalent\": {trajectory_equivalent},\n  \"placements_identical\": {placements_identical},\n  \"consolidation_optimised_seconds\": {consolidation_optimised_s:.6},\n  \"consolidation_reference_seconds\": {consolidation_reference_s:.6},\n  \"consolidation_speedup\": {consolidation_speedup:.2},\n  \"consolidator_evictions_committed\": {evictions_committed},\n  \"consolidator_migrations\": {consolidator_migrations},\n  \"consolidation_schedules_identical\": {schedules_identical},\n  \"consolidation_cost_rel_diff\": {consolidation_rel:.3e},\n  \"refine_shape_seconds\": {refine_s:.6},\n  \"refine_shape_swaps_reused\": {},\n  \"refine_shape_swaps_bounded\": {},\n  \"refine_shape_swaps_considered\": {},\n  \"refine_shape_relocates_bounded\": {},\n  \"refine_shape_fit_checks\": {}\n}}\n",
+        refine_counter("swaps_reused"),
+        refine_counter("swaps_bounded"),
+        refine_counter("swaps_considered"),
+        refine_counter("relocates_bounded"),
+        refine_counter("fit_checks"),
         moves = fast_moves.len(),
     );
     write_fresh_record("BENCH_localsearch.json", &json);

@@ -20,13 +20,19 @@
 //! Rejected evaluations are reused. Only an accepted move changes a
 //! host, so a relocate target or swap pair whose hosts are all
 //! unchanged since that VM's previous scan is skipped: it was rejected
-//! then on identical bits. Fit verdicts are cached per (server, VM)
-//! until the server changes, and time-disjoint swap pairs read them,
-//! since a VM leaving frees nothing outside its own interval.
+//! then on identical bits. Fit verdicts are cached per (server, VM),
+//! and time-disjoint swap pairs read them, since a VM leaving frees
+//! nothing outside its own interval.
 //!
 //! Moves are bounded before they are checked. Each (server, VM) keeps
 //! an insertion floor (`incremental_cost` rounded down into an `f32`)
-//! and each VM its `decremental_cost`, both until the host changes.
+//! and each VM its `decremental_cost` until its host changes. An
+//! accepted move clears a floor only where the VM's interval meets a
+//! moved VM's influence region widened by one unit, and a verdict only
+//! where it overlaps a moved interval: nothing else can have changed.
+//! Swap rows sort their partners 64 at a time from these cached bits
+//! (same host, reused, bounded, unfit), and only the rest is checked
+//! pair by pair.
 //! Busy time already on a server never makes an insertion dearer (the
 //! Eq. 16 gap price is concave), so `floor(vb on sa) − dec(vb) +
 //! floor(va on sb) − dec(va)` bounds a swap from below, and a relocate
@@ -38,7 +44,7 @@ use crate::{AllocError, AllocResult, Allocator};
 use esvm_obs::{DecisionKind, ExplainRecord, MetricsRegistry, NoopTracer, Tracer};
 use esvm_simcore::energy::full_cost;
 use esvm_simcore::{
-    AllocationProblem, Assignment, ServerId, ServerLedger, ServerSpec, Vm, VmId,
+    AllocationProblem, Assignment, Interval, ServerId, ServerLedger, ServerSpec, Vm, VmId,
 };
 use rand::RngCore;
 use std::collections::HashMap;
@@ -197,6 +203,66 @@ fn rounding_margin(problem: &AllocationProblem) -> f64 {
     scale * (-30f64).exp2()
 }
 
+/// Where an accepted move can change what [`Reuse`] caches on the two
+/// hosts it changes, taken before the move.
+struct Windows {
+    /// The two hosts: a relocate's source and target, a swap's two
+    /// servers.
+    hosts: [usize; 2],
+    /// The intervals of the moved VMs (a relocate repeats its one VM).
+    moved: [Interval; 2],
+    /// Per host, each moved VM's influence region on it widened by one
+    /// unit on each side: from the end of the segment left of the VM's
+    /// merge hull to the start of the segment right of it.
+    reach: [[Interval; 2]; 2],
+}
+
+/// The windows of a move between hosts `on`, taken on `hosts` before
+/// it: each VM in `vms` leaves one of the two hosts and joins the other
+/// (a relocate passes its VM twice).
+fn windows(hosts: &[Host], on: [usize; 2], vms: [&Vm; 2]) -> Windows {
+    let window = |s: usize, vm: &Vm| {
+        let region = hosts[s].ledger.segments().influence_region(vm.interval());
+        Interval::new(region.start().saturating_sub(1), region.end().saturating_add(1))
+    };
+    Windows {
+        hosts: on,
+        moved: vms.map(|vm| vm.interval()),
+        reach: on.map(|s| vms.map(|vm| window(s, vm))),
+    }
+}
+
+/// One swap row: VM `a`, paired with every later VM.
+struct Row {
+    a: usize,
+    interval: Interval,
+    /// `a`'s host.
+    host: usize,
+    /// The clock when the row began.
+    since: u64,
+    /// Whether `a`'s host is unchanged since the row's previous run,
+    /// which then accepted nothing: it rejected every pair whose other
+    /// host is unchanged too.
+    settled: bool,
+    /// `a`'s half of each pair bound, `relocate_floor(a → s)`, for
+    /// every non-empty host `s` other than `a`'s that is not both
+    /// settled and unchanged; NaN elsewhere.
+    half: Vec<f64>,
+}
+
+/// A block of up to 64 swap partners `b0 + k` of one row, sorted from
+/// cached bits alone (bit `k` stands for `b0 + k`). Same-host pairs and
+/// pairs the cached verdicts already refuse are in no mask: neither
+/// counts anywhere.
+struct Block {
+    /// Both hosts unchanged since the row's previous run.
+    reused: u64,
+    /// The cached floors and removals bound the pair at `τ` or above.
+    bounded: u64,
+    /// Everything else: evaluated one by one, in ascending `b`.
+    walk: u64,
+}
+
 /// What the search may reuse from its earlier, rejected evaluations.
 ///
 /// A host changes only when a move is accepted: fit checks and scoring
@@ -206,18 +272,23 @@ fn rounding_margin(problem: &AllocationProblem) -> f64 {
 /// each host keeps the clock value of its last change; a relocate scan
 /// or swap row records the clock at which it began, and a host is
 /// unchanged since then when its stamp is not later.
+///
+/// The cached floors and verdicts outlive a change to their host: a
+/// move clears only the entries it could have changed (see
+/// [`Reuse::record_move`]).
 struct Reuse {
     clock: u64,
     /// Per host, the clock value of its last change (1: the start
     /// placement; scan stamps start at 0, "never ran").
     changed: Vec<u64>,
     vm_count: usize,
+    /// Per VM, its interval.
+    intervals: Vec<Interval>,
     /// `hosts[s].fits(vm j)` at `s * vm_count + j`, one byte each,
-    /// `None` until computed; a host's row is cleared when it changes.
+    /// `None` until computed or cleared by a move.
     verdicts: Vec<Option<bool>>,
     /// `hosts[s].ledger.incremental_cost(vm j)` rounded down, at the
-    /// same index as `verdicts`; NaN until computed, and a host's row
-    /// is cleared with its verdict row.
+    /// same index as `verdicts`; NaN until computed or cleared.
     floors: Vec<f32>,
     /// Per VM, `decremental_cost` on its host; NaN once that host
     /// changes.
@@ -235,6 +306,7 @@ impl Reuse {
             clock: 1,
             changed: vec![1; servers],
             vm_count: vms,
+            intervals: problem.vms().iter().map(Vm::interval).collect(),
             verdicts: vec![None; servers * vms],
             floors: vec![f32::NAN; servers * vms],
             removals: vec![f64::NAN; vms],
@@ -248,15 +320,47 @@ impl Reuse {
         self.changed[s] <= since
     }
 
-    /// Records an accepted move that changed hosts `a` and `b` (called
-    /// once `hosts` holds the new placement).
-    fn record_move(&mut self, hosts: &[Host], a: usize, b: usize) {
+    /// Moves `vm` from host `src` to host `dst` and records the move.
+    fn relocate(&mut self, hosts: &mut [Host], vm: &Vm, src: usize, dst: usize) {
+        let windows = windows(hosts, [src, dst], [vm, vm]);
+        let v = hosts[src].remove(vm.id());
+        hosts[dst].add(v);
+        self.record_move(hosts, &windows);
+    }
+
+    /// Exchanges the hosts of `va` (on `sa`) and `vb` (on `sb`) and
+    /// records the move.
+    fn swap(&mut self, hosts: &mut [Host], va: &Vm, sa: usize, vb: &Vm, sb: usize) {
+        let windows = windows(hosts, [sa, sb], [va, vb]);
+        let a = hosts[sa].remove(va.id());
+        let b = hosts[sb].remove(vb.id());
+        hosts[sa].add(b);
+        hosts[sb].add(a);
+        self.record_move(hosts, &windows);
+    }
+
+    /// Records an accepted move (called once `hosts` holds the new
+    /// placement, with the windows taken before it). A move changes a
+    /// host's busy set and usage only inside the moved intervals, so on
+    /// each of its two hosts an insertion floor is cleared only for a
+    /// VM whose interval meets one of that host's windows, and a fit
+    /// verdict only for a VM whose interval overlaps a moved one
+    /// (DESIGN.md §7). The removal cost of every VM either host now
+    /// holds is cleared.
+    fn record_move(&mut self, hosts: &[Host], windows: &Windows) {
         self.clock += 1;
-        for s in [a, b] {
+        for (&s, reach) in windows.hosts.iter().zip(&windows.reach) {
             self.changed[s] = self.clock;
             let row = s * self.vm_count..(s + 1) * self.vm_count;
-            self.verdicts[row.clone()].fill(None);
-            self.floors[row].fill(f32::NAN);
+            let entries = self.floors[row.clone()].iter_mut().zip(&mut self.verdicts[row]);
+            for (interval, (floor, verdict)) in self.intervals.iter().zip(entries) {
+                if reach.iter().any(|w| w.overlaps(*interval)) {
+                    *floor = f32::NAN;
+                }
+                if windows.moved.iter().any(|m| m.overlaps(*interval)) {
+                    *verdict = None;
+                }
+            }
             for vm in &hosts[s].vms {
                 self.removals[vm.id().index()] = f64::NAN;
             }
@@ -306,6 +410,62 @@ impl Reuse {
     fn fits_replacing(&mut self, host: &Host, incoming: &Vm, leaving: &Vm) -> bool {
         self.fit_checks += 1;
         host.ledger.fits_replacing(incoming, leaving)
+    }
+
+    /// Fills `row.half` for the row's current host and settledness.
+    fn fill_halves(&mut self, hosts: &[Host], row: &mut Row, va: &Vm) {
+        for s in 0..hosts.len() {
+            let skip = s == row.host
+                || hosts[s].vms.is_empty()
+                || (row.settled && self.unchanged(s, row.since));
+            row.half[s] = if skip {
+                f64::NAN
+            } else {
+                self.relocate_floor(hosts, row.a, va, row.host, s)
+            };
+        }
+    }
+
+    /// Sorts the partners `b0..b0 + len` (`len ≤ 64`) of `row` without a
+    /// branch per pair, in the order the per-pair code checks them:
+    /// same host, reused, bounded (floor and removal both cached), then
+    /// unfit from the cache (a time-disjoint pair whose cached verdicts
+    /// refuse it: `b` on `a`'s host first, then `a` on `b`'s), and the
+    /// rest is walk. A NaN bound (an entry not cached) is neither `≥ τ`
+    /// nor `< τ`, so its pair walks.
+    fn sort_block(&self, row: &Row, b0: usize, len: usize, location: &[ServerId]) -> Block {
+        debug_assert!((1..=64).contains(&len));
+        let sa = row.host;
+        let at = sa * self.vm_count + b0;
+        let partners = location[b0..b0 + len]
+            .iter()
+            .zip(&self.intervals[b0..b0 + len])
+            .zip(&self.removals[b0..b0 + len])
+            .zip(self.floors[at..at + len].iter().zip(&self.verdicts[at..at + len]));
+        // Last partner first, so each pair's bit enters at the bottom and
+        // `b0 + k` ends at bit `k`.
+        let (mut same, mut reused, mut bounded, mut unfit) = (0u64, 0u64, 0u64, 0u64);
+        for (((server, interval), &removal), (&floor, &b_on_sa)) in partners.rev() {
+            let sb = server.index();
+            let bound = (f64::from(floor) - removal) + row.half[sb];
+            let a_on_sb = self.verdicts[sb * self.vm_count + row.a];
+            let refused =
+                (b_on_sa == Some(false)) | ((b_on_sa == Some(true)) & (a_on_sb == Some(false)));
+            let disjoint = !row.interval.overlaps(*interval);
+            same = same << 1 | u64::from(sb == sa);
+            reused = reused << 1 | u64::from(row.settled & (self.changed[sb] <= row.since));
+            bounded = bounded << 1 | u64::from(bound >= self.tau);
+            unfit = unfit << 1 | u64::from((bound < self.tau) & disjoint & refused);
+        }
+        let full = u64::MAX >> (64 - len);
+        let reused = reused & !same;
+        let bounded = bounded & !(same | reused);
+        let unfit = unfit & !(same | reused);
+        Block {
+            reused,
+            bounded,
+            walk: full & !(same | reused | bounded | unfit),
+        }
     }
 }
 
@@ -491,9 +651,14 @@ impl LocalSearch {
         let mut reuse = Reuse::new(problem);
         let mut relocate_since: Vec<u64> = vec![0; problem.vm_count()];
         let mut swap_since: Vec<u64> = vec![0; problem.vm_count()];
-        // The swap row's own half of each pair bound: its VM's relocate
-        // floor onto each server, filled as the row meets the server.
-        let mut row_floor: Vec<f64> = vec![f64::NAN; hosts.len()];
+        let mut row = Row {
+            a: 0,
+            interval: Interval::new(0, 0),
+            host: 0,
+            since: 0,
+            settled: false,
+            half: vec![f64::NAN; hosts.len()],
+        };
         // Hot-loop tallies; flushed to `metrics` once after the search.
         let mut rounds = 0u64;
         let mut relocates_considered = 0u64;
@@ -595,9 +760,7 @@ impl LocalSearch {
                         vm_considered += 1;
                     }
                     if delta < -1e-9 {
-                        let v = hosts[src.index()].remove(vm.id());
-                        hosts[i].add(v);
-                        reuse.record_move(&hosts, src.index(), i);
+                        reuse.relocate(&mut hosts, &vm, src.index(), i);
                         location[j] = dst;
                         moves.push(SearchMove::Relocate {
                             vm: vm.id(),
@@ -630,121 +793,134 @@ impl LocalSearch {
                 }
             }
 
-            // Swap moves.
+            // Swap moves. Each row sorts its partners 64 at a time from
+            // cached bits (`Reuse::sort_block`); only the walk group runs
+            // the per-pair checks below, in ascending `b`, so the first
+            // improving pair is the one a pair-by-pair row would accept.
+            // The reference fills no half and is never settled, so every
+            // pair of its on another host walks.
             if self.enable_swaps {
-                for a in 0..problem.vm_count() {
-                    // While `a` has not moved since its last row began
-                    // (which then accepted nothing), that row rejected
-                    // every pair whose other host is unchanged too.
-                    let since = std::mem::replace(&mut swap_since[a], reuse.clock);
-                    let mut settled =
-                        !self.reference && reuse.unchanged(location[a].index(), since);
-                    row_floor.fill(f64::NAN);
-                    for b in (a + 1)..problem.vm_count() {
-                        let (sa, sb) = (location[a], location[b]);
-                        if sa == sb {
-                            continue;
-                        }
-                        if settled && reuse.unchanged(sb.index(), since) {
-                            if T::ENABLED {
-                                swaps_reused += 1;
-                            }
-                            continue;
-                        }
-                        let va = problem.vms()[a];
-                        let vb = problem.vms()[b];
-                        if !self.reference {
-                            let a_half = &mut row_floor[sb.index()];
-                            if a_half.is_nan() {
-                                *a_half =
-                                    reuse.relocate_floor(&hosts, a, &va, sa.index(), sb.index());
-                            }
-                            let bound = reuse.relocate_floor(&hosts, b, &vb, sb.index(), sa.index())
-                                + *a_half;
-                            if reuse.swap_cannot_improve(bound) {
-                                if T::ENABLED {
-                                    swaps_bounded += 1;
+                let vm_count = problem.vm_count();
+                for a in 0..vm_count {
+                    let va = problem.vms()[a];
+                    row.a = a;
+                    row.interval = va.interval();
+                    row.host = location[a].index();
+                    row.since = std::mem::replace(&mut swap_since[a], reuse.clock);
+                    row.settled = !self.reference && reuse.unchanged(row.host, row.since);
+                    if !self.reference {
+                        reuse.fill_halves(&hosts, &mut row, &va);
+                    }
+                    let mut b0 = a + 1;
+                    while b0 < vm_count {
+                        let len = (vm_count - b0).min(64);
+                        let block = reuse.sort_block(&row, b0, len, &location);
+                        // Past an accepted swap the block's bits are stale:
+                        // the row resumes with a fresh block after it.
+                        let mut next = b0 + len;
+                        let mut walk = block.walk;
+                        while walk != 0 {
+                            let b = b0 + walk.trailing_zeros() as usize;
+                            walk &= walk - 1;
+                            let (sa, sb) = (location[a], location[b]);
+                            let vb = problem.vms()[b];
+                            if !self.reference {
+                                let bound =
+                                    reuse.relocate_floor(&hosts, b, &vb, sb.index(), sa.index())
+                                        + row.half[sb.index()];
+                                if reuse.swap_cannot_improve(bound) {
+                                    if T::ENABLED {
+                                        swaps_bounded += 1;
+                                    }
+                                    continue;
                                 }
-                                continue;
                             }
-                        }
-                        let delta = if self.reference {
-                            let ha = &hosts[sa.index()];
-                            let hb = &hosts[sb.index()];
-                            if !ha.reference_fits_replacing(&vb, &va)
-                                || !hb.reference_fits_replacing(&va, &vb)
-                            {
-                                continue;
-                            }
-                            (ha.cost_replacing(&vb, va.id()) - ha.reference_cost())
-                                + (hb.cost_replacing(&va, vb.id()) - hb.reference_cost())
-                        } else {
-                            let (ha, hb) = pair_mut(&mut hosts, sa.index(), sb.index());
-                            let fits = if va.interval().overlaps(vb.interval()) {
-                                reuse.fits_replacing(ha, &vb, &va)
-                                    && reuse.fits_replacing(hb, &va, &vb)
+                            let delta = if self.reference {
+                                let ha = &hosts[sa.index()];
+                                let hb = &hosts[sb.index()];
+                                if !ha.reference_fits_replacing(&vb, &va)
+                                    || !hb.reference_fits_replacing(&va, &vb)
+                                {
+                                    continue;
+                                }
+                                (ha.cost_replacing(&vb, va.id()) - ha.reference_cost())
+                                    + (hb.cost_replacing(&va, vb.id()) - hb.reference_cost())
                             } else {
-                                // The leaving VM frees no time unit the
-                                // incoming one needs: `fits_replacing` is
-                                // exactly `fits`.
-                                reuse.fits(ha, sa.index(), b, &vb)
-                                    && reuse.fits(hb, sb.index(), a, &va)
-                            };
-                            if !fits {
-                                continue;
-                            }
-                            let (da, fast_a) = swap_side_delta(ha, &va, &vb);
-                            let (db, fast_b) = swap_side_delta(hb, &vb, &va);
-                            if T::ENABLED {
-                                for fast in [fast_a, fast_b] {
-                                    if fast {
-                                        fastpath_hits += 1;
-                                    } else {
-                                        probe_rollbacks += 1;
+                                let (ha, hb) = pair_mut(&mut hosts, sa.index(), sb.index());
+                                let fits = if va.interval().overlaps(vb.interval()) {
+                                    reuse.fits_replacing(ha, &vb, &va)
+                                        && reuse.fits_replacing(hb, &va, &vb)
+                                } else {
+                                    // The leaving VM frees no time unit the
+                                    // incoming one needs: `fits_replacing` is
+                                    // exactly `fits`.
+                                    reuse.fits(ha, sa.index(), b, &vb)
+                                        && reuse.fits(hb, sb.index(), a, &va)
+                                };
+                                if !fits {
+                                    continue;
+                                }
+                                let (da, fast_a) = swap_side_delta(ha, &va, &vb);
+                                let (db, fast_b) = swap_side_delta(hb, &vb, &va);
+                                if T::ENABLED {
+                                    for fast in [fast_a, fast_b] {
+                                        if fast {
+                                            fastpath_hits += 1;
+                                        } else {
+                                            probe_rollbacks += 1;
+                                        }
                                     }
                                 }
-                            }
-                            da + db
-                        };
-                        if T::ENABLED {
-                            swaps_considered += 1;
-                        }
-                        if delta < -1e-9 {
-                            let va_owned = hosts[sa.index()].remove(va.id());
-                            let vb_owned = hosts[sb.index()].remove(vb.id());
-                            hosts[sa.index()].add(vb_owned);
-                            hosts[sb.index()].add(va_owned);
-                            reuse.record_move(&hosts, sa.index(), sb.index());
-                            settled = false;
-                            row_floor.fill(f64::NAN);
-                            location[a] = sb;
-                            location[b] = sa;
-                            moves.push(SearchMove::Swap {
-                                a: va.id(),
-                                b: vb.id(),
-                                server_a: sa,
-                                server_b: sb,
-                                delta,
-                            });
-                            improved = true;
+                                da + db
+                            };
                             if T::ENABLED {
-                                swaps_accepted += 1;
-                                metrics.observe("local_search.accepted_delta", -delta);
-                                // `vm` is the a-side VM; `winner` is its
-                                // new server, `from` its old one; the
-                                // partner rides in `attempt`.
-                                tracer.explain(&ExplainRecord {
-                                    winner: Some(sb.index() as u64),
-                                    delta_cost: delta,
-                                    from: Some(sa.index() as u64),
-                                    attempt: vb.id().index() as u64,
-                                    ..ExplainRecord::new(
-                                        DecisionKind::Swap,
-                                        va.id().index() as u64,
-                                    )
+                                swaps_considered += 1;
+                            }
+                            if delta < -1e-9 {
+                                reuse.swap(&mut hosts, &va, sa.index(), &vb, sb.index());
+                                location[a] = sb;
+                                location[b] = sa;
+                                row.host = sb.index();
+                                row.settled = false;
+                                if !self.reference {
+                                    reuse.fill_halves(&hosts, &mut row, &va);
+                                }
+                                moves.push(SearchMove::Swap {
+                                    a: va.id(),
+                                    b: vb.id(),
+                                    server_a: sa,
+                                    server_b: sb,
+                                    delta,
                                 });
+                                improved = true;
+                                if T::ENABLED {
+                                    swaps_accepted += 1;
+                                    metrics.observe("local_search.accepted_delta", -delta);
+                                    // `vm` is the a-side VM; `winner` is its
+                                    // new server, `from` its old one; the
+                                    // partner rides in `attempt`.
+                                    tracer.explain(&ExplainRecord {
+                                        winner: Some(sb.index() as u64),
+                                        delta_cost: delta,
+                                        from: Some(sa.index() as u64),
+                                        attempt: vb.id().index() as u64,
+                                        ..ExplainRecord::new(
+                                            DecisionKind::Swap,
+                                            va.id().index() as u64,
+                                        )
+                                    });
+                                }
+                                next = b + 1;
+                                break;
                             }
                         }
+                        if T::ENABLED {
+                            // Only the pairs the row reached count.
+                            let reached = u64::MAX >> (64 - (next - b0));
+                            swaps_reused += u64::from((block.reused & reached).count_ones());
+                            swaps_bounded += u64::from((block.bounded & reached).count_ones());
+                        }
+                        b0 = next;
                     }
                 }
             }
@@ -1148,6 +1324,120 @@ mod tests {
             }
         }
         assert!(relocates_bounded > 0 && swaps_bounded > 0);
+    }
+
+    /// A random feasible instance and start placement: `busy` packs
+    /// long VMs into a short horizon, otherwise short VMs spread out.
+    fn random_instance(seed: u64, busy: bool) -> (AllocationProblem, Vec<usize>) {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let servers = rng.gen_range(5..=20usize);
+        let vms = rng.gen_range(40..=200usize);
+        let horizon: u32 = if busy { 60 } else { 600 };
+        let mut b = ProblemBuilder::new();
+        let mut hosts = Vec::new();
+        for i in 0..servers {
+            let scale = 1.0 + (i % 3) as f64;
+            let spec = ServerSpec::new(
+                ServerId(i as u32),
+                Resources::new(8.0 * scale, 16.0 * scale),
+                PowerModel::new(40.0 * scale, 100.0 * scale),
+                30.0 * scale,
+            );
+            b = b.server(spec.capacity(), *spec.power(), spec.transition_cost());
+            hosts.push(Host::new(spec));
+        }
+        let mut location = Vec::new();
+        for _ in 0..vms {
+            let len = if busy { rng.gen_range(5..=30u32) } else { rng.gen_range(1..=8u32) };
+            let vm = Vm::new(
+                location.len() as u32,
+                Resources::new(f64::from(rng.gen_range(1..=4u32)), f64::from(rng.gen_range(1..=6u32))),
+                Interval::with_len(rng.gen_range(1..=horizon), len),
+            );
+            let first = rng.gen_range(0..servers);
+            if let Some(s) = (0..servers).map(|k| (first + k) % servers).find(|&s| hosts[s].fits(&vm)) {
+                hosts[s].add(vm);
+                location.push(s);
+                b = b.vm(vm.demand(), vm.interval());
+            }
+        }
+        (b.build().unwrap(), location)
+    }
+
+    /// Every floor, verdict and removal a move leaves cached equals a
+    /// fresh computation on the new placement, bit for bit.
+    #[test]
+    fn cached_entries_survive_moves_exactly() {
+        for seed in 0..6u64 {
+            let (p, mut location) = random_instance(seed, seed % 2 == 0);
+            let mut hosts: Vec<Host> = p.servers().iter().map(|s| Host::new(*s)).collect();
+            for (j, &s) in location.iter().enumerate() {
+                hosts[s].add(p.vms()[j]);
+            }
+            let mut reuse = Reuse::new(&p);
+            let mut rng = StdRng::seed_from_u64(seed ^ 0xfeed);
+            let (servers, vms) = (p.server_count(), p.vm_count());
+            let mut moves = 0;
+            for _ in 0..20_000 {
+                if moves == 300 {
+                    break;
+                }
+                // Fill every entry, so each move is checked against a full cache.
+                for (j, vm) in p.vms().iter().enumerate() {
+                    for s in 0..servers {
+                        let slot = &mut reuse.floors[s * vms + j];
+                        if slot.is_nan() {
+                            *slot = round_down(hosts[s].ledger.incremental_cost(vm));
+                        }
+                        reuse.fits(&hosts[s], s, j, vm);
+                    }
+                    reuse.removal(&hosts[location[j]], j, vm);
+                }
+                use rand::Rng;
+                let a = rng.gen_range(0..vms);
+                let va = p.vms()[a];
+                if rng.gen_bool(0.5) {
+                    let dst = rng.gen_range(0..servers);
+                    if dst == location[a] || !hosts[dst].fits(&va) {
+                        continue;
+                    }
+                    reuse.relocate(&mut hosts, &va, location[a], dst);
+                    location[a] = dst;
+                } else {
+                    let b = rng.gen_range(0..vms);
+                    let (sa, sb) = (location[a], location[b]);
+                    let vb = p.vms()[b];
+                    if sa == sb
+                        || !hosts[sa].ledger.fits_replacing(&vb, &va)
+                        || !hosts[sb].ledger.fits_replacing(&va, &vb)
+                    {
+                        continue;
+                    }
+                    reuse.swap(&mut hosts, &va, sa, &vb, sb);
+                    location.swap(a, b);
+                }
+                moves += 1;
+                for (j, vm) in p.vms().iter().enumerate() {
+                    for (s, host) in hosts.iter().enumerate() {
+                        let floor = reuse.floors[s * vms + j];
+                        if !floor.is_nan() {
+                            let fresh = round_down(host.ledger.incremental_cost(vm));
+                            assert_eq!(floor.to_bits(), fresh.to_bits(), "seed {seed}: floor vm{j} srv{s}");
+                        }
+                        if let Some(verdict) = reuse.verdicts[s * vms + j] {
+                            assert_eq!(verdict, host.fits(vm), "seed {seed}: verdict vm{j} srv{s}");
+                        }
+                    }
+                    let removal = reuse.removals[j];
+                    if !removal.is_nan() {
+                        let fresh = hosts[location[j]].ledger.decremental_cost(vm);
+                        assert_eq!(removal.to_bits(), fresh.to_bits(), "seed {seed}: removal vm{j}");
+                    }
+                }
+            }
+            assert_eq!(moves, 300, "seed {seed}: too few feasible moves");
+        }
     }
 
     #[test]

@@ -2452,6 +2452,23 @@ mod tests {
     }
 
     #[test]
+    fn a_failed_esvt_gen_keeps_the_old_trace() {
+        let dir = std::env::temp_dir().join(format!("esvm_cli_gen_fail_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("one.esvt");
+        let out = path.to_str().unwrap();
+        run(&args(&["gen", "--vms", "30", "--servers", "10", "--out", out])).unwrap();
+        let before = std::fs::read(&path).unwrap();
+        let err = run(&args(&["gen", "--vms", "40", "--servers", "1", "--out", out])).unwrap_err();
+        assert!(err.to_string().contains("does not fit"), "{err}");
+        assert_eq!(std::fs::read(&path).unwrap(), before);
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1, "a temporary file was left");
+        let solved = run(&args(&["solve", "--trace", out, "--algos", "miec"])).unwrap();
+        assert!(!solved.is_empty());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn serve_journal_round_trips_and_survives_a_torn_tail() {
         let dir = std::env::temp_dir();
         let trace_path = dir.join("esvm_cli_serve_wal_trace.txt");

@@ -439,18 +439,31 @@ impl WorkloadConfig {
         Ok(w.finish()?)
     }
 
-    /// [`WorkloadConfig::generate_esvt`] into a buffered file.
+    /// [`WorkloadConfig::generate_esvt`] into a buffered file. The trace
+    /// is streamed into a temporary file beside `path` and renamed over
+    /// it only once its last block is written and flushed, so a failed
+    /// run leaves no torn trace and keeps whatever `path` held.
     ///
     /// # Errors
     ///
     /// As [`WorkloadConfig::generate_esvt`].
     pub fn generate_esvt_file(&self, seed: u64, path: impl AsRef<Path>) -> Result<(), GenerateError> {
-        let file = std::fs::File::create(path)
-            .map_err(|e| GenerateError::Trace(TraceError::Io(e.to_string())))?;
-        let mut out = self.generate_esvt(seed, std::io::BufWriter::new(file))?;
-        out.flush()
-            .map_err(|e| GenerateError::Trace(TraceError::Io(e.to_string())))?;
-        Ok(())
+        let path = path.as_ref();
+        let io = |e: std::io::Error| GenerateError::Trace(TraceError::Io(e.to_string()));
+        let mut name = path.file_name().unwrap_or_default().to_os_string();
+        name.push(format!(".{}.tmp", std::process::id()));
+        let tmp = path.with_file_name(name);
+        let written = (|| {
+            let file = std::fs::File::create(&tmp).map_err(io)?;
+            let mut out = self.generate_esvt(seed, std::io::BufWriter::new(file))?;
+            out.flush().map_err(io)?;
+            drop(out);
+            std::fs::rename(&tmp, path).map_err(io)
+        })();
+        if written.is_err() {
+            let _ = std::fs::remove_file(&tmp);
+        }
+        written
     }
 }
 
@@ -469,6 +482,23 @@ fn vm_interval(start: u32, len: u32) -> Result<Interval, GenerateError> {
 mod tests {
     use super::*;
     use crate::catalog::{server_types_1_3, standard_vm_types};
+
+    #[test]
+    fn a_failed_esvt_file_keeps_the_old_trace_and_leaves_no_temporary() {
+        let dir = std::env::temp_dir().join(format!("esvm-gen-esvt-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("one.esvt");
+        WorkloadConfig::new(30, 10).generate_esvt_file(3, &path).unwrap();
+        let before = std::fs::read(&path).unwrap();
+        let mut direct = Vec::new();
+        WorkloadConfig::new(30, 10).generate_esvt(3, &mut direct).unwrap();
+        assert_eq!(before, direct, "a successful run writes the streamed bytes");
+        assert!(WorkloadConfig::new(40, 1).generate_esvt_file(0, &path).is_err());
+        assert_eq!(std::fs::read(&path).unwrap(), before);
+        let left: Vec<_> = std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().file_name()).collect();
+        assert_eq!(left, vec![std::ffi::OsString::from("one.esvt")]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 
     #[test]
     fn generates_requested_counts() {
